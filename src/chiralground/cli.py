@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -17,16 +16,19 @@ import numpy as np
 
 from . import fock, states, sugawara
 from .fnspace import (
-    CircleFourier,
     LineObject,
+    PiecewiseLinearCircle,
     QuadratureSpec,
     Weight,
     circle_from_real_modes,
     circle_to_json,
+    dilate_line,
     fourier_project,
     gaussian_bump_line,
     gn_family,
     random_real_circle,
+    sobolev_half_sq,
+    translate_line,
 )
 
 
@@ -157,8 +159,6 @@ def run_verify(config: RunConfig, drop_central: bool = False) -> list:
                                   "pass" if r < 1e-12 else "fail"))
 
     worst = 0.0
-    from .fnspace import sobolev_half_sq
-
     for _ in range(50):
         f = random_real_circle(int(rng.integers(1, min(config.modes, N) + 1)), rng)
         if f.max_mode > N:
@@ -202,7 +202,7 @@ def _write(text: str, config: RunConfig):
 # charge
 
 
-def run_charge(config: RunConfig, kappas) -> tuple[list, int]:
+def run_charge(config: RunConfig, kappas) -> list:
     quad = config.quad()
     rows = []
     hF = _vector_field_default(0)
@@ -210,7 +210,7 @@ def run_charge(config: RunConfig, kappas) -> tuple[list, int]:
     for kappa in kappas:
         c_est = sugawara.central_charge_estimate(hF, hG, kappa, config.cutoff, quad)
         rows.append((kappa, c_est, abs(c_est - (1.0 + kappa**2))))
-    return rows, 0
+    return rows
 
 
 def _vector_field_default(which: int) -> LineObject:
@@ -249,9 +249,6 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
     quad = config.quad()
     M = config.modes
     f = parse_function_spec(fspec, M, quad)
-    if not isinstance(f.circle_repr, CircleFourier):
-        f = LineObject(fourier_project(f.circle_repr, M), Weight.FUNCTION,
-                       f.vanishing_order)
     p = states.GroundStateParams(q, kappa)
     report = {"q": q, "kappa": kappa, "function": fspec}
     gw = states.ground_weyl(p, states.WeylWord((f,)), M, quad)
@@ -263,30 +260,30 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
         "finite_difference": one.finite_difference,
     }
     report["stress_onepoint"] = states.ground_stress_onepoint(p, f, quad)
-    if isinstance(f.circle_repr, CircleFourier):
-        rng = np.random.default_rng(config.seed)
-        fs = []
-        for _ in range(4):
-            b, _resid = gaussian_bump_line(
-                float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M, quad
-            )
-            fs.append(b.scale(float(rng.uniform(-1, 1))))
-        report["gram_min_eigenvalue"] = states.gram_psd(p, fs, M, quad)
-        from .fnspace import dilate_line, translate_line
-
-        _, dil_resid = dilate_line(f, 0.5, M, quad)
-        report["dilation_orbit"] = {
-            "s": 0.5,
-            "residual": states.dilation_orbit_residual(q, 0.5, f, M, quad),
-            "projection_error": dil_resid,
-        }
-        _, tr_resid = translate_line(f, 1.0, M, quad)
-        report["translation"] = {
-            "t": 1.0,
-            "residual": states.translation_invariance_residual(q, f, 1.0, M, quad),
-            "projection_error": tr_resid,
-        }
-        report["circle_representative"] = circle_to_json(f.circle_repr)
+    rng = np.random.default_rng(config.seed)
+    fs = []
+    for _ in range(4):
+        b, _resid = gaussian_bump_line(
+            float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M, quad
+        )
+        fs.append(b.scale(float(rng.uniform(-1, 1))))
+    report["gram_min_eigenvalue"] = states.gram_psd(p, fs, M, quad)
+    _, dil_resid = dilate_line(f, 0.5, M, quad)
+    report["dilation_orbit"] = {
+        "s": 0.5,
+        "residual": states.dilation_orbit_residual(q, 0.5, f, M, quad),
+        "projection_error": dil_resid,
+    }
+    _, tr_resid = translate_line(f, 1.0, M, quad)
+    report["translation"] = {
+        "t": 1.0,
+        "residual": states.translation_invariance_residual(q, f, 1.0, M, quad),
+        "projection_error": tr_resid,
+    }
+    h = f.circle_repr
+    if isinstance(h, PiecewiseLinearCircle):
+        h = fourier_project(h, M)
+    report["circle_representative"] = circle_to_json(h)
     return report
 
 
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
 
     if args.command == "charge":
         kappas = [float(x) for x in args.kappa.split(",") if x]
-        rows, _ = run_charge(config, kappas)
+        rows = run_charge(config, kappas)
         if config.fmt == "json":
             text = json.dumps(
                 [{"kappa": k, "c_est": c, "abs_error": e} for k, c, e in rows],

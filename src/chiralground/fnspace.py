@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,6 +144,9 @@ class PiecewiseLinearCircle:
             return out.item()
         return out
 
+    def scale(self, lam: float) -> "PiecewiseLinearCircle":
+        return PiecewiseLinearCircle(self.nodes, lam * self.values)
+
 
 @dataclass(frozen=True)
 class LineObject:
@@ -162,13 +164,13 @@ class LineObject:
     vanishing_order: int = 0
 
     def scale(self, lam: float) -> "LineObject":
-        if not isinstance(self.circle_repr, CircleFourier):
-            raise TypeError("can only scale Fourier-represented line objects")
         return replace(self, circle_repr=self.circle_repr.scale(lam))
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Resampling grid size and the support-collision guard near theta = 0."""
+
     node_count: int = 2048
     endpoint_cut: float = 1e-3
 
@@ -184,9 +186,6 @@ class LineIntegralResult:
     value: float
     divergent: bool
     err_estimate: float
-
-    def __float__(self):
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -288,79 +287,75 @@ def _t_of_theta_arr(theta):
     return -np.cos(theta / 2.0) / np.sin(theta / 2.0)
 
 
-def _jacobian_dt_dtheta(theta):
-    s = np.sin(theta / 2.0)
-    return 0.5 / (s * s)
-
-
 # ---------------------------------------------------------------------------
 # Line integrals
 
 
-def _simpson_on(fvals_fn, a, b, npts):
-    n = max(int(npts), 5) | 1
-    x = np.linspace(a, b, n)
-    return simpson(fvals_fn(x), x=x)
+def _pl_antiderivative(theta: float, c: float, s: float) -> float:
+    """Antiderivative of (c + s theta) / (2 sin^2(theta/2)) on (0, 2pi).
+
+    At theta = 0 and 2pi it returns the Hadamard finite part, which drops the
+    1/theta and log(theta) terms and leaves -2s(1 + ln 2) at either end.
+    """
+    if theta == 0.0 or theta == TWO_PI:
+        return -2.0 * s * (1.0 + math.log(2.0))
+    half = theta / 2.0
+    return -(c + s * theta) * math.cos(half) / math.sin(half) + 2.0 * s * math.log(math.sin(half))
 
 
-def _cut_integral(f: LineObject, eps: float, npts: int) -> float:
-    """int f(t) dt as a circle integral over [eps, 2pi - eps]."""
-    repr_ = f.circle_repr
-
-    def integrand(th):
-        return np.asarray(repr_(th)) * _jacobian_dt_dtheta(th)
-
-    if isinstance(repr_, PiecewiseLinearCircle):
-        # The Jacobian is singular only at the wrap point theta = 0 (mod 2pi):
-        # clip a segment only where it actually touches it.
-        pieces = []
-        for a, b, va, vb in repr_.segments():
-            if va == 0.0 and vb == 0.0:
-                continue
-            if b > TWO_PI + 1e-12:
-                pieces.append((a, TWO_PI))
-                pieces.append((TWO_PI, b))
-            else:
-                pieces.append((a, b))
-        total = 0.0
-        for a, b in pieces:
-            lo = eps if a < 1e-12 else a
-            hi = TWO_PI - eps if b > TWO_PI - 1e-12 else b
-            if abs(a - TWO_PI) < 1e-12:
-                lo = TWO_PI + eps
-            if hi <= lo:
-                continue
-            total += _simpson_on(integrand, lo, hi, npts)
-        return total
-    return _simpson_on(integrand, eps, TWO_PI - eps, npts)
+def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
+    th, v = h.nodes, h.values
+    s_wrap = (v[0] - v[-1]) / (th[0] + TWO_PI - th[-1])
+    h0 = v[0] - s_wrap * th[0]  # value at the wrap point
+    # cut the wrap segment at 2pi so that every piece lies in [0, 2pi]
+    xs, ys = [*th, TWO_PI], [*v, h0]
+    if th[0] > 0.0:
+        xs, ys = [0.0, *xs], [h0, *ys]
+    total = 0.0
+    for a, b, va, vb in zip(xs, xs[1:], ys, ys[1:]):
+        s = (vb - va) / (b - a)
+        c = va - s * a
+        total += _pl_antiderivative(b, c, s) - _pl_antiderivative(a, c, s)
+    # the one-sided slopes can differ only when the wrap point is a node
+    kink = th[0] == 0.0 and (v[1] - v[0]) / (th[1] - th[0]) != s_wrap
+    return LineIntegralResult(float(total), bool(h0 != 0.0 or kink), 0.0)
 
 
-def line_integral(f: LineObject, quad: QuadratureSpec = QuadratureSpec()) -> LineIntegralResult:
-    """int_R f(t) dt by circle-side quadrature with the csc^2 Jacobian weight.
+def line_integral(f: LineObject, quad: QuadratureSpec | None = None) -> LineIntegralResult:
+    """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta, in closed form.
 
-    A hard cut [0, eps) u (2pi - eps, 2pi) is excluded; halving the cut and
-    doubling the nodes gives the convergence/divergence diagnostics.
+    Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
+    divergent iff |h(0)| = |sum_n c_n| > 1e-5 sum_n |c_n|; err_estimate holds
+    |h(0)|.  Piecewise-linear h: each segment is integrated exactly, the wrap
+    segment being cut at 2pi, and the integral is divergent iff h(0) != 0 or
+    the one-sided slopes at theta = 0 differ; err_estimate is 0.  A divergent
+    integral returns its finite part with divergent=True.  The value is
+    exact, so quad is not used.
     """
     if f.weight is not Weight.FUNCTION:
         raise ValueError("line_integral expects a scalar function")
-    eps, npts = quad.endpoint_cut, quad.node_count
-    i1 = _cut_integral(f, eps, npts)
-    i2 = _cut_integral(f, eps, 2 * npts)
-    i3 = _cut_integral(f, eps / 2.0, 2 * npts)
-    quad_err = abs(i2 - i1)
-    cut_gap = abs(i3 - i2)
-    divergent = cut_gap > 1e-5 * (1.0 + abs(i2)) + 10.0 * quad_err
-    value = i2 if divergent else i3
-    return LineIntegralResult(value, divergent, quad_err + cut_gap)
+    h = f.circle_repr
+    if isinstance(h, PiecewiseLinearCircle):
+        return _pl_line_integral(h)
+    if not h.is_real:
+        raise ValueError("line_integral requires a real function")
+    ns = np.arange(-h.max_mode, h.max_mode + 1)
+    value = -TWO_PI * np.sum(np.abs(ns) * h.coeffs).real
+    h0 = abs(np.sum(h.coeffs))
+    divergent = h0 > 1e-5 * np.sum(np.abs(h.coeffs))
+    return LineIntegralResult(float(value), bool(divergent), float(h0))
 
 
 def vectorfield_line_integral_f3g(
-    F: LineObject, G: LineObject, quad: QuadratureSpec = QuadratureSpec()
+    F: LineObject, G: LineObject, quad: QuadratureSpec | None = None
 ) -> LineIntegralResult:
-    """int_R F'''(t) G(t) dt for vector fields, by circle-side quadrature.
+    """int_R F'''(t) G(t) dt for vector fields, in closed form.
 
-    Circle derivatives of the representatives are taken on the Fourier side
-    and pushed forward through t(theta) = -cot(theta/2) pointwise.
+    With circle representatives hF = sum a_n e^{in theta} and
+    hG = sum b_n e^{in theta} the integral equals int (hF' + hF''') hG dtheta
+    = 2pi sum_n i(n - n^3) a_n b_{-n}.  It is finite when the declared
+    vanishing orders at infinity add up to at least 3 (ValueError otherwise),
+    so the result is never divergent and err_estimate is 0.  quad is not used.
     """
     if F.weight is not Weight.VECTOR_FIELD or G.weight is not Weight.VECTOR_FIELD:
         raise ValueError("both arguments must be vector fields")
@@ -369,25 +364,11 @@ def vectorfield_line_integral_f3g(
     hF, hG = F.circle_repr, G.circle_repr
     if not isinstance(hF, CircleFourier) or not isinstance(hG, CircleFourier):
         raise TypeError("vector fields must carry Fourier representatives")
-    hF1 = derivative(hF)
-    hF3 = derivative(derivative(hF1))
-
-    def integrand(th):
-        t = _t_of_theta_arr(th)
-        w = _jacobian_dt_dtheta(th)
-        f3 = (2.0 * np.asarray(hF1(th)) + (np.asarray(hF3(th)) - t * t * np.asarray(hF1(th))) / w) / w
-        g = w * np.asarray(hG(th))
-        return f3 * g * w
-
-    eps, npts = quad.endpoint_cut, quad.node_count
-    i1 = _simpson_on(integrand, eps, TWO_PI - eps, npts)
-    i2 = _simpson_on(integrand, eps, TWO_PI - eps, 2 * npts)
-    i3 = _simpson_on(integrand, eps / 2.0, TWO_PI - eps / 2.0, 2 * npts)
-    quad_err = abs(i2 - i1)
-    cut_gap = abs(i3 - i2)
-    divergent = cut_gap > 1e-5 * (1.0 + abs(i2)) + 10.0 * quad_err
-    value = i2 if divergent else i3
-    return LineIntegralResult(value, divergent, quad_err + cut_gap)
+    M = max(hF.max_mode, hG.max_mode)
+    a, b = hF.pad(M).coeffs, hG.pad(M).coeffs
+    ns = np.arange(-M, M + 1)
+    value = TWO_PI * np.sum(1j * (ns - ns**3) * a * b[::-1]).real
+    return LineIntegralResult(float(value), False, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ safe_level = inf means the stored vector is the exact untruncated result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

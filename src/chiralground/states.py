@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, sugawara
 from .fnspace import (
     SIGMA_NORM,
     CircleFourier,
-    LineIntegralResult,
     LineObject,
     PiecewiseLinearCircle,
     QuadratureSpec,

@@ -13,7 +13,6 @@ on the current term so that the resulting central charge is exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,15 +36,6 @@ from .fock import FockVector, apply_current, apply_mode, vec_add, vec_scale
 # [J_m, J_n] = m delta the perturbation (kappa/sqrt(12)) J(f') shifts the
 # central charge from 1 to exactly 1 + kappa^2.
 KAPPA_SCALE = 1.0 / math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class VirasoroParams:
-    kappa: float
-
-    @property
-    def central_charge(self) -> float:
-        return 1.0 + self.kappa**2
 
 
 def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:

@@ -125,3 +125,11 @@ class TestGround:
         assert rc == 0
         report = json.loads(out.read_text())
         assert not report["ground_weyl"]["divergent"]
+
+    def test_gn8_current_onepoint_is_exact(self, tmp_path):
+        out = tmp_path / "gn8.json"
+        rc = cli.main(["ground", "--q", "1", "--function", "gn:8", "--modes", "96",
+                       "--out", str(out)])
+        assert rc == 0
+        one = json.loads(out.read_text())["current_onepoint"]
+        assert one["closed_form"] == pytest.approx(6.930820615543, abs=1e-9)

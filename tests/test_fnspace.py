@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -256,6 +257,18 @@ class TestLineIntegral:
         f = fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION)
         assert fn.line_integral(f, QUAD).divergent
 
+    def test_constant_is_divergent(self):
+        one = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
+        assert fn.line_integral(one, QUAD).divergent
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    def test_divergence_test_is_scale_invariant(self, lam):
+        # cos - 1 vanishes at infinity; adding 1e-4 gives |h(0)| / sum|c_n| = 5e-5
+        zero = fn.circle_from_real_modes(-1.0, [1.0]).scale(lam)
+        off = fn.circle_from_real_modes(-1.0 + 1e-4, [1.0]).scale(lam)
+        assert not fn.line_integral(fn.LineObject(zero, fn.Weight.FUNCTION), QUAD).divergent
+        assert fn.line_integral(fn.LineObject(off, fn.Weight.FUNCTION), QUAD).divergent
+
     def test_gaussian_value(self):
         bump, resid = fn.gaussian_bump_line(0.0, 1.0, 96, QUAD)
         assert resid < 1e-10
@@ -332,6 +345,99 @@ class TestVectorFieldIntegral:
         bad = fn.LineObject(F.circle_repr, fn.Weight.VECTOR_FIELD, 1)
         with pytest.raises(ValueError):
             fn.vectorfield_line_integral_f3g(bad, bad, QUAD)
+
+
+def _mp_fourier_line_integral(h):
+    """Principal value of int h / (1 - cos theta) dtheta for h(0) = 0.
+
+    Folding theta -> 2pi - theta pairs h(theta) + h(-theta), which vanishes
+    to second order at theta = 0, so the folded integrand is bounded.
+    """
+    M = h.max_mode
+    with mpmath.workdps(50):
+        c = [mpmath.mpc(z.real, z.imag) for z in h.coeffs]
+        c[M] = -(mpmath.fsum(c[:M]) + mpmath.fsum(c[M + 1 :]))  # h(0) = 0 exactly
+
+        def folded(th):
+            even = sum(2 * c[k + M] * mpmath.cos(k * th) for k in range(-M, M + 1)).real
+            return even / (1 - mpmath.cos(th))
+
+        return float(mpmath.quad(folded, [mpmath.mpf("1e-15"), mpmath.pi]))
+
+
+def _mp_pl_line_integral(h, cut=0.0):
+    """int h(theta) / (2 sin^2(theta/2)) dtheta segment by segment, up to 2pi - cut.
+
+    Every segment where h is nonzero must stay away from theta = 0.
+    """
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for a, b, va, vb in h.segments():
+            if va == 0.0 and vb == 0.0:
+                continue
+            a, b, va, vb = map(mpmath.mpf, (a, b, va, vb))
+            hi = min(b, 2 * mpmath.pi - cut)
+            assert 0.0 < a and hi < 2 * mpmath.pi
+            total += mpmath.quad(
+                lambda th: (va + (vb - va) * (th - a) / (b - a)) / (2 * mpmath.sin(th / 2) ** 2),
+                [a, hi],
+            )
+    return float(total)
+
+
+def _mp_f3g(F, G, T=1e4):
+    """int_R (d^3/dt^3 F) G dt over [-T, T] with F(t) = ((t^2+1)/2) h(theta(t)).
+
+    The integrand decays like t^-8, so the cut tails are far below 1e-9.
+    """
+
+    def pushforward(obj):
+        M = obj.circle_repr.max_mode
+        c = [mpmath.mpc(z.real, z.imag) for z in obj.circle_repr.coeffs]
+
+        def value(t):
+            z = (t - 1j) / (t + 1j)  # e^{i theta(t)}
+            return ((t * t + 1) / 2 * sum(c[k + M] * z**k for k in range(-M, M + 1))).real
+
+        return value
+
+    f, g = pushforward(F), pushforward(G)
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda t: mpmath.diff(f, t, 3) * g(t), [-T, -10, 0, 10, T]))
+
+
+class TestMpmathOracles:
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_fourier_with_zero_at_infinity(self, M):
+        h = fn.random_real_circle(M, np.random.default_rng(50 + M))
+        c = h.coeffs.copy()
+        c[M] -= np.sum(c).real
+        h = fn.CircleFourier(c)
+        r = fn.line_integral(fn.LineObject(h, fn.Weight.FUNCTION), QUAD)
+        assert not r.divergent
+        assert r.value == pytest.approx(_mp_fourier_line_integral(h), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 64, 1024])
+    def test_gn_family(self, n):
+        gn = fn.gn_family(n)
+        r = fn.line_integral(fn.LineObject(gn, fn.Weight.FUNCTION), QUAD)
+        assert not r.divergent
+        assert r.value == pytest.approx(_mp_pl_line_integral(gn), abs=1e-9)
+
+    def test_divergent_tent_returns_finite_part(self):
+        # g_limit falls with slope -1 into theta = 2pi, so the integral cut at
+        # 2pi - eps grows like -2 ln(eps); the finite part drops that term.
+        eps = 1e-6
+        r = fn.line_integral(fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION), QUAD)
+        assert r.divergent
+        oracle = _mp_pl_line_integral(fn.g_limit(), cut=eps) + 2.0 * math.log(eps)
+        assert r.value == pytest.approx(oracle, abs=1e-8)
+
+    def test_f3g_default_vector_fields(self):
+        F, G = _vector_fields()
+        r = fn.vectorfield_line_integral_f3g(F, G, QUAD)
+        assert r.value == pytest.approx(_mp_f3g(F, G), abs=1e-9)
+        assert r.value == pytest.approx(-3.0 * math.pi, abs=1e-12)
 
 
 class TestSerialization:

@@ -173,6 +173,12 @@ class TestNonNormality:
         slope = (rows[1].q_n - rows[0].q_n) / math.log(2.0)
         assert slope == pytest.approx(2.0, abs=0.05)
 
+    def test_log_slope_exact_at_large_n(self):
+        q = 1.5
+        rows = states.nonnormality_series(q, [8192, 16384], 64, QUAD)
+        slope = (rows[1].q_n - rows[0].q_n) / math.log(2.0)
+        assert slope == pytest.approx(2.0 * q, abs=1e-6)
+
     def test_phase_scales_with_q(self):
         a = states.nonnormality_series(1.0, [16], 512, QUAD)[0]
         b = states.nonnormality_series(-2.0, [16], 512, QUAD)[0]
