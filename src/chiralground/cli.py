@@ -17,13 +17,11 @@ import numpy as np
 from . import fock, states, sugawara
 from .fnspace import (
     LineObject,
-    PiecewiseLinearCircle,
     QuadratureSpec,
     Weight,
     circle_from_real_modes,
     circle_to_json,
     dilate_line,
-    fourier_project,
     gaussian_bump_line,
     gn_family,
     random_real_circle,
@@ -230,15 +228,13 @@ def _vector_field_default(which: int) -> LineObject:
 
 
 def run_nonnormal(config: RunConfig, q: float, n_max: int):
-    quad = config.quad()
     ns = []
     n = 4
     while n <= n_max:
         ns.append(n)
         n *= 2
     M = max(config.modes, 2 * n_max)
-    rows = states.nonnormality_series(q, ns, M, quad)
-    return rows
+    return states.nonnormality_series(q, ns, M)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +247,15 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
     f = parse_function_spec(fspec, M, quad)
     p = states.GroundStateParams(q, kappa)
     report = {"q": q, "kappa": kappa, "function": fspec}
-    gw = states.ground_weyl(p, states.WeylWord((f,)), M, quad)
+    gw = states.ground_weyl(p, states.WeylWord((f,)), M)
     report["ground_weyl"] = {"re": gw.value.real, "im": gw.value.imag,
                              "divergent": gw.divergent}
-    one = states.ground_current_onepoint(p, f, quad, M)
+    one = states.ground_current_onepoint(p, f, M)
     report["current_onepoint"] = {
         "closed_form": one.closed_form,
         "finite_difference": one.finite_difference,
     }
-    report["stress_onepoint"] = states.ground_stress_onepoint(p, f, quad)
+    report["stress_onepoint"] = states.ground_stress_onepoint(p, f)
     rng = np.random.default_rng(config.seed)
     fs = []
     for _ in range(4):
@@ -267,24 +263,23 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
             float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M, quad
         )
         fs.append(b.scale(float(rng.uniform(-1, 1))))
-    report["gram_min_eigenvalue"] = states.gram_psd(p, fs, M, quad)
+    report["gram_min_eigenvalue"] = states.gram_psd(p, fs, M)
     _, dil_resid = dilate_line(f, 0.5, M, quad)
-    report["dilation_orbit"] = {
-        "s": 0.5,
-        "residual": states.dilation_orbit_residual(q, 0.5, f, M, quad),
-        "projection_error": dil_resid,
-    }
+    report["dilation_orbit"] = {"s": 0.5, "projection_error": dil_resid, **_covariance(
+        lambda: states.dilation_orbit_residual(q, 0.5, f, M, quad))}
     _, tr_resid = translate_line(f, 1.0, M, quad)
-    report["translation"] = {
-        "t": 1.0,
-        "residual": states.translation_invariance_residual(q, f, 1.0, M, quad),
-        "projection_error": tr_resid,
-    }
-    h = f.circle_repr
-    if isinstance(h, PiecewiseLinearCircle):
-        h = fourier_project(h, M)
-    report["circle_representative"] = circle_to_json(h)
+    report["translation"] = {"t": 1.0, "projection_error": tr_resid, **_covariance(
+        lambda: states.translation_invariance_residual(q, f, 1.0, M, quad))}
+    report["circle_representative"] = circle_to_json(states.as_fourier(f, M))
     return report
+
+
+def _covariance(residual_fn) -> dict:
+    """Report entry of a covariance residual; a divergent one has no residual."""
+    try:
+        return {"residual": residual_fn(), "divergent": False}
+    except states.DivergenceError:
+        return {"divergent": True}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +378,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "ground":
-        report = run_ground(config, args.q, args.kappa, args.function)
+        try:
+            report = run_ground(config, args.q, args.kappa, args.function)
+        except states.DivergenceError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
         _write(json.dumps(report, indent=2) + "\n", config)
         return 0
 

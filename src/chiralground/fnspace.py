@@ -321,7 +321,7 @@ def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
     return LineIntegralResult(float(total), bool(h0 != 0.0 or kink), 0.0)
 
 
-def line_integral(f: LineObject, quad: QuadratureSpec | None = None) -> LineIntegralResult:
+def line_integral(f: LineObject) -> LineIntegralResult:
     """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta, in closed form.
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
@@ -329,8 +329,7 @@ def line_integral(f: LineObject, quad: QuadratureSpec | None = None) -> LineInte
     |h(0)|.  Piecewise-linear h: each segment is integrated exactly, the wrap
     segment being cut at 2pi, and the integral is divergent iff h(0) != 0 or
     the one-sided slopes at theta = 0 differ; err_estimate is 0.  A divergent
-    integral returns its finite part with divergent=True.  The value is
-    exact, so quad is not used.
+    integral returns its finite part with divergent=True.
     """
     if f.weight is not Weight.FUNCTION:
         raise ValueError("line_integral expects a scalar function")
@@ -346,16 +345,14 @@ def line_integral(f: LineObject, quad: QuadratureSpec | None = None) -> LineInte
     return LineIntegralResult(float(value), bool(divergent), float(h0))
 
 
-def vectorfield_line_integral_f3g(
-    F: LineObject, G: LineObject, quad: QuadratureSpec | None = None
-) -> LineIntegralResult:
+def vectorfield_line_integral_f3g(F: LineObject, G: LineObject) -> LineIntegralResult:
     """int_R F'''(t) G(t) dt for vector fields, in closed form.
 
     With circle representatives hF = sum a_n e^{in theta} and
     hG = sum b_n e^{in theta} the integral equals int (hF' + hF''') hG dtheta
     = 2pi sum_n i(n - n^3) a_n b_{-n}.  It is finite when the declared
     vanishing orders at infinity add up to at least 3 (ValueError otherwise),
-    so the result is never divergent and err_estimate is 0.  quad is not used.
+    so the result is never divergent and err_estimate is 0.
     """
     if F.weight is not Weight.VECTOR_FIELD or G.weight is not Weight.VECTOR_FIELD:
         raise ValueError("both arguments must be vector fields")
@@ -499,12 +496,21 @@ def random_real_circle(M: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def gaussian_bump_line(center: float, width: float, M: int = 64,
                        quad: QuadratureSpec = QuadratureSpec()) -> tuple[LineObject, float]:
-    """Line object for exp(-((t - center)/width)^2), projected to M modes."""
+    """Line object for exp(-((t - center)/width)^2), projected to M modes.
+
+    The bump vanishes at the point at infinity, so c_0 is shifted to make the
+    projection vanish there exactly too; the returned residual includes the
+    shift.
+    """
     K = max(4 * M + 4, quad.node_count)
     th = _shifted_grid(K)
     t = _t_of_theta_arr(th)
     vals = np.exp(-(((t - center) / width) ** 2))
-    proj, resid = _project_samples(th, vals, M)
+    proj, _ = _project_samples(th, vals, M)
+    c = proj.coeffs.copy()
+    c[M] -= c.sum().real
+    proj = CircleFourier(c, is_real=True)
+    resid = float(np.sqrt(np.mean((proj(th) - vals) ** 2)))
     return LineObject(proj, Weight.FUNCTION), resid
 
 

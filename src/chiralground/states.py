@@ -33,6 +33,10 @@ from .fnspace import (
 )
 
 
+class DivergenceError(ValueError):
+    """A quantity needs the line integral of a function that does not vanish at infinity."""
+
+
 @dataclass(frozen=True)
 class GroundStateParams:
     q: float
@@ -62,7 +66,8 @@ class OnePointResult:
     finite_difference: float
 
 
-def _as_fourier(f: LineObject, M: int) -> CircleFourier:
+def as_fourier(f: LineObject, M: int) -> CircleFourier:
+    """The circle representative of f on M modes, projected exactly if piecewise-linear."""
     r = f.circle_repr
     if isinstance(r, PiecewiseLinearCircle):
         return fourier_project(r, M)
@@ -79,7 +84,7 @@ def weyl_reduce(w: WeylWord, M: int = 64) -> tuple[complex, LineObject]:
     acc = CircleFourier(np.zeros(2 * M + 1, dtype=complex))
     phase = 1.0 + 0.0j
     for f in w.factors:
-        cf = _as_fourier(f, M)
+        cf = as_fourier(f, M)
         phase *= cmath.exp(-0.5j * sigma(acc, cf) / SIGMA_NORM)
         acc = acc + cf
     return phase, LineObject(acc, Weight.FUNCTION)
@@ -87,15 +92,10 @@ def weyl_reduce(w: WeylWord, M: int = 64) -> tuple[complex, LineObject]:
 
 def vacuum_weyl(f: LineObject, M: int = 64) -> float:
     """Vacuum value of a Weyl generator: exp(-norm^2/2) with the Sobolev-1/2 norm."""
-    return math.exp(-0.5 * sobolev_half_sq(_as_fourier(f, M)))
+    return math.exp(-0.5 * sobolev_half_sq(as_fourier(f, M)))
 
 
-def ground_weyl(
-    p: GroundStateParams,
-    w: WeylWord,
-    M: int = 64,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> GroundWeylResult:
+def ground_weyl(p: GroundStateParams, w: WeylWord, M: int = 64) -> GroundWeylResult:
     """Value of the charge-q ground functional on a Weyl word.
 
     The charge phase integrates each factor in its original representation
@@ -107,7 +107,7 @@ def ground_weyl(
     integral = 0.0
     divergent = False
     for f in w.factors:
-        li = line_integral(f, quad)
+        li = line_integral(f)
         integral += li.value
         divergent = divergent or li.divergent
     value = phase * cmath.exp(1j * p.q * integral) * vacuum_weyl(total, M)
@@ -117,7 +117,6 @@ def ground_weyl(
 def ground_current_onepoint(
     p: GroundStateParams,
     f: LineObject,
-    quad: QuadratureSpec = QuadratureSpec(),
     M: int = 64,
     fd_step: float = 1e-4,
 ) -> OnePointResult:
@@ -126,53 +125,50 @@ def ground_current_onepoint(
     Also returns the central finite difference of the generating functional,
     (1/i) d/ds ground value of W(s f) at s = 0, which must agree.
     """
-    li = line_integral(f, quad)
+    li = line_integral(f)
     if li.divergent:
-        raise ValueError("current one-point value diverges")
+        raise DivergenceError("current one-point value diverges")
     closed = p.q * li.value
 
     def gw(s):
         word = WeylWord((f.scale(s),))
-        return ground_weyl(p, word, M, quad).value
+        return ground_weyl(p, word, M).value
 
     fd = (gw(fd_step) - gw(-fd_step)) / (2.0 * fd_step * 1j)
     return OnePointResult(float(closed), float(fd.real))
 
 
-def ground_stress_onepoint(
-    p: GroundStateParams,
-    F: LineObject,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def ground_stress_onepoint(p: GroundStateParams, F: LineObject) -> float:
     """One-point value of the perturbed stress tensor: (q^2 / 2) int F dt.
 
     Independent of kappa and of the sign of q.
     """
     scalar = LineObject(F.circle_repr, Weight.FUNCTION, F.vanishing_order)
-    li = line_integral(scalar, quad)
+    li = line_integral(scalar)
     if li.divergent:
-        raise ValueError("stress one-point value diverges")
+        raise DivergenceError("stress one-point value diverges")
     return 0.5 * p.q**2 * li.value
 
 
-def gram_psd(
-    p: GroundStateParams,
-    fs,
-    M: int = 64,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def gram_psd(p: GroundStateParams, fs, M: int = 64) -> float:
     """Smallest eigenvalue of the Gram matrix G_jk = omega_q(W(f_j)* W(f_k))."""
     k = len(fs)
     G = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
             word = WeylWord((fs[i].scale(-1.0), fs[j]))
-            r = ground_weyl(p, word, M, quad)
+            r = ground_weyl(p, word, M)
             if r.divergent:
-                raise ValueError("divergent entry in Gram matrix")
+                raise DivergenceError("divergent entry in Gram matrix")
             G[i, j] = r.value
     G = (G + G.conj().T) / 2.0
     return float(np.linalg.eigvalsh(G)[0])
+
+
+def _covariance_residual(lhs: GroundWeylResult, rhs: GroundWeylResult) -> float:
+    if lhs.divergent or rhs.divergent:
+        raise DivergenceError("covariance residual diverges")
+    return abs(lhs.value - rhs.value)
 
 
 def dilation_orbit_residual(
@@ -185,12 +181,13 @@ def dilation_orbit_residual(
     """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|.
 
     Both sides are evaluated independently; the identity is the dilation
-    orbit of the ground-state family.
+    orbit of the ground-state family.  Raises DivergenceError when the
+    charge phase of either side diverges.
     """
     fd, _resid = dilate_line(f, s, M, quad)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((fd,)), M, quad)
-    rhs = ground_weyl(GroundStateParams(math.exp(s) * q), WeylWord((f,)), M, quad)
-    return abs(lhs.value - rhs.value)
+    lhs = ground_weyl(GroundStateParams(q), WeylWord((fd,)), M)
+    rhs = ground_weyl(GroundStateParams(math.exp(s) * q), WeylWord((f,)), M)
+    return _covariance_residual(lhs, rhs)
 
 
 def translation_invariance_residual(
@@ -200,11 +197,14 @@ def translation_invariance_residual(
     M: int = 64,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """|omega_q(W(f translated by t)) - omega_q(W(f))|."""
+    """|omega_q(W(f translated by t)) - omega_q(W(f))|.
+
+    Raises DivergenceError when the charge phase of either side diverges.
+    """
     ft, _resid = translate_line(f, t, M, quad)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((ft,)), M, quad)
-    rhs = ground_weyl(GroundStateParams(q), WeylWord((f,)), M, quad)
-    return abs(lhs.value - rhs.value)
+    lhs = ground_weyl(GroundStateParams(q), WeylWord((ft,)), M)
+    rhs = ground_weyl(GroundStateParams(q), WeylWord((f,)), M)
+    return _covariance_residual(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,7 @@ class NonNormalityRow:
     converged: bool
 
 
-def nonnormality_series(
-    q: float,
-    ns,
-    M: int = 2048,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> list:
+def nonnormality_series(q: float, ns, M: int = 2048) -> list:
     """The divergent-phase / convergent-orbit table of the tent sequence.
 
     q_n = q * int g_n dt diverges logarithmically while the Sobolev-1/2
@@ -230,7 +225,7 @@ def nonnormality_series(
     rows = []
     for n in ns:
         gn = gn_family(n)
-        li = line_integral(LineObject(gn, Weight.FUNCTION), quad)
+        li = line_integral(LineObject(gn, Weight.FUNCTION))
         d = sobolev_half_sq(fourier_project(gn, M) - glim)
         rows.append(NonNormalityRow(int(n), q * li.value, d, not li.divergent))
     return rows

@@ -133,3 +133,28 @@ class TestGround:
         assert rc == 0
         one = json.loads(out.read_text())["current_onepoint"]
         assert one["closed_form"] == pytest.approx(6.930820615543, abs=1e-9)
+
+    @pytest.mark.parametrize("modes", ["16", "32"])
+    def test_bump_at_low_mode_counts(self, tmp_path, modes):
+        out = tmp_path / "low.json"
+        rc = cli.main(["ground", "--function", "bump:0:1", "--modes", modes,
+                       "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert not report["ground_weyl"]["divergent"]
+        assert report["gram_min_eigenvalue"] > -1e-10
+
+    def test_gn8_covariance_reported_divergent(self, tmp_path):
+        # the resampled g_8 keeps |h(0)| ~ 6e-4 sum|c_n| at 96 modes
+        out = tmp_path / "gn8.json"
+        rc = cli.main(["ground", "--function", "gn:8", "--modes", "96", "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        for key in ["dilation_orbit", "translation"]:
+            assert report[key]["divergent"]
+            assert "residual" not in report[key]
+
+    def test_divergent_function_is_a_one_line_error(self, capsys):
+        rc = cli.main(["ground", "--function", "fourier:1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: current one-point value diverges\n"

@@ -231,14 +231,19 @@ class TestGnFamily:
 class TestLineIntegral:
     def test_zero_function(self):
         z = fn.LineObject(fn.circle_from_real_modes(0.0), fn.Weight.FUNCTION)
-        r = fn.line_integral(z, QUAD)
+        r = fn.line_integral(z)
         assert r.value == pytest.approx(0.0, abs=1e-14)
         assert not r.divergent
 
     def test_g4_stable_under_node_doubling(self):
-        f = fn.LineObject(fn.gn_family(4), fn.Weight.FUNCTION)
-        r1 = fn.line_integral(f, fn.QuadratureSpec(2048, 1e-3))
-        r2 = fn.line_integral(f, fn.QuadratureSpec(4096, 1e-3))
+        # the same function with a node added at the midpoint of every segment
+        g4 = fn.gn_family(4)
+        ends = np.append(g4.nodes[1:], TWO_PI)
+        nodes = np.sort(np.concatenate([g4.nodes, (g4.nodes + ends) / 2.0]))
+        doubled = fn.PiecewiseLinearCircle(nodes, g4(nodes))
+        f = fn.LineObject(g4, fn.Weight.FUNCTION)
+        r1 = fn.line_integral(f)
+        r2 = fn.line_integral(fn.LineObject(doubled, fn.Weight.FUNCTION))
         assert not r1.divergent
         assert abs(r1.value - r2.value) < 1e-8
 
@@ -250,29 +255,35 @@ class TestLineIntegral:
             TWO_PI - 1.0 / 8,
             limit=400,
         )
-        r = fn.line_integral(fn.LineObject(g4, fn.Weight.FUNCTION), QUAD)
+        r = fn.line_integral(fn.LineObject(g4, fn.Weight.FUNCTION))
         assert r.value == pytest.approx(oracle, abs=1e-6)
 
     def test_limit_tent_divergence_flag(self):
         f = fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION)
-        assert fn.line_integral(f, QUAD).divergent
+        assert fn.line_integral(f).divergent
 
     def test_constant_is_divergent(self):
         one = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
-        assert fn.line_integral(one, QUAD).divergent
+        assert fn.line_integral(one).divergent
 
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
     def test_divergence_test_is_scale_invariant(self, lam):
         # cos - 1 vanishes at infinity; adding 1e-4 gives |h(0)| / sum|c_n| = 5e-5
         zero = fn.circle_from_real_modes(-1.0, [1.0]).scale(lam)
         off = fn.circle_from_real_modes(-1.0 + 1e-4, [1.0]).scale(lam)
-        assert not fn.line_integral(fn.LineObject(zero, fn.Weight.FUNCTION), QUAD).divergent
-        assert fn.line_integral(fn.LineObject(off, fn.Weight.FUNCTION), QUAD).divergent
+        assert not fn.line_integral(fn.LineObject(zero, fn.Weight.FUNCTION)).divergent
+        assert fn.line_integral(fn.LineObject(off, fn.Weight.FUNCTION)).divergent
+
+    @pytest.mark.parametrize("M", [16, 32])
+    def test_gaussian_vanishes_at_infinity(self, M):
+        bump, _ = fn.gaussian_bump_line(0.0, 1.0, M, QUAD)
+        assert abs(bump.circle_repr(0.0)) < 1e-15
+        assert not fn.line_integral(bump).divergent
 
     def test_gaussian_value(self):
         bump, resid = fn.gaussian_bump_line(0.0, 1.0, 96, QUAD)
         assert resid < 1e-10
-        r = fn.line_integral(bump, QUAD)
+        r = fn.line_integral(bump)
         assert not r.divergent
         assert r.value == pytest.approx(math.sqrt(math.pi), abs=1e-8)
 
@@ -288,9 +299,9 @@ class TestDilation:
     @pytest.mark.parametrize("s", [-0.5, 0.4])
     def test_integral_scales_like_exp_s(self, s):
         bump, _ = fn.gaussian_bump_line(0.0, 1.2, 96, QUAD)
-        base = fn.line_integral(bump, QUAD).value
+        base = fn.line_integral(bump).value
         dil, _ = fn.dilate_line(bump, s, 96, QUAD)
-        moved = fn.line_integral(dil, QUAD).value
+        moved = fn.line_integral(dil).value
         assert moved == pytest.approx(math.exp(s) * base, abs=1e-6)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5])
@@ -319,19 +330,19 @@ def _vector_fields():
 class TestVectorFieldIntegral:
     def test_self_pairing_vanishes(self):
         F, _ = _vector_fields()
-        r = fn.vectorfield_line_integral_f3g(F, F, QUAD)
+        r = fn.vectorfield_line_integral_f3g(F, F)
         assert abs(r.value) < 1e-8
 
     def test_swap_antisymmetry(self):
         F, G = _vector_fields()
-        a = fn.vectorfield_line_integral_f3g(F, G, QUAD)
-        b = fn.vectorfield_line_integral_f3g(G, F, QUAD)
+        a = fn.vectorfield_line_integral_f3g(F, G)
+        b = fn.vectorfield_line_integral_f3g(G, F)
         assert a.value == pytest.approx(-b.value, abs=1e-8)
 
     def test_integration_by_parts_chain(self):
         # int F''' G = int (h' + h''') g dtheta exactly on the circle side
         F, G = _vector_fields()
-        r = fn.vectorfield_line_integral_f3g(F, G, QUAD)
+        r = fn.vectorfield_line_integral_f3g(F, G)
         hF, hG = F.circle_repr, G.circle_repr
         M = max(hF.max_mode, hG.max_mode)
         a = hF.pad(M).coeffs
@@ -344,7 +355,7 @@ class TestVectorFieldIntegral:
         F, _ = _vector_fields()
         bad = fn.LineObject(F.circle_repr, fn.Weight.VECTOR_FIELD, 1)
         with pytest.raises(ValueError):
-            fn.vectorfield_line_integral_f3g(bad, bad, QUAD)
+            fn.vectorfield_line_integral_f3g(bad, bad)
 
 
 def _mp_fourier_line_integral(h):
@@ -413,14 +424,14 @@ class TestMpmathOracles:
         c = h.coeffs.copy()
         c[M] -= np.sum(c).real
         h = fn.CircleFourier(c)
-        r = fn.line_integral(fn.LineObject(h, fn.Weight.FUNCTION), QUAD)
+        r = fn.line_integral(fn.LineObject(h, fn.Weight.FUNCTION))
         assert not r.divergent
         assert r.value == pytest.approx(_mp_fourier_line_integral(h), abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 4, 8, 64, 1024])
     def test_gn_family(self, n):
         gn = fn.gn_family(n)
-        r = fn.line_integral(fn.LineObject(gn, fn.Weight.FUNCTION), QUAD)
+        r = fn.line_integral(fn.LineObject(gn, fn.Weight.FUNCTION))
         assert not r.divergent
         assert r.value == pytest.approx(_mp_pl_line_integral(gn), abs=1e-9)
 
@@ -428,14 +439,14 @@ class TestMpmathOracles:
         # g_limit falls with slope -1 into theta = 2pi, so the integral cut at
         # 2pi - eps grows like -2 ln(eps); the finite part drops that term.
         eps = 1e-6
-        r = fn.line_integral(fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION), QUAD)
+        r = fn.line_integral(fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION))
         assert r.divergent
         oracle = _mp_pl_line_integral(fn.g_limit(), cut=eps) + 2.0 * math.log(eps)
         assert r.value == pytest.approx(oracle, abs=1e-8)
 
     def test_f3g_default_vector_fields(self):
         F, G = _vector_fields()
-        r = fn.vectorfield_line_integral_f3g(F, G, QUAD)
+        r = fn.vectorfield_line_integral_f3g(F, G)
         assert r.value == pytest.approx(_mp_f3g(F, G), abs=1e-9)
         assert r.value == pytest.approx(-3.0 * math.pi, abs=1e-12)
 
