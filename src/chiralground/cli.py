@@ -53,6 +53,10 @@ class CheckResult:
     status: str  # pass | fail | skip
 
 
+class UsageError(ValueError):
+    """Input the command line accepted but the computation cannot honour (exit 2)."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
@@ -90,7 +94,7 @@ def run_verify(config: RunConfig, drop_central: bool = False) -> list:
 
     def sweep(name, pairs, residual_fn, threshold):
         for m, n in pairs:
-            window = N - abs(m) - abs(n)
+            window = fock.exactness_window(N, m, n)
             if window < 0:
                 checks.append(CheckResult(f"{name}({m},{n})", "none", 0.0, threshold,
                                           "skip"))
@@ -110,7 +114,7 @@ def run_verify(config: RunConfig, drop_central: bool = False) -> list:
     )
 
     for n in range(2, 6):
-        if 2 * n > N:
+        if fock.exactness_window(N, n, n) < 0:
             checks.append(CheckResult(f"vacuum_moment({n})", "none", 0.0, 1e-10, "skip"))
             continue
         v = fock.vacuum(N)
@@ -125,7 +129,7 @@ def run_verify(config: RunConfig, drop_central: bool = False) -> list:
 
     for trial in range(3):
         Mf, Mg = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        window = N - 2 * (Mf + Mg)
+        window = fock.exactness_window(N, Mf + Mg, Mf + Mg)
         name = f"mixed_TJ(trial={trial})"
         if window < 0:
             checks.append(CheckResult(name, "none", 0.0, 1e-9, "skip"))
@@ -138,16 +142,16 @@ def run_verify(config: RunConfig, drop_central: bool = False) -> list:
 
     for trial in range(3):
         n = int(rng.integers(1, 4))
-        window = N - n
+        window = fock.exactness_window(N, n)
         name = f"adjointness(n={n},trial={trial})"
         if window < 0:
             checks.append(CheckResult(name, "none", 0.0, 1e-12, "skip"))
             continue
         basis = fock.basis_partitions(window)
-        u = fock.FockVector(
+        u = fock.FockVector.from_amps(
             N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
         )
-        v = fock.FockVector(
+        v = fock.FockVector.from_amps(
             N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
         )
         lhs = fock.inner(fock.apply_mode(-n, u), v)
@@ -245,6 +249,8 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
     quad = config.quad()
     M = config.modes
     f = parse_function_spec(fspec, M, quad)
+    if states.as_fourier(f, M).truncated:
+        raise UsageError(f"{fspec!r} has modes above --modes {M}")
     p = states.GroundStateParams(q, kappa)
     report = {"q": q, "kappa": kappa, "function": fspec}
     gw = states.ground_weyl(p, states.WeylWord((f,)), M)
@@ -308,6 +314,11 @@ def _config(args) -> RunConfig:
     )
 
 
+def _error(message: str, status: int) -> int:
+    sys.stderr.write(f"error: {message}\n")
+    return status
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="chiralground")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -336,6 +347,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     config = _config(args)
+    if config.cutoff < 0:
+        return _error("--cutoff must be >= 0", 2)
 
     if args.command == "verify":
         checks = run_verify(config, drop_central=args.drop_central_term)
@@ -343,7 +356,10 @@ def main(argv=None) -> int:
 
     if args.command == "charge":
         kappas = [float(x) for x in args.kappa.split(",") if x]
-        rows = run_charge(config, kappas)
+        try:
+            rows = run_charge(config, kappas)
+        except ValueError as exc:
+            return _error(str(exc), 1)
         if config.fmt == "json":
             text = json.dumps(
                 [{"kappa": k, "c_est": c, "abs_error": e} for k, c, e in rows],
@@ -380,9 +396,10 @@ def main(argv=None) -> int:
     if args.command == "ground":
         try:
             report = run_ground(config, args.q, args.kappa, args.function)
+        except UsageError as exc:
+            return _error(str(exc), 2)
         except states.DivergenceError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
+            return _error(str(exc), 1)
         _write(json.dumps(report, indent=2) + "\n", config)
         return 0
 

@@ -1,10 +1,11 @@
-"""Level-truncated charge-zero bosonic Fock space.
+"""Level-truncated charge-zero bosonic Fock space, stored level by level.
 
-Basis vectors are indexed by integer partitions (parts sorted descending);
-the partition (n_1, ..., n_k) stands for the unnormalized vector
-J_{-n_1} ... J_{-n_k} applied to the vacuum.  Squared norms are the exact
-integers prod_j j^{m_j} m_j! forced by [J_m, J_n] = m delta_{m+n,0} and
-J_n^* = J_{-n}; amplitudes are complex floats.
+Basis vectors are integer partitions (parts sorted descending) in level
+order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac,
+whose squared norm is the exact integer prod_j j^{m_j} m_j!.  A FockVector
+holds complex amplitudes over that basis, as one column or a batch.  J_n maps
+level l to l - n (Kac-Raina, Bombay Lectures, lecture 2): it is one dense
+float64 block per source level, which depends only on (n, l).
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped and the exactness window shrinks.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,197 +26,211 @@ from .fnspace import CircleFourier
 Partition = tuple  # of positive ints, sorted descending
 
 
-@dataclass(frozen=True)
-class ExactnessWindow:
-    safe_level: int
+def exactness_window(N: int, *reach: int) -> int:
+    """Top input level at which operators moving the level by ``reach`` stay below N."""
+    return N - sum(abs(r) for r in reach)
 
 
-@dataclass(frozen=True)
-class FockVector:
-    cutoff: int
-    amps: dict
-    safe_level: float = math.inf
-
-    def level_max(self) -> int:
-        return max((sum(p) for p in self.amps), default=0)
-
-    def window(self) -> ExactnessWindow:
-        lvl = min(self.safe_level, self.cutoff)
-        return ExactnessWindow(int(max(lvl, 0)))
+@lru_cache(maxsize=None)
+def partitions_at(level: int, max_part: int = None) -> tuple:
+    """Partitions of one level (none below 0) with parts <= max_part, in basis order."""
+    if level <= 0:
+        return ((),) if level == 0 else ()
+    return tuple((first,) + rest for first in range(min(level, max_part or level), 0, -1)
+                 for rest in partitions_at(level - first, first))
 
 
-def vacuum(N: int) -> FockVector:
-    if N < 0:
-        raise ValueError("cutoff must be >= 0")
-    return FockVector(N, {(): 1.0 + 0.0j})
-
-
-def basis_vector(N: int, parts: Partition) -> FockVector:
-    parts = tuple(sorted(parts, reverse=True))
-    if sum(parts) > N:
-        raise ValueError("partition level exceeds cutoff")
-    return FockVector(N, {parts: 1.0 + 0.0j})
+@lru_cache(maxsize=None)
+def _index_at(level: int) -> dict:
+    return {p: i for i, p in enumerate(partitions_at(level))}
 
 
 @lru_cache(maxsize=None)
 def basis_norm_sq(parts: Partition) -> int:
     """prod_j j^{m_j} m_j! over the part multiplicities m_j."""
-    out = 1
-    mult = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for j, m in mult.items():
-        out *= j**m * math.factorial(m)
+    return math.prod(j ** parts.count(j) * math.factorial(parts.count(j)) for j in set(parts))
+
+
+@lru_cache(maxsize=None)
+def norm_sq_at(level: int) -> np.ndarray:
+    return np.array([basis_norm_sq(p) for p in partitions_at(level)], dtype=float)
+
+
+class Basis(NamedTuple):
+    partitions: tuple
+    offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
+    norm_sq: np.ndarray
+    levels: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def basis(N: int) -> Basis:
+    sizes = [len(partitions_at(lvl)) for lvl in range(N + 1)]
+    return Basis(tuple(p for lvl in range(N + 1) for p in partitions_at(lvl)),
+                 np.cumsum([0] + sizes), np.concatenate([norm_sq_at(lvl) for lvl in range(N + 1)]),
+                 np.repeat(np.arange(N + 1), sizes))
+
+
+def basis_partitions(N: int) -> tuple:
+    """All partitions of level 0..N, ordered by level."""
+    return basis(N).partitions
+
+
+@lru_cache(maxsize=None)
+def mode_map(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_n on ``level``: partition c goes to vals[c] times partition rows[c] of level - n."""
+    src = partitions_at(level)
+    rows, vals = np.zeros(len(src), dtype=int), np.zeros(len(src))
+    dst = _index_at(level - n)
+    for c, p in enumerate(src):
+        if n < 0:
+            rows[c], vals[c] = dst[tuple(sorted(p + (-n,), reverse=True))], 1.0
+        elif n > 0 and n in p:
+            rows[c], vals[c] = dst[p[:p.index(n)] + p[p.index(n) + 1:]], n * p.count(n)
+    return rows, vals
+
+
+@lru_cache(maxsize=None)
+def mode_block(n: int, level: int) -> np.ndarray:
+    """Dense block of J_n from ``level`` to ``level - n``."""
+    rows, vals = mode_map(n, level)
+    out = np.zeros((len(partitions_at(level - n)), len(rows)))
+    hit = np.flatnonzero(vals)
+    out[rows[hit], hit] = vals[hit]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class FockVector:
+    """Amplitudes over basis_partitions(cutoff): data is (dim,) or a (dim, k) batch."""
+
+    cutoff: int
+    data: np.ndarray
+    safe_level: float = math.inf
+
+    @classmethod
+    def from_amps(cls, cutoff: int, amps: dict, safe_level: float = math.inf):
+        data = np.zeros(basis(cutoff).offsets[-1], dtype=complex)
+        for p, a in amps.items():
+            p = tuple(sorted(p, reverse=True))
+            if sum(p) > cutoff:
+                raise ValueError("partition level exceeds cutoff")
+            data[basis(cutoff).offsets[sum(p)] + _index_at(sum(p))[p]] = a
+        return cls(cutoff, data, safe_level)
+
+    @property
+    def amps(self) -> dict:
+        """The nonzero amplitudes of a single vector, keyed by partition."""
+        return {p: complex(a) for p, a in zip(basis_partitions(self.cutoff), self.data) if a != 0}
+
+
+def vacuum(N: int) -> FockVector:
+    if N < 0:
+        raise ValueError("cutoff must be >= 0")
+    return FockVector.from_amps(N, {(): 1.0})
+
+
+def basis_vector(N: int, parts: Partition) -> FockVector:
+    return FockVector.from_amps(N, {tuple(parts): 1.0})
+
+
+def identity_batch(N: int, level: int) -> FockVector:
+    """The basis vectors of one level as the columns of a batch."""
+    off = basis(N).offsets
+    return FockVector(N, np.eye(off[-1], off[level + 1] - off[level], -off[level], dtype=complex))
+
+
+def nonzero_levels(v: FockVector) -> np.ndarray:
+    rows = v.data if v.data.ndim == 1 else v.data.any(axis=1)
+    return np.flatnonzero(np.logical_or.reduceat(rows != 0, basis(v.cutoff).offsets[:-1]))
+
+
+def apply_homogeneous(block, n: int, v: FockVector) -> FockVector:
+    """The operator with blocks block(l) from level l to l - n, truncated like J_n."""
+    N, off, lv = v.cutoff, basis(v.cutoff).offsets, nonzero_levels(v)
+    out = np.zeros_like(v.data, dtype=complex)
+    for lvl in lv[(lv >= n) & (lv - n <= N)]:
+        out[off[lvl - n]:off[lvl - n + 1]] = block(lvl) @ v.data[off[lvl]:off[lvl + 1]]
+    overflow = lv.size and lv[-1] - n > N
+    return FockVector(N, out, min(v.safe_level - n, N) if overflow else v.safe_level - n)
 
 
 def apply_mode(n: int, v: FockVector) -> FockVector:
     """Current mode J_n: creation for n < 0, annihilation for n > 0, zero for n = 0."""
-    if n == 0:
-        return FockVector(v.cutoff, {}, v.safe_level)
-    out = {}
-    if n < 0:
-        k = -n
-        truncated = False
-        for p, a in v.amps.items():
-            if sum(p) + k > v.cutoff:
-                truncated = True
-                continue
-            q = tuple(sorted(p + (k,), reverse=True))
-            b = out.get(q, 0.0) + a
-            if b == 0:
-                out.pop(q, None)
-            else:
-                out[q] = b
-        safe = v.safe_level + k
-        if truncated:
-            safe = min(safe, v.cutoff)
-        return FockVector(v.cutoff, out, safe)
-    k = n
-    for p, a in v.amps.items():
-        m = p.count(k)
-        if m == 0:
-            continue
-        q = list(p)
-        q.remove(k)
-        q = tuple(q)
-        b = out.get(q, 0.0) + a * k * m
-        if b == 0:
-            out.pop(q, None)
-        else:
-            out[q] = b
-    return FockVector(v.cutoff, out, v.safe_level - k)
+    return apply_homogeneous(lambda lvl: mode_block(n, lvl), n, v)
+
+
+def smeared(apply, f: CircleFourier, v: FockVector) -> FockVector:
+    """sum_n c_n apply(n, v) over the modes of f; safe_level is the least of the terms'."""
+    data, safe = np.zeros_like(v.data, dtype=complex), v.safe_level
+    for n in range(-f.max_mode, f.max_mode + 1):
+        c = f.coeff(n)
+        if c != 0:
+            w = apply(n, v)
+            data += c * w.data
+            safe = min(safe, w.safe_level)
+    return FockVector(v.cutoff, data, safe)
+
+
+def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
+    """Smeared current J(f) = sum_n c_n J_n applied mode by mode."""
+    return smeared(apply_mode, f, v)
 
 
 def vec_add(u: FockVector, v: FockVector) -> FockVector:
     if u.cutoff != v.cutoff:
         raise ValueError("cutoff mismatch")
-    out = dict(u.amps)
-    for p, a in v.amps.items():
-        b = out.get(p, 0.0) + a
-        if b == 0:
-            out.pop(p, None)
-        else:
-            out[p] = b
-    return FockVector(u.cutoff, out, min(u.safe_level, v.safe_level))
+    return FockVector(u.cutoff, u.data + v.data, min(u.safe_level, v.safe_level))
 
 
 def vec_scale(lam, v: FockVector) -> FockVector:
-    if lam == 0:
-        return FockVector(v.cutoff, {}, v.safe_level)
-    return FockVector(v.cutoff, {p: lam * a for p, a in v.amps.items()}, v.safe_level)
+    return FockVector(v.cutoff, lam * v.data, v.safe_level)
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
     if u.cutoff != v.cutoff:
         raise ValueError("cutoff mismatch")
-    if len(u.amps) > len(v.amps):
-        return complex(np.conj(inner(v, u)))
-    s = 0.0 + 0.0j
-    for p, a in u.amps.items():
-        b = v.amps.get(p)
-        if b is not None:
-            s += np.conj(a) * b * basis_norm_sq(p)
-    return complex(s)
+    return complex(np.vdot(u.data, basis(u.cutoff).norm_sq * v.data))
+
+
+def column_norms(v: FockVector):
+    """Norm of each column of a batch (of the vector itself when unbatched)."""
+    return np.sqrt((basis(v.cutoff).norm_sq * (np.abs(v.data) ** 2).T).T.sum(axis=0))
 
 
 def norm(v: FockVector) -> float:
-    return math.sqrt(max(inner(v, v).real, 0.0))
-
-
-def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
-    """Smeared current J(f) = sum_n c_n J_n applied mode by mode."""
-    out = FockVector(v.cutoff, {}, v.safe_level)
-    for n in range(-f.max_mode, f.max_mode + 1):
-        if n == 0:
-            continue
-        c = f.coeff(n)
-        if c == 0:
-            continue
-        out = vec_add(out, vec_scale(c, apply_mode(n, v)))
-    return out
+    return float(column_norms(v))
 
 
 def apply_L0(v: FockVector) -> FockVector:
-    out = {p: sum(p) * a for p, a in v.amps.items() if sum(p) != 0 and a != 0}
-    return FockVector(v.cutoff, out, v.safe_level)
+    return FockVector(v.cutoff, (basis(v.cutoff).levels * v.data.T).T, v.safe_level)
 
 
-# ---------------------------------------------------------------------------
-# Basis enumeration and dense matrices
-
-
-def _partitions_of(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
-
-
-def basis_partitions(N: int):
-    """All partitions of level 0..N, ordered by level."""
-    out = []
-    for lvl in range(N + 1):
-        out.extend(_partitions_of(lvl, lvl))
-    return out
-
-
-def heisenberg_residual(m: int, n: int, N: int) -> float:
-    """Max residual of [J_m, J_n] = m delta_{m+n,0} over admissible basis vectors."""
-    window = N - abs(m) - abs(n)
+def bracket_residual(block, m: int, n: int, rhs, N: int) -> float:
+    """Largest relative norm of ([A_m, A_n] - rhs) e over the basis vectors e of
+    each level in the exactness window; A_k and rhs are given by their blocks
+    block(k, l) and rhs(l), so a level costs a few block products."""
+    window = exactness_window(N, m, n)
     if window < 0:
         raise ValueError("window too small")
     worst = 0.0
-    for p in basis_partitions(window):
-        v = basis_vector(N, p)
-        r = vec_add(
-            apply_mode(m, apply_mode(n, v)),
-            vec_scale(-1.0, apply_mode(n, apply_mode(m, v))),
-        )
-        if m + n == 0:
-            r = vec_add(r, vec_scale(-float(m), v))
-        worst = max(worst, norm(r) / norm(v))
-    return worst
+    for lvl in range(window + 1):
+        r = block(m, lvl - n) @ block(n, lvl) - block(n, lvl - m) @ block(m, lvl) - rhs(lvl)
+        worst = max(worst, np.max(norm_sq_at(lvl - m - n) @ r**2 / norm_sq_at(lvl), initial=0.0))
+    return math.sqrt(worst)
+
+
+def heisenberg_residual(m: int, n: int, N: int) -> float:
+    """Max residual of [J_m, J_n] = m delta_{m+n,0} over the exactness window."""
+    return bracket_residual(mode_block, m, n, lambda lvl: m * np.eye(len(partitions_at(lvl)))
+                            if m + n == 0 else 0.0, N)
 
 
 def operator_matrix(op, N: int) -> np.ndarray:
     """Dense matrix of a linear operator in the orthonormalized partition basis."""
-    basis = basis_partitions(N)
-    index = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
-    A = np.zeros((dim, dim), dtype=complex)
-    for j, p in enumerate(basis):
-        w = op(basis_vector(N, p))
-        nj = math.sqrt(basis_norm_sq(p))
-        for q, a in w.amps.items():
-            A[index[q], j] = a * math.sqrt(basis_norm_sq(q)) / nj
+    off, s = basis(N).offsets, np.sqrt(basis(N).norm_sq)
+    A = np.zeros((len(s), len(s)), dtype=complex)
+    for lvl in range(N + 1):
+        A[:, off[lvl]:off[lvl + 1]] = op(identity_batch(N, lvl)).data
+    A *= s[:, None] / s
     return A
-
-
-def level_projector(N: int, level: int) -> np.ndarray:
-    """Diagonal projector onto basis states of level <= level."""
-    basis = basis_partitions(N)
-    d = np.array([1.0 if sum(p) <= level else 0.0 for p in basis])
-    return np.diag(d)

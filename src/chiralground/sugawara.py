@@ -1,36 +1,22 @@
 """Virasoro modes via the normal-ordered quadratic (Sugawara) construction.
 
-L_n is applied as the finite sum over unordered index pairs (j, k), j <= k,
-j + k = n, acting annihilator-first; on a level-truncated vector only
-finitely many pairs contribute, so the algebra checks are exact up to
-floating rounding.
-
-The perturbed stress tensor carries an internal coupling KAPPA_SCALE * kappa
-on the current term so that the resulting central charge is exactly
-1 + kappa^2 in this mode normalization.
+L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k, built
+once per level as a block from the J blocks; the algebra checks are exact up
+to floating rounding.  The perturbed stress tensor couples its current term
+with KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fock
-from .fnspace import (
-    SIGMA_NORM,
-    CircleFourier,
-    LineObject,
-    QuadratureSpec,
-    Weight,
-    derivative,
-    multiply_by_t,
-    pointwise_product,
-    sigma,
-    vectorfield_line_integral_f3g,
-)
-from .fock import FockVector, apply_current, apply_mode, vec_add, vec_scale
+from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, QuadratureSpec, Weight, derivative,
+                      multiply_by_t, pointwise_product, sigma, vectorfield_line_integral_f3g)
+from .fock import FockVector, apply_current, vec_add, vec_scale
 
 # Coupling of the current term in the perturbed stress tensor; with
 # [J_m, J_n] = m delta the perturbation (kappa/sqrt(12)) J(f') shifts the
@@ -38,35 +24,52 @@ from .fock import FockVector, apply_current, apply_mode, vec_add, vec_scale
 KAPPA_SCALE = 1.0 / math.sqrt(12.0)
 
 
-def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
-    """L_n = (1/2) sum_m :J_{-m} J_{n+m}: applied as a finite pair sum."""
-    out = FockVector(v.cutoff, {}, v.safe_level)
-    kmin = -((-n) // 2)  # ceil(n/2)
-    kmax = max(0, v.level_max())
-    for k in range(kmin, kmax + 1):
-        j = n - k
-        if j == 0 or k == 0:
-            continue
-        weight = 0.5 if j == k else 1.0
-        term = apply_mode(j, apply_mode(k, v))
-        out = vec_add(out, vec_scale(weight, term))
+def _pairs(n: int, top: int):
+    """(j, k, weight) of L_n = sum weight J_j J_k over k >= j, j + k = n, on levels <= top."""
+    for k in range(-((-n) // 2), max(0, top) + 1):
+        if k != 0 and k != n:
+            yield n - k, k, 0.5 if 2 * k == n else 1.0
+
+
+@lru_cache(maxsize=None)
+def virasoro_block(n: int, level: int) -> np.ndarray:
+    """Dense block of L_n from ``level`` to ``level - n``, summed pair by pair."""
+    out = np.zeros((len(fock.partitions_at(level - n)), len(fock.partitions_at(level))))
+    for j, k, weight in _pairs(n, level):
+        rows, vals = fock.mode_map(k, level)  # J_k sends each column to one row
+        out += weight * fock.mode_block(j, level - k)[:, rows] * vals
     return out
+
+
+def _pair_sum_safe_level(n: int, v: FockVector) -> float:
+    """safe_level of L_n v as the pair sum leaves it, term by term under apply_mode's rules."""
+    N, s, lv, off = v.cutoff, v.safe_level, fock.nonzero_levels(v), fock.basis(v.cutoff).offsets
+    top, safe = (lv[-1] if lv.size else -math.inf), s
+    for j, k, _ in _pairs(n, top):
+        if k < 0:  # J_k and then J_j create: either step may overflow
+            t = (min(s - k, N) if top - k > N else s - k) - j
+            overflow = np.any((lv > N + n) & (lv <= N + k))
+        else:  # J_k annihilates; J_j then overflows from what J_k leaves
+            t = s - n
+            overflow = any(np.any(v.data[off[lvl]:off[lvl + 1]][fock.mode_map(k, lvl)[1] != 0])
+                           for lvl in lv[lv > N + n])
+        safe = min(safe, min(t, N) if overflow else t)
+    return safe
+
+
+def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
+    """L_n = (1/2) sum_m :J_{-m} J_{n+m}: through its level blocks."""
+    out = fock.apply_homogeneous(lambda lvl: virasoro_block(n, lvl), n, v)
+    return FockVector(v.cutoff, out.data, _pair_sum_safe_level(n, v))
 
 
 def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
     """Smeared stress tensor T(f) = sum_n c_n L_n."""
-    out = FockVector(v.cutoff, {}, v.safe_level)
-    for n in range(-f.max_mode, f.max_mode + 1):
-        c = f.coeff(n)
-        if c == 0:
-            continue
-        out = vec_add(out, vec_scale(c, apply_virasoro_mode(n, v)))
-    return out
+    return fock.smeared(apply_virasoro_mode, f, v)
 
 
-def line_derivative_repr(
-    F: LineObject, M: int = None, quad: QuadratureSpec = QuadratureSpec()
-) -> tuple[CircleFourier, float]:
+def line_derivative_repr(F: LineObject, M: int = None,
+                         quad: QuadratureSpec = QuadratureSpec()) -> tuple[CircleFourier, float]:
     """Circle representative of the line derivative of the pushforward of F.
 
     For F(t) = ((t^2+1)/2) h(theta(t)) one has F'(t) = t h + h' pointwise on
@@ -81,26 +84,19 @@ def line_derivative_repr(
     return th_part + derivative(h).pad(M), resid
 
 
-def apply_stress_line(
-    F: LineObject,
-    kappa: float,
-    v: FockVector,
-    M: int = None,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple[FockVector, float]:
+def apply_stress_line(F: LineObject, kappa: float, v: FockVector, M: int = None,
+                      quad: QuadratureSpec = QuadratureSpec()) -> tuple[FockVector, float]:
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F').
 
     Returns the image vector and the projection residual of the current term.
     """
     if F.weight is not Weight.VECTOR_FIELD:
         raise ValueError("apply_stress_line expects a vector field")
-    h = F.circle_repr
-    out = apply_stress_circle(h, v)
+    out = apply_stress_circle(F.circle_repr, v)
     if kappa == 0.0:
         return out, 0.0
     phi, resid = line_derivative_repr(F, M, quad)
-    out = vec_add(out, vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))
-    return out, resid
+    return vec_add(out, vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v))), resid
 
 
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
@@ -109,65 +105,46 @@ def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> flo
     The central term is the scalar at c = 1; drop_central omits it for
     mutation testing.
     """
-    window = N - abs(m) - abs(n)
-    if window < 0:
-        raise ValueError("window too small")
-    worst = 0.0
     central = 0.0 if drop_central or m + n != 0 else (m**3 - m) / 12.0
-    for p in fock.basis_partitions(window):
-        v = fock.basis_vector(N, p)
-        r = vec_add(
-            apply_virasoro_mode(m, apply_virasoro_mode(n, v)),
-            vec_scale(-1.0, apply_virasoro_mode(n, apply_virasoro_mode(m, v))),
-        )
-        r = vec_add(r, vec_scale(-(float(m - n)), apply_virasoro_mode(m + n, v)))
-        if central != 0.0:
-            r = vec_add(r, vec_scale(-central, v))
-        worst = max(worst, fock.norm(r) / fock.norm(v))
-    return worst
+    return fock.bracket_residual(virasoro_block, m, n, lambda lvl: (m - n) * virasoro_block(
+        m + n, lvl) + central * np.eye(*virasoro_block(m + n, lvl).shape), N)
 
 
 def mixed_relation_residual(f: CircleFourier, g: CircleFourier, N: int) -> float:
     """Max residual of [T(f), J(g)] = i J(f g') over the exactness window."""
-    window = N - 2 * (f.max_mode + g.max_mode)
+    # the bracket and J(f g') each move the level by up to Mf + Mg
+    window = fock.exactness_window(N, f.max_mode + g.max_mode, f.max_mode + g.max_mode)
     if window < 0:
         raise ValueError("window too small")
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    worst = 0.0
-    for p in fock.basis_partitions(window):
-        v = fock.basis_vector(N, p)
-        r = vec_add(
-            apply_stress_circle(f, apply_current(g, v)),
-            vec_scale(-1.0, apply_current(g, apply_stress_circle(f, v))),
-        )
-        r = vec_add(r, vec_scale(-1j, apply_current(fgp, v)))
-        worst = max(worst, fock.norm(r) / fock.norm(v))
+    T, J, worst = partial(apply_stress_circle, f), partial(apply_current, g), 0.0
+    for level in range(window + 1):
+        v = fock.identity_batch(N, level)
+        r = FockVector(N, T(J(v)).data - J(T(v)).data - 1j * apply_current(fgp, v).data)
+        worst = max(worst, float(np.max(fock.column_norms(r) / fock.column_norms(v))))
     return worst
 
 
-def central_charge_estimate(
-    F: LineObject,
-    G: LineObject,
-    kappa: float,
-    N: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-    M: int = None,
-    min_denominator: float = 1e-6,
-) -> float:
+def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
+                            quad: QuadratureSpec = QuadratureSpec(), M: int = None,
+                            min_denominator: float = 1e-6) -> float:
     """Estimate the central charge from the vacuum bracket of stress tensors.
 
     c_est = 12 * SIGMA_NORM * <vac, [T^k(F), T^k(G)] vac> / (i * int F''' G dt);
     the vacuum expectation of the stress-tensor part of the bracket vanishes,
-    leaving the central scalar, whose target value is 1 + kappa^2.
+    leaving the central scalar, whose target value is 1 + kappa^2.  Raises
+    ValueError if that vacuum amplitude lies outside its exactness window.
     """
     denom = vectorfield_line_integral_f3g(F, G)
     if abs(denom.value) < min_denominator:
         raise ValueError("degenerate test pair: cocycle integral too small")
     vac = fock.vacuum(N)
-    tg, _ = apply_stress_line(G, kappa, vac, M, quad)
-    tf, _ = apply_stress_line(F, kappa, vac, M, quad)
-    tfg, _ = apply_stress_line(F, kappa, tg, M, quad)
-    tgf, _ = apply_stress_line(G, kappa, tf, M, quad)
+    tg, tf = (apply_stress_line(X, kappa, vac, M, quad)[0] for X in (G, F))
+    tfg, tgf = (apply_stress_line(X, kappa, Y, M, quad)[0] for X, Y in ((F, tg), (G, tf)))
+    safe = min(tfg.safe_level, tgf.safe_level)
+    if safe < 0:
+        raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
+                         f"outside its exactness window (safe level {safe:g})")
     num = fock.inner(vac, tfg) - fock.inner(vac, tgf)
     c = 12.0 * SIGMA_NORM * num / (1j * denom.value)
     return float(c.real)
@@ -175,28 +152,34 @@ def central_charge_estimate(
 
 def parity_flip(v: FockVector) -> FockVector:
     """Diagonal involution (-1)^{#parts}; conjugation sends J(f) to J(-f)."""
-    out = {p: ((-1) ** len(p)) * a for p, a in v.amps.items()}
-    return FockVector(v.cutoff, out, v.safe_level)
+    sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(v.cutoff)])
+    return FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
 
 
-def weyl_adjoint_stress_residual(
-    g: CircleFourier, f: CircleFourier, N: int, restrict_level: int = None
-) -> float:
+def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
+                                 restrict_level: int = None) -> float:
     """Operator-norm residual of the exponentiated adjoint action on T(f).
 
     With W(g) = exp(i J(g)) on the truncated space, the identity
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
-    holds on the untruncated domain; the residual is measured on vectors of
-    level <= restrict_level (default N/2) and converges as N grows.
+    holds on the untruncated domain; the residual is measured on the slab of
+    levels <= restrict_level (default N/2) and converges as N grows.  W comes
+    from the eigendecomposition of the Hermitian J(g), so g must be real.
     """
-    if restrict_level is None:
-        restrict_level = N // 2
+    restrict_level = N // 2 if restrict_level is None else restrict_level
     Jg = fock.operator_matrix(lambda v: apply_current(g, v), N)
-    Tf = fock.operator_matrix(lambda v: apply_stress_circle(f, v), N)
+    if np.max(np.abs(Jg - Jg.conj().T)) > 1e-12:
+        raise ValueError("J(g) is not Hermitian: g must be real")
+    lam, V = np.linalg.eigh(Jg)
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    Jfgp = fock.operator_matrix(lambda v: apply_current(fgp, v), N)
-    W = expm(1j * Jg)
-    scalar = sigma(fgp, g) / (2.0 * SIGMA_NORM)
-    A = W @ Tf @ W.conj().T - Tf - Jfgp - scalar * np.eye(Tf.shape[0])
-    P = fock.level_projector(N, restrict_level)
-    return float(np.linalg.norm(A @ P, ord=2))
+    s = np.sqrt(fock.basis(N).norm_sq)[:, None]
+
+    def hat(op, h, Y):  # op(h) in the orthonormalized basis, on the columns of Y
+        return s * op(h, FockVector(N, Y / s)).data
+
+    P = np.eye(len(s), fock.basis(N).offsets[restrict_level + 1])  # the level slab
+    WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
+    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ hat(apply_stress_circle, f, WsP)))
+    A = (WTWsP - hat(apply_stress_circle, f, P) - hat(apply_current, fgp, P)
+         - sigma(fgp, g) / (2.0 * SIGMA_NORM) * P)
+    return float(np.linalg.norm(A, ord=2))

@@ -80,6 +80,25 @@ class TestCharge:
         assert k0[1] == pytest.approx(1.0, abs=1e-6)
         assert k1[1] == pytest.approx(2.0, abs=1e-3)
 
+    def test_cutoff_below_exactness_window_refused(self, capsys):
+        # at cutoff 1 the bracket's vacuum amplitude is outside its window (c_est was 0.5)
+        rc = cli.main(["charge", "--cutoff", "1", "--kappa", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cutoff 1 too small") and err.count("\n") == 1
+
+    def test_smallest_exact_cutoff_accepted(self, capsys):
+        rc = cli.main(["charge", "--cutoff", "6", "--kappa", "1", "--format", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)[0]["c_est"] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("command", ["verify", "charge"])
+def test_negative_cutoff_is_a_one_line_error(command, capsys):
+    rc = cli.main([command, "--cutoff", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --cutoff must be >= 0\n"
+
 
 class TestNonNormal:
     def test_csv_schema_and_monotone(self, tmp_path):
@@ -158,3 +177,9 @@ class TestGround:
         rc = cli.main(["ground", "--function", "fourier:1"])
         assert rc == 1
         assert capsys.readouterr().err == "error: current one-point value diverges\n"
+
+    def test_fourier_spec_wider_than_modes_refused(self, capsys):
+        # at --modes 1 the Gaussian factor would see only the first mode of four
+        rc = cli.main(["ground", "--function", "fourier:-1,0,0,1", "--modes", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: 'fourier:-1,0,0,1' has modes above --modes 1\n"

@@ -81,16 +81,16 @@ class TestWindow:
         assert v.safe_level == math.inf
         v = fock.apply_mode(-3, v)  # level 6 > cutoff 4: dropped
         assert not v.amps
-        assert v.window().safe_level == 4
+        assert min(v.safe_level, v.cutoff) == 4
 
     def test_annihilation_shrinks_window(self):
-        v = fock.FockVector(6, {(2,): 1.0}, 4.0)
+        v = fock.FockVector.from_amps(6, {(2,): 1.0}, 4.0)
         w = fock.apply_mode(2, v)
         assert w.safe_level == 2.0
 
     def test_add_takes_min_window(self):
-        a = fock.FockVector(6, {(1,): 1.0}, 3.0)
-        b = fock.FockVector(6, {(2,): 1.0}, 5.0)
+        a = fock.FockVector.from_amps(6, {(1,): 1.0}, 3.0)
+        b = fock.FockVector.from_amps(6, {(2,): 1.0}, 5.0)
         assert fock.vec_add(a, b).safe_level == 3.0
 
 
@@ -135,8 +135,8 @@ class TestMatrices:
         N = 6
         A = fock.operator_matrix(lambda v: fock.apply_mode(-1, v), N)
         B = fock.operator_matrix(lambda v: fock.apply_mode(1, v), N)
-        P = fock.level_projector(N, N - 1)
-        assert np.linalg.norm((A.conj().T - B) @ P, ord=2) < 1e-12
+        P = slice(len(fock.basis_partitions(N - 1)))
+        assert np.linalg.norm((A.conj().T - B)[:, P], ord=2) < 1e-12
 
     def test_L0_matrix_diagonal(self):
         N = 5
@@ -146,5 +146,5 @@ class TestMatrices:
 
     def test_projector_trace(self):
         # p(0)+p(1)+p(2) = 4 states of level <= 2 inside cutoff 5
-        P = fock.level_projector(5, 2)
+        P = np.eye(len(fock.basis_partitions(5)))[:, : len(fock.basis_partitions(2))]
         assert np.trace(P) == pytest.approx(4.0)

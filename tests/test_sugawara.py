@@ -66,8 +66,8 @@ class TestVirasoroModes:
         N = 8
         A = fock.operator_matrix(lambda v: sugawara.apply_virasoro_mode(2, v), N)
         B = fock.operator_matrix(lambda v: sugawara.apply_virasoro_mode(-2, v), N)
-        P = fock.level_projector(N, N - 2)
-        assert np.linalg.norm(P @ (A.conj().T - B) @ P, ord=2) < 1e-12
+        P = slice(len(fock.basis_partitions(N - 2)))
+        assert np.linalg.norm((A.conj().T - B)[P, P], ord=2) < 1e-12
 
 
 class TestSmearedStress:
@@ -152,6 +152,13 @@ class TestCentralCharge:
         b = sugawara.central_charge_estimate(F, G, 0.5, 16, fn.QuadratureSpec(4096, 1e-3))
         assert abs(a - b) < 1e-6
 
+    def test_cutoff_outside_exactness_window_rejected(self):
+        # the bracket's vacuum amplitude has safe levels -5 / -7 at N = 1 and 0 / 6 at N = 6
+        F, G = _vector_fields()
+        with pytest.raises(ValueError, match="exactness window"):
+            sugawara.central_charge_estimate(F, G, 1.0, 1, QUAD)
+        assert sugawara.central_charge_estimate(F, G, 1.0, 6, QUAD) == pytest.approx(2.0, abs=1e-3)
+
     def test_degenerate_pair_rejected(self):
         F, _ = _vector_fields()
         with pytest.raises(ValueError):
@@ -193,6 +200,6 @@ class TestWeylAdjoint:
         Wf, Wg = expm(1j * Jf), expm(1j * Jg)
         Wfg = expm(1j * (Jf + Jg))
         phase = np.exp(-0.5j * fn.sigma(f, g) / fn.SIGMA_NORM)
-        P = fock.level_projector(N, 2)
-        resid = np.linalg.norm((Wf @ Wg - phase * Wfg) @ P, ord=2)
+        P = slice(len(fock.basis_partitions(2)))
+        resid = np.linalg.norm((Wf @ Wg - phase * Wfg)[:, P], ord=2)
         assert resid < 1e-3
