@@ -1,5 +1,6 @@
 """The level-block Fock layer against the dict reference in fock_reference.py,
-on random sparse vectors at cutoffs N <= 10 and every mode n in [-N-2, N+2]."""
+on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
+covers every n in [-N - 2, N + 2]."""
 
 import math
 import os
@@ -18,7 +19,7 @@ import chiralground
 from chiralground import fnspace as fn
 from chiralground import fock, sugawara
 
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=200, deadline=None)
 amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False,
                                allow_infinity=False)
 safe_level = st.one_of(st.just(math.inf), st.integers(-3, 13).map(float))
