@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -61,26 +62,39 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def parse_function_spec(spec: str, M: int, quad: QuadratureSpec) -> LineObject:
     """Mini-language for test functions: gn:<n> | bump:<center>:<width> | fourier:<a0>,<a1>,...
 
     fourier coefficients are read as a0 + sum_k (a_k cos k theta + b_k sin k theta)
-    with the list a0,a1,b1,a2,b2,...
+    with the list a0,a1,b1,a2,b2,...  Raises UsageError for a spec it cannot honour.
     """
     kind, _, rest = spec.partition(":")
-    if kind == "gn":
-        return LineObject(gn_family(int(rest)), Weight.FUNCTION)
-    if kind == "bump":
-        center_s, _, width_s = rest.partition(":")
-        obj, _resid = gaussian_bump_line(float(center_s), float(width_s), M, quad)
-        return obj
-    if kind == "fourier":
-        vals = [float(x) for x in rest.split(",") if x]
-        c0 = vals[0] if vals else 0.0
-        cos_c = vals[1::2]
-        sin_c = vals[2::2]
-        return LineObject(circle_from_real_modes(c0, cos_c, sin_c), Weight.FUNCTION)
-    raise ValueError(f"unknown function spec: {spec!r}")
+    try:
+        if kind == "gn":
+            return LineObject(gn_family(int(rest)), Weight.FUNCTION)
+        if kind == "bump":
+            center_s, _, width_s = rest.partition(":")
+            center, width = _finite(center_s), _finite(width_s)
+            if width <= 0:
+                raise ValueError("bump width must be > 0")
+            obj, _resid = gaussian_bump_line(center, width, M, quad)
+            return obj
+        if kind == "fourier":
+            vals = [_finite(x) for x in rest.split(",") if x]
+            c0 = vals[0] if vals else 0.0
+            cos_c = vals[1::2]
+            sin_c = vals[2::2]
+            return LineObject(circle_from_real_modes(c0, cos_c, sin_c), Weight.FUNCTION)
+    except ValueError as exc:
+        raise UsageError(f"function spec {spec!r}: {exc}") from None
+    raise UsageError(f"unknown function spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +363,8 @@ def main(argv=None) -> int:
     config = _config(args)
     if config.cutoff < 0:
         return _error("--cutoff must be >= 0", 2)
+    if config.modes < 1:
+        return _error("--modes must be >= 1", 2)
 
     if args.command == "verify":
         checks = run_verify(config, drop_central=args.drop_central_term)

@@ -5,7 +5,9 @@ order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac,
 whose squared norm is the exact integer prod_j j^{m_j} m_j!.  A FockVector
 holds complex amplitudes over that basis, as one column or a batch.  J_n maps
 level l to l - n (Kac-Raina, Bombay Lectures, lecture 2): it is one dense
-float64 block per source level, which depends only on (n, l).
+float64 block per source level, which depends only on (n, l).  In the
+orthonormalized basis J_n is also a weighted gather, which exp_current uses
+to apply exp(i t J(f)) to a few columns without forming J(f).
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped and the exactness window shrinks.
@@ -98,6 +100,22 @@ def mode_block(n: int, level: int) -> np.ndarray:
     hit = np.flatnonzero(vals)
     out[rows[hit], hit] = vals[hit]
     return out
+
+
+@lru_cache(maxsize=None)
+def mode_gather(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_n on basis(N) in the orthonormalized basis, truncated at N: column
+    src[i] goes to w[i] > 0 times row dst[i], and dst has no repeats."""
+    off, s = basis(N).offsets, np.sqrt(basis(N).norm_sq)
+    src, dst, w = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for lvl in range(max(0, n), min(N, N + n) + 1):
+        rows, vals = mode_map(n, lvl)
+        hit = np.flatnonzero(vals)
+        src.append(off[lvl] + hit)
+        dst.append(off[lvl - n] + rows[hit])
+        w.append(vals[hit])
+    src, dst, w = map(np.concatenate, (src, dst, w))
+    return src, dst, w * s[dst] / s[src]
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,3 +252,44 @@ def operator_matrix(op, N: int) -> np.ndarray:
         A[:, off[lvl]:off[lvl + 1]] = op(identity_batch(N, lvl)).data
     A *= s[:, None] / s
     return A
+
+
+# Largest norm theta of one scaling step of exp_current, and its term budget:
+# theta^k / k! falls below 2^-53 by k = 39 at theta = 6, and the largest term
+# is then about 65 times the step's input, which bounds the rounding.
+EXP_STEP_NORM = 6.0
+EXP_MAX_TERMS = 60
+
+
+def exp_current(f: CircleFourier, t: float, X: np.ndarray, N: int) -> np.ndarray:
+    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N.
+
+    A Taylor series in s scaling steps (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 2011), with s set from the exact bound sum_n |c_n| max w_n
+    >= ||J(f)||, where w_n are the weights of mode_gather(n, N).  A step
+    stops at the first term k with theta / (k + 1) <= 1/2 that is below 2^-53
+    of the running sum in every column; ||term_{k+1}|| <= theta / (k + 1)
+    ||term_k|| then bounds the rest of the series by that term.  Raises
+    ArithmeticError if a step has not converged within EXP_MAX_TERMS terms.
+    """
+    gathers = [(src, dst, f.coeff(n) * w) for n in range(-f.max_mode, f.max_mode + 1)
+               if n and f.coeff(n) for src, dst, w in [mode_gather(n, N)]]
+    bound = abs(t) * sum(np.max(np.abs(cw), initial=0.0) for _, _, cw in gathers)
+    steps = max(1, math.ceil(bound / EXP_STEP_NORM))
+    theta = bound / steps
+    X = np.array(X, dtype=complex)
+    for _ in range(steps):
+        term, Y = X, X.copy()
+        for k in range(1, EXP_MAX_TERMS + 1):
+            Jt = np.zeros_like(term)
+            for src, dst, cw in gathers:
+                Jt[dst] += (1j * t / (steps * k) * cw)[:, None] * term[src]
+            term = Jt
+            Y += term
+            if k + 1 >= 2 * theta and np.all(np.linalg.norm(term, axis=0)
+                                              <= 2.0**-53 * np.linalg.norm(Y, axis=0)):
+                break
+        else:
+            raise ArithmeticError(f"exp(i t J(f)) did not converge in {EXP_MAX_TERMS} terms")
+        X = Y
+    return X

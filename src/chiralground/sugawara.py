@@ -9,6 +9,7 @@ with KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache, partial
 
 import numpy as np
@@ -84,19 +85,29 @@ def line_derivative_repr(F: LineObject, M: int = None,
     return th_part + derivative(h).pad(M), resid
 
 
+def stress_line_operator(F: LineObject, kappa: float, M: int = None,
+                         quad: QuadratureSpec = QuadratureSpec()
+                         ) -> tuple[Callable[[FockVector], FockVector], float]:
+    """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
+    as a map of Fock vectors, with the projection residual of its current term.
+    F' is resampled once, however often the map is applied."""
+    if F.weight is not Weight.VECTOR_FIELD:
+        raise ValueError("the perturbed stress tensor expects a vector field")
+    if kappa == 0.0:
+        return partial(apply_stress_circle, F.circle_repr), 0.0
+    phi, resid = line_derivative_repr(F, M, quad)
+    return (lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
+                              vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))), resid
+
+
 def apply_stress_line(F: LineObject, kappa: float, v: FockVector, M: int = None,
                       quad: QuadratureSpec = QuadratureSpec()) -> tuple[FockVector, float]:
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F').
 
     Returns the image vector and the projection residual of the current term.
     """
-    if F.weight is not Weight.VECTOR_FIELD:
-        raise ValueError("apply_stress_line expects a vector field")
-    out = apply_stress_circle(F.circle_repr, v)
-    if kappa == 0.0:
-        return out, 0.0
-    phi, resid = line_derivative_repr(F, M, quad)
-    return vec_add(out, vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v))), resid
+    op, resid = stress_line_operator(F, kappa, M, quad)
+    return op(v), resid
 
 
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
@@ -139,8 +150,8 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
     if abs(denom.value) < min_denominator:
         raise ValueError("degenerate test pair: cocycle integral too small")
     vac = fock.vacuum(N)
-    tg, tf = (apply_stress_line(X, kappa, vac, M, quad)[0] for X in (G, F))
-    tfg, tgf = (apply_stress_line(X, kappa, Y, M, quad)[0] for X, Y in ((F, tg), (G, tf)))
+    TF, TG = (stress_line_operator(X, kappa, M, quad)[0] for X in (F, G))
+    tfg, tgf = TF(TG(vac)), TG(TF(vac))
     safe = min(tfg.safe_level, tgf.safe_level)
     if safe < 0:
         raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
@@ -163,14 +174,16 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
     With W(g) = exp(i J(g)) on the truncated space, the identity
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
     holds on the untruncated domain; the residual is measured on the slab of
-    levels <= restrict_level (default N/2) and converges as N grows.  W comes
-    from the eigendecomposition of the Hermitian J(g), so g must be real.
+    levels <= restrict_level (default N/2) and converges as N grows.  W and W*
+    act on the slab through fock.exp_current, so J(g) must be Hermitian (g real).
     """
     restrict_level = N // 2 if restrict_level is None else restrict_level
-    Jg = fock.operator_matrix(lambda v: apply_current(g, v), N)
-    if np.max(np.abs(Jg - Jg.conj().T)) > 1e-12:
+    # J(g) - J(g)* has the entries (c_n - conj c_{-n}) w_n, w_n those of mode_gather(n, N)
+    skew = max(abs(g.coeff(n) - np.conj(g.coeff(-n))) * np.max(fock.mode_gather(n, N)[2],
+                                                               initial=0.0)
+               for n in range(-g.max_mode, g.max_mode + 1))
+    if skew > 1e-12:
         raise ValueError("J(g) is not Hermitian: g must be real")
-    lam, V = np.linalg.eigh(Jg)
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]
 
@@ -178,8 +191,8 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
         return s * op(h, FockVector(N, Y / s)).data
 
     P = np.eye(len(s), fock.basis(N).offsets[restrict_level + 1])  # the level slab
-    WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
-    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ hat(apply_stress_circle, f, WsP)))
+    WsP = fock.exp_current(g, -1.0, P, N)
+    WTWsP = fock.exp_current(g, 1.0, hat(apply_stress_circle, f, WsP), N)
     A = (WTWsP - hat(apply_stress_circle, f, P) - hat(apply_current, fgp, P)
          - sigma(fgp, g) / (2.0 * SIGMA_NORM) * P)
     return float(np.linalg.norm(A, ord=2))

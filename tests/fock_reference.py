@@ -1,6 +1,7 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
-the array layer in chiralground.fock must reproduce.
+the array layer in chiralground.fock must reproduce; and the Weyl adjoint
+residual computed with a dense eigendecomposition of J(g).
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -11,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from chiralground import fnspace as fn
+from chiralground import fock, sugawara
 
 
 @dataclass(frozen=True)
@@ -139,3 +143,23 @@ def dense_matrix(op, N: int) -> np.ndarray:
         for q, a in op(DictVector(N, {p: 1.0 + 0.0j})).amps.items():
             A[index[q], j] = a * math.sqrt(basis_norm_sq(q) / basis_norm_sq(p))
     return A
+
+
+def weyl_residual_eigh(g, f, N: int) -> float:
+    """The Weyl adjoint residual with W = exp(i J(g)) from the eigendecomposition
+    of the dense Hermitian J(g), on the level-<=N/2 slab of the array layer."""
+    Jg = fock.operator_matrix(lambda v: fock.apply_current(g, v), N)
+    lam, V = np.linalg.eigh(Jg)
+    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
+    s = np.sqrt(fock.basis(N).norm_sq)[:, None]
+
+    def hat(op, h, Y):
+        return s * op(h, fock.FockVector(N, Y / s)).data
+
+    P = np.eye(len(s), fock.basis(N).offsets[N // 2 + 1])
+    WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
+    TWsP = hat(sugawara.apply_stress_circle, f, WsP)
+    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ TWsP))
+    A = (WTWsP - hat(sugawara.apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
+         - fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
+    return float(np.linalg.norm(A, ord=2))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chiralground import cli
+from chiralground import cli, sugawara
 from chiralground.fnspace import QuadratureSpec, Weight
 
 
@@ -92,12 +92,42 @@ class TestCharge:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)[0]["c_est"] == pytest.approx(2.0, abs=1e-3)
 
+    def test_each_field_resampled_once_per_estimate(self, monkeypatch, capsys):
+        # two vector fields, three nonzero kappas: F' and G' once per kappa (was 12)
+        calls, resample = [], sugawara.multiply_by_t
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return resample(*args, **kwargs)
+
+        monkeypatch.setattr(sugawara, "multiply_by_t", counted)
+        rc = cli.main(["charge", "--cutoff", "16", "--kappa", "0,0.5,1,2"])
+        assert rc == 0
+        assert len(calls) == 6
+
 
 @pytest.mark.parametrize("command", ["verify", "charge"])
 def test_negative_cutoff_is_a_one_line_error(command, capsys):
     rc = cli.main([command, "--cutoff", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == "error: --cutoff must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--function", "bump:0:0"], "function spec 'bump:0:0': bump width must be > 0"),
+    (["--function", "bump:0:-1"], "function spec 'bump:0:-1': bump width must be > 0"),
+    (["--function", "bump:nan:1"], "function spec 'bump:nan:1': 'nan' is not a finite number"),
+    (["--function", "gn:0"], "function spec 'gn:0': n must be >= 1"),
+    (["--modes", "0"], "--modes must be >= 1"),
+], ids=["bump-width-0", "bump-width-negative", "bump-center-nan", "gn-0", "modes-0"])
+def test_ground_input_is_validated(argv, message, capsys, recwarn):
+    # bump:0:0 divided by zero with a RuntimeWarning, bump:0:-1 was accepted,
+    # bump:nan:1 printed NaN values, gn:0 ended in a traceback and --modes 0
+    # printed vacuous values
+    rc = cli.main(["ground"] + argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestNonNormal:

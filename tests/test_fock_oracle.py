@@ -93,6 +93,68 @@ def test_weyl_adjoint_matches_dense_expm(N):
     assert r == pytest.approx(_weyl_dense(g, f, N), rel=1e-10)
 
 
+def _sized_pair(seed, size):
+    """Seeded real (g, f), each scaled to Sobolev-1/2 norm ``size``."""
+    rng = np.random.default_rng(seed)
+    return tuple(h.scale(size / math.sqrt(fn.sobolev_half_sq(h)))
+                 for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("N", [12, 14, 16])
+def test_weyl_adjoint_matches_eigh_formula(N, seed):
+    g, f = _sized_pair(seed, 0.5)
+    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-10)
+
+
+@pytest.mark.parametrize("size", [0.5, 3.0])
+@pytest.mark.parametrize("N", [8, 10])
+def test_exp_current_matches_dense_expm(N, size):
+    g, _ = _sized_pair(38, size)
+    bound = sum(abs(g.coeff(n)) * np.max(fock.mode_gather(n, N)[2]) for n in (-2, -1, 1, 2))
+    assert (bound > 2 * fock.EXP_STEP_NORM) == (size == 3.0)  # several scaling steps at size 3
+    rng = np.random.default_rng(39)
+    dim = len(fock.basis_partitions(N))
+    X = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+    X /= np.linalg.norm(X, axis=0)
+    W = expm(1j * fock.operator_matrix(lambda v: fock.apply_current(g, v), N))
+    for t, dense in ((1.0, W), (-1.0, W.conj().T)):
+        assert np.max(np.abs(fock.exp_current(g, t, X, N) - dense @ X)) < 1e-12
+
+
+def test_exp_current_round_trip():
+    g, _ = _sized_pair(40, 3.0)
+    N = 12
+    X = np.random.default_rng(41).standard_normal((len(fock.basis_partitions(N)), 4))
+    back = fock.exp_current(g, 1.0, fock.exp_current(g, -1.0, X, N), N)
+    assert np.max(np.abs(back - X)) < 1e-12 * np.max(np.abs(X))
+
+
+def test_exp_current_refuses_an_unconverged_series():
+    g, _ = _sized_pair(42, 0.5)
+    X = np.full((len(fock.basis_partitions(6)), 1), np.nan)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        fock.exp_current(g, 1.0, X, 6)
+
+
+def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    g, f = _sized_pair(1, 0.5)
+    assert 0.0 < sugawara.weyl_adjoint_stress_residual(g, f, 12) < 1.0
+
+
+def test_weyl_adjoint_rejects_skew_generator_at_threshold():
+    g, f = _sized_pair(43, 0.5)
+    coeffs = g.coeffs.copy()
+    coeffs[g.max_mode - 1] += 1e-6  # c_{-1}
+    with pytest.raises(ValueError, match="Hermitian"):
+        sugawara.weyl_adjoint_stress_residual(fn.CircleFourier(coeffs, is_real=False), f, 6)
+
+
 def test_weyl_adjoint_rejects_complex_generator():
     g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
     f = fn.random_real_circle(2, np.random.default_rng(37))
