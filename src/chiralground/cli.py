@@ -284,12 +284,12 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
         )
         fs.append(b.scale(float(rng.uniform(-1, 1))))
     report["gram_min_eigenvalue"] = states.gram_psd(p, fs, M)
-    _, dil_resid = dilate_line(f, 0.5, M, quad)
+    fd, dil_resid = dilate_line(f, 0.5, M, quad)
     report["dilation_orbit"] = {"s": 0.5, "projection_error": dil_resid, **_covariance(
-        lambda: states.dilation_orbit_residual(q, 0.5, f, M, quad))}
-    _, tr_resid = translate_line(f, 1.0, M, quad)
+        lambda: states.dilation_orbit_residual(q, 0.5, f, M, quad, dilated=fd))}
+    ft, tr_resid = translate_line(f, 1.0, M, quad)
     report["translation"] = {"t": 1.0, "projection_error": tr_resid, **_covariance(
-        lambda: states.translation_invariance_residual(q, f, 1.0, M, quad))}
+        lambda: states.translation_invariance_residual(q, f, 1.0, M, quad, translated=ft))}
     report["circle_representative"] = circle_to_json(states.as_fourier(f, M))
     return report
 
@@ -328,6 +328,30 @@ def _config(args) -> RunConfig:
     )
 
 
+def _option(flag: str, text) -> float:
+    """A finite number given for flag; UsageError otherwise."""
+    try:
+        return _finite(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _check_options(args, config: RunConfig):
+    """Refuse numeric options the computation cannot honour, with UsageError."""
+    if config.cutoff < 0:
+        raise UsageError("--cutoff must be >= 0")
+    if config.modes < 1:
+        raise UsageError("--modes must be >= 1")
+    if config.quad_nodes < 16:
+        raise UsageError("--quad-nodes must be >= 16")
+    if not _option("--endpoint-cut", config.endpoint_cut) > 0:
+        raise UsageError("--endpoint-cut must be > 0")
+    if args.command in ("nonnormal", "ground"):
+        _option("--q", args.q)
+    if args.command == "ground":  # charge's --kappa is a list, read where it is used
+        _option("--kappa", args.kappa)
+
+
 def _error(message: str, status: int) -> int:
     sys.stderr.write(f"error: {message}\n")
     return status
@@ -361,17 +385,20 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     config = _config(args)
-    if config.cutoff < 0:
-        return _error("--cutoff must be >= 0", 2)
-    if config.modes < 1:
-        return _error("--modes must be >= 1", 2)
+    try:
+        _check_options(args, config)
+    except UsageError as exc:
+        return _error(str(exc), 2)
 
     if args.command == "verify":
         checks = run_verify(config, drop_central=args.drop_central_term)
         return _emit_checks(checks, config)
 
     if args.command == "charge":
-        kappas = [float(x) for x in args.kappa.split(",") if x]
+        try:
+            kappas = [_option("--kappa", x) for x in args.kappa.split(",") if x]
+        except UsageError as exc:
+            return _error(str(exc), 2)
         try:
             rows = run_charge(config, kappas)
         except ValueError as exc:

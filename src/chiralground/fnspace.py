@@ -74,10 +74,19 @@ class CircleFourier:
         return CircleFourier(out, self.is_real, trunc)
 
     def __call__(self, theta):
-        th = np.asarray(theta, dtype=float)
-        ns = np.arange(-self.max_mode, self.max_mode + 1)
-        vals = np.exp(1j * np.outer(th.ravel(), ns)) @ self.coeffs
-        vals = vals.reshape(th.shape)
+        """Values at arbitrary angles, by Horner's rule in z = e^{i theta} and its conjugate."""
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        w = np.conj(z)
+        M, c = self.max_mode, self.coeffs
+        up = np.full(z.shape, c[-1])  # sum_{n>=0} c_n z^n
+        for a in c[M:-1][::-1]:
+            up *= z
+            up += a
+        down = np.zeros(z.shape, dtype=complex)  # sum_{n>=1} c_{-n} w^n
+        for a in c[:M]:
+            down += a
+            down *= w
+        vals = up + down
         if self.is_real:
             vals = vals.real
         if np.ndim(theta) == 0:
@@ -195,31 +204,26 @@ class LineIntegralResult:
 def fourier_project(f: PiecewiseLinearCircle, M: int) -> CircleFourier:
     """Exact Fourier coefficients of a piecewise-linear circle function.
 
-    Each segment contributes the closed-form integral of a linear function
-    against e^{-i n theta}; no quadrature is involved.
+    Integrating by parts twice, f'' is a sum of point masses ds_k at the nodes
+    theta_k (ds_k the slope jump there), so c_n = -sum_k ds_k e^{-in theta_k}
+    / (2pi n^2) for n >= 1 and c_{-n} = conj(c_n); c_0 is the trapezoid mean.
+    No quadrature is involved.
     """
     if M < 1:
         raise ValueError("M must be positive")
-    ns = np.arange(-M, M + 1)
-    nz = ns != 0
-    n = ns[nz].astype(float)
-    coeffs = np.zeros(2 * M + 1, dtype=complex)
-    for a, b, va, vb in f.segments():
-        if a == b:
-            continue
-        s = (vb - va) / (b - a)
-        # n = 0: trapezoid area
-        coeffs[M] += (va + vb) * (b - a) / 2.0
-        ea = np.exp(-1j * n * a)
-        eb = np.exp(-1j * n * b)
-        inn = 1j * n
-        # int_a^b e^{-in th} dth and int_a^b (th - a) e^{-in th} dth
-        i0 = (ea - eb) / inn
-        i1 = -(b - a) * eb / inn + i0 / inn
-        coeffs[nz] += va * i0 + s * i1
-    coeffs /= TWO_PI
-    # symmetrize: the function is real, so c_{-n} must equal conj(c_n)
-    coeffs = (coeffs + np.conj(coeffs[::-1])) / 2.0
+    xs = np.append(f.nodes, f.nodes[0] + TWO_PI)
+    ys = np.append(f.values, f.values[0])
+    widths = np.diff(xs)
+    slopes = np.diff(ys) / widths
+    jumps = slopes - np.roll(slopes, 1)
+    n = np.arange(1, M + 1, dtype=float)
+    pos = np.zeros(M, dtype=complex)
+    for th, ds in zip(f.nodes, jumps):
+        if ds != 0.0:
+            pos += ds * np.exp(-1j * th * n)
+    pos /= -TWO_PI * n**2
+    c0 = np.sum((ys[:-1] + ys[1:]) * widths) / (2.0 * TWO_PI)
+    coeffs = np.concatenate([np.conj(pos[::-1]), [c0], pos])
     return CircleFourier(coeffs, is_real=True)
 
 
@@ -400,19 +404,35 @@ def _shifted_grid(K: int):
     return (np.arange(K) + 0.5) * TWO_PI / K
 
 
-def _project_samples(theta, values, M: int) -> tuple[CircleFourier, float]:
-    """Least-squares Fourier projection of samples on the half-shifted grid.
+def _on_grid(h: CircleFourier, K: int) -> np.ndarray:
+    """h at the half-shifted grid theta_j = (j + 1/2) 2pi/K, j < K.
 
-    Returns the band-limited projection and the rms mismatch between the
-    reconstruction and the samples (the reported projection residual).
+    One inverse FFT of the coefficients twisted by e^{i n pi/K}; raises
+    ValueError when K <= 2 * max_mode, where distinct modes would alias.
     """
-    K = theta.size
-    ns = np.arange(-M, M + 1)
-    phases = np.exp(-1j * np.outer(ns, theta))
-    coeffs = phases @ values / K
-    coeffs = (coeffs + np.conj(coeffs[::-1])) / 2.0
-    out = CircleFourier(coeffs, is_real=True)
-    resid = float(np.sqrt(np.mean(np.abs(out(theta) - values) ** 2)))
+    M = h.max_mode
+    if K <= 2 * M:
+        raise ValueError(f"{K} grid points alias the modes of a function with max mode {M}")
+    n = np.arange(-M, M + 1)
+    b = np.zeros(K, dtype=complex)
+    b[n % K] = h.coeffs * np.exp(1j * np.pi * n / K)
+    vals = K * np.fft.ifft(b)
+    return vals.real if h.is_real else vals
+
+
+def _project_samples(values, M: int) -> tuple[CircleFourier, float]:
+    """Fourier projection of real samples on the half-shifted grid of K = values.size points.
+
+    c_n = (1/K) sum_j v_j e^{-i n theta_j} = e^{-i n pi/K} fft(v)[n mod K] / K
+    for 0 <= n <= M, and c_{-n} = conj(c_n) as the samples are real.  Returns
+    the projection and the rms mismatch between its grid values and the
+    samples (the reported projection residual).
+    """
+    K = values.size
+    n = np.arange(M + 1)
+    pos = np.fft.rfft(values)[: M + 1] * np.exp(-1j * np.pi * n / K) / K
+    out = CircleFourier(np.concatenate([np.conj(pos[:0:-1]), pos]), is_real=True)
+    resid = float(np.sqrt(np.mean((_on_grid(out, K) - values) ** 2)))
     return out, resid
 
 
@@ -430,7 +450,7 @@ def _resample_line(
     near_wrap = np.minimum(th, TWO_PI - th) < quad.endpoint_cut
     if np.any(np.abs(vals[near_wrap]) > 1e-8 * scale):
         raise ValueError("support collides with the point at infinity")
-    proj, resid = _project_samples(th, vals, M)
+    proj, resid = _project_samples(vals, M)
     return LineObject(proj, Weight.FUNCTION, f.vanishing_order), resid
 
 
@@ -458,14 +478,16 @@ def multiply_by_t(
     """Projection of t(theta) * h(theta) = -cot(theta/2) h(theta).
 
     Well defined (bounded) when h vanishes at theta = 0; the caller is
-    responsible for that.  Returns the projection and its residual.
+    responsible for that.  Returns the projection and its residual; raises
+    ValueError when h.max_mode >= K/2 for the K-point sample grid, which
+    would alias h's modes.
     """
     if M is None:
         M = 2 * h.max_mode + 2
     K = max(4 * M + 4, quad.node_count)
     th = _shifted_grid(K)
-    vals = _t_of_theta_arr(th) * np.asarray(h(th), dtype=float)
-    return _project_samples(th, vals, M)
+    vals = _t_of_theta_arr(th) * _on_grid(h, K)
+    return _project_samples(vals, M)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +528,11 @@ def gaussian_bump_line(center: float, width: float, M: int = 64,
     th = _shifted_grid(K)
     t = _t_of_theta_arr(th)
     vals = np.exp(-(((t - center) / width) ** 2))
-    proj, _ = _project_samples(th, vals, M)
+    proj, _ = _project_samples(vals, M)
     c = proj.coeffs.copy()
     c[M] -= c.sum().real
     proj = CircleFourier(c, is_real=True)
-    resid = float(np.sqrt(np.mean((proj(th) - vals) ** 2)))
+    resid = float(np.sqrt(np.mean((_on_grid(proj, K) - vals) ** 2)))
     return LineObject(proj, Weight.FUNCTION), resid
 
 

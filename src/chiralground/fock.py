@@ -244,16 +244,6 @@ def heisenberg_residual(m: int, n: int, N: int) -> float:
                             if m + n == 0 else 0.0, N)
 
 
-def operator_matrix(op, N: int) -> np.ndarray:
-    """Dense matrix of a linear operator in the orthonormalized partition basis."""
-    off, s = basis(N).offsets, np.sqrt(basis(N).norm_sq)
-    A = np.zeros((len(s), len(s)), dtype=complex)
-    for lvl in range(N + 1):
-        A[:, off[lvl]:off[lvl + 1]] = op(identity_batch(N, lvl)).data
-    A *= s[:, None] / s
-    return A
-
-
 # Largest norm theta of one scaling step of exp_current, and its term budget:
 # theta^k / k! falls below 2^-53 by k = 39 at theta = 6, and the largest term
 # is then about 65 times the step's input, which bounds the rounding.

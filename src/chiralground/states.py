@@ -177,15 +177,19 @@ def dilation_orbit_residual(
     f: LineObject,
     M: int = 64,
     quad: QuadratureSpec = QuadratureSpec(),
+    dilated: LineObject = None,
 ) -> float:
     """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|.
 
     Both sides are evaluated independently; the identity is the dilation
-    orbit of the ground-state family.  Raises DivergenceError when the
-    charge phase of either side diverges.
+    orbit of the ground-state family.  dilated, when given, is the first
+    result of dilate_line(f, s, M, quad), for a caller that also reports its
+    projection error; otherwise f is resampled here.  Raises DivergenceError
+    when the charge phase of either side diverges.
     """
-    fd, _resid = dilate_line(f, s, M, quad)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((fd,)), M)
+    if dilated is None:
+        dilated, _resid = dilate_line(f, s, M, quad)
+    lhs = ground_weyl(GroundStateParams(q), WeylWord((dilated,)), M)
     rhs = ground_weyl(GroundStateParams(math.exp(s) * q), WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)
 
@@ -196,13 +200,17 @@ def translation_invariance_residual(
     t: float,
     M: int = 64,
     quad: QuadratureSpec = QuadratureSpec(),
+    translated: LineObject = None,
 ) -> float:
     """|omega_q(W(f translated by t)) - omega_q(W(f))|.
 
-    Raises DivergenceError when the charge phase of either side diverges.
+    translated, when given, is the first result of translate_line(f, t, M,
+    quad); otherwise f is resampled here.  Raises DivergenceError when the
+    charge phase of either side diverges.
     """
-    ft, _resid = translate_line(f, t, M, quad)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((ft,)), M)
+    if translated is None:
+        translated, _resid = translate_line(f, t, M, quad)
+    lhs = ground_weyl(GroundStateParams(q), WeylWord((translated,)), M)
     rhs = ground_weyl(GroundStateParams(q), WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)
 

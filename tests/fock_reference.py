@@ -145,10 +145,21 @@ def dense_matrix(op, N: int) -> np.ndarray:
     return A
 
 
+def operator_matrix(op, N: int) -> np.ndarray:
+    """Dense matrix of a linear operator of the array layer in the orthonormalized
+    partition basis, built from the identity batch of each level."""
+    off, s = fock.basis(N).offsets, np.sqrt(fock.basis(N).norm_sq)
+    A = np.zeros((len(s), len(s)), dtype=complex)
+    for lvl in range(N + 1):
+        A[:, off[lvl]:off[lvl + 1]] = op(fock.identity_batch(N, lvl)).data
+    A *= s[:, None] / s
+    return A
+
+
 def weyl_residual_eigh(g, f, N: int) -> float:
     """The Weyl adjoint residual with W = exp(i J(g)) from the eigendecomposition
     of the dense Hermitian J(g), on the level-<=N/2 slab of the array layer."""
-    Jg = fock.operator_matrix(lambda v: fock.apply_current(g, v), N)
+    Jg = operator_matrix(lambda v: fock.apply_current(g, v), N)
     lam, V = np.linalg.eigh(Jg)
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]

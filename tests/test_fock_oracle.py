@@ -118,7 +118,7 @@ def test_exp_current_matches_dense_expm(N, size):
     dim = len(fock.basis_partitions(N))
     X = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
     X /= np.linalg.norm(X, axis=0)
-    W = expm(1j * fock.operator_matrix(lambda v: fock.apply_current(g, v), N))
+    W = expm(1j * ref.operator_matrix(lambda v: fock.apply_current(g, v), N))
     for t, dense in ((1.0, W), (-1.0, W.conj().T)):
         assert np.max(np.abs(fock.exp_current(g, t, X, N) - dense @ X)) < 1e-12
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import fock_reference as ref
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -70,7 +71,7 @@ class TestVacuumWeyl:
         target = math.exp(-0.5 * fn.sobolev_half_sq(f))
         errs = []
         for N in (6, 10, 14):
-            J = fock.operator_matrix(lambda v: fock.apply_current(f, v), N)
+            J = ref.operator_matrix(lambda v: fock.apply_current(f, v), N)
             W = expm(1j * J)
             errs.append(abs(W[0, 0] - target))
         assert errs[0] > errs[1] > errs[2]

@@ -1,5 +1,6 @@
 import math
 
+import fock_reference as ref
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -64,8 +65,8 @@ class TestVirasoroModes:
     def test_hermiticity(self):
         # L_n^* = L_{-n} as matrices restricted below the cutoff
         N = 8
-        A = fock.operator_matrix(lambda v: sugawara.apply_virasoro_mode(2, v), N)
-        B = fock.operator_matrix(lambda v: sugawara.apply_virasoro_mode(-2, v), N)
+        A = ref.operator_matrix(lambda v: sugawara.apply_virasoro_mode(2, v), N)
+        B = ref.operator_matrix(lambda v: sugawara.apply_virasoro_mode(-2, v), N)
         P = slice(len(fock.basis_partitions(N - 2)))
         assert np.linalg.norm((A.conj().T - B)[P, P], ord=2) < 1e-12
 
@@ -195,8 +196,8 @@ class TestWeylAdjoint:
         f = _unit_sobolev(fn.random_real_circle(2, rng), 0.4)
         g = _unit_sobolev(fn.random_real_circle(2, rng), 0.4)
         N = 12
-        Jf = fock.operator_matrix(lambda v: fock.apply_current(f, v), N)
-        Jg = fock.operator_matrix(lambda v: fock.apply_current(g, v), N)
+        Jf = ref.operator_matrix(lambda v: fock.apply_current(f, v), N)
+        Jg = ref.operator_matrix(lambda v: fock.apply_current(g, v), N)
         Wf, Wg = expm(1j * Jf), expm(1j * Jg)
         Wfg = expm(1j * (Jf + Jg))
         phase = np.exp(-0.5j * fn.sigma(f, g) / fn.SIGMA_NORM)
