@@ -348,6 +348,8 @@ def _check_options(args, config: RunConfig):
         raise UsageError("--endpoint-cut must be > 0")
     if args.command in ("nonnormal", "ground"):
         _option("--q", args.q)
+    if args.command == "nonnormal" and args.n_max < 4:  # the table starts at n = 4
+        raise UsageError("--n-max must be >= 4")
     if args.command == "ground":  # charge's --kappa is a list, read where it is used
         _option("--kappa", args.kappa)
 
@@ -441,7 +443,7 @@ def main(argv=None) -> int:
             report = run_ground(config, args.q, args.kappa, args.function)
         except UsageError as exc:
             return _error(str(exc), 2)
-        except states.DivergenceError as exc:
+        except ValueError as exc:  # a DivergenceError, or a support the resampling refuses
             return _error(str(exc), 1)
         _write(json.dumps(report, indent=2) + "\n", config)
         return 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -62,15 +63,13 @@ class Basis(NamedTuple):
     partitions: tuple
     offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
     norm_sq: np.ndarray
-    levels: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def basis(N: int) -> Basis:
     sizes = [len(partitions_at(lvl)) for lvl in range(N + 1)]
     return Basis(tuple(p for lvl in range(N + 1) for p in partitions_at(lvl)),
-                 np.cumsum([0] + sizes), np.concatenate([norm_sq_at(lvl) for lvl in range(N + 1)]),
-                 np.repeat(np.arange(N + 1), sizes))
+                 np.cumsum([0] + sizes), np.concatenate([norm_sq_at(lvl) for lvl in range(N + 1)]))
 
 
 def basis_partitions(N: int) -> tuple:
@@ -148,10 +147,6 @@ def vacuum(N: int) -> FockVector:
     return FockVector.from_amps(N, {(): 1.0})
 
 
-def basis_vector(N: int, parts: Partition) -> FockVector:
-    return FockVector.from_amps(N, {tuple(parts): 1.0})
-
-
 def identity_batch(N: int, level: int) -> FockVector:
     """The basis vectors of one level as the columns of a batch."""
     off = basis(N).offsets
@@ -220,10 +215,6 @@ def norm(v: FockVector) -> float:
     return float(column_norms(v))
 
 
-def apply_L0(v: FockVector) -> FockVector:
-    return FockVector(v.cutoff, (basis(v.cutoff).levels * v.data.T).T, v.safe_level)
-
-
 def bracket_residual(block, m: int, n: int, rhs, N: int) -> float:
     """Largest relative norm of ([A_m, A_n] - rhs) e over the basis vectors e of
     each level in the exactness window; A_k and rhs are given by their blocks
@@ -244,42 +235,89 @@ def heisenberg_residual(m: int, n: int, N: int) -> float:
                             if m + n == 0 else 0.0, N)
 
 
-# Largest norm theta of one scaling step of exp_current, and its term budget:
-# theta^k / k! falls below 2^-53 by k = 39 at theta = 6, and the largest term
-# is then about 65 times the step's input, which bounds the rounding.
-EXP_STEP_NORM = 6.0
-EXP_MAX_TERMS = 60
+def _tail_degree(z: float) -> int:
+    """Least K with 2 sum_{k>K} (|z|/2)^k / k! <= 2^-53.
+
+    The sum bounds 2 sum_{k>K} |J_k(z)| for real z (DLMF 10.14.4), the error of
+    the Jacobi-Anger series of exp(i z x) cut after T_K, for |x| <= 1.
+    """
+    h = abs(z) / 2
+    if h == 0:
+        return 0
+    # beyond the last k the terms are below 2^-89 and shrink by a factor 2e or more per step
+    k = np.arange(1, math.ceil(2 * math.e * h) + 90)
+    log_terms = k * math.log(h) - np.cumsum(np.log(k))
+    # a term above 1 only occurs in tails far above 2^-53, so capping it decides nothing
+    tails = np.append(np.cumsum(np.exp(np.minimum(log_terms, 0.0))[::-1])[::-1], 0.0)
+    return int(np.argmax(2 * tails <= 2.0**-53))
+
+
+def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal phase U that makes J(f), f real, a real symmetric matrix.
+
+    With c_{-n} = conj c_n and U e_p = e^{i phi(p)} e_p, phi(p) = -sum_{parts j of
+    p} arg c_j, one has U* J(f) U = sum_{n>0} |c_n| (J_n + J_{-n}) in the
+    orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as a
+    fixed-width gather: its row r applied to Y is sum_k W[r, k] Y[S[r, k]].
+    Raises ValueError if J(f) is not Hermitian.
+    """
+    # J(f) - J(f)* has the entries (c_n - conj c_{-n}) w_n, w_n those of mode_gather(n, N)
+    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) * np.max(mode_gather(n, N)[2], initial=0.0)
+               for n in range(-f.max_mode, f.max_mode + 1))
+    if skew > 1e-12:
+        raise ValueError("J(f) is not Hermitian: f must be real")
+    c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
+    slots = list(product(np.flatnonzero(c) + 1, (1, -1)))
+    dim = basis(N).offsets[-1]
+    S, W = np.zeros((dim, len(slots)), dtype=int), np.zeros((dim, len(slots)))
+    for slot, (n, sign) in enumerate(slots):
+        src, dst, w = mode_gather(sign * int(n), N)  # dst has no repeats
+        S[dst, slot], W[dst, slot] = src, abs(c[n - 1]) * w
+    phase = np.exp(-1j * (part_counts(N)[:, :c.size] @ np.angle(c)))
+    return phase, S, W
+
+
+@lru_cache(maxsize=None)
+def part_counts(N: int) -> np.ndarray:
+    """(dim, N) array whose entry (i, j - 1) is the multiplicity of part j in partition i."""
+    parts = basis(N).partitions
+    out = np.zeros((len(parts), N), dtype=int)
+    np.add.at(out, (np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
+                    np.fromiter((j - 1 for p in parts for j in p), dtype=int)), 1)
+    return out
 
 
 def exp_current(f: CircleFourier, t: float, X: np.ndarray, N: int) -> np.ndarray:
     """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N.
 
-    A Taylor series in s scaling steps (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 2011), with s set from the exact bound sum_n |c_n| max w_n
-    >= ||J(f)||, where w_n are the weights of mode_gather(n, N).  A step
-    stops at the first term k with theta / (k + 1) <= 1/2 that is below 2^-53
-    of the running sum in every column; ||term_{k+1}|| <= theta / (k + 1)
-    ||term_k|| then bounds the rest of the series by that term.  Raises
-    ArithmeticError if a step has not converged within EXP_MAX_TERMS terms.
+    In the real gauge of _real_gauge, J(f) = U A U* with A real symmetric and
+    ||A|| <= b, its largest row sum.  exp(i t A) is then the Chebyshev series
+    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z)
+    fixed in advance.  Raises ValueError for a non-real f, and ArithmeticError
+    rather than return a non-finite result.
     """
-    gathers = [(src, dst, f.coeff(n) * w) for n in range(-f.max_mode, f.max_mode + 1)
-               if n and f.coeff(n) for src, dst, w in [mode_gather(n, N)]]
-    bound = abs(t) * sum(np.max(np.abs(cw), initial=0.0) for _, _, cw in gathers)
-    steps = max(1, math.ceil(bound / EXP_STEP_NORM))
-    theta = bound / steps
-    X = np.array(X, dtype=complex)
-    for _ in range(steps):
-        term, Y = X, X.copy()
-        for k in range(1, EXP_MAX_TERMS + 1):
-            Jt = np.zeros_like(term)
-            for src, dst, cw in gathers:
-                Jt[dst] += (1j * t / (steps * k) * cw)[:, None] * term[src]
-            term = Jt
-            Y += term
-            if k + 1 >= 2 * theta and np.all(np.linalg.norm(term, axis=0)
-                                              <= 2.0**-53 * np.linalg.norm(Y, axis=0)):
-                break
-        else:
-            raise ArithmeticError(f"exp(i t J(f)) did not converge in {EXP_MAX_TERMS} terms")
-        X = Y
-    return X
+    phase, S, W = _real_gauge(f, N)
+    b = np.max(W.sum(axis=1), initial=0.0)
+    K = _tail_degree(t * b)
+    M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
+    coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
+    coef[1:] *= 2  # now eps_k i^k J_k(t b)
+    W = 2 * W / (b or 1.0)
+
+    def twice_x(Y):  # 2 (A / b) Y: A is real, so it acts on the real and imaginary parts alike
+        return np.einsum("rk,rkc->rc", W, Y.view(float)[S]).view(complex)
+
+    prev = phase.conj()[:, None] * np.ascontiguousarray(X, dtype=complex)  # T_0 = U* X
+    Y = coef[0] * prev
+    if K:
+        cur = twice_x(prev) / 2
+        Y += coef[1] * cur
+        for a in coef[2:]:
+            nxt = twice_x(cur)
+            nxt -= prev  # T_{k+1} = 2 x T_k - T_{k-1}
+            prev, cur = cur, nxt
+            Y += a * cur
+    if not np.all(np.isfinite(Y)):
+        raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
+    return phase[:, None] * Y

@@ -1,8 +1,8 @@
 """Virasoro modes via the normal-ordered quadratic (Sugawara) construction.
 
 L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k, built
-once per level as a block from the J blocks; the algebra checks are exact up
-to floating rounding.  The perturbed stress tensor couples its current term
+once per level as a block from the J mode maps; the algebra checks are exact
+up to floating rounding.  The perturbed stress tensor couples its current term
 with KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 """
 
@@ -34,12 +34,23 @@ def _pairs(n: int, top: int):
 
 @lru_cache(maxsize=None)
 def virasoro_block(n: int, level: int) -> np.ndarray:
-    """Dense block of L_n from ``level`` to ``level - n``, summed pair by pair."""
-    out = np.zeros((len(fock.partitions_at(level - n)), len(fock.partitions_at(level))))
+    """Dense block of L_n from ``level`` to ``level - n``.
+
+    Each pair J_j J_k sends column c to the single row rj[rk[c]] with weight
+    weight * vk[c] * vj[rk[c]] (mode_map), so the block is one scatter-add of
+    all pairs.  Its entries are small integers or halves, hence exact.
+    """
+    shape = (len(fock.partitions_at(level - n)), len(fock.partitions_at(level)))
+    index, weights = [np.zeros(0, dtype=int)], [np.zeros(0)]
     for j, k, weight in _pairs(n, level):
-        rows, vals = fock.mode_map(k, level)  # J_k sends each column to one row
-        out += weight * fock.mode_block(j, level - k)[:, rows] * vals
-    return out
+        rk, vk = fock.mode_map(k, level)
+        rj, vj = fock.mode_map(j, level - k)
+        w = weight * vk * vj[rk]
+        hit = np.flatnonzero(w)
+        index.append(rj[rk[hit]] * shape[1] + hit)
+        weights.append(w[hit])
+    flat = np.bincount(np.concatenate(index), np.concatenate(weights), shape[0] * shape[1])
+    return flat.reshape(shape)
 
 
 def _pair_sum_safe_level(n: int, v: FockVector) -> float:
@@ -100,16 +111,6 @@ def stress_line_operator(F: LineObject, kappa: float, M: int = None,
                               vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))), resid
 
 
-def apply_stress_line(F: LineObject, kappa: float, v: FockVector, M: int = None,
-                      quad: QuadratureSpec = QuadratureSpec()) -> tuple[FockVector, float]:
-    """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F').
-
-    Returns the image vector and the projection residual of the current term.
-    """
-    op, resid = stress_line_operator(F, kappa, M, quad)
-    return op(v), resid
-
-
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
     """Max residual of [L_m, L_n] = (m-n) L_{m+n} + (m^3-m)/12 delta_{m+n,0}.
 
@@ -161,12 +162,6 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
     return float(c.real)
 
 
-def parity_flip(v: FockVector) -> FockVector:
-    """Diagonal involution (-1)^{#parts}; conjugation sends J(f) to J(-f)."""
-    sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(v.cutoff)])
-    return FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
-
-
 def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
                                  restrict_level: int = None) -> float:
     """Operator-norm residual of the exponentiated adjoint action on T(f).
@@ -175,15 +170,10 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
     holds on the untruncated domain; the residual is measured on the slab of
     levels <= restrict_level (default N/2) and converges as N grows.  W and W*
-    act on the slab through fock.exp_current, so J(g) must be Hermitian (g real).
+    act on the slab through fock.exp_current, which raises ValueError unless
+    J(g) is Hermitian (g real).
     """
     restrict_level = N // 2 if restrict_level is None else restrict_level
-    # J(g) - J(g)* has the entries (c_n - conj c_{-n}) w_n, w_n those of mode_gather(n, N)
-    skew = max(abs(g.coeff(n) - np.conj(g.coeff(-n))) * np.max(fock.mode_gather(n, N)[2],
-                                                               initial=0.0)
-               for n in range(-g.max_mode, g.max_mode + 1))
-    if skew > 1e-12:
-        raise ValueError("J(g) is not Hermitian: g must be real")
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]
 

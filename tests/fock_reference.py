@@ -1,7 +1,9 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
-the array layer in chiralground.fock must reproduce; and the Weyl adjoint
-residual computed with a dense eigendecomposition of J(g).
+the array layer in chiralground.fock must reproduce; the Weyl adjoint
+residual computed with a dense eigendecomposition of J(g); the Virasoro level
+blocks summed pair by pair; and small helpers of the array layer that only
+the tests use.
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -174,3 +176,40 @@ def weyl_residual_eigh(g, f, N: int) -> float:
     A = (WTWsP - hat(sugawara.apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
          - fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
     return float(np.linalg.norm(A, ord=2))
+
+
+def virasoro_block(n: int, level: int) -> np.ndarray:
+    """Dense block of L_n from ``level`` to ``level - n``, summed pair by pair as
+    sum weight J_j J_k over k >= j, j + k = n, k and j nonzero."""
+    out = np.zeros((len(fock.partitions_at(level - n)), len(fock.partitions_at(level))))
+    for k in range(-((-n) // 2), max(0, level) + 1):
+        j = n - k
+        if j == 0 or k == 0:
+            continue
+        rows, vals = fock.mode_map(k, level)  # J_k sends each column to one row
+        out += (0.5 if j == k else 1.0) * fock.mode_block(j, level - k)[:, rows] * vals
+    return out
+
+
+def basis_vector(N: int, parts) -> fock.FockVector:
+    return fock.FockVector.from_amps(N, {tuple(parts): 1.0})
+
+
+def apply_L0(v: fock.FockVector) -> fock.FockVector:
+    """L_0 as the level of each basis vector."""
+    levels = np.array([sum(p) for p in fock.basis_partitions(v.cutoff)], dtype=float)
+    return fock.FockVector(v.cutoff, (levels * v.data.T).T, v.safe_level)
+
+
+def parity_flip(v: fock.FockVector) -> fock.FockVector:
+    """Diagonal involution (-1)^{#parts}; conjugation sends J(f) to J(-f)."""
+    sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(v.cutoff)])
+    return fock.FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
+
+
+def apply_stress_line(F, kappa: float, v: fock.FockVector, M: int = None,
+                      quad: fn.QuadratureSpec = fn.QuadratureSpec()):
+    """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F'),
+    with the projection residual of the current term."""
+    op, resid = sugawara.stress_line_operator(F, kappa, M, quad)
+    return op(v), resid

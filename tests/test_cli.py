@@ -167,6 +167,11 @@ class TestNonNormal:
         cli.main(["nonnormal", "--n-max", "16", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_n_max_below_first_row_refused(self, capsys):
+        rc = cli.main(["nonnormal", "--n-max", "3"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: --n-max must be >= 4\n")
+
 
 class TestGround:
     def test_report_keys(self, tmp_path):
@@ -243,6 +248,11 @@ class TestGround:
         rc = cli.main(["ground", "--function", "fourier:1"])
         assert rc == 1
         assert capsys.readouterr().err == "error: current one-point value diverges\n"
+
+    def test_support_at_infinity_is_a_one_line_error(self, capsys):
+        rc = cli.main(["ground", "--endpoint-cut", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: support collides with the point at infinity\n")
 
     def test_fourier_spec_wider_than_modes_refused(self, capsys):
         # at --modes 1 the Gaussian factor would see only the first mode of four

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import fock_reference as ref
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,12 @@ def test_virasoro_pair_sum(pair, n):
     same(ref.apply_virasoro_mode(n, d), sugawara.apply_virasoro_mode(n, v))
 
 
+def test_virasoro_block_matches_pair_sum():
+    for n in range(-6, 7):
+        for level in range(17):
+            assert np.array_equal(sugawara.virasoro_block(n, level), ref.virasoro_block(n, level))
+
+
 @SETTINGS
 @given(st.integers(0, 10).flatmap(lambda N: st.tuples(vectors(N), vectors(N))))
 def test_add_and_inner(pairs):
@@ -108,12 +115,18 @@ def test_weyl_adjoint_matches_eigh_formula(N, seed):
     assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-10)
 
 
-@pytest.mark.parametrize("size", [0.5, 3.0])
+def _series_argument(g, N):
+    """z = t b at t = 1: b is the largest row sum of J(g) in its real gauge."""
+    _, _, W = fock._real_gauge(g, N)
+    return np.max(W.sum(axis=1))
+
+
+@pytest.mark.parametrize("size", [0.5, 3.0, 6.0])
 @pytest.mark.parametrize("N", [8, 10])
 def test_exp_current_matches_dense_expm(N, size):
     g, _ = _sized_pair(38, size)
-    bound = sum(abs(g.coeff(n)) * np.max(fock.mode_gather(n, N)[2]) for n in (-2, -1, 1, 2))
-    assert (bound > 2 * fock.EXP_STEP_NORM) == (size == 3.0)  # several scaling steps at size 3
+    # beyond |z| = 10 the coefficients i^k J_k(z) oscillate in sign and size up to k ~ |z|
+    assert (_series_argument(g, N) > 10) == (size > 1)
     rng = np.random.default_rng(39)
     dim = len(fock.basis_partitions(N))
     X = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
@@ -121,6 +134,37 @@ def test_exp_current_matches_dense_expm(N, size):
     W = expm(1j * ref.operator_matrix(lambda v: fock.apply_current(g, v), N))
     for t, dense in ((1.0, W), (-1.0, W.conj().T)):
         assert np.max(np.abs(fock.exp_current(g, t, X, N) - dense @ X)) < 1e-12
+
+
+def test_real_gauge_makes_the_current_real_symmetric():
+    g, _ = _sized_pair(44, 1.0)
+    N = 8
+    phase, S, W = fock._real_gauge(g, N)
+    A = np.zeros((len(phase), len(phase)))
+    np.add.at(A, (np.arange(len(phase))[:, None], S), W)
+    J = ref.operator_matrix(lambda v: fock.apply_current(g, v), N)
+    assert np.max(np.abs(phase.conj()[:, None] * J * phase - A)) < 1e-13
+    assert np.max(np.abs(A - A.T)) < 1e-14
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-3, 0.1, 0.6, 1.0, 3.2, -5.2, 10.0, 20.0, 40.0, 60.0])
+def test_tail_degree_bounds_the_bessel_tail(z):
+    K = fock._tail_degree(z)
+    # past k = K + 60 the bound (|z|/2)^k / k! is below 1e-57 on this grid
+    tail = 2 * sum(abs(mpmath.besselj(k, z)) for k in range(K + 1, K + 61))
+    assert tail <= 2.0**-53
+    # K is the least degree the bound 2 sum_{k>K} (|z|/2)^k / k! admits
+    h = mpmath.mpf(abs(z)) / 2
+    if K:
+        assert 2 * sum(h**k / mpmath.factorial(k) for k in range(K, K + 200)) > 2.0**-53
+    if z in (3.2, -5.2):
+        assert K == {3.2: 21, -5.2: 26}[z]
+
+
+def test_exp_current_refuses_a_non_real_generator():
+    g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
+    with pytest.raises(ValueError, match="Hermitian"):
+        fock.exp_current(g, 1.0, np.eye(len(fock.basis_partitions(6)), 3), 6)
 
 
 def test_exp_current_round_trip():

