@@ -177,20 +177,6 @@ class LineObject:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Resampling grid size and the support-collision guard near theta = 0."""
-
-    node_count: int = 2048
-    endpoint_cut: float = 1e-3
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError("node_count must be >= 16")
-        if self.endpoint_cut <= 0:
-            raise ValueError("endpoint_cut must be positive")
-
-
-@dataclass(frozen=True)
 class LineIntegralResult:
     value: float
     divergent: bool
@@ -400,8 +386,19 @@ def g_limit() -> PiecewiseLinearCircle:
 # Resampling (dilation, translation, multiplication by t)
 
 
+# Fewest points of the resampling grid; a projection to M modes samples
+# max(4M + 4, GRID_NODES) points.
+GRID_NODES = 2048
+
+
 def _shifted_grid(K: int):
     return (np.arange(K) + 0.5) * TWO_PI / K
+
+
+def _line_grid(M: int):
+    """The half-shifted resampling grid for M modes and its line points t(theta)."""
+    th = _shifted_grid(max(4 * M + 4, GRID_NODES))
+    return th, _t_of_theta_arr(th)
 
 
 def _on_grid(h: CircleFourier, K: int) -> np.ndarray:
@@ -436,45 +433,31 @@ def _project_samples(values, M: int) -> tuple[CircleFourier, float]:
     return out, resid
 
 
-def _resample_line(
-    f: LineObject, preimage, M: int, quad: QuadratureSpec
-) -> tuple[LineObject, float]:
+def _resample_line(f: LineObject, preimage, M: int) -> tuple[LineObject, float]:
     """Re-project the line function t -> f(preimage(t)) onto M circle modes."""
     if f.weight is not Weight.FUNCTION:
         raise ValueError("resampling is defined for scalar functions")
-    K = max(4 * M + 4, quad.node_count)
-    th = _shifted_grid(K)
-    t = _t_of_theta_arr(th)
+    _, t = _line_grid(M)
     vals = np.asarray(f.circle_repr(theta_of_t(preimage(t))), dtype=float)
-    scale = np.max(np.abs(vals)) + 1e-300
-    near_wrap = np.minimum(th, TWO_PI - th) < quad.endpoint_cut
-    if np.any(np.abs(vals[near_wrap]) > 1e-8 * scale):
-        raise ValueError("support collides with the point at infinity")
     proj, resid = _project_samples(vals, M)
     return LineObject(proj, Weight.FUNCTION, f.vanishing_order), resid
 
 
-def dilate_line(
-    f: LineObject, s: float, M: int = 64, quad: QuadratureSpec = QuadratureSpec()
-) -> tuple[LineObject, float]:
+def dilate_line(f: LineObject, s: float, M: int = 64) -> tuple[LineObject, float]:
     """Line object for t -> f(e^{-s} t), re-projected to M modes.
 
     Returns the dilated object together with the projection residual.
     """
     lam = math.exp(-s)
-    return _resample_line(f, lambda t: lam * t, M, quad)
+    return _resample_line(f, lambda t: lam * t, M)
 
 
-def translate_line(
-    f: LineObject, a: float, M: int = 64, quad: QuadratureSpec = QuadratureSpec()
-) -> tuple[LineObject, float]:
+def translate_line(f: LineObject, a: float, M: int = 64) -> tuple[LineObject, float]:
     """Line object for t -> f(t - a), re-projected to M modes."""
-    return _resample_line(f, lambda t: t - a, M, quad)
+    return _resample_line(f, lambda t: t - a, M)
 
 
-def multiply_by_t(
-    h: CircleFourier, M: int = None, quad: QuadratureSpec = QuadratureSpec()
-) -> tuple[CircleFourier, float]:
+def multiply_by_t(h: CircleFourier, M: int = None) -> tuple[CircleFourier, float]:
     """Projection of t(theta) * h(theta) = -cot(theta/2) h(theta).
 
     Well defined (bounded) when h vanishes at theta = 0; the caller is
@@ -484,10 +467,8 @@ def multiply_by_t(
     """
     if M is None:
         M = 2 * h.max_mode + 2
-    K = max(4 * M + 4, quad.node_count)
-    th = _shifted_grid(K)
-    vals = _t_of_theta_arr(th) * _on_grid(h, K)
-    return _project_samples(vals, M)
+    th, t = _line_grid(M)
+    return _project_samples(t * _on_grid(h, th.size), M)
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +497,20 @@ def random_real_circle(M: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return CircleFourier(coeffs, is_real=True)
 
 
-def gaussian_bump_line(center: float, width: float, M: int = 64,
-                       quad: QuadratureSpec = QuadratureSpec()) -> tuple[LineObject, float]:
+def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[LineObject, float]:
     """Line object for exp(-((t - center)/width)^2), projected to M modes.
 
     The bump vanishes at the point at infinity, so c_0 is shifted to make the
     projection vanish there exactly too; the returned residual includes the
     shift.
     """
-    K = max(4 * M + 4, quad.node_count)
-    th = _shifted_grid(K)
-    t = _t_of_theta_arr(th)
+    th, t = _line_grid(M)
     vals = np.exp(-(((t - center) / width) ** 2))
     proj, _ = _project_samples(vals, M)
     c = proj.coeffs.copy()
     c[M] -= c.sum().real
     proj = CircleFourier(c, is_real=True)
-    resid = float(np.sqrt(np.mean((_on_grid(proj, K) - vals) ** 2)))
+    resid = float(np.sqrt(np.mean((_on_grid(proj, th.size) - vals) ** 2)))
     return LineObject(proj, Weight.FUNCTION), resid
 
 

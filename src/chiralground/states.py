@@ -20,7 +20,6 @@ from .fnspace import (
     CircleFourier,
     LineObject,
     PiecewiseLinearCircle,
-    QuadratureSpec,
     Weight,
     dilate_line,
     fourier_project,
@@ -176,19 +175,18 @@ def dilation_orbit_residual(
     s: float,
     f: LineObject,
     M: int = 64,
-    quad: QuadratureSpec = QuadratureSpec(),
     dilated: LineObject = None,
 ) -> float:
     """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|.
 
     Both sides are evaluated independently; the identity is the dilation
     orbit of the ground-state family.  dilated, when given, is the first
-    result of dilate_line(f, s, M, quad), for a caller that also reports its
+    result of dilate_line(f, s, M), for a caller that also reports its
     projection error; otherwise f is resampled here.  Raises DivergenceError
     when the charge phase of either side diverges.
     """
     if dilated is None:
-        dilated, _resid = dilate_line(f, s, M, quad)
+        dilated, _resid = dilate_line(f, s, M)
     lhs = ground_weyl(GroundStateParams(q), WeylWord((dilated,)), M)
     rhs = ground_weyl(GroundStateParams(math.exp(s) * q), WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)
@@ -199,17 +197,16 @@ def translation_invariance_residual(
     f: LineObject,
     t: float,
     M: int = 64,
-    quad: QuadratureSpec = QuadratureSpec(),
     translated: LineObject = None,
 ) -> float:
     """|omega_q(W(f translated by t)) - omega_q(W(f))|.
 
-    translated, when given, is the first result of translate_line(f, t, M,
-    quad); otherwise f is resampled here.  Raises DivergenceError when the
+    translated, when given, is the first result of translate_line(f, t, M);
+    otherwise f is resampled here.  Raises DivergenceError when the
     charge phase of either side diverges.
     """
     if translated is None:
-        translated, _resid = translate_line(f, t, M, quad)
+        translated, _resid = translate_line(f, t, M)
     lhs = ground_weyl(GroundStateParams(q), WeylWord((translated,)), M)
     rhs = ground_weyl(GroundStateParams(q), WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)

@@ -15,8 +15,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import fock
-from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, QuadratureSpec, Weight, derivative,
-                      multiply_by_t, pointwise_product, sigma, vectorfield_line_integral_f3g)
+from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, Weight, derivative, multiply_by_t,
+                      pointwise_product, sigma, vectorfield_line_integral_f3g)
 from .fock import FockVector, apply_current, vec_add, vec_scale
 
 # Coupling of the current term in the perturbed stress tensor; with
@@ -80,8 +80,7 @@ def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
     return fock.smeared(apply_virasoro_mode, f, v)
 
 
-def line_derivative_repr(F: LineObject, M: int = None,
-                         quad: QuadratureSpec = QuadratureSpec()) -> tuple[CircleFourier, float]:
+def line_derivative_repr(F: LineObject, M: int = None) -> tuple[CircleFourier, float]:
     """Circle representative of the line derivative of the pushforward of F.
 
     For F(t) = ((t^2+1)/2) h(theta(t)) one has F'(t) = t h + h' pointwise on
@@ -92,12 +91,11 @@ def line_derivative_repr(F: LineObject, M: int = None,
         raise TypeError("vector field must carry a Fourier representative")
     if M is None:
         M = 2 * h.max_mode + 2
-    th_part, resid = multiply_by_t(h, M, quad)
+    th_part, resid = multiply_by_t(h, M)
     return th_part + derivative(h).pad(M), resid
 
 
-def stress_line_operator(F: LineObject, kappa: float, M: int = None,
-                         quad: QuadratureSpec = QuadratureSpec()
+def stress_line_operator(F: LineObject, kappa: float, M: int = None
                          ) -> tuple[Callable[[FockVector], FockVector], float]:
     """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
     as a map of Fock vectors, with the projection residual of its current term.
@@ -106,7 +104,7 @@ def stress_line_operator(F: LineObject, kappa: float, M: int = None,
         raise ValueError("the perturbed stress tensor expects a vector field")
     if kappa == 0.0:
         return partial(apply_stress_circle, F.circle_repr), 0.0
-    phi, resid = line_derivative_repr(F, M, quad)
+    phi, resid = line_derivative_repr(F, M)
     return (lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
                               vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))), resid
 
@@ -138,8 +136,7 @@ def mixed_relation_residual(f: CircleFourier, g: CircleFourier, N: int) -> float
 
 
 def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
-                            quad: QuadratureSpec = QuadratureSpec(), M: int = None,
-                            min_denominator: float = 1e-6) -> float:
+                            M: int = None, min_denominator: float = 1e-6) -> float:
     """Estimate the central charge from the vacuum bracket of stress tensors.
 
     c_est = 12 * SIGMA_NORM * <vac, [T^k(F), T^k(G)] vac> / (i * int F''' G dt);
@@ -151,7 +148,7 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
     if abs(denom.value) < min_denominator:
         raise ValueError("degenerate test pair: cocycle integral too small")
     vac = fock.vacuum(N)
-    TF, TG = (stress_line_operator(X, kappa, M, quad)[0] for X in (F, G))
+    TF, TG = (stress_line_operator(X, kappa, M)[0] for X in (F, G))
     tfg, tgf = TF(TG(vac)), TG(TF(vac))
     safe = min(tfg.safe_level, tgf.safe_level)
     if safe < 0:

@@ -207,9 +207,8 @@ def parity_flip(v: fock.FockVector) -> fock.FockVector:
     return fock.FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
 
 
-def apply_stress_line(F, kappa: float, v: fock.FockVector, M: int = None,
-                      quad: fn.QuadratureSpec = fn.QuadratureSpec()):
+def apply_stress_line(F, kappa: float, v: fock.FockVector, M: int = None):
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F'),
     with the projection residual of the current term."""
-    op, resid = sugawara.stress_line_operator(F, kappa, M, quad)
+    op, resid = sugawara.stress_line_operator(F, kappa, M)
     return op(v), resid

@@ -5,11 +5,10 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from chiralground import fnspace as fn
 from chiralground import fock, states, sugawara
-
-QUAD = fn.QuadratureSpec(2048, 1e-3)
 
 
 def _report(num, name, ok, detail):
@@ -75,14 +74,16 @@ def test_acceptance_05_central_charge():
     detail = []
     ok = True
     for kappa in (0.0, 0.5, 1.0, 2.0):
-        c = sugawara.central_charge_estimate(F, G, kappa, 16, QUAD)
+        c = sugawara.central_charge_estimate(F, G, kappa, 16)
         err = abs(c - (1.0 + kappa**2))
         tol = 1e-6 if kappa == 0.0 else 1e-3
         ok = ok and err < tol
         worst = max(worst, err)
         detail.append(f"k={kappa}: err {err:.1e}")
-    c1 = sugawara.central_charge_estimate(F, G, 1.0, 16, fn.QuadratureSpec(4096, 1e-3))
-    c0 = sugawara.central_charge_estimate(F, G, 1.0, 16, QUAD)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fn, "GRID_NODES", 4096)
+        c1 = sugawara.central_charge_estimate(F, G, 1.0, 16)
+    c0 = sugawara.central_charge_estimate(F, G, 1.0, 16)
     ok = ok and abs(c1 - c0) < 1e-6
     _report(5, "central_charge", ok, "; ".join(detail) + f"; doubling gap {abs(c1 - c0):.1e}")
 
@@ -103,7 +104,7 @@ def test_acceptance_07_ground_state_values():
     rng = np.random.default_rng(102)
     fs = []
     for _ in range(6):
-        b, _ = fn.gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), 96, QUAD)
+        b, _ = fn.gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), 96)
         fs.append(b.scale(float(rng.uniform(-1, 1))))
     min_eig = min(
         states.gram_psd(states.GroundStateParams(q), fs, 96) for q in (-2.0, 0.0, 1.0, 5.0)
@@ -124,9 +125,9 @@ def test_acceptance_07_ground_state_values():
 
 
 def test_acceptance_08_covariance():
-    bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96, QUAD)
-    dil = max(states.dilation_orbit_residual(1.0, s, bump, 96, QUAD) for s in (-0.5, 0.5))
-    tr = states.translation_invariance_residual(1.5, bump, 0.7, 96, QUAD)
+    bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96)
+    dil = max(states.dilation_orbit_residual(1.0, s, bump, 96) for s in (-0.5, 0.5))
+    tr = states.translation_invariance_residual(1.5, bump, 0.7, 96)
     ok = dil < 1e-5 and tr < 1e-5
     _report(8, "dilation_translation", ok, f"dilation residual {dil:.1e}, translation {tr:.1e}")
 

@@ -4,29 +4,27 @@ import math
 import pytest
 
 from chiralground import cli, fnspace, states, sugawara
-from chiralground.fnspace import QuadratureSpec, Weight
+from chiralground.fnspace import Weight
 
 
 class TestFunctionSpec:
-    QUAD = QuadratureSpec(2048, 1e-3)
-
     def test_gn(self):
-        f = cli.parse_function_spec("gn:8", 64, self.QUAD)
+        f = cli.parse_function_spec("gn:8", 64)
         assert f.weight is Weight.FUNCTION
         assert f.circle_repr(1.5 * math.pi) == pytest.approx(math.pi / 2)
 
     def test_bump(self):
-        f = cli.parse_function_spec("bump:0.5:1.2", 64, self.QUAD)
+        f = cli.parse_function_spec("bump:0.5:1.2", 64)
         assert f.circle_repr.is_real
 
     def test_fourier(self):
-        f = cli.parse_function_spec("fourier:1,0.5,0.25", 64, self.QUAD)
+        f = cli.parse_function_spec("fourier:1,0.5,0.25", 64)
         # a0 + a1 cos + b1 sin at theta = 0
         assert f.circle_repr(0.0) == pytest.approx(1.5)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            cli.parse_function_spec("nope:1", 64, self.QUAD)
+            cli.parse_function_spec("nope:1", 64)
 
 
 class TestVerify:
@@ -57,6 +55,13 @@ class TestVerify:
         lines = out.read_text().strip().splitlines()[1:]
         assert any(ln.endswith("skip") for ln in lines)
         assert rc == 0
+
+    def test_cutoff_zero_skips_sobolev_identity(self, capsys):
+        # the Sobolev draw asked rng.integers(1, 1) and ended in a traceback
+        rc = cli.main(["verify", "--cutoff", "0"])
+        assert rc == 0
+        name, window, _, _, status = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert (name, window, status) == ("sobolev_norm_identity", "none", "skip")
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -135,14 +140,13 @@ def test_ground_input_is_validated(argv, message, capsys, recwarn):
     (["charge", "--kappa", "0,nan"], "--kappa: 'nan' is not a finite number"),
     (["nonnormal", "--q", "nan"], "--q: nan is not a finite number"),
     (["ground", "--q", "inf"], "--q: inf is not a finite number"),
-    (["ground", "--endpoint-cut", "nan"], "--endpoint-cut: nan is not a finite number"),
-    (["ground", "--quad-nodes", "8"], "--quad-nodes must be >= 16"),
+    (["charge", "--kappa", ","], "--kappa: no value given"),
 ], ids=["charge-kappa-abc", "charge-kappa-nan", "nonnormal-q-nan", "ground-q-inf",
-        "ground-endpoint-cut-nan", "ground-quad-nodes-8"])
+        "charge-kappa-empty"])
 def test_numeric_options_are_validated(argv, message, capsys):
     # charge --kappa abc ended in a traceback, --kappa nan and nonnormal --q nan
-    # printed nan, ground --q inf raised LinAlgError, --endpoint-cut nan disabled
-    # the collision guard and --quad-nodes 8 ended in a traceback
+    # printed nan, ground --q inf raised LinAlgError and --kappa , printed an
+    # empty table
     rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -249,10 +253,16 @@ class TestGround:
         assert rc == 1
         assert capsys.readouterr().err == "error: current one-point value diverges\n"
 
-    def test_support_at_infinity_is_a_one_line_error(self, capsys):
-        rc = cli.main(["ground", "--endpoint-cut", "0.5"])
-        assert rc == 1
-        assert capsys.readouterr() == ("", "error: support collides with the point at infinity\n")
+    def test_wide_grid_resamples_a_function_vanishing_at_infinity(self, capsys):
+        # 1 - cos vanishes at infinity like 2/t^2; from 785 modes on, the
+        # resampling grid once reached into a support-collision guard that
+        # refused it with exit 1
+        rc = cli.main(["ground", "--modes", "800", "--function", "fourier:1,-1"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        for key in ["dilation_orbit", "translation"]:
+            assert not report[key]["divergent"]
+            assert report[key]["residual"] < 1e-5
 
     def test_fourier_spec_wider_than_modes_refused(self, capsys):
         # at --modes 1 the Gaussian factor would see only the first mode of four

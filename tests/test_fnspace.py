@@ -9,8 +9,6 @@ from chiralground import fnspace as fn
 from chiralground import fock
 
 TWO_PI = 2 * math.pi
-QUAD = fn.QuadratureSpec(2048, 1e-3)
-
 
 def brute_fourier_coeff(func, n, npts=10**6):
     """Independent quadrature oracle for (1/2pi) int f e^{-in theta}."""
@@ -276,12 +274,12 @@ class TestLineIntegral:
 
     @pytest.mark.parametrize("M", [16, 32])
     def test_gaussian_vanishes_at_infinity(self, M):
-        bump, _ = fn.gaussian_bump_line(0.0, 1.0, M, QUAD)
+        bump, _ = fn.gaussian_bump_line(0.0, 1.0, M)
         assert abs(bump.circle_repr(0.0)) < 1e-15
         assert not fn.line_integral(bump).divergent
 
     def test_gaussian_value(self):
-        bump, resid = fn.gaussian_bump_line(0.0, 1.0, 96, QUAD)
+        bump, resid = fn.gaussian_bump_line(0.0, 1.0, 96)
         assert resid < 1e-10
         r = fn.line_integral(bump)
         assert not r.divergent
@@ -290,31 +288,31 @@ class TestLineIntegral:
 
 class TestDilation:
     def test_identity_dilation(self):
-        bump, _ = fn.gaussian_bump_line(0.3, 1.0, 96, QUAD)
-        out, resid = fn.dilate_line(bump, 0.0, 96, QUAD)
+        bump, _ = fn.gaussian_bump_line(0.3, 1.0, 96)
+        out, resid = fn.dilate_line(bump, 0.0, 96)
         diff = out.circle_repr - bump.circle_repr
         assert math.sqrt(fn.sobolev_half_sq(diff)) < 1e-8
         assert resid < 1e-8
 
     @pytest.mark.parametrize("s", [-0.5, 0.4])
     def test_integral_scales_like_exp_s(self, s):
-        bump, _ = fn.gaussian_bump_line(0.0, 1.2, 96, QUAD)
+        bump, _ = fn.gaussian_bump_line(0.0, 1.2, 96)
         base = fn.line_integral(bump).value
-        dil, _ = fn.dilate_line(bump, s, 96, QUAD)
+        dil, _ = fn.dilate_line(bump, s, 96)
         moved = fn.line_integral(dil).value
         assert moved == pytest.approx(math.exp(s) * base, abs=1e-6)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_sobolev_invariance(self, s):
-        bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96, QUAD)
+        bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96)
         a = fn.sobolev_half_sq(bump.circle_repr)
-        dil, _ = fn.dilate_line(bump, s, 96, QUAD)
+        dil, _ = fn.dilate_line(bump, s, 96)
         b = fn.sobolev_half_sq(dil.circle_repr)
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_constant_is_dilation_invariant(self):
         const = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
-        out, resid = fn.dilate_line(const, 1.0, 32, QUAD)
+        out, resid = fn.dilate_line(const, 1.0, 32)
         assert resid < 1e-8
         assert out.circle_repr.coeff(0) == pytest.approx(1.0, abs=1e-8)
 

@@ -91,15 +91,15 @@ def test_grid_refuses_aliased_modes(K):
         fn._on_grid(random_circle(K // 2 + K % 2, 0, True), K)
 
 
-def test_multiply_by_t_refuses_aliased_modes():
+def test_multiply_by_t_refuses_aliased_modes(monkeypatch):
     # M = 1 and 16 nodes give a 16-point grid: modes up to 7 are resolved, 8 alias
-    quad = fn.QuadratureSpec(16, 1e-3)
+    monkeypatch.setattr(fn, "GRID_NODES", 16)
     h = fn.circle_from_real_modes(-1.0, [1.0] + [0.0] * 6)
-    fn.multiply_by_t(h, 1, quad)
+    fn.multiply_by_t(h, 1)
     wide = fn.circle_from_real_modes(-1.0, [1.0] + [0.0] * 6 + [1e-3])
     assert wide.max_mode == 8
     with pytest.raises(ValueError, match="alias"):
-        fn.multiply_by_t(wide, 1, quad)
+        fn.multiply_by_t(wide, 1)
 
 
 @SETTINGS
@@ -107,8 +107,9 @@ def test_multiply_by_t_refuses_aliased_modes():
 def test_multiply_by_t_matches_dense_kernels(Mh, seed, nodes):
     h = random_circle(Mh, seed, True)
     h = h - fn.circle_from_real_modes(h(0.0))  # vanish at theta = 0
-    quad = fn.QuadratureSpec(nodes, 1e-3)
-    out, resid = fn.multiply_by_t(h, None, quad)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fn, "GRID_NODES", nodes)
+        out, resid = fn.multiply_by_t(h, None)
     M = 2 * Mh + 2
     th = fn._shifted_grid(max(4 * M + 4, nodes))
     want, want_resid = ref.dense_project_samples(

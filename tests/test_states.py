@@ -9,11 +9,9 @@ from scipy.linalg import expm
 from chiralground import fnspace as fn
 from chiralground import fock, states
 
-QUAD = fn.QuadratureSpec(2048, 1e-3)
-
 
 def _bump(center=0.0, width=1.0, M=96):
-    f, resid = fn.gaussian_bump_line(center, width, M, QUAD)
+    f, resid = fn.gaussian_bump_line(center, width, M)
     assert resid < 1e-8
     return f
 
@@ -152,19 +150,19 @@ class TestGramAndOrbits:
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_dilation_orbit(self, s):
         f = _bump(0.0, 1.0)
-        assert states.dilation_orbit_residual(1.0, s, f, 96, QUAD) < 1e-5
+        assert states.dilation_orbit_residual(1.0, s, f, 96) < 1e-5
 
     def test_translation_invariance(self):
         f = _bump(0.0, 1.0)
-        assert states.translation_invariance_residual(1.5, f, 0.7, 96, QUAD) < 1e-5
+        assert states.translation_invariance_residual(1.5, f, 0.7, 96) < 1e-5
 
     def test_divergent_sides_raise(self):
         # cos - 1 + 0.01 does not vanish at infinity
         f = fn.LineObject(fn.circle_from_real_modes(-0.99, [1.0]), fn.Weight.FUNCTION)
         with pytest.raises(states.DivergenceError):
-            states.dilation_orbit_residual(1.0, 0.5, f, 32, QUAD)
+            states.dilation_orbit_residual(1.0, 0.5, f, 32)
         with pytest.raises(states.DivergenceError):
-            states.translation_invariance_residual(1.0, f, 1.0, 32, QUAD)
+            states.translation_invariance_residual(1.0, f, 1.0, 32)
 
 
 class TestNonNormality:

@@ -8,8 +8,6 @@ from scipy.linalg import expm
 from chiralground import fnspace as fn
 from chiralground import fock, sugawara
 
-QUAD = fn.QuadratureSpec(2048, 1e-3)
-
 
 def _unit_sobolev(f, size):
     return f.scale(size / max(1e-12, math.sqrt(fn.sobolev_half_sq(f))))
@@ -114,7 +112,7 @@ class TestLineStress:
     def test_kappa_zero_reduces_to_circle(self):
         F, _ = _vector_fields()
         v = ref.basis_vector(10, (2,))
-        a, resid = ref.apply_stress_line(F, 0.0, v, 8, QUAD)
+        a, resid = ref.apply_stress_line(F, 0.0, v, 8)
         b = sugawara.apply_stress_circle(F.circle_repr, v)
         diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
         assert fock.norm(diff) < 1e-13
@@ -124,7 +122,7 @@ class TestLineStress:
         # (1 - cos)^2 t-multiplied is band-limited: residual at rounding level
         F, G = _vector_fields()
         for X in (F, G):
-            _, resid = sugawara.line_derivative_repr(X, 2 * X.circle_repr.max_mode + 2, QUAD)
+            _, resid = sugawara.line_derivative_repr(X, 2 * X.circle_repr.max_mode + 2)
             assert resid < 1e-8
 
     def test_scalar_weight_rejected(self):
@@ -137,41 +135,42 @@ class TestCentralCharge:
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.0])
     def test_value(self, kappa):
         F, G = _vector_fields()
-        c = sugawara.central_charge_estimate(F, G, kappa, 16, QUAD)
+        c = sugawara.central_charge_estimate(F, G, kappa, 16)
         tol = 1e-6 if kappa == 0.0 else 1e-3
         assert c == pytest.approx(1.0 + kappa**2, abs=tol)
 
     def test_swap_invariance(self):
         F, G = _vector_fields()
-        a = sugawara.central_charge_estimate(F, G, 1.0, 16, QUAD)
-        b = sugawara.central_charge_estimate(G, F, 1.0, 16, QUAD)
+        a = sugawara.central_charge_estimate(F, G, 1.0, 16)
+        b = sugawara.central_charge_estimate(G, F, 1.0, 16)
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_node_doubling_convergence(self):
+    def test_node_doubling_convergence(self, monkeypatch):
         F, G = _vector_fields()
-        a = sugawara.central_charge_estimate(F, G, 0.5, 16, fn.QuadratureSpec(2048, 1e-3))
-        b = sugawara.central_charge_estimate(F, G, 0.5, 16, fn.QuadratureSpec(4096, 1e-3))
+        a = sugawara.central_charge_estimate(F, G, 0.5, 16)
+        monkeypatch.setattr(fn, "GRID_NODES", 4096)
+        b = sugawara.central_charge_estimate(F, G, 0.5, 16)
         assert abs(a - b) < 1e-6
 
     def test_cutoff_outside_exactness_window_rejected(self):
         # the bracket's vacuum amplitude has safe levels -5 / -7 at N = 1 and 0 / 6 at N = 6
         F, G = _vector_fields()
         with pytest.raises(ValueError, match="exactness window"):
-            sugawara.central_charge_estimate(F, G, 1.0, 1, QUAD)
-        assert sugawara.central_charge_estimate(F, G, 1.0, 6, QUAD) == pytest.approx(2.0, abs=1e-3)
+            sugawara.central_charge_estimate(F, G, 1.0, 1)
+        assert sugawara.central_charge_estimate(F, G, 1.0, 6) == pytest.approx(2.0, abs=1e-3)
 
     def test_degenerate_pair_rejected(self):
         F, _ = _vector_fields()
         with pytest.raises(ValueError):
-            sugawara.central_charge_estimate(F, F, 1.0, 12, QUAD)
+            sugawara.central_charge_estimate(F, F, 1.0, 12)
 
     def test_parity_flip_conjugates_kappa(self):
         # P T^kappa(F) P = T^{-kappa}(F) on the truncated space
         F, _ = _vector_fields()
         v = ref.basis_vector(12, (2, 1))
-        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v), 8, QUAD)
+        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v), 8)
         lhs = ref.parity_flip(lhs)
-        rhs, _ = ref.apply_stress_line(F, -1.0, v, 8, QUAD)
+        rhs, _ = ref.apply_stress_line(F, -1.0, v, 8)
         diff = fock.vec_add(lhs, fock.vec_scale(-1.0, rhs))
         assert fock.norm(diff) < 1e-12
 
