@@ -7,7 +7,6 @@ from .fnspace import (
     LineObject,
     PiecewiseLinearCircle,
     Weight,
-    cayley_t_of_theta,
     derivative,
     dilate_line,
     fourier_project,
@@ -38,7 +37,6 @@ __all__ = [
     "apply_mode",
     "apply_stress_circle",
     "apply_virasoro_mode",
-    "cayley_t_of_theta",
     "derivative",
     "dilate_line",
     "fourier_project",

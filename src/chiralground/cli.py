@@ -1,8 +1,10 @@
 """Command-line driver for the verification suites and numerical demonstrations.
 
-Subcommands: verify | charge | nonnormal | ground.  Output is CSV or JSON
-with 12 significant digits; exit status is 0 iff every executed check
-passed or was explicitly skipped by the window rules.
+Subcommands: verify | charge | nonnormal | ground.  verify, charge and
+nonnormal print a table as CSV or JSON, ground a JSON report; numbers carry
+12 significant digits.  The exit status is 0 iff every executed check passed
+or was explicitly skipped by the window rules.  ground and nonnormal run no
+gated check yet, so for them that rule is vacuous.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +30,11 @@ from .fnspace import (
     translate_line,
 )
 
-
-@dataclass
-class RunConfig:
-    cutoff: int = 12
-    modes: int = 64
-    fmt: str = "csv"
-    out: str = None
-    seed: int = 0
-
-
-@dataclass
-class CheckResult:
-    name: str
-    window: str
-    residual: float
-    threshold: float
-    status: str  # pass | fail | skip
+HEADERS = {
+    "verify": ("name", "window", "residual", "threshold", "status"),
+    "charge": ("kappa", "c_est", "abs_error"),
+    "nonnormal": ("n", "q_n", "d_n", "flag"),
+}
 
 
 class UsageError(ValueError):
@@ -81,11 +70,9 @@ def parse_function_spec(spec: str, M: int) -> LineObject:
             obj, _resid = gaussian_bump_line(center, width, M)
             return obj
         if kind == "fourier":
-            vals = [_finite(x) for x in rest.split(",") if x]
-            c0 = vals[0] if vals else 0.0
-            cos_c = vals[1::2]
-            sin_c = vals[2::2]
-            return LineObject(circle_from_real_modes(c0, cos_c, sin_c), Weight.FUNCTION)
+            vals = [_finite(x) for x in rest.split(",") if x] or [0.0]
+            return LineObject(circle_from_real_modes(vals[0], vals[1::2], vals[2::2]),
+                              Weight.FUNCTION)
     except ValueError as exc:
         raise UsageError(f"function spec {spec!r}: {exc}") from None
     raise UsageError(f"unknown function spec: {spec!r}")
@@ -95,168 +82,110 @@ def parse_function_spec(spec: str, M: int) -> LineObject:
 # verify
 
 
-def run_verify(config: RunConfig, drop_central: bool = False) -> list:
-    N = config.cutoff
-    rng = np.random.default_rng(config.seed)
-    checks = []
+def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tuple[list, bool]:
+    """The operator-identity suite at cutoff N: rows of HEADERS["verify"], and
+    whether every check passed or was skipped."""
+    rng = np.random.default_rng(seed)
+    rows = []
 
-    def sweep(name, pairs, residual_fn, threshold):
-        for m, n in pairs:
-            window = fock.exactness_window(N, m, n)
-            if window < 0:
-                checks.append(CheckResult(f"{name}({m},{n})", "none", 0.0, threshold,
-                                          "skip"))
-                continue
-            r = residual_fn(m, n)
-            status = "pass" if r < threshold else "fail"
-            checks.append(CheckResult(f"{name}({m},{n})", f"level<={window}", r,
-                                      threshold, status))
+    def check(name, window, residual_fn, threshold, label=None):
+        if window < 0:
+            rows.append((name, "none", 0.0, threshold, "skip"))
+            return
+        r = residual_fn()
+        rows.append((name, label or f"level<={window}", r, threshold,
+                     "pass" if r < threshold else "fail"))
 
     pairs = [(m, n) for m in range(-4, 5) for n in range(-4, 5) if m <= n]
-    sweep("heisenberg", pairs, lambda m, n: fock.heisenberg_residual(m, n, N), 1e-10)
-    sweep(
-        "virasoro",
-        pairs,
-        lambda m, n: sugawara.virasoro_residual(m, n, N, drop_central=drop_central),
-        1e-9,
-    )
+    for m, n in pairs:
+        check(f"heisenberg({m},{n})", fock.exactness_window(N, m, n),
+              lambda: fock.heisenberg_residual(m, n, N), 1e-10)
+    for m, n in pairs:
+        check(f"virasoro({m},{n})", fock.exactness_window(N, m, n),
+              lambda: sugawara.virasoro_residual(m, n, N, drop_central=drop_central), 1e-9)
+
+    def vacuum_moment(n):
+        v, L = fock.vacuum(N), sugawara.apply_virasoro_mode
+        return abs(fock.inner(v, L(n, L(-n, v))) - (n**3 - n) / 12.0)
 
     for n in range(2, 6):
-        if fock.exactness_window(N, n, n) < 0:
-            checks.append(CheckResult(f"vacuum_moment({n})", "none", 0.0, 1e-10, "skip"))
-            continue
-        v = fock.vacuum(N)
-        val = fock.inner(
-            v, sugawara.apply_virasoro_mode(n, sugawara.apply_virasoro_mode(-n, v))
-        )
-        r = abs(val - (n**3 - n) / 12.0)
-        checks.append(
-            CheckResult(f"vacuum_moment({n})", f"level<={N}", r, 1e-10,
-                        "pass" if r < 1e-10 else "fail")
-        )
+        check(f"vacuum_moment({n})", fock.exactness_window(N, n, n),
+              lambda: vacuum_moment(n), 1e-10, label=f"level<={N}")
 
     for trial in range(3):
         Mf, Mg = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        window = fock.exactness_window(N, Mf + Mg, Mf + Mg)
-        name = f"mixed_TJ(trial={trial})"
-        if window < 0:
-            checks.append(CheckResult(name, "none", 0.0, 1e-9, "skip"))
-            continue
-        f = random_real_circle(Mf, rng)
-        g = random_real_circle(Mg, rng)
-        r = sugawara.mixed_relation_residual(f, g, N)
-        checks.append(CheckResult(name, f"level<={window}", r, 1e-9,
-                                  "pass" if r < 1e-9 else "fail"))
+        check(f"mixed_TJ(trial={trial})", fock.exactness_window(N, Mf + Mg, Mf + Mg),
+              lambda: sugawara.mixed_relation_residual(
+                  random_real_circle(Mf, rng), random_real_circle(Mg, rng), N), 1e-9)
+
+    def adjointness(n):
+        basis = fock.basis_partitions(fock.exactness_window(N, n))
+        u, v = (fock.FockVector.from_amps(
+            N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
+        ) for _ in range(2))
+        lhs = fock.inner(fock.apply_mode(-n, u), v)
+        rhs = fock.inner(u, fock.apply_mode(n, v))
+        return abs(lhs - rhs) / (fock.norm(u) * fock.norm(v))
 
     for trial in range(3):
         n = int(rng.integers(1, 4))
-        window = fock.exactness_window(N, n)
-        name = f"adjointness(n={n},trial={trial})"
-        if window < 0:
-            checks.append(CheckResult(name, "none", 0.0, 1e-12, "skip"))
-            continue
-        basis = fock.basis_partitions(window)
-        u = fock.FockVector.from_amps(
-            N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
-        )
-        v = fock.FockVector.from_amps(
-            N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
-        )
-        lhs = fock.inner(fock.apply_mode(-n, u), v)
-        rhs = fock.inner(u, fock.apply_mode(n, v))
-        r = abs(lhs - rhs) / (fock.norm(u) * fock.norm(v))
-        checks.append(CheckResult(name, f"level<={window}", r, 1e-12,
-                                  "pass" if r < 1e-12 else "fail"))
+        check(f"adjointness(n={n},trial={trial})", fock.exactness_window(N, n),
+              lambda: adjointness(n), 1e-12)
 
-    if N < 1:  # no mode of a test function fits under the cutoff
-        checks.append(CheckResult("sobolev_norm_identity", "none", 0.0, 1e-12, "skip"))
-        return checks
-    worst = 0.0
-    for _ in range(50):
-        f = random_real_circle(int(rng.integers(1, min(config.modes, N) + 1)), rng)
-        if f.max_mode > N:
-            continue
-        v = fock.vacuum(N)
-        jf = fock.apply_current(f, v)
-        worst = max(worst, abs(fock.inner(jf, jf).real - sobolev_half_sq(f)))
-    checks.append(CheckResult("sobolev_norm_identity", f"level<={N}", worst, 1e-12,
-                              "pass" if worst < 1e-12 else "fail"))
-    return checks
+    def sobolev_norm_identity():
+        worst = 0.0
+        for _ in range(50):
+            f = random_real_circle(int(rng.integers(1, min(modes, N) + 1)), rng)
+            if f.max_mode > N:
+                continue
+            jf = fock.apply_current(f, fock.vacuum(N))
+            worst = max(worst, abs(fock.inner(jf, jf).real - sobolev_half_sq(f)))
+        return worst
 
-
-def _emit_checks(checks, config: RunConfig):
-    if config.fmt == "json":
-        payload = [
-            {"name": c.name, "window": c.window, "residual": c.residual,
-             "threshold": c.threshold, "status": c.status}
-            for c in checks
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = ["name,window,residual,threshold,status"]
-        for c in checks:
-            lines.append(
-                f"{c.name},{c.window},{_fmt(c.residual)},{_fmt(c.threshold)},{c.status}"
-            )
-        text = "\n".join(lines) + "\n"
-    _write(text, config)
-    return 0 if all(c.status in ("pass", "skip") for c in checks) else 1
-
-
-def _write(text: str, config: RunConfig):
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # at N = 0 no mode of a test function fits under the cutoff
+    check("sobolev_norm_identity", N if N >= 1 else -1, sobolev_norm_identity, 1e-12)
+    return rows, all(row[-1] != "fail" for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # charge
 
 
-def run_charge(config: RunConfig, kappas) -> list:
+def run_charge(N: int, kappas) -> tuple[list, bool]:
+    """c_est against 1 + kappa^2 at cutoff N: rows of HEADERS["charge"]."""
     rows = []
-    hF = _vector_field_default(0)
-    hG = _vector_field_default(1)
+    F, G = _default_vector_fields()
     for kappa in kappas:
-        c_est = sugawara.central_charge_estimate(hF, hG, kappa, config.cutoff)
+        c_est = sugawara.central_charge_estimate(F, G, kappa, N)
         rows.append((kappa, c_est, abs(c_est - (1.0 + kappa**2))))
-    return rows
+    return rows, True
 
 
-def _vector_field_default(which: int) -> LineObject:
+def _default_vector_fields() -> tuple[LineObject, LineObject]:
     # Band-limited fields vanishing at the point at infinity to order >= 2;
     # the (1 - cos)^2 factor keeps the perturbation term band-limited too.
-    if which == 0:
-        coeffs = circle_from_real_modes(1.5, [-2.0, 0.5])  # (1 - cos)^2
-        order = 4
-    else:
-        coeffs = circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])  # (1 - cos)^2 sin
-        order = 5
-    return LineObject(coeffs, Weight.VECTOR_FIELD, vanishing_order=order)
+    F = circle_from_real_modes(1.5, [-2.0, 0.5])  # (1 - cos)^2
+    G = circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])  # (1 - cos)^2 sin
+    return (LineObject(F, Weight.VECTOR_FIELD, vanishing_order=4),
+            LineObject(G, Weight.VECTOR_FIELD, vanishing_order=5))
 
 
 # ---------------------------------------------------------------------------
 # nonnormal
 
 
-def run_nonnormal(config: RunConfig, q: float, n_max: int):
-    ns = []
-    n = 4
-    while n <= n_max:
-        ns.append(n)
-        n *= 2
-    M = max(config.modes, 2 * n_max)
-    return states.nonnormality_series(q, ns, M)
+def run_nonnormal(q: float, n_max: int, modes: int) -> tuple[list, bool]:
+    """The tent-sequence table for n = 4, 8, ... <= n_max: rows of HEADERS["nonnormal"]."""
+    ns = [4 * 2**k for k in range(n_max.bit_length() - 2)]  # 4, 8, ... <= n_max
+    series = states.nonnormality_series(q, ns, max(modes, 2 * n_max))
+    return [(r.n, r.q_n, r.d_n, "ok" if r.converged else "divergent") for r in series], True
 
 
 # ---------------------------------------------------------------------------
 # ground
 
 
-def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
-    M = config.modes
+def run_ground(q: float, kappa: float, fspec: str, M: int, seed: int) -> dict:
     f = parse_function_spec(fspec, M)
     if states.as_fourier(f, M).truncated:
         raise UsageError(f"{fspec!r} has modes above --modes {M}")
@@ -271,7 +200,7 @@ def run_ground(config: RunConfig, q: float, kappa: float, fspec: str) -> dict:
         "finite_difference": one.finite_difference,
     }
     report["stress_onepoint"] = states.ground_stress_onepoint(p, f)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     fs = []
     for _ in range(4):
         b, _resid = gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M)
@@ -296,25 +225,69 @@ def _covariance(residual_fn) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# output
+
+
+def _emit(header, rows, fmt: str, out):
+    """Write a table as CSV (floats through _fmt) or as a JSON list of objects."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    else:
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row)
+                  for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out):
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc.strerror}: {out!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
-def _add_common(sp):
-    sp.add_argument("--cutoff", type=int, default=12)
-    sp.add_argument("--modes", type=int, default=64)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
+def _parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="chiralground")
+    sub = ap.add_subparsers(dest="command", required=True)
 
+    verify = sub.add_parser("verify", help="run the operator-identity suite")
+    verify.add_argument("--drop-central-term", action="store_true",
+                        help="mutation testing: omit the Virasoro central scalar")
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        cutoff=args.cutoff,
-        modes=args.modes,
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-    )
+    charge = sub.add_parser("charge", help="central-charge table over kappa values")
+    charge.add_argument("--kappa", default="0,0.5,1,2",
+                        help="comma-separated kappa values")
+
+    nonnormal = sub.add_parser("nonnormal", help="non-normality table (n, q_n, d_n)")
+    nonnormal.add_argument("--q", type=float, default=1.0)
+    nonnormal.add_argument("--n-max", type=int, default=256)
+
+    ground = sub.add_parser("ground", help="ground-state report for one test function (JSON)")
+    ground.add_argument("--q", type=float, default=1.0)
+    ground.add_argument("--kappa", type=float, default=0.0)
+    ground.add_argument("--function", default="bump:0:1",
+                        help="gn:<n> | bump:<center>:<width> | fourier:<a0>,<a1>,<b1>,...")
+
+    for sp in (verify, charge):
+        sp.add_argument("--cutoff", type=int, default=12)
+    for sp in (verify, nonnormal, ground):
+        sp.add_argument("--modes", type=int, default=64)
+    for sp in (verify, charge, nonnormal):
+        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    for sp in (verify, charge, nonnormal, ground):
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed of the random inputs (charge and nonnormal draw none)")
+    return ap
 
 
 def _option(flag: str, text) -> float:
@@ -325,11 +298,11 @@ def _option(flag: str, text) -> float:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _check_options(args, config: RunConfig):
+def _check_options(args):
     """Refuse numeric options the computation cannot honour, with UsageError."""
-    if config.cutoff < 0:
+    if args.command in ("verify", "charge") and args.cutoff < 0:
         raise UsageError("--cutoff must be >= 0")
-    if config.modes < 1:
+    if args.command != "charge" and args.modes < 1:
         raise UsageError("--modes must be >= 1")
     if args.command in ("nonnormal", "ground"):
         _option("--q", args.q)
@@ -339,103 +312,35 @@ def _check_options(args, config: RunConfig):
         _option("--kappa", args.kappa)
 
 
-def _error(message: str, status: int) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return status
+def _kappas(text: str) -> list:
+    kappas = [_option("--kappa", x) for x in text.split(",") if x]
+    if not kappas:
+        raise UsageError("--kappa: no value given")
+    return kappas
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="chiralground")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("verify", help="run the operator-identity suite")
-    _add_common(sp)
-    sp.add_argument("--drop-central-term", action="store_true",
-                    help="mutation testing: omit the Virasoro central scalar")
-
-    sp = sub.add_parser("charge", help="central-charge table over kappa values")
-    _add_common(sp)
-    sp.add_argument("--kappa", default="0,0.5,1,2",
-                    help="comma-separated kappa values")
-
-    sp = sub.add_parser("nonnormal", help="non-normality table (n, q_n, d_n)")
-    _add_common(sp)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--n-max", type=int, default=256)
-
-    sp = sub.add_parser("ground", help="ground-state report for one test function")
-    _add_common(sp)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--kappa", type=float, default=0.0)
-    sp.add_argument("--function", default="bump:0:1",
-                    help="gn:<n> | bump:<center>:<width> | fourier:<a0>,<a1>,<b1>,...")
-
-    args = ap.parse_args(argv)
-    config = _config(args)
+    args = _parser().parse_args(argv)
     try:
-        _check_options(args, config)
+        _check_options(args)
+        if args.command == "ground":
+            report = run_ground(args.q, args.kappa, args.function, args.modes, args.seed)
+            _write(json.dumps(report, indent=2) + "\n", args.out)
+            return 0
+        if args.command == "verify":
+            rows, ok = run_verify(args.cutoff, args.modes, args.seed, args.drop_central_term)
+        elif args.command == "charge":
+            rows, ok = run_charge(args.cutoff, _kappas(args.kappa))
+        else:
+            rows, ok = run_nonnormal(args.q, args.n_max, args.modes)
+        _emit(HEADERS[args.command], rows, args.format, args.out)
+        return 0 if ok else 1
     except UsageError as exc:
-        return _error(str(exc), 2)
-
-    if args.command == "verify":
-        checks = run_verify(config, drop_central=args.drop_central_term)
-        return _emit_checks(checks, config)
-
-    if args.command == "charge":
-        try:
-            kappas = [_option("--kappa", x) for x in args.kappa.split(",") if x]
-            if not kappas:
-                raise UsageError("--kappa: no value given")
-        except UsageError as exc:
-            return _error(str(exc), 2)
-        try:
-            rows = run_charge(config, kappas)
-        except ValueError as exc:
-            return _error(str(exc), 1)
-        if config.fmt == "json":
-            text = json.dumps(
-                [{"kappa": k, "c_est": c, "abs_error": e} for k, c, e in rows],
-                indent=2,
-            ) + "\n"
-        else:
-            lines = ["kappa,c_est,abs_error"]
-            lines += [f"{_fmt(k)},{_fmt(c)},{_fmt(e)}" for k, c, e in rows]
-            text = "\n".join(lines) + "\n"
-        _write(text, config)
-        return 0
-
-    if args.command == "nonnormal":
-        rows = run_nonnormal(config, args.q, args.n_max)
-        if config.fmt == "json":
-            text = json.dumps(
-                [
-                    {"n": r.n, "q_n": r.q_n, "d_n": r.d_n,
-                     "flag": "ok" if r.converged else "divergent"}
-                    for r in rows
-                ],
-                indent=2,
-            ) + "\n"
-        else:
-            lines = ["n,q_n,d_n,flag"]
-            lines += [
-                f"{r.n},{_fmt(r.q_n)},{_fmt(r.d_n)},{'ok' if r.converged else 'divergent'}"
-                for r in rows
-            ]
-            text = "\n".join(lines) + "\n"
-        _write(text, config)
-        return 0
-
-    if args.command == "ground":
-        try:
-            report = run_ground(config, args.q, args.kappa, args.function)
-        except UsageError as exc:
-            return _error(str(exc), 2)
-        except ValueError as exc:  # a DivergenceError: some quantity diverges
-            return _error(str(exc), 1)
-        _write(json.dumps(report, indent=2) + "\n", config)
-        return 0
-
-    return 2
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except ValueError as exc:  # e.g. a DivergenceError, or a cutoff outside a window
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

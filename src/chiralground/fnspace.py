@@ -256,20 +256,8 @@ def sobolev_half_sq(f: CircleFourier) -> float:
 # Cayley transform
 
 
-def cayley_t_of_theta(theta: float) -> float:
-    """The unique t with -(t-i)/(t+i) = -e^{i theta}; t(theta) = -cot(theta/2).
-
-    theta = 0 (the wrap point) maps to the point at infinity and returns inf.
-    """
-    if not 0.0 <= theta < TWO_PI:
-        raise ValueError("theta must lie in [0, 2pi)")
-    if theta == 0.0:
-        return math.inf
-    return -math.cos(theta / 2.0) / math.sin(theta / 2.0)
-
-
 def theta_of_t(t):
-    """Inverse of cayley_t_of_theta, valued in (0, 2pi)."""
+    """Inverse of the Cayley map t(theta) = -cot(theta/2), valued in (0, 2pi)."""
     return 2.0 * np.arctan2(1.0, -np.asarray(t, dtype=float))
 
 
@@ -520,11 +508,3 @@ def circle_to_json(f: CircleFourier) -> dict:
         "re": f.coeffs.real.tolist(),
         "im": f.coeffs.imag.tolist(),
     }
-
-
-def circle_from_json(obj: dict) -> CircleFourier:
-    coeffs = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if coeffs.size != 2 * int(obj["M"]) + 1:
-        raise ValueError("inconsistent serialized mode count")
-    sym = np.allclose(coeffs, np.conj(coeffs[::-1]), atol=1e-12)
-    return CircleFourier(coeffs, is_real=bool(sym))

@@ -113,16 +113,12 @@ def ground_weyl(p: GroundStateParams, w: WeylWord, M: int = 64) -> GroundWeylRes
     return GroundWeylResult(complex(value), bool(divergent))
 
 
-def ground_current_onepoint(
-    p: GroundStateParams,
-    f: LineObject,
-    M: int = 64,
-    fd_step: float = 1e-4,
-) -> OnePointResult:
+def ground_current_onepoint(p: GroundStateParams, f: LineObject, M: int = 64) -> OnePointResult:
     """One-point value of the current in the charge-q state: q * int f dt.
 
-    Also returns the central finite difference of the generating functional,
-    (1/i) d/ds ground value of W(s f) at s = 0, which must agree.
+    Also returns the central finite difference, with step 1e-4, of the
+    generating functional, (1/i) d/ds ground value of W(s f) at s = 0, which
+    must agree.
     """
     li = line_integral(f)
     if li.divergent:
@@ -133,7 +129,7 @@ def ground_current_onepoint(
         word = WeylWord((f.scale(s),))
         return ground_weyl(p, word, M).value
 
-    fd = (gw(fd_step) - gw(-fd_step)) / (2.0 * fd_step * 1j)
+    fd = (gw(1e-4) - gw(-1e-4)) / (2.0 * 1e-4 * 1j)
     return OnePointResult(float(closed), float(fd.real))
 
 

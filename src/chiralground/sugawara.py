@@ -80,22 +80,21 @@ def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
     return fock.smeared(apply_virasoro_mode, f, v)
 
 
-def line_derivative_repr(F: LineObject, M: int = None) -> tuple[CircleFourier, float]:
+def line_derivative_repr(F: LineObject) -> tuple[CircleFourier, float]:
     """Circle representative of the line derivative of the pushforward of F.
 
     For F(t) = ((t^2+1)/2) h(theta(t)) one has F'(t) = t h + h' pointwise on
-    the circle; the t-multiplication is re-projected with reported residual.
+    the circle; the t-multiplication is re-projected, on multiply_by_t's
+    default mode count, with reported residual.
     """
     h = F.circle_repr
     if not isinstance(h, CircleFourier):
         raise TypeError("vector field must carry a Fourier representative")
-    if M is None:
-        M = 2 * h.max_mode + 2
-    th_part, resid = multiply_by_t(h, M)
-    return th_part + derivative(h).pad(M), resid
+    th_part, resid = multiply_by_t(h)
+    return th_part + derivative(h), resid
 
 
-def stress_line_operator(F: LineObject, kappa: float, M: int = None
+def stress_line_operator(F: LineObject, kappa: float
                          ) -> tuple[Callable[[FockVector], FockVector], float]:
     """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
     as a map of Fock vectors, with the projection residual of its current term.
@@ -104,7 +103,7 @@ def stress_line_operator(F: LineObject, kappa: float, M: int = None
         raise ValueError("the perturbed stress tensor expects a vector field")
     if kappa == 0.0:
         return partial(apply_stress_circle, F.circle_repr), 0.0
-    phi, resid = line_derivative_repr(F, M)
+    phi, resid = line_derivative_repr(F)
     return (lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
                               vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))), resid
 
@@ -135,20 +134,20 @@ def mixed_relation_residual(f: CircleFourier, g: CircleFourier, N: int) -> float
     return worst
 
 
-def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
-                            M: int = None, min_denominator: float = 1e-6) -> float:
+def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) -> float:
     """Estimate the central charge from the vacuum bracket of stress tensors.
 
     c_est = 12 * SIGMA_NORM * <vac, [T^k(F), T^k(G)] vac> / (i * int F''' G dt);
     the vacuum expectation of the stress-tensor part of the bracket vanishes,
     leaving the central scalar, whose target value is 1 + kappa^2.  Raises
-    ValueError if that vacuum amplitude lies outside its exactness window.
+    ValueError for a pair whose cocycle integral is below 1e-6, or if that
+    vacuum amplitude lies outside its exactness window.
     """
     denom = vectorfield_line_integral_f3g(F, G)
-    if abs(denom.value) < min_denominator:
+    if abs(denom.value) < 1e-6:
         raise ValueError("degenerate test pair: cocycle integral too small")
     vac = fock.vacuum(N)
-    TF, TG = (stress_line_operator(X, kappa, M)[0] for X in (F, G))
+    TF, TG = (stress_line_operator(X, kappa)[0] for X in (F, G))
     tfg, tgf = TF(TG(vac)), TG(TF(vac))
     safe = min(tfg.safe_level, tgf.safe_level)
     if safe < 0:
@@ -159,25 +158,23 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int,
     return float(c.real)
 
 
-def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int,
-                                 restrict_level: int = None) -> float:
+def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> float:
     """Operator-norm residual of the exponentiated adjoint action on T(f).
 
     With W(g) = exp(i J(g)) on the truncated space, the identity
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
     holds on the untruncated domain; the residual is measured on the slab of
-    levels <= restrict_level (default N/2) and converges as N grows.  W and W*
-    act on the slab through fock.exp_current, which raises ValueError unless
-    J(g) is Hermitian (g real).
+    levels <= N // 2 and converges as N grows.  W and W* act on the slab
+    through fock.exp_current, which raises ValueError unless J(g) is
+    Hermitian (g real).
     """
-    restrict_level = N // 2 if restrict_level is None else restrict_level
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]
 
     def hat(op, h, Y):  # op(h) in the orthonormalized basis, on the columns of Y
         return s * op(h, FockVector(N, Y / s)).data
 
-    P = np.eye(len(s), fock.basis(N).offsets[restrict_level + 1])  # the level slab
+    P = np.eye(len(s), fock.basis(N).offsets[N // 2 + 1])  # the level slab
     WsP = fock.exp_current(g, -1.0, P, N)
     WTWsP = fock.exp_current(g, 1.0, hat(apply_stress_circle, f, WsP), N)
     A = (WTWsP - hat(apply_stress_circle, f, P) - hat(apply_current, fgp, P)

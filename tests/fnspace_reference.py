@@ -1,7 +1,11 @@
 """Reference Fourier kernels for the oracle tests: the dense e^{i n theta}
 matrices and the per-segment integrals that chiralground.fnspace replaced by
-FFTs on the half-shifted grid, Horner evaluation and slope jumps.
+FFTs on the half-shifted grid, Horner evaluation and slope jumps.  Also the
+scalar Cayley map and the JSON reader of circle functions, which only the
+tests use.
 """
+
+import math
 
 import numpy as np
 
@@ -47,3 +51,24 @@ def segment_fourier_project(f: fn.PiecewiseLinearCircle, M: int) -> fn.CircleFou
     coeffs /= fn.TWO_PI
     coeffs = (coeffs + np.conj(coeffs[::-1])) / 2.0
     return fn.CircleFourier(coeffs, is_real=True)
+
+
+def cayley_t_of_theta(theta: float) -> float:
+    """The unique t with -(t-i)/(t+i) = -e^{i theta}; t(theta) = -cot(theta/2).
+
+    theta = 0 (the wrap point) maps to the point at infinity and returns inf.
+    """
+    if not 0.0 <= theta < fn.TWO_PI:
+        raise ValueError("theta must lie in [0, 2pi)")
+    if theta == 0.0:
+        return math.inf
+    return -math.cos(theta / 2.0) / math.sin(theta / 2.0)
+
+
+def circle_from_json(obj: dict) -> fn.CircleFourier:
+    """Inverse of fnspace.circle_to_json."""
+    coeffs = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    if coeffs.size != 2 * int(obj["M"]) + 1:
+        raise ValueError("inconsistent serialized mode count")
+    sym = np.allclose(coeffs, np.conj(coeffs[::-1]), atol=1e-12)
+    return fn.CircleFourier(coeffs, is_real=bool(sym))

@@ -207,8 +207,8 @@ def parity_flip(v: fock.FockVector) -> fock.FockVector:
     return fock.FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
 
 
-def apply_stress_line(F, kappa: float, v: fock.FockVector, M: int = None):
+def apply_stress_line(F, kappa: float, v: fock.FockVector):
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F'),
     with the projection residual of the current term."""
-    op, resid = sugawara.stress_line_operator(F, kappa, M)
+    op, resid = sugawara.stress_line_operator(F, kappa)
     return op(v), resid

@@ -152,6 +152,52 @@ def test_numeric_options_are_validated(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cutoff", "8"],
+    ["charge", "--cutoff", "8", "--kappa", "0,1"],
+    ["nonnormal", "--n-max", "32"],
+], ids=["verify", "charge", "nonnormal"])
+def test_csv_and_json_tables_agree(argv, capsys):
+    assert cli.main(argv) == 0
+    header, *lines = capsys.readouterr().out.strip().splitlines()
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload) == len(lines)
+    for line, row in zip(lines, payload):
+        assert list(row) == header.split(",")
+        # only the first cell may hold commas: verify names such as heisenberg(-4,-4)
+        for cell, value in zip(line.rsplit(",", len(row) - 1), row.values()):
+            assert cell == (cli._fmt(value) if isinstance(value, float) else str(value))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cutoff", "2"],
+    ["charge", "--cutoff", "6", "--kappa", "0"],
+    ["nonnormal", "--n-max", "4"],
+    ["ground", "--modes", "16"],
+], ids=["verify", "charge", "nonnormal", "ground"])
+def test_out_into_missing_directory_is_a_one_line_error(argv, tmp_path, capsys):
+    # the table or report was computed and then open() ended in a traceback
+    path = tmp_path / "no" / "such" / "x.csv"
+    rc = cli.main(argv + ["--out", str(path)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: --out: No such file or directory: {str(path)!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground", "--format", "csv"],
+    ["ground", "--cutoff", "2"],
+    ["nonnormal", "--cutoff", "1"],
+    ["charge", "--modes", "3"],
+], ids=["ground-format", "ground-cutoff", "nonnormal-cutoff", "charge-modes"])
+def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
+    # each was accepted and then ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestNonNormal:
     def test_csv_schema_and_monotone(self, tmp_path):
         out = tmp_path / "nn.csv"

@@ -112,7 +112,7 @@ class TestLineStress:
     def test_kappa_zero_reduces_to_circle(self):
         F, _ = _vector_fields()
         v = ref.basis_vector(10, (2,))
-        a, resid = ref.apply_stress_line(F, 0.0, v, 8)
+        a, resid = ref.apply_stress_line(F, 0.0, v)
         b = sugawara.apply_stress_circle(F.circle_repr, v)
         diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
         assert fock.norm(diff) < 1e-13
@@ -122,7 +122,7 @@ class TestLineStress:
         # (1 - cos)^2 t-multiplied is band-limited: residual at rounding level
         F, G = _vector_fields()
         for X in (F, G):
-            _, resid = sugawara.line_derivative_repr(X, 2 * X.circle_repr.max_mode + 2)
+            _, resid = sugawara.line_derivative_repr(X)
             assert resid < 1e-8
 
     def test_scalar_weight_rejected(self):
@@ -168,9 +168,9 @@ class TestCentralCharge:
         # P T^kappa(F) P = T^{-kappa}(F) on the truncated space
         F, _ = _vector_fields()
         v = ref.basis_vector(12, (2, 1))
-        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v), 8)
+        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v))
         lhs = ref.parity_flip(lhs)
-        rhs, _ = ref.apply_stress_line(F, -1.0, v, 8)
+        rhs, _ = ref.apply_stress_line(F, -1.0, v)
         diff = fock.vec_add(lhs, fock.vec_scale(-1.0, rhs))
         assert fock.norm(diff) < 1e-12
 
