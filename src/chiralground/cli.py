@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -299,7 +300,7 @@ def _option(flag: str, text) -> float:
 
 
 def _check_options(args):
-    """Refuse numeric options the computation cannot honour, with UsageError."""
+    """Refuse options the computation cannot honour, with UsageError, before any work."""
     if args.command in ("verify", "charge") and args.cutoff < 0:
         raise UsageError("--cutoff must be >= 0")
     if args.command != "charge" and args.modes < 1:
@@ -310,6 +311,8 @@ def _check_options(args):
         raise UsageError("--n-max must be >= 4")
     if args.command == "ground":  # charge's --kappa is a list, read where it is used
         _option("--kappa", args.kappa)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"--out: No such file or directory: {args.out!r}")
 
 
 def _kappas(text: str) -> list:

@@ -28,6 +28,8 @@ from .fnspace import CircleFourier
 
 Partition = tuple  # of positive ints, sorted descending
 
+GATHER_ROWS = 128  # rows per gather block in _exp_gauged: caps its temporary at any basis size
+
 
 def exactness_window(N: int, *reach: int) -> int:
     """Top input level at which operators moving the level by ``reach`` stay below N."""
@@ -161,9 +163,12 @@ def nonzero_levels(v: FockVector) -> np.ndarray:
 def apply_homogeneous(block, n: int, v: FockVector) -> FockVector:
     """The operator with blocks block(l) from level l to l - n, truncated like J_n."""
     N, off, lv = v.cutoff, basis(v.cutoff).offsets, nonzero_levels(v)
-    out = np.zeros_like(v.data, dtype=complex)
+    out = np.zeros(v.data.shape, dtype=complex)
+    X, Y = (np.ascontiguousarray(a).reshape(len(a), -1) for a in (v.data, out))
+    if np.iscomplexobj(X):  # the blocks are real: multiply the real and imaginary parts alike
+        X, Y = X.view(float), Y.view(float)
     for lvl in lv[(lv >= n) & (lv - n <= N)]:
-        out[off[lvl - n]:off[lvl - n + 1]] = block(lvl) @ v.data[off[lvl]:off[lvl + 1]]
+        Y[off[lvl - n]:off[lvl - n + 1]] = block(lvl) @ X[off[lvl]:off[lvl + 1]]
     overflow = lv.size and lv[-1] - n > N
     return FockVector(N, out, min(v.safe_level - n, N) if overflow else v.safe_level - n)
 
@@ -290,14 +295,24 @@ def part_counts(N: int) -> np.ndarray:
 def exp_current(f: CircleFourier, t: float, X: np.ndarray, N: int) -> np.ndarray:
     """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N.
 
-    In the real gauge of _real_gauge, J(f) = U A U* with A real symmetric and
-    ||A|| <= b, its largest row sum.  exp(i t A) is then the Chebyshev series
-    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z)
-    fixed in advance.  Raises ValueError for a non-real f, and ArithmeticError
-    rather than return a non-finite result.
+    This is U exp(i t A) U* X in the real gauge J(f) = U A U* of _real_gauge.
+    Raises ValueError for a non-real f, and ArithmeticError as _exp_gauged does.
     """
     phase, S, W = _real_gauge(f, N)
+    return phase[:, None] * _exp_gauged(S, W, t, phase.conj()[:, None] * X)
+
+
+def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:
+    """exp(i t A) X for the real symmetric A of the gather (S, W) of _real_gauge.
+
+    ||A|| <= b, its largest row sum, and exp(i t A) is the Chebyshev series
+    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z)
+    fixed in advance.  The recurrence runs on the real columns of X (its real
+    and imaginary parts when X is complex), GATHER_ROWS rows per gather, and sums
+    the real (k even) and imaginary (k odd) coefficients apart.  Raises
+    ArithmeticError rather than return a non-finite result.
+    """
     b = np.max(W.sum(axis=1), initial=0.0)
     K = _tail_degree(t * b)
     M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
@@ -305,19 +320,26 @@ def exp_current(f: CircleFourier, t: float, X: np.ndarray, N: int) -> np.ndarray
     coef[1:] *= 2  # now eps_k i^k J_k(t b)
     W = 2 * W / (b or 1.0)
 
-    def twice_x(Y):  # 2 (A / b) Y: A is real, so it acts on the real and imaginary parts alike
-        return np.einsum("rk,rkc->rc", W, Y.view(float)[S]).view(complex)
+    def twice_x(Z):  # 2 (A / b) Z
+        out = np.empty_like(Z)
+        for r in range(0, len(Z), GATHER_ROWS):
+            rows = slice(r, r + GATHER_ROWS)
+            np.einsum("rk,rkc->rc", W[rows], Z[S[rows]], out=out[rows])
+        return out
 
-    prev = phase.conj()[:, None] * np.ascontiguousarray(X, dtype=complex)  # T_0 = U* X
-    Y = coef[0] * prev
-    if K:
-        cur = twice_x(prev) / 2
-        Y += coef[1] * cur
-        for a in coef[2:]:
+    dtype = np.result_type(X, float)
+    prev = np.ascontiguousarray(X, dtype=dtype).view(float)  # T_0 X on real columns
+    yr, yi = coef[0].real * prev, np.zeros_like(prev)
+    cur = twice_x(prev) / 2 if K else None  # T_1 X
+    for k in range(1, K + 1):
+        if k > 1:
             nxt = twice_x(cur)
-            nxt -= prev  # T_{k+1} = 2 x T_k - T_{k-1}
+            nxt -= prev  # T_k = 2 x T_{k-1} - T_{k-2}
             prev, cur = cur, nxt
-            Y += a * cur
+        y, a = (yi, coef[k].imag) if k % 2 else (yr, coef[k].real)  # i^k J_k(z): real iff k even
+        y += a * cur
+    Y = yi.view(dtype) * 1j
+    Y += yr.view(dtype)
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
-    return phase[:, None] * Y
+    return Y

@@ -70,7 +70,10 @@ def _pair_sum_safe_level(n: int, v: FockVector) -> float:
 
 
 def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
-    """L_n = (1/2) sum_m :J_{-m} J_{n+m}: through its level blocks."""
+    """L_n = (1/2) sum_m :J_{-m} J_{n+m}: through its level blocks; L_0 is the level."""
+    if n == 0:  # no level moves and none overflows: the window stays
+        level = np.repeat(np.arange(v.cutoff + 1), np.diff(fock.basis(v.cutoff).offsets))
+        return FockVector(v.cutoff, (level * v.data.T).T, v.safe_level)
     out = fock.apply_homogeneous(lambda lvl: virasoro_block(n, lvl), n, v)
     return FockVector(v.cutoff, out.data, _pair_sum_safe_level(n, v))
 
@@ -163,20 +166,22 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
 
     With W(g) = exp(i J(g)) on the truncated space, the identity
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
-    holds on the untruncated domain; the residual is measured on the slab of
-    levels <= N // 2 and converges as N grows.  W and W* act on the slab
-    through fock.exp_current, which raises ValueError unless J(g) is
-    Hermitian (g real).
+    holds on the untruncated domain; the residual is measured on the slab P of
+    levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
+    invariant and U* P = P times a phase, so the residual R is taken in the real
+    gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), where
+    exp(-i A) acts on the real P; its norm is the root of the top eigenvalue of R* R.
     """
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    s = np.sqrt(fock.basis(N).norm_sq)[:, None]
+    phase, S, W = fock._real_gauge(g, N)
+    d = phase[:, None] / np.sqrt(fock.basis(N).norm_sq)[:, None]  # U, then to amplitudes
 
-    def hat(op, h, Y):  # op(h) in the orthonormalized basis, on the columns of Y
-        return s * op(h, FockVector(N, Y / s)).data
+    def hat(op, h, Y):  # U* op(h) U in the orthonormalized basis, on the columns of Y
+        return op(h, FockVector(N, d * Y)).data / d
 
-    P = np.eye(len(s), fock.basis(N).offsets[N // 2 + 1])  # the level slab
-    WsP = fock.exp_current(g, -1.0, P, N)
-    WTWsP = fock.exp_current(g, 1.0, hat(apply_stress_circle, f, WsP), N)
-    A = (WTWsP - hat(apply_stress_circle, f, P) - hat(apply_current, fgp, P)
-         - sigma(fgp, g) / (2.0 * SIGMA_NORM) * P)
-    return float(np.linalg.norm(A, ord=2))
+    P = np.eye(len(d), fock.basis(N).offsets[N // 2 + 1])  # the level slab
+    R = fock._exp_gauged(S, W, 1.0, hat(apply_stress_circle, f, fock._exp_gauged(S, W, -1.0, P)))
+    R -= hat(apply_stress_circle, f, P)
+    R -= hat(apply_current, fgp, P)
+    R -= sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
+    return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))

@@ -170,14 +170,20 @@ def test_csv_and_json_tables_agree(argv, capsys):
             assert cell == (cli._fmt(value) if isinstance(value, float) else str(value))
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--cutoff", "2"],
-    ["charge", "--cutoff", "6", "--kappa", "0"],
-    ["nonnormal", "--n-max", "4"],
-    ["ground", "--modes", "16"],
+@pytest.mark.parametrize("argv, runner", [
+    (["verify", "--cutoff", "2"], "run_verify"),
+    (["charge", "--cutoff", "6", "--kappa", "0"], "run_charge"),
+    (["nonnormal", "--n-max", "4"], "run_nonnormal"),
+    (["ground", "--modes", "16"], "run_ground"),
 ], ids=["verify", "charge", "nonnormal", "ground"])
-def test_out_into_missing_directory_is_a_one_line_error(argv, tmp_path, capsys):
-    # the table or report was computed and then open() ended in a traceback
+def test_out_into_missing_directory_is_a_one_line_error(argv, runner, tmp_path, capsys,
+                                                        monkeypatch):
+    # the table or report was computed and then open() ended in a traceback;
+    # then the computation ran in full before the error
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"cli.{runner} ran before --out was checked")
+
+    monkeypatch.setattr(cli, runner, refuse)
     path = tmp_path / "no" / "such" / "x.csv"
     rc = cli.main(argv + ["--out", str(path)])
     assert rc == 2

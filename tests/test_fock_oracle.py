@@ -161,6 +161,33 @@ def test_tail_degree_bounds_the_bessel_tail(z):
         assert K == {3.2: 21, -5.2: 26}[z]
 
 
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_gauged_series_on_real_columns_matches_complex_columns(t, monkeypatch):
+    g, _ = _sized_pair(45, 3.0)
+    N = 12  # 272 rows: more than one gather block
+    _, S, W = fock._real_gauge(g, N)
+    X = np.random.default_rng(46).standard_normal((len(fock.basis_partitions(N)), 6))
+    Y = fock._exp_gauged(S, W, t, X)
+    assert np.max(np.abs(Y - fock._exp_gauged(S, W, t, X + 0j))) < 1e-13
+    for rows in (1, 7, 10**6):  # the row blocks of the gathers do not change the result
+        monkeypatch.setattr(fock, "GATHER_ROWS", rows)
+        assert np.max(np.abs(fock._exp_gauged(S, W, t, X) - Y)) < 1e-13
+
+
+@pytest.mark.parametrize("N", [0, 1, 6, 10])
+def test_L0_equals_its_pair_sum_block(N):
+    off = fock.basis(N).offsets
+    rng = np.random.default_rng(47)
+    for shape in ((off[-1],), (off[-1], 3)):  # one vector and a batch
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = fock.FockVector(N, x, safe_level=N - 1)
+        out = sugawara.apply_virasoro_mode(0, v)
+        want = np.concatenate([ref.virasoro_block(0, lvl) @ x[off[lvl]:off[lvl + 1]]
+                               for lvl in range(N + 1)])
+        assert np.max(np.abs(out.data - want), initial=0.0) < 1e-12
+        assert out.safe_level == N - 1
+
+
 def test_exp_current_refuses_a_non_real_generator():
     g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
     with pytest.raises(ValueError, match="Hermitian"):
