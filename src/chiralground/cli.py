@@ -3,13 +3,15 @@
 Subcommands: verify | charge | nonnormal | ground.  verify, charge and
 nonnormal print a table as CSV or JSON, ground a JSON report; numbers carry
 12 significant digits.  The exit status is 0 iff every executed check passed
-or was explicitly skipped by the window rules.  ground and nonnormal run no
-gated check yet, so for them that rule is vacuous.
+or was explicitly skipped by the window rules; charge checks each c_est.
+ground and nonnormal run no gated check yet, so for them that rule is vacuous.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -109,8 +111,8 @@ def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tup
         v, L = fock.vacuum(N), sugawara.apply_virasoro_mode
         return abs(fock.inner(v, L(n, L(-n, v))) - (n**3 - n) / 12.0)
 
-    for n in range(2, 6):
-        check(f"vacuum_moment({n})", fock.exactness_window(N, n, n),
+    for n in range(2, 6):  # L_{-n} vac lies on level n, which L_n takes back to the vacuum
+        check(f"vacuum_moment({n})", fock.exactness_window(N, n),
               lambda: vacuum_moment(n), 1e-10, label=f"level<={N}")
 
     for trial in range(3):
@@ -153,13 +155,14 @@ def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tup
 
 
 def run_charge(N: int, kappas) -> tuple[list, bool]:
-    """c_est against 1 + kappa^2 at cutoff N: rows of HEADERS["charge"]."""
+    """c_est against 1 + kappa^2 at cutoff N: rows of HEADERS["charge"], and
+    whether every c_est lies within 1e-9 of 1 + kappa^2, relative."""
     rows = []
     F, G = _default_vector_fields()
     for kappa in kappas:
         c_est = sugawara.central_charge_estimate(F, G, kappa, N)
         rows.append((kappa, c_est, abs(c_est - (1.0 + kappa**2))))
-    return rows, True
+    return rows, all(err <= 1e-9 * (1.0 + kappa**2) for kappa, _, err in rows)
 
 
 def _default_vector_fields() -> tuple[LineObject, LineObject]:
@@ -234,10 +237,10 @@ def _emit(header, rows, fmt: str, out):
     if fmt == "json":
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row)
-                  for row in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[_fmt(x) if isinstance(x, float) else x for x in row] for row in rows])
+        text = buf.getvalue()
     _write(text, out)
 
 

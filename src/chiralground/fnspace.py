@@ -371,7 +371,7 @@ def g_limit() -> PiecewiseLinearCircle:
 
 
 # ---------------------------------------------------------------------------
-# Resampling (dilation, translation, multiplication by t)
+# Resampling (dilation, translation) and exact multiplication by t
 
 
 # Fewest points of the resampling grid; a projection to M modes samples
@@ -445,18 +445,23 @@ def translate_line(f: LineObject, a: float, M: int = 64) -> tuple[LineObject, fl
     return _resample_line(f, lambda t: t - a, M)
 
 
-def multiply_by_t(h: CircleFourier, M: int = None) -> tuple[CircleFourier, float]:
-    """Projection of t(theta) * h(theta) = -cot(theta/2) h(theta).
+# multiply_by_t reads |h(0)| <= POLE_TOL sum_n |c_n| as h(0) = 0: the sum h(0) = sum_n c_n
+# rounds by about (2M + 1) 2^-53 of it, and a larger h(0) is a pole of t h at theta = 0.
+POLE_TOL = 1e-12
 
-    Well defined (bounded) when h vanishes at theta = 0; the caller is
-    responsible for that.  Returns the projection and its residual; raises
-    ValueError when h.max_mode >= K/2 for the K-point sample grid, which
-    would alias h's modes.
+
+def multiply_by_t(h: CircleFourier) -> CircleFourier:
+    """t(theta) h(theta) = -cot(theta/2) h(theta), exactly, on h's own modes.
+
+    t = -i (z + 1)/(z - 1) at z = e^{i theta}, and z^M h = (z - 1) sum_{n<M} q_n z^{n+M}
+    + h(0) with the tail sums q_n = sum_{m>n} c_m, so t h has the coefficients
+    -i (q_{n-1} + q_n), q_{-M-1} = q_M = 0.  Raises ValueError at a pole (POLE_TOL).
     """
-    if M is None:
-        M = 2 * h.max_mode + 2
-    th, t = _line_grid(M)
-    return _project_samples(t * _on_grid(h, th.size), M)
+    c = h.coeffs
+    if abs(c.sum()) > POLE_TOL * np.sum(np.abs(c)):
+        raise ValueError("t h has a pole at theta = 0: h must vanish there")
+    q = np.cumsum(c[::-1])[::-1][1:]  # q_n for n = -M .. M - 1
+    return CircleFourier(-1j * (np.append(q, 0.0) + np.insert(q, 0, 0.0)), h.is_real, h.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ orthonormalized basis J_n is also a weighted gather, which exp_current uses
 to apply exp(i t J(f)) to a few columns without forming J(f).
 
 Truncation contract: mode operators never throw past the cutoff; the
-overflowing components are dropped and the exactness window shrinks.
-safe_level = inf means the stored vector is the exact untruncated result.
+overflowing components are dropped.  exactness_window(N, *reach) gives, from
+the modes alone, the top input level whose amplitudes stay exact.
 """
 
 from __future__ import annotations
@@ -125,17 +125,16 @@ class FockVector:
 
     cutoff: int
     data: np.ndarray
-    safe_level: float = math.inf
 
     @classmethod
-    def from_amps(cls, cutoff: int, amps: dict, safe_level: float = math.inf):
+    def from_amps(cls, cutoff: int, amps: dict):
         data = np.zeros(basis(cutoff).offsets[-1], dtype=complex)
         for p, a in amps.items():
             p = tuple(sorted(p, reverse=True))
             if sum(p) > cutoff:
                 raise ValueError("partition level exceeds cutoff")
             data[basis(cutoff).offsets[sum(p)] + _index_at(sum(p))[p]] = a
-        return cls(cutoff, data, safe_level)
+        return cls(cutoff, data)
 
     @property
     def amps(self) -> dict:
@@ -169,8 +168,7 @@ def apply_homogeneous(block, n: int, v: FockVector) -> FockVector:
         X, Y = X.view(float), Y.view(float)
     for lvl in lv[(lv >= n) & (lv - n <= N)]:
         Y[off[lvl - n]:off[lvl - n + 1]] = block(lvl) @ X[off[lvl]:off[lvl + 1]]
-    overflow = lv.size and lv[-1] - n > N
-    return FockVector(N, out, min(v.safe_level - n, N) if overflow else v.safe_level - n)
+    return FockVector(N, out)
 
 
 def apply_mode(n: int, v: FockVector) -> FockVector:
@@ -179,15 +177,14 @@ def apply_mode(n: int, v: FockVector) -> FockVector:
 
 
 def smeared(apply, f: CircleFourier, v: FockVector) -> FockVector:
-    """sum_n c_n apply(n, v) over the modes of f; safe_level is the least of the terms'."""
-    data, safe = np.zeros_like(v.data, dtype=complex), v.safe_level
+    """sum_n c_n apply(n, v) over the modes of f."""
+    data = np.zeros_like(v.data, dtype=complex)
     for n in range(-f.max_mode, f.max_mode + 1):
         c = f.coeff(n)
         if c != 0:
             w = apply(n, v)
             data += c * w.data
-            safe = min(safe, w.safe_level)
-    return FockVector(v.cutoff, data, safe)
+    return FockVector(v.cutoff, data)
 
 
 def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
@@ -198,11 +195,11 @@ def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
 def vec_add(u: FockVector, v: FockVector) -> FockVector:
     if u.cutoff != v.cutoff:
         raise ValueError("cutoff mismatch")
-    return FockVector(u.cutoff, u.data + v.data, min(u.safe_level, v.safe_level))
+    return FockVector(u.cutoff, u.data + v.data)
 
 
 def vec_scale(lam, v: FockVector) -> FockVector:
-    return FockVector(v.cutoff, lam * v.data, v.safe_level)
+    return FockVector(v.cutoff, lam * v.data)
 
 
 def inner(u: FockVector, v: FockVector) -> complex:

@@ -25,27 +25,24 @@ from .fock import FockVector, apply_current, vec_add, vec_scale
 KAPPA_SCALE = 1.0 / math.sqrt(12.0)
 
 
-def _pairs(n: int, top: int):
-    """(j, k, weight) of L_n = sum weight J_j J_k over k >= j, j + k = n, on levels <= top."""
-    for k in range(-((-n) // 2), max(0, top) + 1):
-        if k != 0 and k != n:
-            yield n - k, k, 0.5 if 2 * k == n else 1.0
-
-
 @lru_cache(maxsize=None)
 def virasoro_block(n: int, level: int) -> np.ndarray:
     """Dense block of L_n from ``level`` to ``level - n``.
 
-    Each pair J_j J_k sends column c to the single row rj[rk[c]] with weight
-    weight * vk[c] * vj[rk[c]] (mode_map), so the block is one scatter-add of
-    all pairs.  Its entries are small integers or halves, hence exact.
+    L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
+    weight 1/2 iff j = k.  Each pair sends column c to the single row rj[rk[c]]
+    with weight weight * vk[c] * vj[rk[c]] (mode_map), so the block is one
+    scatter-add of all pairs.  Its entries are small integers or halves, hence exact.
     """
     shape = (len(fock.partitions_at(level - n)), len(fock.partitions_at(level)))
     index, weights = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for j, k, weight in _pairs(n, level):
+    for k in range(-((-n) // 2), max(0, level) + 1):  # k > level annihilates every column
+        j = n - k
+        if j == 0 or k == 0:
+            continue
         rk, vk = fock.mode_map(k, level)
         rj, vj = fock.mode_map(j, level - k)
-        w = weight * vk * vj[rk]
+        w = (0.5 if j == k else 1.0) * vk * vj[rk]
         hit = np.flatnonzero(w)
         index.append(rj[rk[hit]] * shape[1] + hit)
         weights.append(w[hit])
@@ -53,29 +50,12 @@ def virasoro_block(n: int, level: int) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _pair_sum_safe_level(n: int, v: FockVector) -> float:
-    """safe_level of L_n v as the pair sum leaves it, term by term under apply_mode's rules."""
-    N, s, lv, off = v.cutoff, v.safe_level, fock.nonzero_levels(v), fock.basis(v.cutoff).offsets
-    top, safe = (lv[-1] if lv.size else -math.inf), s
-    for j, k, _ in _pairs(n, top):
-        if k < 0:  # J_k and then J_j create: either step may overflow
-            t = (min(s - k, N) if top - k > N else s - k) - j
-            overflow = np.any((lv > N + n) & (lv <= N + k))
-        else:  # J_k annihilates; J_j then overflows from what J_k leaves
-            t = s - n
-            overflow = any(np.any(v.data[off[lvl]:off[lvl + 1]][fock.mode_map(k, lvl)[1] != 0])
-                           for lvl in lv[lv > N + n])
-        safe = min(safe, min(t, N) if overflow else t)
-    return safe
-
-
 def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
     """L_n = (1/2) sum_m :J_{-m} J_{n+m}: through its level blocks; L_0 is the level."""
-    if n == 0:  # no level moves and none overflows: the window stays
+    if n == 0:
         level = np.repeat(np.arange(v.cutoff + 1), np.diff(fock.basis(v.cutoff).offsets))
-        return FockVector(v.cutoff, (level * v.data.T).T, v.safe_level)
-    out = fock.apply_homogeneous(lambda lvl: virasoro_block(n, lvl), n, v)
-    return FockVector(v.cutoff, out.data, _pair_sum_safe_level(n, v))
+        return FockVector(v.cutoff, (level * v.data.T).T)
+    return fock.apply_homogeneous(lambda lvl: virasoro_block(n, lvl), n, v)
 
 
 def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
@@ -83,32 +63,29 @@ def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
     return fock.smeared(apply_virasoro_mode, f, v)
 
 
-def line_derivative_repr(F: LineObject) -> tuple[CircleFourier, float]:
+def line_derivative_repr(F: LineObject) -> CircleFourier:
     """Circle representative of the line derivative of the pushforward of F.
 
     For F(t) = ((t^2+1)/2) h(theta(t)) one has F'(t) = t h + h' pointwise on
-    the circle; the t-multiplication is re-projected, on multiply_by_t's
-    default mode count, with reported residual.
+    the circle; both terms are exact and live on h's modes.
     """
     h = F.circle_repr
     if not isinstance(h, CircleFourier):
         raise TypeError("vector field must carry a Fourier representative")
-    th_part, resid = multiply_by_t(h)
-    return th_part + derivative(h), resid
+    return multiply_by_t(h) + derivative(h)
 
 
-def stress_line_operator(F: LineObject, kappa: float
-                         ) -> tuple[Callable[[FockVector], FockVector], float]:
+def stress_line_operator(F: LineObject, kappa: float) -> Callable[[FockVector], FockVector]:
     """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
-    as a map of Fock vectors, with the projection residual of its current term.
-    F' is resampled once, however often the map is applied."""
+    as a map of Fock vectors.  F' is computed once, however often the map is
+    applied."""
     if F.weight is not Weight.VECTOR_FIELD:
         raise ValueError("the perturbed stress tensor expects a vector field")
     if kappa == 0.0:
-        return partial(apply_stress_circle, F.circle_repr), 0.0
-    phi, resid = line_derivative_repr(F)
-    return (lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
-                              vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))), resid
+        return partial(apply_stress_circle, F.circle_repr)
+    phi = line_derivative_repr(F)
+    return lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
+                             vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))
 
 
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
@@ -149,14 +126,17 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
     denom = vectorfield_line_integral_f3g(F, G)
     if abs(denom.value) < 1e-6:
         raise ValueError("degenerate test pair: cocycle integral too small")
-    vac = fock.vacuum(N)
-    TF, TG = (stress_line_operator(X, kappa)[0] for X in (F, G))
-    tfg, tgf = TF(TG(vac)), TG(TF(vac))
-    safe = min(tfg.safe_level, tgf.safe_level)
-    if safe < 0:
+    # <vac, T(F) T(G) vac> is a sum of level-n terms <vac, L_n L_{-n} vac> and
+    # <vac, J_n J_{-n} vac> over the modes n of both fields (F' has F's max
+    # mode); mixed terms vanish, as [L_n, J_{-n}] vac = n J_0 vac = 0.  A term
+    # is exact iff its level n is at most N.
+    reach = min(F.circle_repr.max_mode, G.circle_repr.max_mode)
+    if fock.exactness_window(N, reach) < 0:
         raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
-                         f"outside its exactness window (safe level {safe:g})")
-    num = fock.inner(vac, tfg) - fock.inner(vac, tgf)
+                         f"outside its exactness window (it needs cutoff {reach})")
+    vac = fock.vacuum(N)
+    TF, TG = (stress_line_operator(X, kappa) for X in (F, G))
+    num = fock.inner(vac, TF(TG(vac))) - fock.inner(vac, TG(TF(vac)))
     c = 12.0 * SIGMA_NORM * num / (1j * denom.value)
     return float(c.real)
 

@@ -1,6 +1,7 @@
 """Reference Fourier kernels for the oracle tests: the dense e^{i n theta}
 matrices and the per-segment integrals that chiralground.fnspace replaced by
-FFTs on the half-shifted grid, Horner evaluation and slope jumps.  Also the
+FFTs on the half-shifted grid, Horner evaluation and slope jumps, and the
+sampled projection of t h that it replaced by an exact division.  Also the
 scalar Cayley map and the JSON reader of circle functions, which only the
 tests use.
 """
@@ -30,6 +31,15 @@ def dense_project_samples(theta, values, M: int) -> tuple[fn.CircleFourier, floa
     out = fn.CircleFourier(coeffs, is_real=True)
     resid = float(np.sqrt(np.mean(np.abs(dense_eval(out, theta) - values) ** 2)))
     return out, resid
+
+
+def sampled_multiply_by_t(h: fn.CircleFourier) -> tuple[fn.CircleFourier, float]:
+    """t(theta) h(theta) sampled on the half-shifted resampling grid of
+    2 max_mode + 2 modes and projected onto those modes by the dense matrix,
+    with the rms mismatch of the projection."""
+    M = 2 * h.max_mode + 2
+    th, t = fn._line_grid(M)
+    return dense_project_samples(th, t * dense_eval(h, th), M)
 
 
 def segment_fourier_project(f: fn.PiecewiseLinearCircle, M: int) -> fn.CircleFourier:

@@ -23,7 +23,6 @@ from chiralground import fock, sugawara
 class DictVector:
     cutoff: int
     amps: dict
-    safe_level: float = math.inf
 
     def level_max(self) -> int:
         return max((sum(p) for p in self.amps), default=0)
@@ -42,14 +41,12 @@ def basis_norm_sq(parts) -> int:
 def apply_mode(n: int, v: DictVector) -> DictVector:
     """J_n: creation for n < 0, annihilation for n > 0, zero for n = 0."""
     if n == 0:
-        return DictVector(v.cutoff, {}, v.safe_level)
+        return DictVector(v.cutoff, {})
     out = {}
     if n < 0:
         k = -n
-        truncated = False
         for p, a in v.amps.items():
             if sum(p) + k > v.cutoff:
-                truncated = True
                 continue
             q = tuple(sorted(p + (k,), reverse=True))
             b = out.get(q, 0.0) + a
@@ -57,10 +54,7 @@ def apply_mode(n: int, v: DictVector) -> DictVector:
                 out.pop(q, None)
             else:
                 out[q] = b
-        safe = v.safe_level + k
-        if truncated:
-            safe = min(safe, v.cutoff)
-        return DictVector(v.cutoff, out, safe)
+        return DictVector(v.cutoff, out)
     k = n
     for p, a in v.amps.items():
         m = p.count(k)
@@ -74,7 +68,7 @@ def apply_mode(n: int, v: DictVector) -> DictVector:
             out.pop(q, None)
         else:
             out[q] = b
-    return DictVector(v.cutoff, out, v.safe_level - k)
+    return DictVector(v.cutoff, out)
 
 
 def vec_add(u: DictVector, v: DictVector) -> DictVector:
@@ -85,13 +79,13 @@ def vec_add(u: DictVector, v: DictVector) -> DictVector:
             out.pop(p, None)
         else:
             out[p] = b
-    return DictVector(u.cutoff, out, min(u.safe_level, v.safe_level))
+    return DictVector(u.cutoff, out)
 
 
 def vec_scale(lam, v: DictVector) -> DictVector:
     if lam == 0:
-        return DictVector(v.cutoff, {}, v.safe_level)
-    return DictVector(v.cutoff, {p: lam * a for p, a in v.amps.items()}, v.safe_level)
+        return DictVector(v.cutoff, {})
+    return DictVector(v.cutoff, {p: lam * a for p, a in v.amps.items()})
 
 
 def inner(u: DictVector, v: DictVector) -> complex:
@@ -105,7 +99,7 @@ def inner(u: DictVector, v: DictVector) -> complex:
 
 def apply_virasoro_mode(n: int, v: DictVector) -> DictVector:
     """L_n as the pair sum over k >= j, j + k = n, annihilator first."""
-    out = DictVector(v.cutoff, {}, v.safe_level)
+    out = DictVector(v.cutoff, {})
     for k in range(-((-n) // 2), max(0, v.level_max()) + 1):
         j = n - k
         if j == 0 or k == 0:
@@ -117,7 +111,7 @@ def apply_virasoro_mode(n: int, v: DictVector) -> DictVector:
 
 def smeared(apply, f, v: DictVector) -> DictVector:
     """sum_n c_n apply(n, v) over the modes of a CircleFourier f."""
-    out = DictVector(v.cutoff, {}, v.safe_level)
+    out = DictVector(v.cutoff, {})
     for n in range(-f.max_mode, f.max_mode + 1):
         if f.coeff(n) != 0:
             out = vec_add(out, vec_scale(f.coeff(n), apply(n, v)))
@@ -198,17 +192,15 @@ def basis_vector(N: int, parts) -> fock.FockVector:
 def apply_L0(v: fock.FockVector) -> fock.FockVector:
     """L_0 as the level of each basis vector."""
     levels = np.array([sum(p) for p in fock.basis_partitions(v.cutoff)], dtype=float)
-    return fock.FockVector(v.cutoff, (levels * v.data.T).T, v.safe_level)
+    return fock.FockVector(v.cutoff, (levels * v.data.T).T)
 
 
 def parity_flip(v: fock.FockVector) -> fock.FockVector:
     """Diagonal involution (-1)^{#parts}; conjugation sends J(f) to J(-f)."""
     sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(v.cutoff)])
-    return fock.FockVector(v.cutoff, (sign * v.data.T).T, v.safe_level)
+    return fock.FockVector(v.cutoff, (sign * v.data.T).T)
 
 
-def apply_stress_line(F, kappa: float, v: fock.FockVector):
-    """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F'),
-    with the projection residual of the current term."""
-    op, resid = sugawara.stress_line_operator(F, kappa)
-    return op(v), resid
+def apply_stress_line(F, kappa: float, v: fock.FockVector) -> fock.FockVector:
+    """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F')."""
+    return sugawara.stress_line_operator(F, kappa)(v)

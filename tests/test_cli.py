@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -43,11 +44,8 @@ class TestVerify:
         rc = cli.main(["verify", "--cutoff", "10", "--drop-central-term",
                        "--out", str(out)])
         assert rc == 1
-        text = out.read_text()
-        assert any(
-            ln.startswith("virasoro(-2,2)") and ln.endswith("fail")
-            for ln in text.splitlines()
-        )
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert ["virasoro(-2,2)", "fail"] in [[row[0], row[-1]] for row in rows]
 
     def test_small_cutoff_skips_out_of_window(self, tmp_path):
         out = tmp_path / "small.csv"
@@ -55,6 +53,13 @@ class TestVerify:
         lines = out.read_text().strip().splitlines()[1:]
         assert any(ln.endswith("skip") for ln in lines)
         assert rc == 0
+
+    def test_vacuum_moments_exact_from_their_level(self, capsys):
+        # <vac, L_n L_{-n} vac> needs level n only; these rows were skipped below cutoff 2n
+        assert cli.main(["verify", "--cutoff", "5"]) == 0
+        rows = {row[0]: row for row in csv.reader(capsys.readouterr().out.splitlines())}
+        for n in (3, 4, 5):
+            assert rows[f"vacuum_moment({n})"][-1] == "pass"
 
     def test_cutoff_zero_skips_sobolev_identity(self, capsys):
         # the Sobolev draw asked rng.integers(1, 1) and ended in a traceback
@@ -86,16 +91,29 @@ class TestCharge:
         assert k1[1] == pytest.approx(2.0, abs=1e-3)
 
     def test_cutoff_below_exactness_window_refused(self, capsys):
-        # at cutoff 1 the bracket's vacuum amplitude is outside its window (c_est was 0.5)
-        rc = cli.main(["charge", "--cutoff", "1", "--kappa", "1"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cutoff 1 too small") and err.count("\n") == 1
+        # at cutoff 1 the bracket's vacuum amplitude is outside its window (c_est was
+        # 0.5 at kappa 1, and -0 at kappa 0, which was printed with exit status 0)
+        for kappa in ("1", "0"):
+            rc = cli.main(["charge", "--cutoff", "1", "--kappa", kappa])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cutoff 1 too small")
+            assert captured.err.count("\n") == 1
 
     def test_smallest_exact_cutoff_accepted(self, capsys):
-        rc = cli.main(["charge", "--cutoff", "6", "--kappa", "1", "--format", "json"])
+        # cutoffs 2 to 5 were refused, although the values there are exact
+        rc = cli.main(["charge", "--cutoff", "2", "--kappa", "0.5,1", "--format", "json"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)[0]["c_est"] == pytest.approx(2.0, abs=1e-3)
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["c_est"] for r in rows] == pytest.approx([1.25, 2.0], abs=1e-12)
+
+    def test_estimate_off_target_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(sugawara, "central_charge_estimate",
+                            lambda F, G, kappa, N: 1.0 + kappa**2 + (kappa == 1.0) * 1e-6)
+        rc = cli.main(["charge", "--kappa", "0,1,2"])
+        assert rc == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4  # every row is printed
 
     def test_each_field_resampled_once_per_estimate(self, monkeypatch, capsys):
         # two vector fields, three nonzero kappas: F' and G' once per kappa (was 12)
@@ -159,15 +177,13 @@ def test_numeric_options_are_validated(argv, message, capsys):
 ], ids=["verify", "charge", "nonnormal"])
 def test_csv_and_json_tables_agree(argv, capsys):
     assert cli.main(argv) == 0
-    header, *lines = capsys.readouterr().out.strip().splitlines()
+    header, *lines = csv.reader(capsys.readouterr().out.splitlines())
     assert cli.main(argv + ["--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == len(lines)
     for line, row in zip(lines, payload):
-        assert list(row) == header.split(",")
-        # only the first cell may hold commas: verify names such as heisenberg(-4,-4)
-        for cell, value in zip(line.rsplit(",", len(row) - 1), row.values()):
-            assert cell == (cli._fmt(value) if isinstance(value, float) else str(value))
+        assert list(row) == header
+        assert line == [cli._fmt(v) if isinstance(v, float) else str(v) for v in row.values()]
 
 
 @pytest.mark.parametrize("argv, runner", [

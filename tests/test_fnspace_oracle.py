@@ -1,7 +1,8 @@
 """The FFT, Horner and slope-jump Fourier kernels of chiralground.fnspace
 against the dense kernels in fnspace_reference.py, on random band-limited
 functions with up to 128 modes, grids of any size the resampling allows
-(odd and prime ones included) and random piecewise-linear functions; and
+(odd and prime ones included) and random piecewise-linear functions; the
+exact multiplication by t against the sampled projection it replaced; and
 fourier_project against mpmath quadrature."""
 
 import math
@@ -91,32 +92,29 @@ def test_grid_refuses_aliased_modes(K):
         fn._on_grid(random_circle(K // 2 + K % 2, 0, True), K)
 
 
-def test_multiply_by_t_refuses_aliased_modes(monkeypatch):
-    # M = 1 and 16 nodes give a 16-point grid: modes up to 7 are resolved, 8 alias
-    monkeypatch.setattr(fn, "GRID_NODES", 16)
-    h = fn.circle_from_real_modes(-1.0, [1.0] + [0.0] * 6)
-    fn.multiply_by_t(h, 1)
-    wide = fn.circle_from_real_modes(-1.0, [1.0] + [0.0] * 6 + [1e-3])
-    assert wide.max_mode == 8
-    with pytest.raises(ValueError, match="alias"):
-        fn.multiply_by_t(wide, 1)
+def test_multiply_by_t_refuses_a_pole():
+    # 1 - cos vanishes at theta = 0, so t (1 - cos) = -sin; 1e-6 more leaves a pole there
+    h = fn.circle_from_real_modes(1.0, [-1.0])
+    assert np.max(np.abs(fn.multiply_by_t(h).coeffs - fn.circle_from_real_modes(
+        0.0, [], [-1.0]).coeffs)) < 1e-16
+    with pytest.raises(ValueError, match="pole"):
+        fn.multiply_by_t(h + fn.circle_from_real_modes(1e-6))
 
 
 @SETTINGS
-@given(st.integers(1, 24), seeds, st.sampled_from([2048, 2053, 4099]))
-def test_multiply_by_t_matches_dense_kernels(Mh, seed, nodes):
+@given(st.integers(1, 24), seeds)
+def test_multiply_by_t_matches_dense_kernels(Mh, seed):
     h = random_circle(Mh, seed, True)
-    h = h - fn.circle_from_real_modes(h(0.0))  # vanish at theta = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fn, "GRID_NODES", nodes)
-        out, resid = fn.multiply_by_t(h, None)
-    M = 2 * Mh + 2
-    th = fn._shifted_grid(max(4 * M + 4, nodes))
-    want, want_resid = ref.dense_project_samples(
-        th, -np.cos(th / 2) / np.sin(th / 2) * ref.dense_eval(h, th), M)
+    h = h - fn.circle_from_real_modes(h(0.0))  # vanish at theta = 0, up to rounding
+    out = fn.multiply_by_t(h)
+    assert out.is_real and out.max_mode == Mh
+    want, want_resid = ref.sampled_multiply_by_t(h)
     scale = np.sum(np.abs(h.coeffs))
-    assert np.max(np.abs(out.coeffs - want.coeffs)) < 1e-10 * scale
-    assert resid == pytest.approx(want_resid, abs=1e-10 * scale)
+    assert np.max(np.abs(out.pad(want.max_mode).coeffs - want.coeffs)) < 1e-10 * scale
+    assert want_resid < 1e-10 * scale
+    theta = np.random.default_rng(seed).uniform(0.1, TWO_PI - 0.1, 64)
+    assert np.max(np.abs(out(theta) + np.cos(theta / 2) / np.sin(theta / 2) * h(theta))) \
+        < 1e-12 * scale
 
 
 @SETTINGS

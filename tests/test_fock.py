@@ -1,5 +1,3 @@
-import math
-
 import fock_reference as ref
 import numpy as np
 import pytest
@@ -74,25 +72,6 @@ class TestModes:
             lhs = fock.inner(fock.apply_mode(-k, u), v)
             rhs = fock.inner(u, fock.apply_mode(k, v))
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-class TestWindow:
-    def test_exact_until_truncation(self):
-        v = fock.apply_mode(-3, fock.vacuum(4))
-        assert v.safe_level == math.inf
-        v = fock.apply_mode(-3, v)  # level 6 > cutoff 4: dropped
-        assert not v.amps
-        assert min(v.safe_level, v.cutoff) == 4
-
-    def test_annihilation_shrinks_window(self):
-        v = fock.FockVector.from_amps(6, {(2,): 1.0}, 4.0)
-        w = fock.apply_mode(2, v)
-        assert w.safe_level == 2.0
-
-    def test_add_takes_min_window(self):
-        a = fock.FockVector.from_amps(6, {(1,): 1.0}, 3.0)
-        b = fock.FockVector.from_amps(6, {(2,): 1.0}, 5.0)
-        assert fock.vec_add(a, b).safe_level == 3.0
 
 
 class TestSmearedCurrent:

@@ -1,6 +1,7 @@
 """The level-block Fock layer against the dict reference in fock_reference.py,
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
-covers every n in [-N - 2, N + 2]."""
+covers every n in [-N - 2, N + 2]; and the exactness window of the central
+charge against the same amplitude at a larger cutoff."""
 
 import math
 import os
@@ -12,7 +13,7 @@ import fock_reference as ref
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -23,7 +24,6 @@ from chiralground import fock, sugawara
 SETTINGS = settings(max_examples=200, deadline=None)
 amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False,
                                allow_infinity=False)
-safe_level = st.one_of(st.just(math.inf), st.integers(-3, 13).map(float))
 
 
 @st.composite
@@ -33,12 +33,10 @@ def vectors(draw, N=None):
     basis = fock.basis_partitions(N)
     picked = draw(st.lists(st.sampled_from(basis), max_size=6, unique=True))
     amps = {p: draw(amplitude) for p in picked}
-    s = draw(safe_level)
-    return ref.DictVector(N, amps, s), fock.FockVector.from_amps(N, amps, s)
+    return ref.DictVector(N, amps), fock.FockVector.from_amps(N, amps)
 
 
 def same(d: ref.DictVector, v: fock.FockVector):
-    assert v.safe_level == d.safe_level
     assert set(v.amps) == set(d.amps)
     for p, a in d.amps.items():
         assert v.amps[p] == pytest.approx(a, rel=1e-12, abs=1e-12)
@@ -77,6 +75,47 @@ def test_add_and_inner(pairs):
     (du, u), (dv, v) = pairs
     same(ref.vec_add(du, dv), fock.vec_add(u, v))
     assert fock.inner(u, v) == pytest.approx(ref.inner(du, dv), rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def vector_field_pairs(draw):
+    """Two vector fields with representatives (1 - cos theta) p, p real with
+    max mode 1..3 (so the fields reach 2..4), and a kappa in [-2, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    one_minus_cos = fn.circle_from_real_modes(1.0, [-1.0])
+    F, G = (fn.LineObject(fn.pointwise_product(one_minus_cos, p, p.max_mode + 1),
+                          fn.Weight.VECTOR_FIELD, 2)
+            for p in (fn.random_real_circle(draw(st.integers(1, 3)), rng) for _ in range(2)))
+    return F, G, draw(st.floats(-2.0, 2.0))
+
+
+def _bracket(F, G, kappa, N):
+    """<vac, [T(F), T(G)] vac> at cutoff N, inside its exactness window or not."""
+    vac = fock.vacuum(N)
+    TF, TG = (sugawara.stress_line_operator(X, kappa) for X in (F, G))
+    return fock.inner(vac, TF(TG(vac))) - fock.inner(vac, TG(TF(vac)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_field_pairs())
+def test_charge_window_is_exact_and_tight(pair):
+    F, G, kappa = pair
+    assume(abs(fn.vectorfield_line_integral_f3g(F, G).value) >= 1e-6)
+    reach = min(F.circle_repr.max_mode, G.circle_repr.max_mode)
+    scale = (np.sum(np.abs(F.circle_repr.coeffs)) * np.sum(np.abs(G.circle_repr.coeffs))
+             * (1.0 + kappa**2) * (reach + 1) ** 3)
+    # every cutoff the window admits gives the amplitude at cutoff N + 2 reach
+    for N in range(reach, reach + 3):
+        exact = _bracket(F, G, kappa, N + 2 * reach)
+        assert abs(_bracket(F, G, kappa, N) - exact) <= 1e-12 * scale
+    # one level below, the level-reach term is dropped, and the estimate refuses
+    assert abs(_bracket(F, G, kappa, reach - 1) - exact) > 1e-9 * scale
+    with pytest.raises(ValueError, match=f"cutoff {reach - 1} too small"):
+        sugawara.central_charge_estimate(F, G, kappa, reach - 1)
+    # from the reach on, c_est is 1 + kappa^2 up to that rounding times 12 SIGMA_NORM / denom
+    c = sugawara.central_charge_estimate(F, G, kappa, reach)
+    denom = fn.vectorfield_line_integral_f3g(F, G).value
+    assert abs(c - (1.0 + kappa**2)) <= 1e-10 * scale / abs(denom)
 
 
 def _weyl_dense(g, f, N):
@@ -180,12 +219,10 @@ def test_L0_equals_its_pair_sum_block(N):
     rng = np.random.default_rng(47)
     for shape in ((off[-1],), (off[-1], 3)):  # one vector and a batch
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v = fock.FockVector(N, x, safe_level=N - 1)
-        out = sugawara.apply_virasoro_mode(0, v)
+        out = sugawara.apply_virasoro_mode(0, fock.FockVector(N, x))
         want = np.concatenate([ref.virasoro_block(0, lvl) @ x[off[lvl]:off[lvl + 1]]
                                for lvl in range(N + 1)])
         assert np.max(np.abs(out.data - want), initial=0.0) < 1e-12
-        assert out.safe_level == N - 1
 
 
 def test_exp_current_refuses_a_non_real_generator():

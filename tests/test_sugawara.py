@@ -112,18 +112,21 @@ class TestLineStress:
     def test_kappa_zero_reduces_to_circle(self):
         F, _ = _vector_fields()
         v = ref.basis_vector(10, (2,))
-        a, resid = ref.apply_stress_line(F, 0.0, v)
+        a = ref.apply_stress_line(F, 0.0, v)
         b = sugawara.apply_stress_circle(F.circle_repr, v)
         diff = fock.vec_add(a, fock.vec_scale(-1.0, b))
         assert fock.norm(diff) < 1e-13
-        assert resid == 0.0
 
     def test_derivative_repr_projection_exact(self):
-        # (1 - cos)^2 t-multiplied is band-limited: residual at rounding level
+        # F' = t h + h' pointwise, on h's own modes
         F, G = _vector_fields()
+        theta = np.random.default_rng(29).uniform(0.1, 2 * math.pi - 0.1, 64)
         for X in (F, G):
-            _, resid = sugawara.line_derivative_repr(X)
-            assert resid < 1e-8
+            h = X.circle_repr
+            phi = sugawara.line_derivative_repr(X)
+            assert phi.max_mode == h.max_mode
+            want = -np.cos(theta / 2) / np.sin(theta / 2) * h(theta) + fn.derivative(h)(theta)
+            assert np.max(np.abs(phi(theta) - want)) < 1e-13
 
     def test_scalar_weight_rejected(self):
         f = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
@@ -145,19 +148,24 @@ class TestCentralCharge:
         b = sugawara.central_charge_estimate(G, F, 1.0, 16)
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_node_doubling_convergence(self, monkeypatch):
+    def test_charge_calls_no_grid(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a resampling grid was used")
+
+        for name in ("_on_grid", "_line_grid"):
+            monkeypatch.setattr(fn, name, refuse)
         F, G = _vector_fields()
-        a = sugawara.central_charge_estimate(F, G, 0.5, 16)
-        monkeypatch.setattr(fn, "GRID_NODES", 4096)
-        b = sugawara.central_charge_estimate(F, G, 0.5, 16)
-        assert abs(a - b) < 1e-6
+        for kappa in (0.0, 0.5, 1.0, 2.0):
+            c = sugawara.central_charge_estimate(F, G, kappa, 16)
+            assert c == pytest.approx(1.0 + kappa**2, rel=1e-14)
 
     def test_cutoff_outside_exactness_window_rejected(self):
-        # the bracket's vacuum amplitude has safe levels -5 / -7 at N = 1 and 0 / 6 at N = 6
+        # the fields reach modes 2 and 3: the level-2 term needs cutoff 2
         F, G = _vector_fields()
-        with pytest.raises(ValueError, match="exactness window"):
-            sugawara.central_charge_estimate(F, G, 1.0, 1)
-        assert sugawara.central_charge_estimate(F, G, 1.0, 6) == pytest.approx(2.0, abs=1e-3)
+        for kappa in (0.0, 1.0):
+            with pytest.raises(ValueError, match="exactness window"):
+                sugawara.central_charge_estimate(F, G, kappa, 1)
+        assert sugawara.central_charge_estimate(F, G, 1.0, 2) == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_pair_rejected(self):
         F, _ = _vector_fields()
@@ -168,9 +176,8 @@ class TestCentralCharge:
         # P T^kappa(F) P = T^{-kappa}(F) on the truncated space
         F, _ = _vector_fields()
         v = ref.basis_vector(12, (2, 1))
-        lhs, _ = ref.apply_stress_line(F, 1.0, ref.parity_flip(v))
-        lhs = ref.parity_flip(lhs)
-        rhs, _ = ref.apply_stress_line(F, -1.0, v)
+        lhs = ref.parity_flip(ref.apply_stress_line(F, 1.0, ref.parity_flip(v)))
+        rhs = ref.apply_stress_line(F, -1.0, v)
         diff = fock.vec_add(lhs, fock.vec_scale(-1.0, rhs))
         assert fock.norm(diff) < 1e-12
 
