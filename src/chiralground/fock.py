@@ -4,10 +4,13 @@ Basis vectors are integer partitions (parts sorted descending) in level
 order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac,
 whose squared norm is the exact integer prod_j j^{m_j} m_j!.  A FockVector
 holds complex amplitudes over that basis, as one column or a batch.  J_n maps
-level l to l - n (Kac-Raina, Bombay Lectures, lecture 2): it is one dense
-float64 block per source level, which depends only on (n, l).  In the
-orthonormalized basis J_n is also a weighted gather, which exp_current uses
-to apply exp(i t J(f)) to a few columns without forming J(f).
+level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and J(f) here,
+and L_n and T(f) in sugawara, have one sparse form: triples (src, dst, w) over
+basis(N), column src going to w times row dst, w in the amplitude basis, so
+that J_n and L_n have exact integer and half weights.  Triples are applied as
+a fixed-width gather, a block of rows at a time, and composed by products.
+In the orthonormalized basis, gauged to make J(f) real, _exp_gauged applies
+exp(i t J(f)) to a few columns without forming J(f).
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +29,10 @@ import numpy as np
 from .fnspace import CircleFourier
 
 Partition = tuple  # of positive ints, sorted descending
+Op = tuple  # (src, dst, w): column src goes to w times row dst; entries may repeat
 
-GATHER_ROWS = 128  # rows per gather block in _exp_gauged: caps its temporary at any basis size
+GATHER_ENTRIES = 512  # gathered entries (rows x width) per row block: caps a gather's temporary
+_EMPTY = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
 def exactness_window(N: int, *reach: int) -> int:
@@ -56,11 +60,6 @@ def basis_norm_sq(parts: Partition) -> int:
     return math.prod(j ** parts.count(j) * math.factorial(parts.count(j)) for j in set(parts))
 
 
-@lru_cache(maxsize=None)
-def norm_sq_at(level: int) -> np.ndarray:
-    return np.array([basis_norm_sq(p) for p in partitions_at(level)], dtype=float)
-
-
 class Basis(NamedTuple):
     partitions: tuple
     offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
@@ -69,9 +68,9 @@ class Basis(NamedTuple):
 
 @lru_cache(maxsize=None)
 def basis(N: int) -> Basis:
-    sizes = [len(partitions_at(lvl)) for lvl in range(N + 1)]
-    return Basis(tuple(p for lvl in range(N + 1) for p in partitions_at(lvl)),
-                 np.cumsum([0] + sizes), np.concatenate([norm_sq_at(lvl) for lvl in range(N + 1)]))
+    parts = tuple(p for lvl in range(N + 1) for p in partitions_at(lvl))
+    return Basis(parts, np.cumsum([0] + [len(partitions_at(lvl)) for lvl in range(N + 1)]),
+                 np.array([basis_norm_sq(p) for p in parts], dtype=float))
 
 
 def basis_partitions(N: int) -> tuple:
@@ -80,43 +79,106 @@ def basis_partitions(N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def mode_map(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """J_n on ``level``: partition c goes to vals[c] times partition rows[c] of level - n."""
-    src = partitions_at(level)
-    rows, vals = np.zeros(len(src), dtype=int), np.zeros(len(src))
-    dst = _index_at(level - n)
-    for c, p in enumerate(src):
-        if n < 0:
-            rows[c], vals[c] = dst[tuple(sorted(p + (-n,), reverse=True))], 1.0
-        elif n > 0 and n in p:
-            rows[c], vals[c] = dst[p[:p.index(n)] + p[p.index(n) + 1:]], n * p.count(n)
-    return rows, vals
+def mode_map(n: int, level: int) -> Op:
+    """J_n on ``level`` as triples of positions in ``level`` and ``level - n``."""
+    parts, index = partitions_at(level), _index_at(level - n)
+    if n < 0:
+        src = range(len(parts))
+        dst = [index[tuple(sorted(p + (-n,), reverse=True))] for p in parts]
+    else:
+        src = [c for c, p in enumerate(parts) if n and n in p]
+        dst = [index[p[:p.index(n)] + p[p.index(n) + 1:]] for p in (parts[c] for c in src)]
+    w = [1.0 if n < 0 else n * parts[c].count(n) for c in src]
+    return np.array(src, dtype=int), np.array(dst, dtype=int), np.array(w)
 
 
 @lru_cache(maxsize=None)
-def mode_block(n: int, level: int) -> np.ndarray:
-    """Dense block of J_n from ``level`` to ``level - n``."""
-    rows, vals = mode_map(n, level)
-    out = np.zeros((len(partitions_at(level - n)), len(rows)))
-    hit = np.flatnonzero(vals)
-    out[rows[hit], hit] = vals[hit]
-    return out
+def mode_triples(n: int, N: int) -> Op:
+    """J_n on basis(N), truncated at N; dst has no repeats."""
+    off = basis(N).offsets
+    return concat([(off[lvl] + src, off[lvl - n] + dst, w)
+                   for lvl in range(max(0, n), min(N, N + n) + 1)
+                   for src, dst, w in [mode_map(n, lvl)]])
 
 
-@lru_cache(maxsize=None)
-def mode_gather(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_n on basis(N) in the orthonormalized basis, truncated at N: column
-    src[i] goes to w[i] > 0 times row dst[i], and dst has no repeats."""
-    off, s = basis(N).offsets, np.sqrt(basis(N).norm_sq)
-    src, dst, w = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for lvl in range(max(0, n), min(N, N + n) + 1):
-        rows, vals = mode_map(n, lvl)
-        hit = np.flatnonzero(vals)
-        src.append(off[lvl] + hit)
-        dst.append(off[lvl - n] + rows[hit])
-        w.append(vals[hit])
-    src, dst, w = map(np.concatenate, (src, dst, w))
-    return src, dst, w * s[dst] / s[src]
+def concat(ops) -> Op:
+    """The sum of the operators in ops, their triples side by side."""
+    return tuple(map(np.concatenate, zip(_EMPTY, *ops)))
+
+
+def scaled(c, op: Op) -> Op:
+    return op[0], op[1], c * op[2]
+
+
+def identity(N: int, c) -> Op:
+    """c times the identity on basis(N)."""
+    diag = np.arange(basis(N).offsets[-1])
+    return diag, diag, np.full(len(diag), c, dtype=np.result_type(c, 1.0))
+
+
+def smear(op, f: CircleFourier, N: int) -> Op:
+    """sum_n c_n op(n, N) over the modes n of f."""
+    return concat([scaled(f.coeff(n), op(n, N)) for n in range(-f.max_mode, f.max_mode + 1)
+                   if f.coeff(n) != 0])
+
+
+def rescaled(op: Op, e: np.ndarray) -> Op:
+    """op in the coordinates e x of an amplitude vector x: w becomes w e[dst] / e[src]."""
+    src, dst, w = op
+    return src, dst, w * e[dst] / e[src]
+
+
+def product(A: Op, B: Op) -> Op:
+    """A B, B applied first: each entry of B followed by every entry of A at its row."""
+    (sa, da, wa), (sb, db, wb) = A, B
+    order = np.argsort(sa, kind="stable")
+    lo, hi = (np.searchsorted(sa, db, side, sorter=order) for side in ("left", "right"))
+    count = hi - lo
+    ib = np.repeat(np.arange(len(db)), count)
+    ia = order[np.arange(len(ib)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return sb[ib], da[ia], wa[ia] * wb[ib]
+
+
+def merge(op: Op, dim: int) -> Op:
+    """op with the weights of each (src, dst) summed into one entry, ordered by (dst, src)."""
+    src, dst, w = op
+    key, inv = np.unique(dst * dim + src, return_inverse=True)
+    out = np.zeros(len(key), dtype=w.dtype)
+    np.add.at(out, inv, w)
+    return key % dim, key // dim, out
+
+
+def gather(op: Op, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """op as a fixed-width gather (S, W): row r of op Z is sum_k W[r, k] Z[S[r, k]].
+    A row keeps its entries in the order of op; zero weights pad a short row."""
+    src, dst, w = op
+    order = np.argsort(dst, kind="stable")
+    count = np.bincount(dst, minlength=dim)
+    slot = np.arange(len(dst)) - np.repeat(np.cumsum(count) - count, count)
+    S = np.zeros((dim, np.max(count, initial=0)), dtype=int)
+    W = np.zeros(S.shape, dtype=w.dtype)
+    S[dst[order], slot], W[dst[order], slot] = src[order], w[order]
+    return S, W
+
+
+def _row_blocks(S: np.ndarray):
+    """Slices of the rows of a gather, each gathering at most GATHER_ENTRIES entries per column."""
+    step = max(1, GATHER_ENTRIES // max(S.shape[1], 1))
+    return (slice(r, r + step) for r in range(0, len(S), step))
+
+
+def _gathered(S: np.ndarray, W: np.ndarray, Z: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the gather (S, W) applied to the columns of Z."""
+    return np.matmul(W[rows, None], Z[S[rows]])[:, 0]
+
+
+def apply_gather(S: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The gather (S, W) applied to Z, one vector or its columns, a block of rows at a time."""
+    Z2 = Z.reshape(len(Z), -1)
+    out = np.empty((len(S), Z2.shape[1]), dtype=np.result_type(W, Z))
+    for rows in _row_blocks(S):
+        out[rows] = _gathered(S, W, Z2, rows)
+    return out.reshape((len(S),) + Z.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,48 +210,19 @@ def vacuum(N: int) -> FockVector:
     return FockVector.from_amps(N, {(): 1.0})
 
 
-def identity_batch(N: int, level: int) -> FockVector:
-    """The basis vectors of one level as the columns of a batch."""
-    off = basis(N).offsets
-    return FockVector(N, np.eye(off[-1], off[level + 1] - off[level], -off[level], dtype=complex))
-
-
-def nonzero_levels(v: FockVector) -> np.ndarray:
-    rows = v.data if v.data.ndim == 1 else v.data.any(axis=1)
-    return np.flatnonzero(np.logical_or.reduceat(rows != 0, basis(v.cutoff).offsets[:-1]))
-
-
-def apply_homogeneous(block, n: int, v: FockVector) -> FockVector:
-    """The operator with blocks block(l) from level l to l - n, truncated like J_n."""
-    N, off, lv = v.cutoff, basis(v.cutoff).offsets, nonzero_levels(v)
-    out = np.zeros(v.data.shape, dtype=complex)
-    X, Y = (np.ascontiguousarray(a).reshape(len(a), -1) for a in (v.data, out))
-    if np.iscomplexobj(X):  # the blocks are real: multiply the real and imaginary parts alike
-        X, Y = X.view(float), Y.view(float)
-    for lvl in lv[(lv >= n) & (lv - n <= N)]:
-        Y[off[lvl - n]:off[lvl - n + 1]] = block(lvl) @ X[off[lvl]:off[lvl + 1]]
-    return FockVector(N, out)
+def apply(op: Op, v: FockVector) -> FockVector:
+    """The operator with triples op over basis(v.cutoff), applied to v."""
+    return FockVector(v.cutoff, apply_gather(*gather(op, len(v.data)), v.data.astype(complex)))
 
 
 def apply_mode(n: int, v: FockVector) -> FockVector:
     """Current mode J_n: creation for n < 0, annihilation for n > 0, zero for n = 0."""
-    return apply_homogeneous(lambda lvl: mode_block(n, lvl), n, v)
-
-
-def smeared(apply, f: CircleFourier, v: FockVector) -> FockVector:
-    """sum_n c_n apply(n, v) over the modes of f."""
-    data = np.zeros_like(v.data, dtype=complex)
-    for n in range(-f.max_mode, f.max_mode + 1):
-        c = f.coeff(n)
-        if c != 0:
-            w = apply(n, v)
-            data += c * w.data
-    return FockVector(v.cutoff, data)
+    return apply(mode_triples(n, v.cutoff), v)
 
 
 def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
-    """Smeared current J(f) = sum_n c_n J_n applied mode by mode."""
-    return smeared(apply_mode, f, v)
+    """Smeared current J(f) = sum_n c_n J_n."""
+    return apply(smear(mode_triples, f, v.cutoff), v)
 
 
 def vec_add(u: FockVector, v: FockVector) -> FockVector:
@@ -208,33 +241,30 @@ def inner(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.data, basis(u.cutoff).norm_sq * v.data))
 
 
-def column_norms(v: FockVector):
-    """Norm of each column of a batch (of the vector itself when unbatched)."""
-    return np.sqrt((basis(v.cutoff).norm_sq * (np.abs(v.data) ** 2).T).T.sum(axis=0))
-
-
 def norm(v: FockVector) -> float:
-    return float(column_norms(v))
+    return float(np.sqrt((basis(v.cutoff).norm_sq * np.abs(v.data) ** 2).sum()))
 
 
-def bracket_residual(block, m: int, n: int, rhs, N: int) -> float:
-    """Largest relative norm of ([A_m, A_n] - rhs) e over the basis vectors e of
-    each level in the exactness window; A_k and rhs are given by their blocks
-    block(k, l) and rhs(l), so a level costs a few block products."""
-    window = exactness_window(N, m, n)
+def bracket_residual(A: Op, B: Op, rhs: Op, window: int, N: int) -> float:
+    """Largest relative norm of ([A, B] - rhs) e over the basis vectors e of the
+    levels <= window, from the merged triples of A B - B A - rhs on those columns."""
     if window < 0:
         raise ValueError("window too small")
-    worst = 0.0
-    for lvl in range(window + 1):
-        r = block(m, lvl - n) @ block(n, lvl) - block(n, lvl - m) @ block(m, lvl) - rhs(lvl)
-        worst = max(worst, np.max(norm_sq_at(lvl - m - n) @ r**2 / norm_sq_at(lvl), initial=0.0))
-    return math.sqrt(worst)
+    top, norm_sq = basis(N).offsets[window + 1], basis(N).norm_sq
+
+    def cols(op):  # op on the basis vectors of the window
+        return tuple(a[op[0] < top] for a in op)
+
+    src, dst, r = merge(concat([product(A, cols(B)), scaled(-1, product(B, cols(A))),
+                                scaled(-1, cols(rhs))]), len(norm_sq))
+    worst = np.bincount(src, norm_sq[dst] * np.abs(r) ** 2, minlength=top) / norm_sq[:top]
+    return math.sqrt(np.max(worst, initial=0.0))
 
 
 def heisenberg_residual(m: int, n: int, N: int) -> float:
     """Max residual of [J_m, J_n] = m delta_{m+n,0} over the exactness window."""
-    return bracket_residual(mode_block, m, n, lambda lvl: m * np.eye(len(partitions_at(lvl)))
-                            if m + n == 0 else 0.0, N)
+    return bracket_residual(mode_triples(m, N), mode_triples(n, N),
+                            identity(N, m if m + n == 0 else 0), exactness_window(N, m, n), N)
 
 
 def _tail_degree(z: float) -> int:
@@ -259,22 +289,18 @@ def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     With c_{-n} = conj c_n and U e_p = e^{i phi(p)} e_p, phi(p) = -sum_{parts j of
     p} arg c_j, one has U* J(f) U = sum_{n>0} |c_n| (J_n + J_{-n}) in the
-    orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as a
-    fixed-width gather: its row r applied to Y is sum_k W[r, k] Y[S[r, k]].
-    Raises ValueError if J(f) is not Hermitian.
+    orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as the
+    gather (S, W).  Raises ValueError if J(f) is not Hermitian.
     """
-    # J(f) - J(f)* has the entries (c_n - conj c_{-n}) w_n, w_n those of mode_gather(n, N)
-    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) * np.max(mode_gather(n, N)[2], initial=0.0)
-               for n in range(-f.max_mode, f.max_mode + 1))
+    s = np.sqrt(basis(N).norm_sq)
+    J = {n: rescaled(mode_triples(n, N), s) for n in range(-f.max_mode, f.max_mode + 1)}
+    # J(f) - J(f)* has the entries (c_n - conj c_{-n}) w_n, w_n those of J_n
+    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) * np.max(J[n][2], initial=0.0) for n in J)
     if skew > 1e-12:
         raise ValueError("J(f) is not Hermitian: f must be real")
     c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
-    slots = list(product(np.flatnonzero(c) + 1, (1, -1)))
-    dim = basis(N).offsets[-1]
-    S, W = np.zeros((dim, len(slots)), dtype=int), np.zeros((dim, len(slots)))
-    for slot, (n, sign) in enumerate(slots):
-        src, dst, w = mode_gather(sign * int(n), N)  # dst has no repeats
-        S[dst, slot], W[dst, slot] = src, abs(c[n - 1]) * w
+    S, W = gather(concat([scaled(abs(c[n - 1]), J[sign * n]) for n in range(1, c.size + 1)
+                          if c[n - 1] != 0 for sign in (1, -1)]), len(s))
     phase = np.exp(-1j * (part_counts(N)[:, :c.size] @ np.angle(c)))
     return phase, S, W
 
@@ -289,16 +315,6 @@ def part_counts(N: int) -> np.ndarray:
     return out
 
 
-def exp_current(f: CircleFourier, t: float, X: np.ndarray, N: int) -> np.ndarray:
-    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N.
-
-    This is U exp(i t A) U* X in the real gauge J(f) = U A U* of _real_gauge.
-    Raises ValueError for a non-real f, and ArithmeticError as _exp_gauged does.
-    """
-    phase, S, W = _real_gauge(f, N)
-    return phase[:, None] * _exp_gauged(S, W, t, phase.conj()[:, None] * X)
-
-
 def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:
     """exp(i t A) X for the real symmetric A of the gather (S, W) of _real_gauge.
 
@@ -306,9 +322,10 @@ def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.nda
     sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and
     Kosloff, J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z)
     fixed in advance.  The recurrence runs on the real columns of X (its real
-    and imaginary parts when X is complex), GATHER_ROWS rows per gather, and sums
-    the real (k even) and imaginary (k odd) coefficients apart.  Raises
-    ArithmeticError rather than return a non-finite result.
+    and imaginary parts when X is complex) in two buffers, T_k overwriting
+    T_{k-2} one row block at a time, and sums the real (k even) and imaginary
+    (k odd) coefficients apart in the same blocks.  Raises ArithmeticError
+    rather than return a non-finite result.
     """
     b = np.max(W.sum(axis=1), initial=0.0)
     K = _tail_degree(t * b)
@@ -317,26 +334,25 @@ def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.nda
     coef[1:] *= 2  # now eps_k i^k J_k(t b)
     W = 2 * W / (b or 1.0)
 
-    def twice_x(Z):  # 2 (A / b) Z
-        out = np.empty_like(Z)
-        for r in range(0, len(Z), GATHER_ROWS):
-            rows = slice(r, r + GATHER_ROWS)
-            np.einsum("rk,rkc->rc", W[rows], Z[S[rows]], out=out[rows])
-        return out
-
-    dtype = np.result_type(X, float)
-    prev = np.ascontiguousarray(X, dtype=dtype).view(float)  # T_0 X on real columns
-    yr, yi = coef[0].real * prev, np.zeros_like(prev)
-    cur = twice_x(prev) / 2 if K else None  # T_1 X
+    prev = np.array(X, dtype=np.result_type(X, float)).view(float)  # T_0 X on real columns
+    Y = np.zeros(X.shape, dtype=complex)  # for real X, the two sums are its two parts
+    yr, yi = (Y.view(float), np.zeros_like(prev)) if np.iscomplexobj(X) else (Y.real, Y.imag)
+    np.multiply(prev, coef[0].real, out=yr)
+    cur = np.empty_like(prev)
     for k in range(1, K + 1):
-        if k > 1:
-            nxt = twice_x(cur)
-            nxt -= prev  # T_k = 2 x T_{k-1} - T_{k-2}
-            prev, cur = cur, nxt
         y, a = (yi, coef[k].imag) if k % 2 else (yr, coef[k].real)  # i^k J_k(z): real iff k even
-        y += a * cur
-    Y = yi.view(dtype) * 1j
-    Y += yr.view(dtype)
+        last, out = (prev, cur) if k == 1 else (cur, prev)  # T_k = 2 x T_{k-1} - T_{k-2} into out
+        for rows in _row_blocks(S):
+            if k == 1:  # T_1 = x T_0
+                np.multiply(_gathered(S, W, last, rows), 0.5, out=out[rows])
+            else:
+                np.subtract(_gathered(S, W, last, rows), out[rows], out=out[rows])
+            y[rows] += a * out[rows]
+        if k > 1:
+            prev, cur = cur, prev
+    if np.iscomplexobj(X):  # Y = yr + i yi on the complex columns
+        for rows in _row_blocks(S):
+            Y[rows] += 1j * yi.view(complex)[rows]
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
     return Y

@@ -1,9 +1,9 @@
 """Virasoro modes via the normal-ordered quadratic (Sugawara) construction.
 
-L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k, built
-once per level as a block from the J mode maps; the algebra checks are exact
-up to floating rounding.  The perturbed stress tensor couples its current term
-with KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
+L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k: the
+merged products of the J triples of fock, whose weights, and so the algebra
+checks, are exact.  The perturbed stress tensor couples its current term with
+KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import fock
 from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, Weight, derivative, multiply_by_t,
                       pointwise_product, sigma, vectorfield_line_integral_f3g)
-from .fock import FockVector, apply_current, vec_add, vec_scale
+from .fock import FockVector, apply_current, mode_triples, smear, vec_add, vec_scale
 
 # Coupling of the current term in the perturbed stress tensor; with
 # [J_m, J_n] = m delta the perturbation (kappa/sqrt(12)) J(f') shifts the
@@ -26,41 +26,27 @@ KAPPA_SCALE = 1.0 / math.sqrt(12.0)
 
 
 @lru_cache(maxsize=None)
-def virasoro_block(n: int, level: int) -> np.ndarray:
-    """Dense block of L_n from ``level`` to ``level - n``.
+def virasoro_triples(n: int, N: int) -> fock.Op:
+    """L_n on basis(N), truncated at N, as merged triples.
 
     L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
-    weight 1/2 iff j = k.  Each pair sends column c to the single row rj[rk[c]]
-    with weight weight * vk[c] * vj[rk[c]] (mode_map), so the block is one
-    scatter-add of all pairs.  Its entries are small integers or halves, hence exact.
+    weight 1/2 iff j = k, and J_k applied first.  Truncating J_k at N drops
+    nothing that J_j would keep, since the middle level is never above the
+    last.  The weights are sums of small integers and halves, hence exact.
     """
-    shape = (len(fock.partitions_at(level - n)), len(fock.partitions_at(level)))
-    index, weights = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for k in range(-((-n) // 2), max(0, level) + 1):  # k > level annihilates every column
-        j = n - k
-        if j == 0 or k == 0:
-            continue
-        rk, vk = fock.mode_map(k, level)
-        rj, vj = fock.mode_map(j, level - k)
-        w = (0.5 if j == k else 1.0) * vk * vj[rk]
-        hit = np.flatnonzero(w)
-        index.append(rj[rk[hit]] * shape[1] + hit)
-        weights.append(w[hit])
-    flat = np.bincount(np.concatenate(index), np.concatenate(weights), shape[0] * shape[1])
-    return flat.reshape(shape)
+    pairs = [(n - k, k) for k in range(-((-n) // 2), N + 1) if k and n - k]
+    return fock.merge(fock.concat([fock.scaled(0.5 if j == k else 1.0, fock.product(
+        mode_triples(j, N), mode_triples(k, N))) for j, k in pairs]), fock.basis(N).offsets[-1])
 
 
 def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
-    """L_n = (1/2) sum_m :J_{-m} J_{n+m}: through its level blocks; L_0 is the level."""
-    if n == 0:
-        level = np.repeat(np.arange(v.cutoff + 1), np.diff(fock.basis(v.cutoff).offsets))
-        return FockVector(v.cutoff, (level * v.data.T).T)
-    return fock.apply_homogeneous(lambda lvl: virasoro_block(n, lvl), n, v)
+    """L_n = (1/2) sum_m :J_{-m} J_{n+m}:; L_0 is the level."""
+    return fock.apply(virasoro_triples(n, v.cutoff), v)
 
 
 def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
     """Smeared stress tensor T(f) = sum_n c_n L_n."""
-    return fock.smeared(apply_virasoro_mode, f, v)
+    return fock.apply(smear(virasoro_triples, f, v.cutoff), v)
 
 
 def line_derivative_repr(F: LineObject) -> CircleFourier:
@@ -95,23 +81,19 @@ def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> flo
     mutation testing.
     """
     central = 0.0 if drop_central or m + n != 0 else (m**3 - m) / 12.0
-    return fock.bracket_residual(virasoro_block, m, n, lambda lvl: (m - n) * virasoro_block(
-        m + n, lvl) + central * np.eye(*virasoro_block(m + n, lvl).shape), N)
+    rhs = fock.concat([fock.scaled(m - n, virasoro_triples(m + n, N)), fock.identity(N, central)])
+    return fock.bracket_residual(virasoro_triples(m, N), virasoro_triples(n, N), rhs,
+                                 fock.exactness_window(N, m, n), N)
 
 
 def mixed_relation_residual(f: CircleFourier, g: CircleFourier, N: int) -> float:
     """Max residual of [T(f), J(g)] = i J(f g') over the exactness window."""
     # the bracket and J(f g') each move the level by up to Mf + Mg
-    window = fock.exactness_window(N, f.max_mode + g.max_mode, f.max_mode + g.max_mode)
-    if window < 0:
-        raise ValueError("window too small")
-    fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    T, J, worst = partial(apply_stress_circle, f), partial(apply_current, g), 0.0
-    for level in range(window + 1):
-        v = fock.identity_batch(N, level)
-        r = FockVector(N, T(J(v)).data - J(T(v)).data - 1j * apply_current(fgp, v).data)
-        worst = max(worst, float(np.max(fock.column_norms(r) / fock.column_norms(v))))
-    return worst
+    reach = f.max_mode + g.max_mode
+    fgp = pointwise_product(f, derivative(g), reach)
+    return fock.bracket_residual(smear(virasoro_triples, f, N), smear(mode_triples, g, N),
+                                 fock.scaled(1j, smear(mode_triples, fgp, N)),
+                                 fock.exactness_window(N, reach, reach), N)
 
 
 def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) -> float:
@@ -128,13 +110,13 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
         raise ValueError("degenerate test pair: cocycle integral too small")
     # <vac, T(F) T(G) vac> is a sum of level-n terms <vac, L_n L_{-n} vac> and
     # <vac, J_n J_{-n} vac> over the modes n of both fields (F' has F's max
-    # mode); mixed terms vanish, as [L_n, J_{-n}] vac = n J_0 vac = 0.  A term
-    # is exact iff its level n is at most N.
+    # mode); mixed terms vanish, as [L_n, J_{-n}] vac = n J_0 vac = 0.  No term lies
+    # above the reach, so every cutoff N >= reach gives the amplitude at cutoff reach.
     reach = min(F.circle_repr.max_mode, G.circle_repr.max_mode)
     if fock.exactness_window(N, reach) < 0:
         raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
                          f"outside its exactness window (it needs cutoff {reach})")
-    vac = fock.vacuum(N)
+    vac = fock.vacuum(reach)
     TF, TG = (stress_line_operator(X, kappa) for X in (F, G))
     num = fock.inner(vac, TF(TG(vac))) - fock.inner(vac, TG(TF(vac)))
     c = 12.0 * SIGMA_NORM * num / (1j * denom.value)
@@ -150,18 +132,20 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
     invariant and U* P = P times a phase, so the residual R is taken in the real
     gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), where
-    exp(-i A) acts on the real P; its norm is the root of the top eigenvalue of R* R.
+    exp(-i A) acts on the real P.  T(f) and J(f g') are their triples carried
+    into that gauge; on P they are matrix entries, subtracted one by one.  The
+    norm of R is the root of the top eigenvalue of R* R.
     """
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     phase, S, W = fock._real_gauge(g, N)
-    d = phase[:, None] / np.sqrt(fock.basis(N).norm_sq)[:, None]  # U, then to amplitudes
-
-    def hat(op, h, Y):  # U* op(h) U in the orthonormalized basis, on the columns of Y
-        return op(h, FockVector(N, d * Y)).data / d
-
-    P = np.eye(len(d), fock.basis(N).offsets[N // 2 + 1])  # the level slab
-    R = fock._exp_gauged(S, W, 1.0, hat(apply_stress_circle, f, fock._exp_gauged(S, W, -1.0, P)))
-    R -= hat(apply_stress_circle, f, P)
-    R -= hat(apply_current, fgp, P)
-    R -= sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
+    e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
+    T = fock.rescaled(smear(virasoro_triples, f, N), e)
+    slab = fock.basis(N).offsets[N // 2 + 1]
+    TWsP = fock.apply_gather(*fock.gather(T, len(e)),
+                             fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
+    R = fock._exp_gauged(S, W, 1.0, TWsP)
+    src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
+                               fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
+    on = src < slab
+    np.subtract.at(R, (dst[on], src[on]), w[on])
     return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))

@@ -1,9 +1,11 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
 the array layer in chiralground.fock must reproduce; the Weyl adjoint
-residual computed with a dense eigendecomposition of J(g); the Virasoro level
-blocks summed pair by pair; and small helpers of the array layer that only
-the tests use.
+residual computed with a dense eigendecomposition of J(g); dense level blocks
+of J_n and of L_n (summed pair by pair), the dense bracket residual built on
+them, and the dense matrix of a set of triples; and small helpers of the
+array layer that only the tests use, among them exp(i t J(f)) on ungauged
+columns.
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -12,6 +14,7 @@ prod_j j^{m_j} m_j!.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,13 +146,81 @@ def dense_matrix(op, N: int) -> np.ndarray:
 
 def operator_matrix(op, N: int) -> np.ndarray:
     """Dense matrix of a linear operator of the array layer in the orthonormalized
-    partition basis, built from the identity batch of each level."""
+    partition basis, built from the basis vectors of each level as one batch."""
     off, s = fock.basis(N).offsets, np.sqrt(fock.basis(N).norm_sq)
     A = np.zeros((len(s), len(s)), dtype=complex)
     for lvl in range(N + 1):
-        A[:, off[lvl]:off[lvl + 1]] = op(fock.identity_batch(N, lvl)).data
+        batch = np.eye(len(s), off[lvl + 1] - off[lvl], -off[lvl], dtype=complex)
+        A[:, off[lvl]:off[lvl + 1]] = op(fock.FockVector(N, batch)).data
     A *= s[:, None] / s
     return A
+
+
+def triples_matrix(op, N: int) -> np.ndarray:
+    """Dense amplitude-basis matrix of the triples op over basis(N)."""
+    src, dst, w = op
+    dim = fock.basis(N).offsets[-1]
+    A = np.zeros((dim, dim), dtype=np.result_type(w, float))
+    np.add.at(A, (dst, src), w)
+    return A
+
+
+def blocks_matrix(block, n: int, N: int) -> np.ndarray:
+    """Dense amplitude-basis matrix over basis(N) of the operator with blocks
+    block(n, l) from level l to l - n, truncated at N like J_n."""
+    off = fock.basis(N).offsets
+    A = np.zeros((off[-1], off[-1]))
+    for lvl in range(max(0, n), min(N, N + n) + 1):
+        A[off[lvl - n]:off[lvl - n + 1], off[lvl]:off[lvl + 1]] = block(n, lvl)
+    return A
+
+
+@lru_cache(maxsize=None)
+def mode_block(n: int, level: int) -> np.ndarray:
+    """Dense block of J_n from ``level`` to ``level - n``, column by column from apply_mode."""
+    rows = {p: i for i, p in enumerate(fock.partitions_at(level - n))}
+    out = np.zeros((len(rows), len(fock.partitions_at(level))))
+    for c, p in enumerate(fock.partitions_at(level)):
+        for q, a in apply_mode(n, DictVector(max(level, level - n), {p: 1.0})).amps.items():
+            out[rows[q], c] = a
+    return out
+
+
+def bracket_residual(block, m: int, n: int, rhs, N: int) -> float:
+    """Largest relative norm of ([A_m, A_n] - rhs) e over the basis vectors e of
+    each level in the exactness window; A_k and rhs are given by their blocks
+    block(k, l) and rhs(l), so a level costs a few block products."""
+    window = fock.exactness_window(N, m, n)
+    if window < 0:
+        raise ValueError("window too small")
+    worst = 0.0
+    for lvl in range(window + 1):
+        r = block(m, lvl - n) @ block(n, lvl) - block(n, lvl - m) @ block(m, lvl) - rhs(lvl)
+        worst = max(worst, np.max(_norm_sq_at(lvl - m - n) @ r**2 / _norm_sq_at(lvl),
+                                  initial=0.0))
+    return math.sqrt(worst)
+
+
+def _norm_sq_at(level: int) -> np.ndarray:
+    return np.array([basis_norm_sq(p) for p in fock.partitions_at(level)], dtype=float)
+
+
+def heisenberg_residual(m: int, n: int, N: int) -> float:
+    return bracket_residual(mode_block, m, n, lambda lvl: m * np.eye(len(fock.partitions_at(lvl)))
+                            if m + n == 0 else 0.0, N)
+
+
+def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
+    central = 0.0 if drop_central or m + n != 0 else (m**3 - m) / 12.0
+    return bracket_residual(virasoro_block, m, n, lambda lvl: (m - n) * virasoro_block(
+        m + n, lvl) + central * np.eye(*virasoro_block(m + n, lvl).shape), N)
+
+
+def exp_current(f, t: float, X: np.ndarray, N: int) -> np.ndarray:
+    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N:
+    U exp(i t A) U* X in the real gauge J(f) = U A U* of fock._real_gauge."""
+    phase, S, W = fock._real_gauge(f, N)
+    return phase[:, None] * fock._exp_gauged(S, W, t, phase.conj()[:, None] * X)
 
 
 def weyl_residual_eigh(g, f, N: int) -> float:
@@ -180,8 +251,7 @@ def virasoro_block(n: int, level: int) -> np.ndarray:
         j = n - k
         if j == 0 or k == 0:
             continue
-        rows, vals = fock.mode_map(k, level)  # J_k sends each column to one row
-        out += (0.5 if j == k else 1.0) * fock.mode_block(j, level - k)[:, rows] * vals
+        out += (0.5 if j == k else 1.0) * mode_block(j, level - k) @ mode_block(k, level)
     return out
 
 

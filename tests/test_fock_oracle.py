@@ -1,7 +1,8 @@
-"""The level-block Fock layer against the dict reference in fock_reference.py,
+"""The sparse Fock layer against the dict reference in fock_reference.py,
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
-covers every n in [-N - 2, N + 2]; and the exactness window of the central
-charge against the same amplitude at a larger cutoff."""
+covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
+level blocks kept there; and the exactness window of the central charge
+against the same amplitude at a larger cutoff."""
 
 import math
 import os
@@ -64,9 +65,43 @@ def test_virasoro_pair_sum(pair, n):
 
 
 def test_virasoro_block_matches_pair_sum():
-    for n in range(-6, 7):
-        for level in range(17):
-            assert np.array_equal(sugawara.virasoro_block(n, level), ref.virasoro_block(n, level))
+    # every L_n and J_n that is nonzero at cutoff N, and one zero mode past it on each side
+    for N in range(15):
+        for n in range(-N - 1, N + 2):
+            assert np.array_equal(ref.triples_matrix(sugawara.virasoro_triples(n, N), N),
+                                  ref.blocks_matrix(ref.virasoro_block, n, N))
+            assert np.array_equal(ref.triples_matrix(fock.mode_triples(n, N), N),
+                                  ref.blocks_matrix(ref.mode_block, n, N))
+
+
+def test_sparse_brackets_equal_dense_blocks():
+    pairs = [(m, n) for m in range(-4, 5) for n in range(m, 5)]
+    assert len(pairs) == 45
+    for m, n in pairs:
+        assert fock.heisenberg_residual(m, n, 12) == ref.heisenberg_residual(m, n, 12)
+        for drop in (False, True):
+            assert (sugawara.virasoro_residual(m, n, 12, drop_central=drop)
+                    == ref.virasoro_residual(m, n, 12, drop_central=drop))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_relation_matches_dict_oracle(seed):
+    rng = np.random.default_rng(60 + seed)
+    f, g = (fn.random_real_circle(int(rng.integers(1, 3)), rng) for _ in range(2))
+    N, reach = 10, f.max_mode + g.max_mode
+    fgp = fn.pointwise_product(f, fn.derivative(g), reach)
+    Tf, Jg, Jfgp = (ref.dense_matrix(lambda v, h=h, a=a: ref.smeared(a, h, v), N) for h, a in
+                    ((f, ref.apply_virasoro_mode), (g, ref.apply_mode), (fgp, ref.apply_mode)))
+    cols = len(ref.partitions_upto(fock.exactness_window(N, reach, reach)))
+    comm = (Tf @ Jg - Jg @ Tf)[:, :cols]  # orthonormal columns: norms are relative norms
+    want = np.max(np.linalg.norm(comm - 1j * Jfgp[:, :cols], axis=0))
+    assert abs(sugawara.mixed_relation_residual(f, g, N) - want) < 1e-13
+    # the bracket alone, far from zero, checks the products and the column norms
+    bracket = fock.bracket_residual(fock.smear(sugawara.virasoro_triples, f, N),
+                                    fock.smear(fock.mode_triples, g, N), fock.concat([]),
+                                    fock.exactness_window(N, reach, reach), N)
+    assert bracket == pytest.approx(np.max(np.linalg.norm(comm, axis=0)), rel=1e-12)
+    assert bracket > 0.1
 
 
 @SETTINGS
@@ -172,7 +207,7 @@ def test_exp_current_matches_dense_expm(N, size):
     X /= np.linalg.norm(X, axis=0)
     W = expm(1j * ref.operator_matrix(lambda v: fock.apply_current(g, v), N))
     for t, dense in ((1.0, W), (-1.0, W.conj().T)):
-        assert np.max(np.abs(fock.exp_current(g, t, X, N) - dense @ X)) < 1e-12
+        assert np.max(np.abs(ref.exp_current(g, t, X, N) - dense @ X)) < 1e-12
 
 
 def test_real_gauge_makes_the_current_real_symmetric():
@@ -208,8 +243,8 @@ def test_gauged_series_on_real_columns_matches_complex_columns(t, monkeypatch):
     X = np.random.default_rng(46).standard_normal((len(fock.basis_partitions(N)), 6))
     Y = fock._exp_gauged(S, W, t, X)
     assert np.max(np.abs(Y - fock._exp_gauged(S, W, t, X + 0j))) < 1e-13
-    for rows in (1, 7, 10**6):  # the row blocks of the gathers do not change the result
-        monkeypatch.setattr(fock, "GATHER_ROWS", rows)
+    for entries in (1, 28, 10**6):  # the row blocks of the gathers do not change the result
+        monkeypatch.setattr(fock, "GATHER_ENTRIES", entries)
         assert np.max(np.abs(fock._exp_gauged(S, W, t, X) - Y)) < 1e-13
 
 
@@ -228,14 +263,14 @@ def test_L0_equals_its_pair_sum_block(N):
 def test_exp_current_refuses_a_non_real_generator():
     g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
     with pytest.raises(ValueError, match="Hermitian"):
-        fock.exp_current(g, 1.0, np.eye(len(fock.basis_partitions(6)), 3), 6)
+        ref.exp_current(g, 1.0, np.eye(len(fock.basis_partitions(6)), 3), 6)
 
 
 def test_exp_current_round_trip():
     g, _ = _sized_pair(40, 3.0)
     N = 12
     X = np.random.default_rng(41).standard_normal((len(fock.basis_partitions(N)), 4))
-    back = fock.exp_current(g, 1.0, fock.exp_current(g, -1.0, X, N), N)
+    back = ref.exp_current(g, 1.0, ref.exp_current(g, -1.0, X, N), N)
     assert np.max(np.abs(back - X)) < 1e-12 * np.max(np.abs(X))
 
 
@@ -243,7 +278,7 @@ def test_exp_current_refuses_an_unconverged_series():
     g, _ = _sized_pair(42, 0.5)
     X = np.full((len(fock.basis_partitions(6)), 1), np.nan)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        fock.exp_current(g, 1.0, X, 6)
+        ref.exp_current(g, 1.0, X, 6)
 
 
 def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
@@ -271,7 +306,8 @@ def test_weyl_adjoint_rejects_complex_generator():
 
 
 def test_cli_import_leaves_scipy_out():
-    code = "import sys, chiralground.cli; print('scipy' in sys.modules)"
+    # the package depends on numpy alone, and importing scipy would dominate its start-up
+    code = "import sys, chiralground.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     src = str(Path(chiralground.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
