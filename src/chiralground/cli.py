@@ -21,6 +21,7 @@ import numpy as np
 
 from . import fock, states, sugawara
 from .fnspace import (
+    CircleFourier,
     LineObject,
     Weight,
     circle_from_real_modes,
@@ -121,11 +122,10 @@ def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tup
               lambda: sugawara.mixed_relation_residual(
                   random_real_circle(Mf, rng), random_real_circle(Mg, rng), N), 1e-9)
 
-    def adjointness(n):
-        basis = fock.basis_partitions(fock.exactness_window(N, n))
-        u, v = (fock.FockVector.from_amps(
-            N, {p: complex(rng.standard_normal(), rng.standard_normal()) for p in basis}
-        ) for _ in range(2))
+    def adjointness(n):  # u, v on the levels <= the window, amplitudes drawn as (re, im) pairs
+        off = fock.basis(N).offsets
+        amps = rng.standard_normal((2, off[fock.exactness_window(N, n) + 1], 2)).view(complex)
+        u, v = (fock.FockVector(N, np.pad(a[:, 0], (0, off[-1] - len(a)))) for a in amps)
         lhs = fock.inner(fock.apply_mode(-n, u), v)
         rhs = fock.inner(u, fock.apply_mode(n, v))
         return abs(lhs - rhs) / (fock.norm(u) * fock.norm(v))
@@ -191,7 +191,8 @@ def run_nonnormal(q: float, n_max: int, modes: int) -> tuple[list, bool]:
 
 def run_ground(q: float, kappa: float, fspec: str, M: int, seed: int) -> dict:
     f = parse_function_spec(fspec, M)
-    if states.as_fourier(f, M).truncated:
+    r = f.circle_repr  # a fourier: spec keeps its own modes, and --modes must not cut one
+    if isinstance(r, CircleFourier) and np.any(r.pad(M).pad(r.max_mode).coeffs != r.coeffs):
         raise UsageError(f"{fspec!r} has modes above --modes {M}")
     p = states.GroundStateParams(q, kappa)
     report = {"q": q, "kappa": kappa, "function": fspec}
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # e.g. a DivergenceError, or a cutoff outside a window
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # e.g. numpy refusing an array of 10^12 modes
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

@@ -43,7 +43,6 @@ class CircleFourier:
 
     coeffs: np.ndarray
     is_real: bool = True
-    truncated: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -67,11 +66,7 @@ class CircleFourier:
         out = np.zeros(2 * M + 1, dtype=complex)
         k = min(M, old)
         out[M - k : M + k + 1] = self.coeffs[old - k : old + k + 1]
-        dropped = M < old and (
-            np.any(self.coeffs[: old - M]) or np.any(self.coeffs[old + M + 1 :])
-        )
-        trunc = self.truncated or bool(dropped)
-        return CircleFourier(out, self.is_real, trunc)
+        return CircleFourier(out, self.is_real)
 
     def __call__(self, theta):
         """Values at arbitrary angles, by Horner's rule in z = e^{i theta} and its conjugate."""
@@ -96,11 +91,7 @@ class CircleFourier:
     def _binop(self, other, op):
         M = max(self.max_mode, other.max_mode)
         a, b = self.pad(M), other.pad(M)
-        return CircleFourier(
-            op(a.coeffs, b.coeffs),
-            self.is_real and other.is_real,
-            self.truncated or other.truncated,
-        )
+        return CircleFourier(op(a.coeffs, b.coeffs), self.is_real and other.is_real)
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -109,8 +100,7 @@ class CircleFourier:
         return self._binop(other, np.subtract)
 
     def scale(self, lam: float) -> "CircleFourier":
-        return CircleFourier(lam * self.coeffs, self.is_real and np.isreal(lam),
-                             self.truncated)
+        return CircleFourier(lam * self.coeffs, self.is_real and np.isreal(lam))
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ def fourier_project(f: PiecewiseLinearCircle, M: int) -> CircleFourier:
 
 def derivative(f: CircleFourier) -> CircleFourier:
     ns = np.arange(-f.max_mode, f.max_mode + 1)
-    return CircleFourier(1j * ns * f.coeffs, f.is_real, f.truncated)
+    return CircleFourier(1j * ns * f.coeffs, f.is_real)
 
 
 def pointwise_product(f: CircleFourier, g: CircleFourier, M_out: int) -> CircleFourier:
@@ -227,8 +217,7 @@ def pointwise_product(f: CircleFourier, g: CircleFourier, M_out: int) -> CircleF
     out = np.zeros(2 * M_out + 1, dtype=complex)
     k = min(M_out, M_full)
     out[M_out - k : M_out + k + 1] = full[M_full - k : M_full + k + 1]
-    truncated = f.truncated or g.truncated or (M_out < M_full)
-    return CircleFourier(out, f.is_real and g.is_real, truncated)
+    return CircleFourier(out, f.is_real and g.is_real)
 
 
 def sigma(f: CircleFourier, g: CircleFourier) -> float:
@@ -461,7 +450,7 @@ def multiply_by_t(h: CircleFourier) -> CircleFourier:
     if abs(c.sum()) > POLE_TOL * np.sum(np.abs(c)):
         raise ValueError("t h has a pole at theta = 0: h must vanish there")
     q = np.cumsum(c[::-1])[::-1][1:]  # q_n for n = -M .. M - 1
-    return CircleFourier(-1j * (np.append(q, 0.0) + np.insert(q, 0, 0.0)), h.is_real, h.truncated)
+    return CircleFourier(-1j * (np.append(q, 0.0) + np.insert(q, 0, 0.0)), h.is_real)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Level-truncated charge-zero bosonic Fock space, stored level by level.
+"""Level-truncated charge-zero bosonic Fock space, indexed by part multiplicities.
 
 Basis vectors are integer partitions (parts sorted descending) in level
-order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac,
-whose squared norm is the exact integer prod_j j^{m_j} m_j!.  A FockVector
-holds complex amplitudes over that basis, as one column or a batch.  J_n maps
-level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and J(f) here,
-and L_n and T(f) in sugawara, have one sparse form: triples (src, dst, w) over
+order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac.
+basis(N) indexes them by one table, counts[i, j] = m_j, the number of parts j
+of partition i; the squared norm prod_j j^{m_j} m_j! and the position of a
+multiplicity row (Basis.find) come from it.  A FockVector holds complex
+amplitudes over that basis, as one column or a batch.  J_n maps level l to
+l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and J(f) here, and L_n
+and T(f) in sugawara, have one sparse form: triples (src, dst, w) over
 basis(N), column src going to w times row dst, w in the amplitude basis, so
 that J_n and L_n have exact integer and half weights.  Triples are applied as
 a fixed-width gather, a block of rows at a time, and composed by products.
@@ -22,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .fnspace import CircleFourier
 
-Partition = tuple  # of positive ints, sorted descending
 Op = tuple  # (src, dst, w): column src goes to w times row dst; entries may repeat
 
 GATHER_ENTRIES = 512  # gathered entries (rows x width) per row block: caps a gather's temporary
@@ -49,28 +51,41 @@ def partitions_at(level: int, max_part: int = None) -> tuple:
                  for rest in partitions_at(level - first, first))
 
 
-@lru_cache(maxsize=None)
-def _index_at(level: int) -> dict:
-    return {p: i for i, p in enumerate(partitions_at(level))}
-
-
-@lru_cache(maxsize=None)
-def basis_norm_sq(parts: Partition) -> int:
-    """prod_j j^{m_j} m_j! over the part multiplicities m_j."""
-    return math.prod(j ** parts.count(j) * math.factorial(parts.count(j)) for j in set(parts))
-
-
 class Basis(NamedTuple):
     partitions: tuple
     offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
-    norm_sq: np.ndarray
+    counts: np.ndarray  # (dim, N + 1) uint8: counts[i, j] = m_j, the parts j in partition i
+    norm_sq: np.ndarray  # prod_j j^{m_j} m_j!, exact where below 2^53
+    keys: np.ndarray  # the rows of counts as byte strings, sorted
+    order: np.ndarray  # keys[k] is the row of partition order[k]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the partitions with multiplicity rows ``rows``; ValueError for a
+        row that is no partition of the basis."""
+        keys = _row_keys(rows)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        if np.any(self.keys[at] != keys):
+            raise ValueError("partition not in the basis")
+        return self.order[at]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:  # rows as byte strings, which sort and compare
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{np.shape(rows)[1]}")[:, 0]
 
 
 @lru_cache(maxsize=None)
 def basis(N: int) -> Basis:
     parts = tuple(p for lvl in range(N + 1) for p in partitions_at(lvl))
+    # multiplicities are at most N, far below 256 for any basis that fits in memory
+    counts = np.zeros((len(parts), N + 1), dtype=np.uint8)
+    np.add.at(counts, (np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
+                       np.fromiter(chain.from_iterable(parts), dtype=int)), 1)
+    factor = np.array([[float(j**m * math.factorial(m)) for m in range(N + 1)]
+                       for j in range(N + 1)])  # j^m m!
+    keys = _row_keys(counts)
+    order = np.argsort(keys)
     return Basis(parts, np.cumsum([0] + [len(partitions_at(lvl)) for lvl in range(N + 1)]),
-                 np.array([basis_norm_sq(p) for p in parts], dtype=float))
+                 counts, np.prod(factor[np.arange(N + 1), counts], axis=1), keys[order], order)
 
 
 def basis_partitions(N: int) -> tuple:
@@ -79,26 +94,22 @@ def basis_partitions(N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def mode_map(n: int, level: int) -> Op:
-    """J_n on ``level`` as triples of positions in ``level`` and ``level - n``."""
-    parts, index = partitions_at(level), _index_at(level - n)
-    if n < 0:
-        src = range(len(parts))
-        dst = [index[tuple(sorted(p + (-n,), reverse=True))] for p in parts]
-    else:
-        src = [c for c, p in enumerate(parts) if n and n in p]
-        dst = [index[p[:p.index(n)] + p[p.index(n) + 1:]] for p in (parts[c] for c in src)]
-    w = [1.0 if n < 0 else n * parts[c].count(n) for c in src]
-    return np.array(src, dtype=int), np.array(dst, dtype=int), np.array(w)
-
-
-@lru_cache(maxsize=None)
 def mode_triples(n: int, N: int) -> Op:
-    """J_n on basis(N), truncated at N; dst has no repeats."""
-    off = basis(N).offsets
-    return concat([(off[lvl] + src, off[lvl - n] + dst, w)
-                   for lvl in range(max(0, n), min(N, N + n) + 1)
-                   for src, dst, w in [mode_map(n, lvl)]])
+    """J_n on basis(N), truncated at N; src ascending, dst without repeats.
+
+    For n > 0, J_n takes each partition with m_n > 0 to n m_n times the one
+    with a part n removed; J_{-n} is its transpose with weight 1.
+    """
+    if n < 0:
+        src, dst, _ = mode_triples(-n, N)
+        order = np.argsort(dst)
+        return dst[order], src[order], np.ones(len(src))
+    if n > N:  # no partition of level <= N has a part n
+        return _EMPTY
+    counts = basis(N).counts
+    src = np.flatnonzero(counts[:, n])  # the partitions with a part n; none for n = 0
+    e_n = np.eye(1, N + 1, n, dtype=np.uint8)
+    return src, basis(N).find(counts[src] - e_n), n * counts[src, n].astype(float)
 
 
 def concat(ops) -> Op:
@@ -190,12 +201,14 @@ class FockVector:
 
     @classmethod
     def from_amps(cls, cutoff: int, amps: dict):
-        data = np.zeros(basis(cutoff).offsets[-1], dtype=complex)
-        for p, a in amps.items():
-            p = tuple(sorted(p, reverse=True))
-            if sum(p) > cutoff:
-                raise ValueError("partition level exceeds cutoff")
-            data[basis(cutoff).offsets[sum(p)] + _index_at(sum(p))[p]] = a
+        """The vector with amplitude a at each partition p of amps (parts in any order)."""
+        rows = np.zeros((len(amps), cutoff + 1), dtype=np.uint8)
+        for row, p in zip(rows, amps):
+            if min(p, default=1) < 1 or sum(p) > cutoff:
+                raise ValueError(f"{p!r} is no partition of a level <= {cutoff}")
+            np.add.at(row, list(p), 1)
+        data = np.zeros(len(basis(cutoff).norm_sq), dtype=complex)
+        data[basis(cutoff).find(rows)] = list(amps.values())
         return cls(cutoff, data)
 
     @property
@@ -207,7 +220,7 @@ class FockVector:
 def vacuum(N: int) -> FockVector:
     if N < 0:
         raise ValueError("cutoff must be >= 0")
-    return FockVector.from_amps(N, {(): 1.0})
+    return FockVector(N, np.eye(1, len(basis(N).norm_sq), dtype=complex)[0])
 
 
 def apply(op: Op, v: FockVector) -> FockVector:
@@ -301,18 +314,8 @@ def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.nd
     c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
     S, W = gather(concat([scaled(abs(c[n - 1]), J[sign * n]) for n in range(1, c.size + 1)
                           if c[n - 1] != 0 for sign in (1, -1)]), len(s))
-    phase = np.exp(-1j * (part_counts(N)[:, :c.size] @ np.angle(c)))
+    phase = np.exp(-1j * (basis(N).counts[:, 1:c.size + 1] @ np.angle(c)))
     return phase, S, W
-
-
-@lru_cache(maxsize=None)
-def part_counts(N: int) -> np.ndarray:
-    """(dim, N) array whose entry (i, j - 1) is the multiplicity of part j in partition i."""
-    parts = basis(N).partitions
-    out = np.zeros((len(parts), N), dtype=int)
-    np.add.at(out, (np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
-                    np.fromiter((j - 1 for p in parts for j in p), dtype=int)), 1)
-    return out
 
 
 def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:

@@ -9,15 +9,14 @@ KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import fock
 from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, Weight, derivative, multiply_by_t,
                       pointwise_product, sigma, vectorfield_line_integral_f3g)
-from .fock import FockVector, apply_current, mode_triples, smear, vec_add, vec_scale
+from .fock import FockVector, mode_triples, smear
 
 # Coupling of the current term in the perturbed stress tensor; with
 # [J_m, J_n] = m delta the perturbation (kappa/sqrt(12)) J(f') shifts the
@@ -61,17 +60,16 @@ def line_derivative_repr(F: LineObject) -> CircleFourier:
     return multiply_by_t(h) + derivative(h)
 
 
-def stress_line_operator(F: LineObject, kappa: float) -> Callable[[FockVector], FockVector]:
+def stress_line_triples(F: LineObject, kappa: float, N: int) -> fock.Op:
     """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
-    as a map of Fock vectors.  F' is computed once, however often the map is
-    applied."""
+    as triples over basis(N); F' is computed only for kappa != 0."""
     if F.weight is not Weight.VECTOR_FIELD:
         raise ValueError("the perturbed stress tensor expects a vector field")
+    T = smear(virasoro_triples, F.circle_repr, N)
     if kappa == 0.0:
-        return partial(apply_stress_circle, F.circle_repr)
-    phi = line_derivative_repr(F)
-    return lambda v: vec_add(apply_stress_circle(F.circle_repr, v),
-                             vec_scale(KAPPA_SCALE * kappa, apply_current(phi, v)))
+        return T
+    return fock.concat([T, fock.scaled(KAPPA_SCALE * kappa,
+                                       smear(mode_triples, line_derivative_repr(F), N))])
 
 
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
@@ -117,8 +115,9 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
         raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
                          f"outside its exactness window (it needs cutoff {reach})")
     vac = fock.vacuum(reach)
-    TF, TG = (stress_line_operator(X, kappa) for X in (F, G))
-    num = fock.inner(vac, TF(TG(vac))) - fock.inner(vac, TG(TF(vac)))
+    TF, TG = (stress_line_triples(X, kappa, reach) for X in (F, G))
+    num = (fock.inner(vac, fock.apply(TF, fock.apply(TG, vac)))
+           - fock.inner(vac, fock.apply(TG, fock.apply(TF, vac))))
     c = 12.0 * SIGMA_NORM * num / (1j * denom.value)
     return float(c.real)
 

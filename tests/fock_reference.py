@@ -273,4 +273,4 @@ def parity_flip(v: fock.FockVector) -> fock.FockVector:
 
 def apply_stress_line(F, kappa: float, v: fock.FockVector) -> fock.FockVector:
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F')."""
-    return sugawara.stress_line_operator(F, kappa)(v)
+    return fock.apply(sugawara.stress_line_triples(F, kappa, v.cutoff), v)

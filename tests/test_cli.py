@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chiralground
 from chiralground import cli, fnspace, states, sugawara
 from chiralground.fnspace import Weight
 
@@ -337,3 +343,19 @@ class TestGround:
         rc = cli.main(["ground", "--function", "fourier:-1,0,0,1", "--modes", "1"])
         assert rc == 2
         assert capsys.readouterr().err == "error: 'fourier:-1,0,0,1' has modes above --modes 1\n"
+
+
+def test_out_of_memory_is_a_one_line_error():
+    # 2^41 modes need 16 TiB; the address-space cap makes that allocation fail whatever
+    # the host's overcommit setting, and numpy's MemoryError must end in one line
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(chiralground.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "chiralground.cli", "nonnormal", "--n-max",
+                          "1099511627776"], capture_output=True, text=True, preexec_fn=cap,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: out of memory: Unable to allocate")
+    assert out.stderr.count("\n") == 1

@@ -88,12 +88,6 @@ class TestDerivativeProduct:
         th = np.linspace(0, TWO_PI, 64, endpoint=False)
         assert np.allclose(p(th), np.asarray(f(th)) * np.asarray(g(th)), atol=1e-12)
 
-    def test_truncation_flag(self):
-        rng = np.random.default_rng(5)
-        f = fn.random_real_circle(4, rng)
-        assert fn.pointwise_product(f, f, 3).truncated
-        assert not fn.pointwise_product(f, f, 8).truncated
-
 
 class TestSigmaSobolev:
     def test_sigma_self_zero(self):

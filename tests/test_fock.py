@@ -11,21 +11,43 @@ class TestBasis:
         assert fock.norm(fock.vacuum(8)) == 1.0
 
     def test_norm_sq_examples(self):
-        # prod_j j^{m_j} m_j! computed by hand
-        assert fock.basis_norm_sq(()) == 1
-        assert fock.basis_norm_sq((1,)) == 1
-        assert fock.basis_norm_sq((1, 1)) == 2
-        assert fock.basis_norm_sq((3,)) == 3
-        assert fock.basis_norm_sq((2, 2, 1)) == 8
-        assert fock.basis_norm_sq((3, 2, 1)) == 6
+        # prod_j j^{m_j} m_j! computed by hand, read at each partition's position
+        b = fock.basis(6)
+        for parts, want in [((), 1), ((1,), 1), ((1, 1), 2), ((3,), 3), ((2, 2, 1), 8),
+                            ((3, 2, 1), 6)]:
+            assert b.norm_sq[b.partitions.index(parts)] == want
 
     def test_norm_sq_by_repeated_commutation(self):
-        # <J_{-p} vac, J_{-p} vac> computed by moving J_p through J_{-p}
+        # <J_{-p} vac, J_{-p} vac> computed by moving J_p through J_{-p}: the
+        # annihilators, applied in turn, leave that number times the vacuum
+        b = fock.basis(12)
         for parts in [(2,), (2, 1), (3, 3), (4, 2, 2, 1)]:
             v = fock.vacuum(12)
             for k in reversed(parts):
                 v = fock.apply_mode(-k, v)
-            assert fock.inner(v, v).real == pytest.approx(fock.basis_norm_sq(parts))
+            for k in parts:
+                v = fock.apply_mode(k, v)
+            assert v.amps == {(): b.norm_sq[b.partitions.index(parts)]}
+
+    def test_norm_sq_equals_the_exact_integers(self):
+        # the float products of the factors j^m m! stay exact up to N = 24
+        b = fock.basis(24)
+        exact = np.array([ref.basis_norm_sq(p) for p in b.partitions], dtype=float)
+        assert np.array_equal(b.norm_sq, exact)
+        for N in range(24):
+            assert np.array_equal(fock.basis(N).norm_sq, exact[:fock.basis(N).offsets[-1]])
+
+    def test_find_inverts_the_table(self):
+        b = fock.basis(10)
+        assert np.array_equal(b.find(b.counts), np.arange(len(b.partitions)))
+        with pytest.raises(ValueError):  # a part 0 is in no partition
+            b.find(np.eye(1, 11, dtype=np.uint8))
+
+    @pytest.mark.parametrize("parts", [(2, 0), (3, -1), (4, 3)],
+                             ids=["zero-part", "negative-part", "above-cutoff"])
+    def test_from_amps_refuses_a_non_partition(self, parts):
+        with pytest.raises(ValueError):
+            fock.FockVector.from_amps(6, {parts: 1.0})
 
     def test_basis_partitions_count(self):
         # partition numbers p(0..6) = 1,1,2,3,5,7,11; cumulative 30
@@ -57,6 +79,18 @@ class TestModes:
         # J_2 on (2,2,1): coefficient 2 * multiplicity(2) = 4
         v = fock.apply_mode(2, ref.basis_vector(8, (2, 2, 1)))
         assert v.amps == {(2, 1): pytest.approx(4.0)}
+
+    def test_creation_is_the_transpose_of_annihilation(self):
+        # J_{-n} has weight 1 on each entry of J_n, transposed, and takes every basis
+        # vector of level <= N - n once, in basis order
+        for N in range(21):
+            dim, off = fock.basis(N).offsets[-1], fock.basis(N).offsets
+            for n in range(1, N + 2):
+                src, dst, _ = fock.mode_triples(n, N)
+                csrc, cdst, cw = fock.mode_triples(-n, N)
+                assert np.array_equal(np.sort(csrc * dim + cdst), np.sort(dst * dim + src))
+                assert np.all(cw == 1.0)
+                assert np.array_equal(csrc, np.arange(off[N - n + 1] if n <= N else 0))
 
     def test_heisenberg_exact(self):
         for m, n in [(1, -1), (3, -3), (2, 1), (-2, 4), (4, -3)]:

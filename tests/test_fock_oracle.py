@@ -127,8 +127,9 @@ def vector_field_pairs(draw):
 def _bracket(F, G, kappa, N):
     """<vac, [T(F), T(G)] vac> at cutoff N, inside its exactness window or not."""
     vac = fock.vacuum(N)
-    TF, TG = (sugawara.stress_line_operator(X, kappa) for X in (F, G))
-    return fock.inner(vac, TF(TG(vac))) - fock.inner(vac, TG(TF(vac)))
+    TF, TG = (sugawara.stress_line_triples(X, kappa, N) for X in (F, G))
+    return (fock.inner(vac, fock.apply(TF, fock.apply(TG, vac)))
+            - fock.inner(vac, fock.apply(TG, fock.apply(TF, vac))))
 
 
 @settings(max_examples=60, deadline=None)
