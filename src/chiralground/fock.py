@@ -11,8 +11,9 @@ and T(f) in sugawara, have one sparse form: triples (src, dst, w) over
 basis(N), column src going to w times row dst, w in the amplitude basis, so
 that J_n and L_n have exact integer and half weights.  Triples are applied as
 a fixed-width gather, a block of rows at a time, and composed by products.
-In the orthonormalized basis, gauged to make J(f) real, _exp_gauged applies
-exp(i t J(f)) to a few columns without forming J(f).
+In the orthonormalized basis, gauged to make J(f) real, J(f) changes only the
+parts up to f's top mode: it splits into one small block per budget (spectators),
+and _exp_gauged gives exp(i t J(f)) on all of them from one series.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -238,16 +239,6 @@ def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
     return apply(smear(mode_triples, f, v.cutoff), v)
 
 
-def vec_add(u: FockVector, v: FockVector) -> FockVector:
-    if u.cutoff != v.cutoff:
-        raise ValueError("cutoff mismatch")
-    return FockVector(u.cutoff, u.data + v.data)
-
-
-def vec_scale(lam, v: FockVector) -> FockVector:
-    return FockVector(v.cutoff, lam * v.data)
-
-
 def inner(u: FockVector, v: FockVector) -> complex:
     if u.cutoff != v.cutoff:
         raise ValueError("cutoff mismatch")
@@ -305,17 +296,64 @@ def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.nd
     orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as the
     gather (S, W).  Raises ValueError if J(f) is not Hermitian.
     """
-    s = np.sqrt(basis(N).norm_sq)
-    J = {n: rescaled(mode_triples(n, N), s) for n in range(-f.max_mode, f.max_mode + 1)}
-    # J(f) - J(f)* has the entries (c_n - conj c_{-n}) w_n, w_n those of J_n
-    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) * np.max(J[n][2], initial=0.0) for n in J)
-    if skew > 1e-12:
+    # orthonormalized, J_n and J_{-n} = J_n* have the entries sqrt(w), w those of J_|n|, and
+    # J(f) - J(f)* the entries (c_n - conj c_{-n}) sqrt(w)
+    J = {n: mode_triples(abs(n), N) for n in range(-f.max_mode, f.max_mode + 1)}
+    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) ** 2 * np.max(J[n][2], initial=0) for n in J)
+    if skew > 1e-24:
         raise ValueError("J(f) is not Hermitian: f must be real")
     c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
-    S, W = gather(concat([scaled(abs(c[n - 1]), J[sign * n]) for n in range(1, c.size + 1)
-                          if c[n - 1] != 0 for sign in (1, -1)]), len(s))
+    S, W = gather(concat([(a, b, abs(c[n - 1]) * np.sqrt(J[n][2])) for n in range(1, c.size + 1)
+                          if c[n - 1] != 0 for a, b in (J[n][:2], J[n][1::-1])]),  # J_n, J_-n
+                  len(basis(N).norm_sq))
     phase = np.exp(-1j * (basis(N).counts[:, 1:c.size + 1] @ np.angle(c)))
     return phase, S, W
+
+
+class Spectators(NamedTuple):
+    """basis(N) split for an operator of the parts <= m, as by spectators(N, m)."""
+    local: np.ndarray  # local[i]: row i without its spectator, among the spectator-free rows
+    pos: np.ndarray  # pos[i]: the place of row i sorted by budget, local row and spectator
+    budget: np.ndarray  # budget[i]: the index in sizes of row i's budget
+    sizes: np.ndarray  # d_r, the spectator-free rows of level <= r, per budget r ascending
+    counts: np.ndarray  # n_r, the spectators of budget r
+
+    def blocks(self, X: np.ndarray) -> list:
+        """The rows of each budget of X, sorted, as (d_r, n_r x columns) views."""
+        return [Xr.reshape(d, -1) for Xr, d in zip(
+            np.split(X, np.cumsum(self.sizes * self.counts)[:-1]), self.sizes)]
+
+    def exp_blocks(self, S: np.ndarray, W: np.ndarray, t: float, cells: int):
+        """Yield (c, [E_r]): the columns c, c + 1, ... of E_r = exp(i t A_r), A_r
+        the block of level <= r of the spectator-free rows of the gather (S, W) of
+        _real_gauge, from one _exp_gauged call on their direct sum per chunk of columns;
+        a chunk has at most ``cells`` entries, and at least cells / dim columns."""
+        free = np.flatnonzero(self.budget == len(self.sizes) - 1)  # the rows of budget N
+        Sf, ends = self.local[S[free]], np.cumsum(self.sizes)
+        S2 = np.concatenate([Sf[:d] + e - d for d, e in zip(self.sizes, ends)])
+        W2 = np.concatenate([W[free[:d]] * (Sf[:d] < d) for d in self.sizes])  # cut at level r
+        del Sf
+        width = cells // ends[-1]  # >= cells // dim: each budget has a spectator
+        for c in range(0, self.sizes[-1], width):
+            E = _exp_gauged(S2, W2, t, np.concatenate(
+                [np.eye(d, min(width, self.sizes[-1] - c), -c) for d in self.sizes]))
+            yield c, [Er[:, :max(d - c, 0)] for Er, d in zip(np.split(E, ends[:-1]), self.sizes)]
+            del E  # before the next chunk is built
+
+
+def spectators(N: int, m: int) -> Spectators:
+    """Row i of basis(N) is a spectator-free row (no part above m) with the parts of its
+    spectator rho added.  An operator of the parts <= m, truncated at N, acts on the rows
+    of rho as on the spectator-free rows of level <= r = N - |rho|, the budget."""
+    b = basis(N)
+    level = np.repeat(np.arange(N + 1), np.diff(b.offsets))
+    low = b.counts * (np.arange(N + 1) <= m)
+    spec = b.find(b.counts - low)  # the spectator's row, the vacuum's for none
+    local = np.searchsorted(np.flatnonzero(spec == 0), b.find(low))
+    budgets, budget = np.unique(N - level[spec], return_inverse=True)
+    return Spectators(local, np.argsort(np.lexsort((spec, local, budget))), budget,
+                      np.searchsorted(level[spec == 0], budgets, "right"),
+                      np.bincount(budget[local == 0]))
 
 
 def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:
@@ -327,8 +365,10 @@ def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.nda
     fixed in advance.  The recurrence runs on the real columns of X (its real
     and imaginary parts when X is complex) in two buffers, T_k overwriting
     T_{k-2} one row block at a time, and sums the real (k even) and imaginary
-    (k odd) coefficients apart in the same blocks.  Raises ArithmeticError
-    rather than return a non-finite result.
+    (k odd) coefficients apart in the same blocks.  For A a direct sum of
+    spectator blocks and X their stacked identities (Spectators.exp_blocks),
+    this is every block's exponential.  Raises ArithmeticError rather than
+    return a non-finite result.
     """
     b = np.max(W.sum(axis=1), initial=0.0)
     K = _tail_degree(t * b)

@@ -130,21 +130,36 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     holds on the untruncated domain; the residual is measured on the slab P of
     levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
     invariant and U* P = P times a phase, so the residual R is taken in the real
-    gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), where
-    exp(-i A) acts on the real P.  T(f) and J(f g') are their triples carried
-    into that gauge; on P they are matrix entries, subtracted one by one.  The
-    norm of R is the root of the top eigenvalue of R* R.
+    gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), on the
+    rows sorted by fock.spectators, where exp(i A) is one dense block E_r per
+    budget r: column j of exp(-i A) P is conj E_r[:, local j] on the rows of j's
+    spectator, and exp(i A) acts on T(f) exp(-i A) P by one product per budget.
+    T(f) and J(f g') are their triples carried into that gauge; on P they are
+    matrix entries, subtracted one by one.  The norm of R is the root of the top
+    eigenvalue of R* R.
     """
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     phase, S, W = fock._real_gauge(g, N)
+    sp = fock.spectators(N, min(g.max_mode, N))
     e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
     T = fock.rescaled(smear(virasoro_triples, f, N), e)
     slab = fock.basis(N).offsets[N // 2 + 1]
-    TWsP = fock.apply_gather(*fock.gather(T, len(e)),
-                             fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
-    R = fock._exp_gauged(S, W, 1.0, TWsP)
+    for c, Es in sp.exp_blocks(S, W, 1.0, len(e) * slab):
+        if c == 0:  # the first chunk has >= slab columns, those of every local row of P
+            WsP = np.zeros((len(e), slab), dtype=complex)
+            for r, (E, n) in enumerate(zip(Es, sp.counts)):
+                j = np.flatnonzero(sp.budget[:slab] == r)
+                WsP[sp.pos[j] + np.subtract.outer(np.arange(len(E)), sp.local[j]) * n, j] = \
+                    E[:, sp.local[j]]
+            TWsP = fock.apply_gather(*fock.gather((sp.pos[T[0]], sp.pos[T[1]], T[2]), len(e)),
+                                     np.conj(WsP, out=WsP))
+            del WsP
+            R = np.zeros_like(TWsP)
+        for Rr, Y, E in zip(sp.blocks(R), sp.blocks(TWsP), Es):
+            Rr += E @ Y[c:c + E.shape[1]]
+        del Es, E  # free the table before the next chunk is built
     src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
                                fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
     on = src < slab
-    np.subtract.at(R, (dst[on], src[on]), w[on])
+    np.subtract.at(R, (sp.pos[dst[on]], src[on]), w[on])
     return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))

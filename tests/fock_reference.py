@@ -1,7 +1,8 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
 the array layer in chiralground.fock must reproduce; the Weyl adjoint
-residual computed with a dense eigendecomposition of J(g); dense level blocks
+residual computed with a dense eigendecomposition of J(g), and with the
+Chebyshev series of exp(-+i J(g)) on the whole basis; dense level blocks
 of J_n and of L_n (summed pair by pair), the dense bracket residual built on
 them, and the dense matrix of a set of triples; and small helpers of the
 array layer that only the tests use, among them exp(i t J(f)) on ungauged
@@ -89,6 +90,11 @@ def vec_scale(lam, v: DictVector) -> DictVector:
     if lam == 0:
         return DictVector(v.cutoff, {})
     return DictVector(v.cutoff, {p: lam * a for p, a in v.amps.items()})
+
+
+def difference(u: fock.FockVector, v: fock.FockVector) -> fock.FockVector:
+    """u - v, for two vectors of the array layer at one cutoff."""
+    return fock.FockVector(u.cutoff, u.data - v.data)
 
 
 def inner(u: DictVector, v: DictVector) -> complex:
@@ -241,6 +247,26 @@ def weyl_residual_eigh(g, f, N: int) -> float:
     A = (WTWsP - hat(sugawara.apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
          - fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
     return float(np.linalg.norm(A, ord=2))
+
+
+def weyl_residual_series(g, f, N: int) -> float:
+    """The Weyl adjoint residual with exp(-+i A) applied to the whole basis by the
+    series of fock._exp_gauged, in the real gauge J(g) = U A U* of fock._real_gauge:
+    exp(-i A) on the level-<=N/2 slab P, T(f) on the result, exp(i A) on that, and
+    T(f), J(f g') and the scalar subtracted as entries on P."""
+    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
+    phase, S, W = fock._real_gauge(g, N)
+    e = np.sqrt(fock.basis(N).norm_sq) / phase
+    T = fock.rescaled(fock.smear(sugawara.virasoro_triples, f, N), e)
+    slab = fock.basis(N).offsets[N // 2 + 1]
+    TWsP = fock.apply_gather(*fock.gather(T, len(e)),
+                             fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
+    R = fock._exp_gauged(S, W, 1.0, TWsP)
+    src, dst, w = fock.concat([T, fock.rescaled(fock.smear(fock.mode_triples, fgp, N), e),
+                               fock.identity(N, fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM))])
+    on = src < slab
+    np.subtract.at(R, (dst[on], src[on]), w[on])
+    return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))
 
 
 def virasoro_block(n: int, level: int) -> np.ndarray:

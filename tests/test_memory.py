@@ -12,6 +12,7 @@ import tracemalloc
 
 import fock_reference as ref
 import numpy as np
+import pytest
 
 from chiralground import fnspace as fn
 from chiralground import fock, states, sugawara
@@ -40,9 +41,24 @@ def _traced_peak_in_slabs(call, N):
 
 
 def test_weyl_residual_peak():
-    # measured 6.2 slabs with the two-buffer series (7.2 with three buffers and whole sums)
+    # measured 3.9 slabs with the spectator blocks; the full-space series measured 6.1
+    # (6.2 with two buffers, 7.2 with three buffers and whole sums)
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 7
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 4.5
+
+
+@pytest.mark.parametrize("N, series_peak", [(12, 8.2), (16, 6.25)])
+def test_wide_generator_peak(N, series_peak):
+    # g of max mode N has one spectator, the empty one, and one block of all dim rows,
+    # exponentiated in column chunks of at most a slab.  Measured 7.2 and 5.7 slabs; the
+    # full-space series of ref.weyl_residual_series measured 8.2 and 6.2 on the same call.
+    rng = np.random.default_rng(1)
+    g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
+            for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
+    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-10)
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, N),
+                                 N) < series_peak
 
 
 def test_series_peak_on_the_slab():
@@ -56,9 +72,9 @@ def test_series_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 17.4 MB peak and left 3.1 MB of
-    # caches behind; with dense level blocks it was 27.4 MB and 10.4 MB.  The bounds allow
-    # 15% and 30% over the measured values.
+    # From cleared caches the N = 10..18 sweep measured a 10.7 MB peak and left 1.6 MB of
+    # caches behind; with the full-space series it was 17.4 MB and 3.1 MB, and with dense
+    # level blocks 27.4 MB and 10.4 MB.  The bounds allow 15% and 30% over the measured values.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
@@ -71,5 +87,5 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
-    assert held < 4e6
+    assert peak < 12.3e6
+    assert held < 2.1e6
