@@ -3,17 +3,17 @@
 Basis vectors are integer partitions (parts sorted descending) in level
 order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac.
 basis(N) indexes them by one table, counts[i, j] = m_j, the number of parts j
-of partition i; the squared norm prod_j j^{m_j} m_j! and the position of a
-multiplicity row (Basis.find) come from it.  A FockVector holds complex
-amplitudes over that basis, as one column or a batch.  J_n maps level l to
-l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and J(f) here, and L_n
-and T(f) in sugawara, have one sparse form: triples (src, dst, w) over
-basis(N), column src going to w times row dst, w in the amplitude basis, so
-that J_n and L_n have exact integer and half weights.  Triples are applied as
-a fixed-width gather, a block of rows at a time, and composed by products.
-In the orthonormalized basis, gauged to make J(f) real, J(f) changes only the
-parts up to f's top mode: it splits into one small block per budget (spectators),
-and _exp_gauged gives exp(i t J(f)) on all of them from one series.
+of partition i; the squared norm prod_j j^{m_j} m_j!, the position of a
+multiplicity row (Basis.find) and every J_n, from one find, come from it.  A
+FockVector holds complex amplitudes over that basis, one column or a batch.
+J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and
+J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples (src,
+dst, w) over basis(N), column src going to w times row dst, w in the amplitude
+basis, so that J_n and L_n have exact integer and half weights.  Triples are
+applied as a fixed-width gather, a block of rows at a time, and composed by
+products.  In the orthonormalized basis, gauged to make J(f) real symmetric,
+J(f) changes only the parts up to f's top mode: one small block per budget
+(spectators); _exp_gauged gives every block's exp(i t J(f)), complex symmetric, at once.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -78,9 +78,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:  # rows as byte strings, which so
 def basis(N: int) -> Basis:
     parts = tuple(p for lvl in range(N + 1) for p in partitions_at(lvl))
     # multiplicities are at most N, far below 256 for any basis that fits in memory
-    counts = np.zeros((len(parts), N + 1), dtype=np.uint8)
-    np.add.at(counts, (np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
-                       np.fromiter(chain.from_iterable(parts), dtype=int)), 1)
+    at = (np.repeat(np.arange(len(parts)) * (N + 1), [len(p) for p in parts])
+          + np.fromiter(chain.from_iterable(parts), dtype=int))
+    counts = np.bincount(at, minlength=len(parts) * (N + 1)).astype(np.uint8).reshape(-1, N + 1)
     factor = np.array([[float(j**m * math.factorial(m)) for m in range(N + 1)]
                        for j in range(N + 1)])  # j^m m!
     keys = _row_keys(counts)
@@ -95,22 +95,23 @@ def basis_partitions(N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def mode_triples(n: int, N: int) -> Op:
-    """J_n on basis(N), truncated at N; src ascending, dst without repeats.
-
-    For n > 0, J_n takes each partition with m_n > 0 to n m_n times the one
-    with a part n removed; J_{-n} is its transpose with weight 1.
-    """
-    if n < 0:
-        src, dst, _ = mode_triples(-n, N)
-        order = np.argsort(dst)
-        return dst[order], src[order], np.ones(len(src))
-    if n > N:  # no partition of level <= N has a part n
-        return _EMPTY
+def _modes(N: int) -> tuple:
+    """J_n for n > 0, each partition with m_n > 0 to n m_n times it less a part n, and J_{-n},
+    its transpose with weight 1 sorted by src: triples stacked by n, and where each n starts."""
     counts = basis(N).counts
-    src = np.flatnonzero(counts[:, n])  # the partitions with a part n; none for n = 0
-    e_n = np.eye(1, N + 1, n, dtype=np.uint8)
-    return src, basis(N).find(counts[src] - e_n), n * counts[src, n].astype(float)
+    n, src = np.nonzero(counts.T)  # by part, then src ascending; no partition has a part 0
+    dst = basis(N).find(counts[src] - np.eye(N + 1, dtype=np.uint8)[n])
+    order = np.lexsort((dst, n))
+    return (np.searchsorted(n, np.arange(N + 2)), (src, dst, n * counts[src, n].astype(float)),
+            (dst[order], src[order], np.ones(len(src))))
+
+
+def mode_triples(n: int, N: int) -> Op:
+    """J_n on basis(N), truncated at N; src ascending, dst without repeats."""
+    if abs(n) > N:  # no partition of level <= N has a part |n|
+        return _EMPTY
+    ends, down, up = _modes(N)
+    return tuple(a[ends[abs(n)]:ends[abs(n) + 1]] for a in (up if n < 0 else down))
 
 
 def concat(ops) -> Op:
@@ -156,7 +157,9 @@ def merge(op: Op, dim: int) -> Op:
     src, dst, w = op
     key, inv = np.unique(dst * dim + src, return_inverse=True)
     out = np.zeros(len(key), dtype=w.dtype)
-    np.add.at(out, inv, w)
+    out.real = np.bincount(inv, w.real, len(key))  # sums in order, as np.add.at does
+    if np.iscomplexobj(w):
+        out.imag = np.bincount(inv, w.imag, len(key))
     return key % dim, key // dim, out
 
 
@@ -317,11 +320,6 @@ class Spectators(NamedTuple):
     budget: np.ndarray  # budget[i]: the index in sizes of row i's budget
     sizes: np.ndarray  # d_r, the spectator-free rows of level <= r, per budget r ascending
     counts: np.ndarray  # n_r, the spectators of budget r
-
-    def blocks(self, X: np.ndarray) -> list:
-        """The rows of each budget of X, sorted, as (d_r, n_r x columns) views."""
-        return [Xr.reshape(d, -1) for Xr, d in zip(
-            np.split(X, np.cumsum(self.sizes * self.counts)[:-1]), self.sizes)]
 
     def exp_blocks(self, S: np.ndarray, W: np.ndarray, t: float, cells: int):
         """Yield (c, [E_r]): the columns c, c + 1, ... of E_r = exp(i t A_r), A_r

@@ -31,11 +31,16 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
     weight 1/2 iff j = k, and J_k applied first.  Truncating J_k at N drops
     nothing that J_j would keep, since the middle level is never above the
-    last.  The weights are sums of small integers and halves, hence exact.
+    last.  The weights are sums of small integers and halves, hence exact.  All
+    pairs are one product, the middle row of pair t offset by t dim.
     """
-    pairs = [(n - k, k) for k in range(-((-n) // 2), N + 1) if k and n - k]
-    return fock.merge(fock.concat([fock.scaled(0.5 if j == k else 1.0, fock.product(
-        mode_triples(j, N), mode_triples(k, N))) for j, k in pairs]), fock.basis(N).offsets[-1])
+    dim = fock.basis(N).offsets[-1]
+    ks = [k for k in range(-((-n) // 2), N + 1) if k and n - k]
+    A = fock.concat([(s + t * dim, d, w) for t, k in enumerate(ks)
+                     for s, d, w in [mode_triples(n - k, N)]])
+    B = fock.concat([(s, d + t * dim, (0.5 if 2 * k == n else 1.0) * w) for t, k in enumerate(ks)
+                     for s, d, w in [mode_triples(k, N)]])
+    return fock.merge(fock.product(A, B), dim)
 
 
 def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
@@ -133,10 +138,13 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), on the
     rows sorted by fock.spectators, where exp(i A) is one dense block E_r per
     budget r: column j of exp(-i A) P is conj E_r[:, local j] on the rows of j's
-    spectator, and exp(i A) acts on T(f) exp(-i A) P by one product per budget.
-    T(f) and J(f g') are their triples carried into that gauge; on P they are
-    matrix entries, subtracted one by one.  The norm of R is the root of the top
-    eigenvalue of R* R.
+    spectator.  E_r is complex symmetric, so the columns c, c + 1, ... of E_r
+    that exp_blocks yields are rows of E_r, and E_r^T times the rows Y_r of
+    T(f) exp(-i A) P in budget r gives rows c, c + 1, ... of R_r in full; T(f),
+    J(f g') and the scalar are their triples carried into that gauge, and on P
+    matrix entries, subtracted from those rows.  The norm of R is the root of
+    the top eigenvalue of R* R, summed over the rows as they are formed: neither
+    T(f) exp(-i A) P nor R is held whole.
     """
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     phase, S, W = fock._real_gauge(g, N)
@@ -144,22 +152,26 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
     T = fock.rescaled(smear(virasoro_triples, f, N), e)
     slab = fock.basis(N).offsets[N // 2 + 1]
+    src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
+                               fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
+    on = src < slab
+    src, dst, w = src[on], sp.pos[dst[on]], w[on]  # the entries on P, dst as a sorted row
+    start = np.cumsum(sp.sizes * sp.counts) - sp.sizes * sp.counts  # the first row of each budget
+    G = np.zeros((slab, slab), dtype=complex)
     for c, Es in sp.exp_blocks(S, W, 1.0, len(e) * slab):
         if c == 0:  # the first chunk has >= slab columns, those of every local row of P
             WsP = np.zeros((len(e), slab), dtype=complex)
             for r, (E, n) in enumerate(zip(Es, sp.counts)):
                 j = np.flatnonzero(sp.budget[:slab] == r)
                 WsP[sp.pos[j] + np.subtract.outer(np.arange(len(E)), sp.local[j]) * n, j] = \
-                    E[:, sp.local[j]]
-            TWsP = fock.apply_gather(*fock.gather((sp.pos[T[0]], sp.pos[T[1]], T[2]), len(e)),
-                                     np.conj(WsP, out=WsP))
-            del WsP
-            R = np.zeros_like(TWsP)
-        for Rr, Y, E in zip(sp.blocks(R), sp.blocks(TWsP), Es):
-            Rr += E @ Y[c:c + E.shape[1]]
-        del Es, E  # free the table before the next chunk is built
-    src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
-                               fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
-    on = src < slab
-    np.subtract.at(R, (sp.pos[dst[on]], src[on]), w[on])
-    return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))
+                    E[:, sp.local[j]].conj()
+            TS, TW = fock.gather((sp.pos[T[0]], sp.pos[T[1]], T[2]), len(e))
+        for E, d, n, a in zip(Es, sp.sizes, sp.counts, start):
+            Rr = E.T @ fock.apply_gather(TS[a:a + d * n], TW[a:a + d * n], WsP).reshape(d, -1)
+            Rr = Rr.reshape(-1, slab)  # the sorted rows [lo, hi), those of local rows c, c + 1, ...
+            lo, hi = a + c * n, a + (c + E.shape[1]) * n
+            k = (dst >= lo) & (dst < hi)
+            np.subtract.at(Rr, (dst[k] - lo, src[k]), w[k])
+            G += Rr.conj().T @ Rr
+        del Es, E, Rr  # free the table and the rows before the next chunk is built
+    return math.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))

@@ -4,7 +4,8 @@ the array layer in chiralground.fock must reproduce; the Weyl adjoint
 residual computed with a dense eigendecomposition of J(g), and with the
 Chebyshev series of exp(-+i J(g)) on the whole basis; dense level blocks
 of J_n and of L_n (summed pair by pair), the dense bracket residual built on
-them, and the dense matrix of a set of triples; and small helpers of the
+them, and the dense matrix of a set of triples; the triples of J_n one n at a
+time and of L_n one pair at a time; and small helpers of the
 array layer that only the tests use, among them exp(i t J(f)) on ungauged
 columns.
 
@@ -279,6 +280,34 @@ def virasoro_block(n: int, level: int) -> np.ndarray:
             continue
         out += (0.5 if j == k else 1.0) * mode_block(j, level - k) @ mode_block(k, level)
     return out
+
+
+def mode_triples(n: int, N: int) -> fock.Op:
+    """J_n on basis(N), one n at a time: J_n for n > 0 from the rows with m_n > 0 and
+    a part n removed, J_{-n} its transpose sorted by src."""
+    if n < 0:
+        src, dst, _ = mode_triples(-n, N)
+        order = np.argsort(dst)
+        return dst[order], src[order], np.ones(len(src))
+    if n > N:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    counts = fock.basis(N).counts
+    src = np.flatnonzero(counts[:, n])
+    e_n = np.eye(1, N + 1, n, dtype=np.uint8)
+    return src, fock.basis(N).find(counts[src] - e_n), n * counts[src, n].astype(float)
+
+
+def virasoro_triples(n: int, N: int) -> fock.Op:
+    """L_n on basis(N) as one product of mode_triples per pair, the pairs side by
+    side and merged with np.add.at."""
+    pairs = [(n - k, k) for k in range(-((-n) // 2), N + 1) if k and n - k]
+    src, dst, w = fock.concat([fock.scaled(0.5 if j == k else 1.0, fock.product(
+        mode_triples(j, N), mode_triples(k, N))) for j, k in pairs])
+    dim = fock.basis(N).offsets[-1]
+    key, inv = np.unique(dst * dim + src, return_inverse=True)
+    out = np.zeros(len(key), dtype=w.dtype)
+    np.add.at(out, inv, w)
+    return key % dim, key // dim, out
 
 
 def basis_vector(N: int, parts) -> fock.FockVector:

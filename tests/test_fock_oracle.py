@@ -1,7 +1,9 @@
 """The sparse Fock layer against the dict reference in fock_reference.py,
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
-level blocks kept there; and the exactness window of the central charge
+level blocks kept there, and its triples against the builds one n or one pair
+at a time; the Weyl adjoint residual against three dense or whole-basis
+formulas; and the exactness window of the central charge
 against the same amplitude at a larger cutoff."""
 
 import math
@@ -72,6 +74,19 @@ def test_virasoro_block_matches_pair_sum():
                                   ref.blocks_matrix(ref.virasoro_block, n, N))
             assert np.array_equal(ref.triples_matrix(fock.mode_triples(n, N), N),
                                   ref.blocks_matrix(ref.mode_block, n, N))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 16, 18])
+def test_triples_equal_the_one_at_a_time_builds(N):
+    # J_n sliced from one table for every n and L_n as one product over all pairs are the
+    # arrays that one n and one pair at a time give, bit for bit and dtype for dtype
+    for n in range(-N - 2, N + 3):
+        for new, old in ((fock.mode_triples(n, N), ref.mode_triples(n, N)),
+                         (sugawara.virasoro_triples(n, N), ref.virasoro_triples(n, N))):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(new, old))
+    want = [np.bincount(p, minlength=N + 1) for p in fock.basis(N).partitions]
+    assert np.array_equal(fock.basis(N).counts, np.reshape(want, (-1, N + 1)))
+    assert fock.basis(N).counts.dtype == np.uint8
 
 
 def test_sparse_brackets_equal_dense_blocks():
@@ -186,7 +201,15 @@ def _sized_pair(seed, size):
 def test_weyl_adjoint_matches_eigh_formula(N, seed):
     g, f = _sized_pair(seed, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-10)
+    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [N for N in range(10, 21) if N not in (12, 14, 16)])
+def test_weyl_adjoint_matches_eigh_formula_to_cutoff_20(N):
+    # the rows of R are streamed per budget; the dense eigendecomposition holds all of them
+    g, f = _sized_pair(1, 0.5)
+    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -204,6 +227,45 @@ def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
     for N in range(15):
         r = sugawara.weyl_adjoint_stress_residual(g, f, N)
         assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12, abs=1e-15)
+
+
+def test_weyl_adjoint_streams_a_wide_generator_by_column_chunks(monkeypatch):
+    # g of top mode N has one block of all dim rows, exponentiated a slab of columns at a
+    # time; every chunk recomputes its rows of T(f) exp(-i A) P
+    N = 12
+    rng = np.random.default_rng(1)
+    g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
+            for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
+    chunks = []
+    exp_blocks = fock.Spectators.exp_blocks
+
+    def counted(sp, *args):
+        for c, Es in exp_blocks(sp, *args):
+            chunks.append(c)
+            yield c, Es
+
+    monkeypatch.setattr(fock.Spectators, "exp_blocks", counted)
+    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+    assert len(chunks) > 1
+    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 3, None])
+def test_exp_blocks_are_symmetric(max_mode):
+    # the Weyl residual reads the column chunks of each E_r = exp(i A_r) as its rows;
+    # None stands for a generator of top mode N, whose one block comes in several chunks
+    for N in range(21 if max_mode else 13):
+        g = fn.random_real_circle(max_mode or N, np.random.default_rng(52), 0.3)
+        _, S, W = fock._real_gauge(g, N)
+        sp = fock.spectators(N, min(g.max_mode, N))
+        off = fock.basis(N).offsets
+        tables = [[] for _ in sp.sizes]
+        for _, Es in sp.exp_blocks(S, W, 1.0, off[-1] * off[N // 2 + 1]):
+            for table, E in zip(tables, Es):
+                table.append(E)
+        for table, d in zip(tables, sp.sizes):
+            E = np.hstack(table)
+            assert E.shape == (d, d) and np.max(np.abs(E - E.T)) <= 1e-14
 
 
 @pytest.mark.parametrize("max_mode", [1, 2, 3])
@@ -232,7 +294,9 @@ def test_gauged_current_splits_into_spectator_blocks(max_mode):
         assert list(sp.local[at]) == ks and np.all(sp.sizes[sp.budget[at]] == d)
     # grouped by budget, local row and spectator: the rows of a budget form (d_r, n_r) blocks
     order = np.argsort(sp.pos)
-    for block, d, n in zip(sp.blocks(order), sp.sizes, sp.counts):
+    for block, d, n in zip(np.split(order, np.cumsum(sp.sizes * sp.counts)[:-1]), sp.sizes,
+                           sp.counts):
+        block = block.reshape(d, n)
         assert block.shape == (d, n) and np.all(sp.local[block] == np.arange(d)[:, None])
         assert all(len({spectator[i] for i in col}) == 1 for col in block.T)
 
