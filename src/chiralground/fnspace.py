@@ -125,13 +125,6 @@ class PiecewiseLinearCircle:
         object.__setattr__(self, "nodes", th)
         object.__setattr__(self, "values", v)
 
-    def segments(self):
-        """Yield (a, b, va, vb) with a < b; the wrap segment has b > 2pi - eps."""
-        th, v = self.nodes, self.values
-        for i in range(th.size - 1):
-            yield th[i], th[i + 1], v[i], v[i + 1]
-        yield th[-1], th[0] + TWO_PI, v[-1], v[0]
-
     def __call__(self, theta):
         th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
         # shift angles below the first node into the wrap segment
@@ -170,7 +163,6 @@ class LineObject:
 class LineIntegralResult:
     value: float
     divergent: bool
-    err_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +277,17 @@ def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
         total += _pl_antiderivative(b, c, s) - _pl_antiderivative(a, c, s)
     # the one-sided slopes can differ only when the wrap point is a node
     kink = th[0] == 0.0 and (v[1] - v[0]) / (th[1] - th[0]) != s_wrap
-    return LineIntegralResult(float(total), bool(h0 != 0.0 or kink), 0.0)
+    return LineIntegralResult(float(total), bool(h0 != 0.0 or kink))
 
 
 def line_integral(f: LineObject) -> LineIntegralResult:
     """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta, in closed form.
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
-    divergent iff |h(0)| = |sum_n c_n| > 1e-5 sum_n |c_n|; err_estimate holds
-    |h(0)|.  Piecewise-linear h: each segment is integrated exactly, the wrap
-    segment being cut at 2pi, and the integral is divergent iff h(0) != 0 or
-    the one-sided slopes at theta = 0 differ; err_estimate is 0.  A divergent
-    integral returns its finite part with divergent=True.
+    divergent iff |h(0)| = |sum_n c_n| > 1e-5 sum_n |c_n|.  Piecewise-linear h:
+    each segment is integrated exactly, the wrap segment being cut at 2pi, and
+    the integral is divergent iff h(0) != 0 or the one-sided slopes at theta = 0
+    differ.  A divergent integral returns its finite part with divergent=True.
     """
     if f.weight is not Weight.FUNCTION:
         raise ValueError("line_integral expects a scalar function")
@@ -309,17 +300,16 @@ def line_integral(f: LineObject) -> LineIntegralResult:
     value = -TWO_PI * np.sum(np.abs(ns) * h.coeffs).real
     h0 = abs(np.sum(h.coeffs))
     divergent = h0 > 1e-5 * np.sum(np.abs(h.coeffs))
-    return LineIntegralResult(float(value), bool(divergent), float(h0))
+    return LineIntegralResult(float(value), bool(divergent))
 
 
-def vectorfield_line_integral_f3g(F: LineObject, G: LineObject) -> LineIntegralResult:
+def vectorfield_line_integral_f3g(F: LineObject, G: LineObject) -> float:
     """int_R F'''(t) G(t) dt for vector fields, in closed form.
 
     With circle representatives hF = sum a_n e^{in theta} and
     hG = sum b_n e^{in theta} the integral equals int (hF' + hF''') hG dtheta
     = 2pi sum_n i(n - n^3) a_n b_{-n}.  It is finite when the declared
-    vanishing orders at infinity add up to at least 3 (ValueError otherwise),
-    so the result is never divergent and err_estimate is 0.
+    vanishing orders at infinity add up to at least 3 (ValueError otherwise).
     """
     if F.weight is not Weight.VECTOR_FIELD or G.weight is not Weight.VECTOR_FIELD:
         raise ValueError("both arguments must be vector fields")
@@ -331,8 +321,7 @@ def vectorfield_line_integral_f3g(F: LineObject, G: LineObject) -> LineIntegralR
     M = max(hF.max_mode, hG.max_mode)
     a, b = hF.pad(M).coeffs, hG.pad(M).coeffs
     ns = np.arange(-M, M + 1)
-    value = TWO_PI * np.sum(1j * (ns - ns**3) * a * b[::-1]).real
-    return LineIntegralResult(float(value), False, 0.0)
+    return float(TWO_PI * np.sum(1j * (ns - ns**3) * a * b[::-1]).real)
 
 
 # ---------------------------------------------------------------------------

@@ -203,23 +203,6 @@ class FockVector:
     cutoff: int
     data: np.ndarray
 
-    @classmethod
-    def from_amps(cls, cutoff: int, amps: dict):
-        """The vector with amplitude a at each partition p of amps (parts in any order)."""
-        rows = np.zeros((len(amps), cutoff + 1), dtype=np.uint8)
-        for row, p in zip(rows, amps):
-            if min(p, default=1) < 1 or sum(p) > cutoff:
-                raise ValueError(f"{p!r} is no partition of a level <= {cutoff}")
-            np.add.at(row, list(p), 1)
-        data = np.zeros(len(basis(cutoff).norm_sq), dtype=complex)
-        data[basis(cutoff).find(rows)] = list(amps.values())
-        return cls(cutoff, data)
-
-    @property
-    def amps(self) -> dict:
-        """The nonzero amplitudes of a single vector, keyed by partition."""
-        return {p: complex(a) for p, a in zip(basis_partitions(self.cutoff), self.data) if a != 0}
-
 
 def vacuum(N: int) -> FockVector:
     if N < 0:

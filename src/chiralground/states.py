@@ -37,12 +37,6 @@ class DivergenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class GroundStateParams:
-    q: float
-    kappa: float = 0.0
-
-
-@dataclass(frozen=True)
 class WeylWord:
     factors: tuple
 
@@ -94,7 +88,7 @@ def vacuum_weyl(f: LineObject, M: int = 64) -> float:
     return math.exp(-0.5 * sobolev_half_sq(as_fourier(f, M)))
 
 
-def ground_weyl(p: GroundStateParams, w: WeylWord, M: int = 64) -> GroundWeylResult:
+def ground_weyl(q: float, w: WeylWord, M: int = 64) -> GroundWeylResult:
     """Value of the charge-q ground functional on a Weyl word.
 
     The charge phase integrates each factor in its original representation
@@ -109,11 +103,11 @@ def ground_weyl(p: GroundStateParams, w: WeylWord, M: int = 64) -> GroundWeylRes
         li = line_integral(f)
         integral += li.value
         divergent = divergent or li.divergent
-    value = phase * cmath.exp(1j * p.q * integral) * vacuum_weyl(total, M)
+    value = phase * cmath.exp(1j * q * integral) * vacuum_weyl(total, M)
     return GroundWeylResult(complex(value), bool(divergent))
 
 
-def ground_current_onepoint(p: GroundStateParams, f: LineObject, M: int = 64) -> OnePointResult:
+def ground_current_onepoint(q: float, f: LineObject, M: int = 64) -> OnePointResult:
     """One-point value of the current in the charge-q state: q * int f dt.
 
     Also returns the central finite difference, with step 1e-4, of the
@@ -123,17 +117,17 @@ def ground_current_onepoint(p: GroundStateParams, f: LineObject, M: int = 64) ->
     li = line_integral(f)
     if li.divergent:
         raise DivergenceError("current one-point value diverges")
-    closed = p.q * li.value
+    closed = q * li.value
 
     def gw(s):
         word = WeylWord((f.scale(s),))
-        return ground_weyl(p, word, M).value
+        return ground_weyl(q, word, M).value
 
     fd = (gw(1e-4) - gw(-1e-4)) / (2.0 * 1e-4 * 1j)
     return OnePointResult(float(closed), float(fd.real))
 
 
-def ground_stress_onepoint(p: GroundStateParams, F: LineObject) -> float:
+def ground_stress_onepoint(q: float, F: LineObject) -> float:
     """One-point value of the perturbed stress tensor: (q^2 / 2) int F dt.
 
     Independent of kappa and of the sign of q.
@@ -142,17 +136,17 @@ def ground_stress_onepoint(p: GroundStateParams, F: LineObject) -> float:
     li = line_integral(scalar)
     if li.divergent:
         raise DivergenceError("stress one-point value diverges")
-    return 0.5 * p.q**2 * li.value
+    return 0.5 * q**2 * li.value
 
 
-def gram_psd(p: GroundStateParams, fs, M: int = 64) -> float:
+def gram_psd(q: float, fs, M: int = 64) -> float:
     """Smallest eigenvalue of the Gram matrix G_jk = omega_q(W(f_j)* W(f_k))."""
     k = len(fs)
     G = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
             word = WeylWord((fs[i].scale(-1.0), fs[j]))
-            r = ground_weyl(p, word, M)
+            r = ground_weyl(q, word, M)
             if r.divergent:
                 raise DivergenceError("divergent entry in Gram matrix")
             G[i, j] = r.value
@@ -183,8 +177,8 @@ def dilation_orbit_residual(
     """
     if dilated is None:
         dilated, _resid = dilate_line(f, s, M)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((dilated,)), M)
-    rhs = ground_weyl(GroundStateParams(math.exp(s) * q), WeylWord((f,)), M)
+    lhs = ground_weyl(q, WeylWord((dilated,)), M)
+    rhs = ground_weyl(math.exp(s) * q, WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)
 
 
@@ -203,8 +197,8 @@ def translation_invariance_residual(
     """
     if translated is None:
         translated, _resid = translate_line(f, t, M)
-    lhs = ground_weyl(GroundStateParams(q), WeylWord((translated,)), M)
-    rhs = ground_weyl(GroundStateParams(q), WeylWord((f,)), M)
+    lhs = ground_weyl(q, WeylWord((translated,)), M)
+    rhs = ground_weyl(q, WeylWord((f,)), M)
     return _covariance_residual(lhs, rhs)
 
 

@@ -48,11 +48,6 @@ def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
     return fock.apply(virasoro_triples(n, v.cutoff), v)
 
 
-def apply_stress_circle(f: CircleFourier, v: FockVector) -> FockVector:
-    """Smeared stress tensor T(f) = sum_n c_n L_n."""
-    return fock.apply(smear(virasoro_triples, f, v.cutoff), v)
-
-
 def line_derivative_repr(F: LineObject) -> CircleFourier:
     """Circle representative of the line derivative of the pushforward of F.
 
@@ -109,7 +104,7 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
     vacuum amplitude lies outside its exactness window.
     """
     denom = vectorfield_line_integral_f3g(F, G)
-    if abs(denom.value) < 1e-6:
+    if abs(denom) < 1e-6:
         raise ValueError("degenerate test pair: cocycle integral too small")
     # <vac, T(F) T(G) vac> is a sum of level-n terms <vac, L_n L_{-n} vac> and
     # <vac, J_n J_{-n} vac> over the modes n of both fields (F' has F's max
@@ -123,7 +118,7 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
     TF, TG = (stress_line_triples(X, kappa, reach) for X in (F, G))
     num = (fock.inner(vac, fock.apply(TF, fock.apply(TG, vac)))
            - fock.inner(vac, fock.apply(TG, fock.apply(TF, vac))))
-    c = 12.0 * SIGMA_NORM * num / (1j * denom.value)
+    c = 12.0 * SIGMA_NORM * num / (1j * denom)
     return float(c.real)
 
 

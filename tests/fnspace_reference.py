@@ -2,8 +2,8 @@
 matrices and the per-segment integrals that chiralground.fnspace replaced by
 FFTs on the half-shifted grid, Horner evaluation and slope jumps, and the
 sampled projection of t h that it replaced by an exact division.  Also the
-scalar Cayley map and the JSON reader of circle functions, which only the
-tests use.
+segments of a piecewise-linear function, the scalar Cayley map and the JSON
+reader of circle functions, which only the tests use.
 """
 
 import math
@@ -42,6 +42,14 @@ def sampled_multiply_by_t(h: fn.CircleFourier) -> tuple[fn.CircleFourier, float]
     return dense_project_samples(th, t * dense_eval(h, th), M)
 
 
+def segments(f: fn.PiecewiseLinearCircle):
+    """Yield (a, b, va, vb) with a < b; the wrap segment has b > 2pi - eps."""
+    th, v = f.nodes, f.values
+    for i in range(th.size - 1):
+        yield th[i], th[i + 1], v[i], v[i + 1]
+    yield th[-1], th[0] + fn.TWO_PI, v[-1], v[0]
+
+
 def segment_fourier_project(f: fn.PiecewiseLinearCircle, M: int) -> fn.CircleFourier:
     """Fourier coefficients as the sum over segments of the closed-form integral
     of a linear function against e^{-i n theta}."""
@@ -49,7 +57,7 @@ def segment_fourier_project(f: fn.PiecewiseLinearCircle, M: int) -> fn.CircleFou
     nz = ns != 0
     n = ns[nz].astype(float)
     coeffs = np.zeros(2 * M + 1, dtype=complex)
-    for a, b, va, vb in f.segments():
+    for a, b, va, vb in segments(f):
         s = (vb - va) / (b - a)
         coeffs[M] += (va + vb) * (b - a) / 2.0
         ea = np.exp(-1j * n * a)

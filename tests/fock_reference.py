@@ -6,8 +6,9 @@ Chebyshev series of exp(-+i J(g)) on the whole basis; dense level blocks
 of J_n and of L_n (summed pair by pair), the dense bracket residual built on
 them, and the dense matrix of a set of triples; the triples of J_n one n at a
 time and of L_n one pair at a time; and small helpers of the
-array layer that only the tests use, among them exp(i t J(f)) on ungauged
-columns.
+array layer that only the tests use, among them a vector from and to its
+amplitudes by partition, the smeared stress tensor T(f) and exp(i t J(f)) on
+ungauged columns.
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -243,9 +244,9 @@ def weyl_residual_eigh(g, f, N: int) -> float:
 
     P = np.eye(len(s), fock.basis(N).offsets[N // 2 + 1])
     WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
-    TWsP = hat(sugawara.apply_stress_circle, f, WsP)
+    TWsP = hat(apply_stress_circle, f, WsP)
     WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ TWsP))
-    A = (WTWsP - hat(sugawara.apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
+    A = (WTWsP - hat(apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
          - fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
     return float(np.linalg.norm(A, ord=2))
 
@@ -310,8 +311,30 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     return key % dim, key // dim, out
 
 
+def from_amps(cutoff: int, amps: dict) -> fock.FockVector:
+    """The vector with amplitude a at each partition p of amps (parts in any order)."""
+    rows = np.zeros((len(amps), cutoff + 1), dtype=np.uint8)
+    for row, p in zip(rows, amps):
+        if min(p, default=1) < 1 or sum(p) > cutoff:
+            raise ValueError(f"{p!r} is no partition of a level <= {cutoff}")
+        np.add.at(row, list(p), 1)
+    data = np.zeros(len(fock.basis(cutoff).norm_sq), dtype=complex)
+    data[fock.basis(cutoff).find(rows)] = list(amps.values())
+    return fock.FockVector(cutoff, data)
+
+
+def amps(v: fock.FockVector) -> dict:
+    """The nonzero amplitudes of a single vector, keyed by partition."""
+    return {p: complex(a) for p, a in zip(fock.basis(v.cutoff).partitions, v.data) if a != 0}
+
+
 def basis_vector(N: int, parts) -> fock.FockVector:
-    return fock.FockVector.from_amps(N, {tuple(parts): 1.0})
+    return from_amps(N, {tuple(parts): 1.0})
+
+
+def apply_stress_circle(f, v: fock.FockVector) -> fock.FockVector:
+    """Smeared stress tensor T(f) = sum_n c_n L_n."""
+    return fock.apply(fock.smear(sugawara.virasoro_triples, f, v.cutoff), v)
 
 
 def apply_L0(v: fock.FockVector) -> fock.FockVector:

@@ -105,13 +105,13 @@ def test_acceptance_07_ground_state_values():
         b, _ = fn.gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), 96)
         fs.append(b.scale(float(rng.uniform(-1, 1))))
     min_eig = min(
-        states.gram_psd(states.GroundStateParams(q), fs, 96) for q in (-2.0, 0.0, 1.0, 5.0)
+        states.gram_psd(q, fs, 96) for q in (-2.0, 0.0, 1.0, 5.0)
     )
-    one = states.ground_current_onepoint(states.GroundStateParams(1.3), fs[0], 96)
+    one = states.ground_current_onepoint(1.3, fs[0], 96)
     fd_gap = abs(one.finite_difference - one.closed_form)
     F, _ = _vector_fields()
-    s1 = states.ground_stress_onepoint(states.GroundStateParams(2.0, 0.0), F)
-    s2 = states.ground_stress_onepoint(states.GroundStateParams(-2.0, 1.5), F)
+    s1 = states.ground_stress_onepoint(2.0, F)
+    s2 = states.ground_stress_onepoint(-2.0, F)
     stress_gap = abs(s1 - 0.5 * 4.0 * 2.0 * math.pi)  # exact integral is 2 pi
     ok = min_eig > -1e-10 and fd_gap < 1e-6 and stress_gap < 1e-8 and s1 == s2
     _report(

@@ -121,6 +121,28 @@ class TestCharge:
         assert rc == 1
         assert len(capsys.readouterr().out.strip().splitlines()) == 4  # every row is printed
 
+    @pytest.mark.parametrize("kappas", ["1.3e154", "2e154", "1e300", "0,-2e154"])
+    def test_kappa_beyond_the_bound_refused_before_any_work(self, kappas, monkeypatch, capsys,
+                                                            recwarn):
+        # 1.3e154 printed c_est = inf with exit 1 and nothing on stderr; 2e154 and
+        # 1e300 ended in RuntimeWarnings and an OverflowError traceback
+        def refuse(*_args):
+            raise AssertionError("c_est computed for a refused kappa")
+
+        monkeypatch.setattr(sugawara, "central_charge_estimate", refuse)
+        rc = cli.main(["charge", "--kappa", kappas])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --kappa: ") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_kappa_at_the_bound_is_exact(self, capsys):
+        rc = cli.main(["charge", "--kappa", "1e150", "--format", "json"])
+        assert rc == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["c_est"] == pytest.approx(1.0 + 1e300, rel=1e-9)
+
     def test_each_field_resampled_once_per_estimate(self, monkeypatch, capsys):
         # two vector fields, three nonzero kappas: F' and G' once per kappa (was 12)
         calls, resample = [], sugawara.multiply_by_t
@@ -217,7 +239,8 @@ def test_out_into_missing_directory_is_a_one_line_error(argv, runner, tmp_path, 
     ["ground", "--cutoff", "2"],
     ["nonnormal", "--cutoff", "1"],
     ["charge", "--modes", "3"],
-], ids=["ground-format", "ground-cutoff", "nonnormal-cutoff", "charge-modes"])
+    ["ground", "--kappa", "0.5"],
+], ids=["ground-format", "ground-cutoff", "nonnormal-cutoff", "charge-modes", "ground-kappa"])
 def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
     # each was accepted and then ignored
     with pytest.raises(SystemExit) as exc:
@@ -254,7 +277,7 @@ class TestNonNormal:
 class TestGround:
     def test_report_keys(self, tmp_path):
         out = tmp_path / "ground.json"
-        rc = cli.main(["ground", "--q", "1", "--kappa", "0.5",
+        rc = cli.main(["ground", "--q", "1",
                        "--function", "bump:0:1", "--modes", "96",
                        "--out", str(out)])
         assert rc == 0

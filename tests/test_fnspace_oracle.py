@@ -130,7 +130,7 @@ def _mpmath_coeff(f: fn.PiecewiseLinearCircle, n: int) -> complex:
     """(1/2pi) int f e^{-in theta} over [nodes[0], nodes[0] + 2pi], segment by segment."""
     mpmath.mp.dps = 30
     total = mpmath.mpc(0)
-    for a, b, va, vb in f.segments():
+    for a, b, va, vb in ref.segments(f):
         a, b = mpmath.mpf(float(a)), mpmath.mpf(float(b))
         s = (vb - va) / (b - a)
         pts = mpmath.linspace(a, b, 2 + n // 4)

@@ -27,7 +27,7 @@ class TestBasis:
                 v = fock.apply_mode(-k, v)
             for k in parts:
                 v = fock.apply_mode(k, v)
-            assert v.amps == {(): b.norm_sq[b.partitions.index(parts)]}
+            assert ref.amps(v) == {(): b.norm_sq[b.partitions.index(parts)]}
 
     def test_norm_sq_equals_the_exact_integers(self):
         # the float products of the factors j^m m! stay exact up to N = 24
@@ -47,7 +47,7 @@ class TestBasis:
                              ids=["zero-part", "negative-part", "above-cutoff"])
     def test_from_amps_refuses_a_non_partition(self, parts):
         with pytest.raises(ValueError):
-            fock.FockVector.from_amps(6, {parts: 1.0})
+            ref.from_amps(6, {parts: 1.0})
 
     def test_basis_partitions_count(self):
         # partition numbers p(0..6) = 1,1,2,3,5,7,11; cumulative 30
@@ -66,19 +66,19 @@ class TestBasis:
 class TestModes:
     def test_annihilator_kills_vacuum(self):
         for n in [1, 2, 5]:
-            assert not fock.apply_mode(n, fock.vacuum(8)).amps
+            assert not ref.amps(fock.apply_mode(n, fock.vacuum(8)))
 
     def test_zero_mode_is_zero(self):
-        assert not fock.apply_mode(0, ref.basis_vector(8, (3, 1))).amps
+        assert not ref.amps(fock.apply_mode(0, ref.basis_vector(8, (3, 1))))
 
     def test_creation_example(self):
         v = fock.apply_mode(-2, ref.basis_vector(8, (3,)))
-        assert v.amps == {(3, 2): pytest.approx(1.0)}
+        assert ref.amps(v) == {(3, 2): pytest.approx(1.0)}
 
     def test_annihilation_multiplicity(self):
         # J_2 on (2,2,1): coefficient 2 * multiplicity(2) = 4
         v = fock.apply_mode(2, ref.basis_vector(8, (2, 2, 1)))
-        assert v.amps == {(2, 1): pytest.approx(4.0)}
+        assert ref.amps(v) == {(2, 1): pytest.approx(4.0)}
 
     def test_creation_is_the_transpose_of_annihilation(self):
         # J_{-n} has weight 1 on each entry of J_n, transposed, and takes every basis
@@ -119,7 +119,7 @@ class TestSmearedCurrent:
 
     def test_constant_acts_as_zero(self):
         one = fn.circle_from_real_modes(2.0)
-        assert not fock.apply_current(one, ref.basis_vector(8, (2, 1))).amps
+        assert not ref.amps(fock.apply_current(one, ref.basis_vector(8, (2, 1))))
 
     def test_commutator_matches_sigma(self):
         rng = np.random.default_rng(22)
@@ -135,9 +135,9 @@ class TestSmearedCurrent:
             v = ref.basis_vector(8, parts)
             w = ref.apply_L0(v)
             if sum(parts) == 0:
-                assert not w.amps
+                assert not ref.amps(w)
             else:
-                assert w.amps == {parts: pytest.approx(float(sum(parts)))}
+                assert ref.amps(w) == {parts: pytest.approx(float(sum(parts)))}
 
 
 class TestMatrices:

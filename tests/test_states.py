@@ -79,57 +79,57 @@ class TestVacuumWeyl:
 class TestGroundWeyl:
     def test_q_zero_is_vacuum_state(self):
         f = _bump()
-        r = states.ground_weyl(states.GroundStateParams(0.0), states.WeylWord((f,)), 96)
+        r = states.ground_weyl(0.0, states.WeylWord((f,)), 96)
         assert r.value == pytest.approx(states.vacuum_weyl(f, 96))
         assert not r.divergent
 
     def test_charge_shows_up_as_phase(self):
         f = _bump()
         w = states.WeylWord((f,))
-        a = states.ground_weyl(states.GroundStateParams(1.5), w, 96)
-        b = states.ground_weyl(states.GroundStateParams(0.0), w, 96)
+        a = states.ground_weyl(1.5, w, 96)
+        b = states.ground_weyl(0.0, w, 96)
         assert abs(a.value) == pytest.approx(abs(b.value), rel=1e-12)
         integral = fn.line_integral(f).value
         assert a.value / b.value == pytest.approx(cmath.exp(1.5j * integral), abs=1e-10)
 
     def test_divergent_word_flagged(self):
         tent = fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION)
-        r = states.ground_weyl(states.GroundStateParams(1.0), states.WeylWord((tent,)), 256)
+        r = states.ground_weyl(1.0, states.WeylWord((tent,)), 256)
         assert r.divergent
 
     def test_value_bounded_by_one(self):
         f = _bump(0.3, 0.7)
         for q in (-2.0, 0.0, 3.0):
-            r = states.ground_weyl(states.GroundStateParams(q), states.WeylWord((f,)), 96)
+            r = states.ground_weyl(q, states.WeylWord((f,)), 96)
             assert abs(r.value) <= 1.0 + 1e-12
 
 
 class TestOnePoints:
     def test_current_fd_agrees(self):
         f = _bump()
-        r = states.ground_current_onepoint(states.GroundStateParams(1.3), f, 96)
+        r = states.ground_current_onepoint(1.3, f, 96)
         assert r.finite_difference == pytest.approx(r.closed_form, abs=1e-6)
 
     def test_current_linear_in_q(self):
         f = _bump(0.5, 1.1)
-        a = states.ground_current_onepoint(states.GroundStateParams(1.0), f, 96)
-        b = states.ground_current_onepoint(states.GroundStateParams(3.0), f, 96)
+        a = states.ground_current_onepoint(1.0, f, 96)
+        b = states.ground_current_onepoint(3.0, f, 96)
         assert b.closed_form == pytest.approx(3.0 * a.closed_form, rel=1e-12)
 
     def test_stress_quadratic_and_even_in_q(self):
         hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
         F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-        v1 = states.ground_stress_onepoint(states.GroundStateParams(1.0, 0.0), F)
-        v2 = states.ground_stress_onepoint(states.GroundStateParams(-1.0, 2.0), F)
-        v3 = states.ground_stress_onepoint(states.GroundStateParams(2.0, 0.5), F)
-        assert v2 == v1  # q -> -q and kappa-independence, exactly
+        v1 = states.ground_stress_onepoint(1.0, F)
+        v2 = states.ground_stress_onepoint(-1.0, F)
+        v3 = states.ground_stress_onepoint(2.0, F)
+        assert v2 == v1  # q -> -q, exactly
         assert v3 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_stress_against_scipy_value(self):
         # int (1-cos)^2 / (2 sin^2(theta/2)) dtheta = int (1 - cos) dtheta = 2 pi
         hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
         F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-        v = states.ground_stress_onepoint(states.GroundStateParams(2.0, 0.0), F)
+        v = states.ground_stress_onepoint(2.0, F)
         assert v == pytest.approx(0.5 * 4.0 * 2.0 * math.pi, abs=1e-6)
 
 
@@ -144,7 +144,7 @@ class TestGramAndOrbits:
 
     @pytest.mark.parametrize("q", [-2.0, 0.0, 1.0])
     def test_gram_psd(self, q):
-        lam = states.gram_psd(states.GroundStateParams(q), self._family(), 96)
+        lam = states.gram_psd(q, self._family(), 96)
         assert lam > -1e-10
 
     @pytest.mark.parametrize("s", [-0.5, 0.5])
