@@ -5,6 +5,8 @@ nonnormal print a table as CSV or JSON, ground a JSON report; numbers carry
 12 significant digits.  The exit status is 0 iff every executed check passed
 or was explicitly skipped by the window rules; charge checks each c_est.
 ground and nonnormal run no gated check yet, so for them that rule is vacuous.
+Every printed number is finite: a run that overflows, or would print inf or
+nan, ends with a one-line error and exit status 1.
 """
 
 from __future__ import annotations
@@ -20,19 +22,9 @@ import sys
 import numpy as np
 
 from . import fock, states, sugawara
-from .fnspace import (
-    CircleFourier,
-    LineObject,
-    Weight,
-    circle_from_real_modes,
-    circle_to_json,
-    dilate_line,
-    gaussian_bump_line,
-    gn_family,
-    random_real_circle,
-    sobolev_half_sq,
-    translate_line,
-)
+from .fnspace import (CircleFourier, circle_from_real_modes, circle_to_json, dilate_line,
+                      gaussian_bump_line, gn_family, random_real_circle, sobolev_half_sq,
+                      translate_line)
 
 HEADERS = {
     "verify": ("name", "window", "residual", "threshold", "status"),
@@ -62,16 +54,17 @@ def _finite(text: str) -> float:
     return x
 
 
-def parse_function_spec(spec: str, M: int) -> LineObject:
+def parse_function_spec(spec: str, M: int):
     """Mini-language for test functions: gn:<n> | bump:<center>:<width> | fourier:<a0>,<a1>,...
 
-    fourier coefficients are read as a0 + sum_k (a_k cos k theta + b_k sin k theta)
-    with the list a0,a1,b1,a2,b2,...  Raises UsageError for a spec it cannot honour.
+    Returns the circle representative of the scalar function.  fourier coefficients
+    are read as a0 + sum_k (a_k cos k theta + b_k sin k theta) with the list
+    a0,a1,b1,a2,b2,...  Raises UsageError for a spec it cannot honour.
     """
     kind, _, rest = spec.partition(":")
     try:
         if kind == "gn":
-            return LineObject(gn_family(int(rest)), Weight.FUNCTION)
+            return gn_family(int(rest))
         if kind == "bump":
             center_s, _, width_s = rest.partition(":")
             center, width = _finite(center_s), _finite(width_s)
@@ -81,8 +74,7 @@ def parse_function_spec(spec: str, M: int) -> LineObject:
             return obj
         if kind == "fourier":
             vals = [_finite(x) for x in rest.split(",") if x] or [0.0]
-            return LineObject(circle_from_real_modes(vals[0], vals[1::2], vals[2::2]),
-                              Weight.FUNCTION)
+            return circle_from_real_modes(vals[0], vals[1::2], vals[2::2])
     except ValueError as exc:
         raise UsageError(f"function spec {spec!r}: {exc}") from None
     raise UsageError(f"unknown function spec: {spec!r}")
@@ -92,7 +84,7 @@ def parse_function_spec(spec: str, M: int) -> LineObject:
 # verify
 
 
-def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tuple[list, bool]:
+def run_verify(N: int, seed: int, drop_central: bool = False) -> tuple[list, bool]:
     """The operator-identity suite at cutoff N: rows of HEADERS["verify"], and
     whether every check passed or was skipped."""
     rng = np.random.default_rng(seed)
@@ -144,7 +136,7 @@ def run_verify(N: int, modes: int, seed: int, drop_central: bool = False) -> tup
     def sobolev_norm_identity():
         worst = 0.0
         for _ in range(50):
-            f = random_real_circle(int(rng.integers(1, min(modes, N) + 1)), rng)
+            f = random_real_circle(int(rng.integers(1, N + 1)), rng)
             jf = fock.apply_current(f, fock.vacuum(N))
             worst = max(worst, abs(fock.inner(jf, jf).real - sobolev_half_sq(f)))
         return worst
@@ -169,13 +161,12 @@ def run_charge(N: int, kappas) -> tuple[list, bool]:
     return rows, all(err <= 1e-9 * (1.0 + kappa**2) for kappa, _, err in rows)
 
 
-def _default_vector_fields() -> tuple[LineObject, LineObject]:
-    # Band-limited fields vanishing at the point at infinity to order >= 2;
+def _default_vector_fields() -> tuple[CircleFourier, CircleFourier]:
+    # Band-limited fields vanishing at the point at infinity to orders 4 and 5;
     # the (1 - cos)^2 factor keeps the perturbation term band-limited too.
     F = circle_from_real_modes(1.5, [-2.0, 0.5])  # (1 - cos)^2
     G = circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])  # (1 - cos)^2 sin
-    return (LineObject(F, Weight.VECTOR_FIELD, vanishing_order=4),
-            LineObject(G, Weight.VECTOR_FIELD, vanishing_order=5))
+    return F, G
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +185,16 @@ def run_nonnormal(q: float, n_max: int, modes: int) -> tuple[list, bool]:
 
 
 def run_ground(q: float, fspec: str, M: int, seed: int) -> dict:
-    f = parse_function_spec(fspec, M)
-    r = f.circle_repr  # a fourier: spec keeps its own modes, and --modes must not cut one
-    if isinstance(r, CircleFourier) and np.any(r.pad(M).pad(r.max_mode).coeffs != r.coeffs):
+    f = parse_function_spec(fspec, M)  # a fourier: spec keeps its modes, --modes must not cut one
+    if isinstance(f, CircleFourier) and np.any(f.pad(M).pad(f.max_mode).coeffs != f.coeffs):
         raise UsageError(f"{fspec!r} has modes above --modes {M}")
     report = {"q": q, "function": fspec}
-    gw = states.ground_weyl(q, states.WeylWord((f,)), M)
+    gw = states.ground_weyl(q, (f,), M)
     report["ground_weyl"] = {"re": gw.value.real, "im": gw.value.imag,
                              "divergent": gw.divergent}
     one = states.ground_current_onepoint(q, f, M)
-    report["current_onepoint"] = {
-        "closed_form": one.closed_form,
-        "finite_difference": one.finite_difference,
-    }
+    report["current_onepoint"] = {"closed_form": one.closed_form,
+                                  "finite_difference": one.finite_difference}
     report["stress_onepoint"] = states.ground_stress_onepoint(q, f)
     rng = np.random.default_rng(seed)
     fs = []
@@ -234,6 +222,14 @@ def _covariance(residual_fn) -> dict:
 
 # ---------------------------------------------------------------------------
 # output
+
+
+def _check_finite(result):
+    """Refuse, with OverflowError, a table or report that holds a non-finite float."""
+    try:
+        json.dumps(result, allow_nan=False)
+    except ValueError:
+        raise OverflowError("a number to print is not finite") from None
 
 
 def _emit(header, rows, fmt: str, out):
@@ -286,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
 
     for sp in (verify, charge):
         sp.add_argument("--cutoff", type=int, default=12)
-    for sp in (verify, nonnormal, ground):
+    for sp in (nonnormal, ground):
         sp.add_argument("--modes", type=int, default=64)
     for sp in (verify, charge, nonnormal):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -309,9 +305,9 @@ def _check_options(args):
     """Refuse options the computation cannot honour, with UsageError, before any work."""
     if args.command in ("verify", "charge") and args.cutoff < 0:
         raise UsageError("--cutoff must be >= 0")
-    if args.command != "charge" and args.modes < 1:
-        raise UsageError("--modes must be >= 1")
     if args.command in ("nonnormal", "ground"):
+        if args.modes < 1:
+            raise UsageError("--modes must be >= 1")
         _option("--q", args.q)
     if args.command == "nonnormal" and args.n_max < 4:  # the table starts at n = 4
         raise UsageError("--n-max must be >= 4")
@@ -336,14 +332,16 @@ def main(argv=None) -> int:
         _check_options(args)
         if args.command == "ground":
             report = run_ground(args.q, args.function, args.modes, args.seed)
+            _check_finite(report)
             _write(json.dumps(report, indent=2) + "\n", args.out)
             return 0
         if args.command == "verify":
-            rows, ok = run_verify(args.cutoff, args.modes, args.seed, args.drop_central_term)
+            rows, ok = run_verify(args.cutoff, args.seed, args.drop_central_term)
         elif args.command == "charge":
             rows, ok = run_charge(args.cutoff, _kappas(args.kappa))
         else:
             rows, ok = run_nonnormal(args.q, args.n_max, args.modes)
+        _check_finite(rows)
         _emit(HEADERS[args.command], rows, args.format, args.out)
         return 0 if ok else 1
     except UsageError as exc:
@@ -351,6 +349,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # e.g. a DivergenceError, or a cutoff outside a window
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OverflowError as exc:  # e.g. q^2 at --q 1e160, or q_n = inf at --q 1e308
+        sys.stderr.write(f"error: an input is out of range: {exc.args[-1]}\n")
         return 1
     except MemoryError as exc:  # e.g. numpy refusing an array of 10^12 modes
         sys.stderr.write(f"error: out of memory: {exc}\n")

@@ -7,6 +7,12 @@ Cayley map: the circle point -e^{i theta} corresponds to t(theta) = -cot(theta/2
 so theta = 0 is the point at infinity and dt/dtheta = csc^2(theta/2)/2 > 0
 (orientation preserving).
 
+A test object on the line is carried by its circle representative h, a
+CircleFourier or a PiecewiseLinearCircle, and the function that receives h
+fixes how it is read: as a scalar function, the pullback f(t) = h(theta(t)),
+or as a vector field, the pushforward F(t) = ((t^2+1)/2) h(theta(t)).  Either
+vanishes at infinity as h vanishes at theta = 0, to the order vanishing_order(h).
+
 With this coefficient convention the Fock-space bracket of smeared currents is
 
     [J(f), J(g)] = i * sigma(f, g) / SIGMA_NORM,
@@ -18,9 +24,8 @@ whole package; every phase and central-term factor is derived from it.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 # [J(f), J(g)] = i * sigma(f, g) / SIGMA_NORM in the c_n mode convention above.
 SIGMA_NORM = TWO_PI
-
-
-class Weight(enum.Enum):
-    """How a line object transforms under the circle identification."""
-
-    FUNCTION = "function"
-    VECTOR_FIELD = "vector_field"
 
 
 @dataclass(frozen=True)
@@ -138,25 +136,6 @@ class PiecewiseLinearCircle:
 
     def scale(self, lam: float) -> "PiecewiseLinearCircle":
         return PiecewiseLinearCircle(self.nodes, lam * self.values)
-
-
-@dataclass(frozen=True)
-class LineObject:
-    """Real-line test object carried by its circle representative.
-
-    Weight.FUNCTION: scalar pullback, F(t) = h(theta(t)).
-    Weight.VECTOR_FIELD: pushforward, F(t) = ((t^2+1)/2) h(theta(t)).
-    vanishing_order is the declared order of the circle representative
-    at the point at infinity (theta = 0); line integrals of derivatives of
-    vector fields are finite only when the combined order is large enough.
-    """
-
-    circle_repr: object  # CircleFourier | PiecewiseLinearCircle
-    weight: Weight = Weight.FUNCTION
-    vanishing_order: int = 0
-
-    def scale(self, lam: float) -> "LineObject":
-        return replace(self, circle_repr=self.circle_repr.scale(lam))
 
 
 @dataclass(frozen=True)
@@ -280,8 +259,9 @@ def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
     return LineIntegralResult(float(total), bool(h0 != 0.0 or kink))
 
 
-def line_integral(f: LineObject) -> LineIntegralResult:
-    """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta, in closed form.
+def line_integral(h) -> LineIntegralResult:
+    """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta for the scalar
+    function f of representative h, in closed form.
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
     divergent iff |h(0)| = |sum_n c_n| > 1e-5 sum_n |c_n|.  Piecewise-linear h:
@@ -289,9 +269,6 @@ def line_integral(f: LineObject) -> LineIntegralResult:
     the integral is divergent iff h(0) != 0 or the one-sided slopes at theta = 0
     differ.  A divergent integral returns its finite part with divergent=True.
     """
-    if f.weight is not Weight.FUNCTION:
-        raise ValueError("line_integral expects a scalar function")
-    h = f.circle_repr
     if isinstance(h, PiecewiseLinearCircle):
         return _pl_line_integral(h)
     if not h.is_real:
@@ -303,21 +280,17 @@ def line_integral(f: LineObject) -> LineIntegralResult:
     return LineIntegralResult(float(value), bool(divergent))
 
 
-def vectorfield_line_integral_f3g(F: LineObject, G: LineObject) -> float:
-    """int_R F'''(t) G(t) dt for vector fields, in closed form.
+def vectorfield_line_integral_f3g(hF: CircleFourier, hG: CircleFourier) -> float:
+    """int_R F'''(t) G(t) dt for the vector fields of representatives hF, hG, in closed form.
 
-    With circle representatives hF = sum a_n e^{in theta} and
-    hG = sum b_n e^{in theta} the integral equals int (hF' + hF''') hG dtheta
-    = 2pi sum_n i(n - n^3) a_n b_{-n}.  It is finite when the declared
-    vanishing orders at infinity add up to at least 3 (ValueError otherwise).
+    With hF = sum a_n e^{in theta} and hG = sum b_n e^{in theta} the integral
+    equals int (hF' + hF''') hG dtheta = 2pi sum_n i(n - n^3) a_n b_{-n}.  It is
+    finite when vanishing_order(hF) + vanishing_order(hG) >= 3 (ValueError otherwise).
     """
-    if F.weight is not Weight.VECTOR_FIELD or G.weight is not Weight.VECTOR_FIELD:
-        raise ValueError("both arguments must be vector fields")
-    if F.vanishing_order + G.vanishing_order < 3:
-        raise ValueError("combined vanishing order at infinity must be >= 3")
-    hF, hG = F.circle_repr, G.circle_repr
     if not isinstance(hF, CircleFourier) or not isinstance(hG, CircleFourier):
         raise TypeError("vector fields must carry Fourier representatives")
+    if vanishing_order(hF) + vanishing_order(hG) < 3:
+        raise ValueError("combined vanishing order at infinity must be >= 3")
     M = max(hF.max_mode, hG.max_mode)
     a, b = hF.pad(M).coeffs, hG.pad(M).coeffs
     ns = np.arange(-M, M + 1)
@@ -399,46 +372,57 @@ def _project_samples(values, M: int) -> tuple[CircleFourier, float]:
     return out, resid
 
 
-def _resample_line(f: LineObject, preimage, M: int) -> tuple[LineObject, float]:
-    """Re-project the line function t -> f(preimage(t)) onto M circle modes."""
-    if f.weight is not Weight.FUNCTION:
-        raise ValueError("resampling is defined for scalar functions")
+def _resample_line(h, preimage, M: int) -> tuple[CircleFourier, float]:
+    """Re-project t -> f(preimage(t)) onto M circle modes, f the scalar function of h."""
     _, t = _line_grid(M)
-    vals = np.asarray(f.circle_repr(theta_of_t(preimage(t))), dtype=float)
-    proj, resid = _project_samples(vals, M)
-    return LineObject(proj, Weight.FUNCTION, f.vanishing_order), resid
+    vals = np.asarray(h(theta_of_t(preimage(t))), dtype=float)
+    return _project_samples(vals, M)
 
 
-def dilate_line(f: LineObject, s: float, M: int = 64) -> tuple[LineObject, float]:
-    """Line object for t -> f(e^{-s} t), re-projected to M modes.
+def dilate_line(h, s: float, M: int = 64) -> tuple[CircleFourier, float]:
+    """Representative of t -> f(e^{-s} t), re-projected to M modes, f the scalar function of h.
 
-    Returns the dilated object together with the projection residual.
+    Returns the dilated representative together with the projection residual.
     """
     lam = math.exp(-s)
-    return _resample_line(f, lambda t: lam * t, M)
+    return _resample_line(h, lambda t: lam * t, M)
 
 
-def translate_line(f: LineObject, a: float, M: int = 64) -> tuple[LineObject, float]:
-    """Line object for t -> f(t - a), re-projected to M modes."""
-    return _resample_line(f, lambda t: t - a, M)
+def translate_line(h, a: float, M: int = 64) -> tuple[CircleFourier, float]:
+    """Representative of t -> f(t - a), re-projected to M modes, f the scalar function of h."""
+    return _resample_line(h, lambda t: t - a, M)
 
 
-# multiply_by_t reads |h(0)| <= POLE_TOL sum_n |c_n| as h(0) = 0: the sum h(0) = sum_n c_n
+# vanishing_order reads |h(0)| <= POLE_TOL sum_n |c_n| as h(0) = 0: the sum h(0) = sum_n c_n
 # rounds by about (2M + 1) 2^-53 of it, and a larger h(0) is a pole of t h at theta = 0.
 POLE_TOL = 1e-12
+
+
+def vanishing_order(h: CircleFourier) -> int:
+    """Order of the zero of h at theta = 0, the point at infinity of the line.
+
+    z^M h = (z - 1) sum_{n<M} q_n z^{n+M} + h(0) at z = e^{i theta}, with the tail
+    sums q_n = sum_{m>n} c_m.  The order is how often this division, applied to
+    each quotient in turn, leaves a remainder that POLE_TOL reads as zero: at most
+    POLE_TOL sum_n |c_n| of h, the scale of its rounding.  The zero function gets
+    2M + 1, more than any other function on M modes.
+    """
+    c, k, tol = h.coeffs, 0, POLE_TOL * np.sum(np.abs(h.coeffs))
+    while c.size and abs(c.sum()) <= tol:
+        c, k = np.cumsum(c[::-1])[::-1][1:], k + 1
+    return k
 
 
 def multiply_by_t(h: CircleFourier) -> CircleFourier:
     """t(theta) h(theta) = -cot(theta/2) h(theta), exactly, on h's own modes.
 
-    t = -i (z + 1)/(z - 1) at z = e^{i theta}, and z^M h = (z - 1) sum_{n<M} q_n z^{n+M}
-    + h(0) with the tail sums q_n = sum_{m>n} c_m, so t h has the coefficients
-    -i (q_{n-1} + q_n), q_{-M-1} = q_M = 0.  Raises ValueError at a pole (POLE_TOL).
+    t = -i (z + 1)/(z - 1) at z = e^{i theta}, so t h has the coefficients
+    -i (q_{n-1} + q_n) of the tail sums q_n of vanishing_order, q_{-M-1} = q_M = 0.
+    Raises ValueError at a pole, where vanishing_order(h) is 0.
     """
-    c = h.coeffs
-    if abs(c.sum()) > POLE_TOL * np.sum(np.abs(c)):
+    if vanishing_order(h) < 1:
         raise ValueError("t h has a pole at theta = 0: h must vanish there")
-    q = np.cumsum(c[::-1])[::-1][1:]  # q_n for n = -M .. M - 1
+    q = np.cumsum(h.coeffs[::-1])[::-1][1:]  # q_n for n = -M .. M - 1
     return CircleFourier(-1j * (np.append(q, 0.0) + np.insert(q, 0, 0.0)), h.is_real)
 
 
@@ -468,8 +452,8 @@ def random_real_circle(M: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return CircleFourier(coeffs, is_real=True)
 
 
-def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[LineObject, float]:
-    """Line object for exp(-((t - center)/width)^2), projected to M modes.
+def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[CircleFourier, float]:
+    """Representative of the scalar exp(-((t - center)/width)^2), projected to M modes.
 
     The bump vanishes at the point at infinity, so c_0 is shifted to make the
     projection vanish there exactly too; the returned residual includes the
@@ -482,7 +466,7 @@ def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[LineOb
     c[M] -= c.sum().real
     proj = CircleFourier(c, is_real=True)
     resid = float(np.sqrt(np.mean((_on_grid(proj, th.size) - vals) ** 2)))
-    return LineObject(proj, Weight.FUNCTION), resid
+    return proj, resid
 
 
 def circle_to_json(f: CircleFourier) -> dict:

@@ -1,5 +1,9 @@
 """States as explicit functionals on finite Weyl words.
 
+A Weyl word W(f_1) ... W(f_k) is the tuple (f_1, ..., f_k) of the circle
+representatives of its real test functions, each read as a scalar function
+on the line (see fnspace).
+
 The vacuum functional on a Weyl generator is the Gaussian
 exp(-sobolev_half_sq/2); the charge-density family multiplies each
 generator by the unimodular phase exp(i q int f dt).  No GNS vectors are
@@ -15,36 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fnspace import (
-    SIGMA_NORM,
-    CircleFourier,
-    LineObject,
-    PiecewiseLinearCircle,
-    Weight,
-    dilate_line,
-    fourier_project,
-    gn_family,
-    g_limit,
-    line_integral,
-    sigma,
-    sobolev_half_sq,
-    translate_line,
-)
+from .fnspace import (SIGMA_NORM, CircleFourier, PiecewiseLinearCircle, dilate_line,
+                      fourier_project, g_limit, gn_family, line_integral, sigma, sobolev_half_sq,
+                      translate_line)
 
 
 class DivergenceError(ValueError):
     """A quantity needs the line integral of a function that does not vanish at infinity."""
-
-
-@dataclass(frozen=True)
-class WeylWord:
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if f.weight is not Weight.FUNCTION:
-                raise ValueError("Weyl factors must be scalar functions")
 
 
 @dataclass(frozen=True)
@@ -59,15 +40,14 @@ class OnePointResult:
     finite_difference: float
 
 
-def as_fourier(f: LineObject, M: int) -> CircleFourier:
-    """The circle representative of f on M modes, projected exactly if piecewise-linear."""
-    r = f.circle_repr
-    if isinstance(r, PiecewiseLinearCircle):
-        return fourier_project(r, M)
-    return r.pad(M)
+def as_fourier(f, M: int) -> CircleFourier:
+    """The representative f on M modes, projected exactly if piecewise-linear."""
+    if isinstance(f, PiecewiseLinearCircle):
+        return fourier_project(f, M)
+    return f.pad(M)
 
 
-def weyl_reduce(w: WeylWord, M: int = 64) -> tuple[complex, LineObject]:
+def weyl_reduce(w: tuple, M: int = 64) -> tuple[complex, CircleFourier]:
     """Left-to-right Weyl reduction: accumulated phase and summed generator.
 
     The phase cocycle uses the Fock-normalized symplectic form
@@ -76,19 +56,19 @@ def weyl_reduce(w: WeylWord, M: int = 64) -> tuple[complex, LineObject]:
     """
     acc = CircleFourier(np.zeros(2 * M + 1, dtype=complex))
     phase = 1.0 + 0.0j
-    for f in w.factors:
+    for f in w:
         cf = as_fourier(f, M)
         phase *= cmath.exp(-0.5j * sigma(acc, cf) / SIGMA_NORM)
         acc = acc + cf
-    return phase, LineObject(acc, Weight.FUNCTION)
+    return phase, acc
 
 
-def vacuum_weyl(f: LineObject, M: int = 64) -> float:
+def vacuum_weyl(f, M: int = 64) -> float:
     """Vacuum value of a Weyl generator: exp(-norm^2/2) with the Sobolev-1/2 norm."""
     return math.exp(-0.5 * sobolev_half_sq(as_fourier(f, M)))
 
 
-def ground_weyl(q: float, w: WeylWord, M: int = 64) -> GroundWeylResult:
+def ground_weyl(q: float, w: tuple, M: int = 64) -> GroundWeylResult:
     """Value of the charge-q ground functional on a Weyl word.
 
     The charge phase integrates each factor in its original representation
@@ -99,7 +79,7 @@ def ground_weyl(q: float, w: WeylWord, M: int = 64) -> GroundWeylResult:
     phase, total = weyl_reduce(w, M)
     integral = 0.0
     divergent = False
-    for f in w.factors:
+    for f in w:
         li = line_integral(f)
         integral += li.value
         divergent = divergent or li.divergent
@@ -107,7 +87,7 @@ def ground_weyl(q: float, w: WeylWord, M: int = 64) -> GroundWeylResult:
     return GroundWeylResult(complex(value), bool(divergent))
 
 
-def ground_current_onepoint(q: float, f: LineObject, M: int = 64) -> OnePointResult:
+def ground_current_onepoint(q: float, f, M: int = 64) -> OnePointResult:
     """One-point value of the current in the charge-q state: q * int f dt.
 
     Also returns the central finite difference, with step 1e-4, of the
@@ -120,20 +100,20 @@ def ground_current_onepoint(q: float, f: LineObject, M: int = 64) -> OnePointRes
     closed = q * li.value
 
     def gw(s):
-        word = WeylWord((f.scale(s),))
-        return ground_weyl(q, word, M).value
+        return ground_weyl(q, (f.scale(s),), M).value
 
     fd = (gw(1e-4) - gw(-1e-4)) / (2.0 * 1e-4 * 1j)
     return OnePointResult(float(closed), float(fd.real))
 
 
-def ground_stress_onepoint(q: float, F: LineObject) -> float:
-    """One-point value of the perturbed stress tensor: (q^2 / 2) int F dt.
+def ground_stress_onepoint(q: float, f) -> float:
+    """One-point value of the perturbed stress tensor on the scalar line density f:
+    (q^2 / 2) int f dt.
 
-    Independent of kappa and of the sign of q.
+    Independent of kappa and of the sign of q.  A vector field F of
+    representative h has the density F(t) of representative h / (1 - cos theta).
     """
-    scalar = LineObject(F.circle_repr, Weight.FUNCTION, F.vanishing_order)
-    li = line_integral(scalar)
+    li = line_integral(f)
     if li.divergent:
         raise DivergenceError("stress one-point value diverges")
     return 0.5 * q**2 * li.value
@@ -145,8 +125,7 @@ def gram_psd(q: float, fs, M: int = 64) -> float:
     G = np.zeros((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
-            word = WeylWord((fs[i].scale(-1.0), fs[j]))
-            r = ground_weyl(q, word, M)
+            r = ground_weyl(q, (fs[i].scale(-1.0), fs[j]), M)
             if r.divergent:
                 raise DivergenceError("divergent entry in Gram matrix")
             G[i, j] = r.value
@@ -160,13 +139,8 @@ def _covariance_residual(lhs: GroundWeylResult, rhs: GroundWeylResult) -> float:
     return abs(lhs.value - rhs.value)
 
 
-def dilation_orbit_residual(
-    q: float,
-    s: float,
-    f: LineObject,
-    M: int = 64,
-    dilated: LineObject = None,
-) -> float:
+def dilation_orbit_residual(q: float, s: float, f, M: int = 64,
+                            dilated: CircleFourier = None) -> float:
     """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|.
 
     Both sides are evaluated independently; the identity is the dilation
@@ -177,18 +151,13 @@ def dilation_orbit_residual(
     """
     if dilated is None:
         dilated, _resid = dilate_line(f, s, M)
-    lhs = ground_weyl(q, WeylWord((dilated,)), M)
-    rhs = ground_weyl(math.exp(s) * q, WeylWord((f,)), M)
+    lhs = ground_weyl(q, (dilated,), M)
+    rhs = ground_weyl(math.exp(s) * q, (f,), M)
     return _covariance_residual(lhs, rhs)
 
 
-def translation_invariance_residual(
-    q: float,
-    f: LineObject,
-    t: float,
-    M: int = 64,
-    translated: LineObject = None,
-) -> float:
+def translation_invariance_residual(q: float, f, t: float, M: int = 64,
+                                    translated: CircleFourier = None) -> float:
     """|omega_q(W(f translated by t)) - omega_q(W(f))|.
 
     translated, when given, is the first result of translate_line(f, t, M);
@@ -197,8 +166,8 @@ def translation_invariance_residual(
     """
     if translated is None:
         translated, _resid = translate_line(f, t, M)
-    lhs = ground_weyl(q, WeylWord((translated,)), M)
-    rhs = ground_weyl(q, WeylWord((f,)), M)
+    lhs = ground_weyl(q, (translated,), M)
+    rhs = ground_weyl(q, (f,), M)
     return _covariance_residual(lhs, rhs)
 
 
@@ -220,7 +189,7 @@ def nonnormality_series(q: float, ns, M: int = 2048) -> list:
     rows = []
     for n in ns:
         gn = gn_family(n)
-        li = line_integral(LineObject(gn, Weight.FUNCTION))
+        li = line_integral(gn)
         d = sobolev_half_sq(fourier_project(gn, M) - glim)
         rows.append(NonNormalityRow(int(n), q * li.value, d, not li.divergent))
     return rows

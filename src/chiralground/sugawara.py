@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock
-from .fnspace import (SIGMA_NORM, CircleFourier, LineObject, Weight, derivative, multiply_by_t,
-                      pointwise_product, sigma, vectorfield_line_integral_f3g)
+from .fnspace import (SIGMA_NORM, CircleFourier, derivative, multiply_by_t, pointwise_product,
+                      sigma, vectorfield_line_integral_f3g)
 from .fock import FockVector, mode_triples, smear
 
 # Coupling of the current term in the perturbed stress tensor; with
@@ -48,28 +48,25 @@ def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
     return fock.apply(virasoro_triples(n, v.cutoff), v)
 
 
-def line_derivative_repr(F: LineObject) -> CircleFourier:
-    """Circle representative of the line derivative of the pushforward of F.
+def line_derivative_repr(h: CircleFourier) -> CircleFourier:
+    """Circle representative of the line derivative of the vector field of h.
 
     For F(t) = ((t^2+1)/2) h(theta(t)) one has F'(t) = t h + h' pointwise on
     the circle; both terms are exact and live on h's modes.
     """
-    h = F.circle_repr
     if not isinstance(h, CircleFourier):
         raise TypeError("vector field must carry a Fourier representative")
     return multiply_by_t(h) + derivative(h)
 
 
-def stress_line_triples(F: LineObject, kappa: float, N: int) -> fock.Op:
-    """The perturbed stress tensor T(h) + kappa-scaled J(F') on a vector field,
-    as triples over basis(N); F' is computed only for kappa != 0."""
-    if F.weight is not Weight.VECTOR_FIELD:
-        raise ValueError("the perturbed stress tensor expects a vector field")
-    T = smear(virasoro_triples, F.circle_repr, N)
+def stress_line_triples(h: CircleFourier, kappa: float, N: int) -> fock.Op:
+    """The perturbed stress tensor T(h) + kappa-scaled J(F') on the vector field F
+    of h, as triples over basis(N); F' is computed only for kappa != 0."""
+    T = smear(virasoro_triples, h, N)
     if kappa == 0.0:
         return T
     return fock.concat([T, fock.scaled(KAPPA_SCALE * kappa,
-                                       smear(mode_triples, line_derivative_repr(F), N))])
+                                       smear(mode_triples, line_derivative_repr(h), N))])
 
 
 def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> float:
@@ -94,8 +91,9 @@ def mixed_relation_residual(f: CircleFourier, g: CircleFourier, N: int) -> float
                                  fock.exactness_window(N, reach, reach), N)
 
 
-def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) -> float:
-    """Estimate the central charge from the vacuum bracket of stress tensors.
+def central_charge_estimate(F: CircleFourier, G: CircleFourier, kappa: float, N: int) -> float:
+    """Estimate the central charge from the vacuum bracket of stress tensors
+    on the vector fields of representatives F and G.
 
     c_est = 12 * SIGMA_NORM * <vac, [T^k(F), T^k(G)] vac> / (i * int F''' G dt);
     the vacuum expectation of the stress-tensor part of the bracket vanishes,
@@ -110,7 +108,7 @@ def central_charge_estimate(F: LineObject, G: LineObject, kappa: float, N: int) 
     # <vac, J_n J_{-n} vac> over the modes n of both fields (F' has F's max
     # mode); mixed terms vanish, as [L_n, J_{-n}] vac = n J_0 vac = 0.  No term lies
     # above the reach, so every cutoff N >= reach gives the amplitude at cutoff reach.
-    reach = min(F.circle_repr.max_mode, G.circle_repr.max_mode)
+    reach = min(F.max_mode, G.max_mode)
     if fock.exactness_window(N, reach) < 0:
         raise ValueError(f"cutoff {N} too small: the vacuum amplitude of the bracket is "
                          f"outside its exactness window (it needs cutoff {reach})")

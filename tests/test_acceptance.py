@@ -19,10 +19,7 @@ def _report(num, name, ok, detail):
 def _vector_fields():
     hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
     hG = fn.circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])
-    return (
-        fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4),
-        fn.LineObject(hG, fn.Weight.VECTOR_FIELD, 5),
-    )
+    return hF, hG
 
 
 def test_acceptance_01_heisenberg():

@@ -11,23 +11,22 @@ import pytest
 
 import chiralground
 from chiralground import cli, fnspace, states, sugawara
-from chiralground.fnspace import Weight
 
 
 class TestFunctionSpec:
     def test_gn(self):
         f = cli.parse_function_spec("gn:8", 64)
-        assert f.weight is Weight.FUNCTION
-        assert f.circle_repr(1.5 * math.pi) == pytest.approx(math.pi / 2)
+        assert isinstance(f, fnspace.PiecewiseLinearCircle)
+        assert f(1.5 * math.pi) == pytest.approx(math.pi / 2)
 
     def test_bump(self):
         f = cli.parse_function_spec("bump:0.5:1.2", 64)
-        assert f.circle_repr.is_real
+        assert f.is_real
 
     def test_fourier(self):
         f = cli.parse_function_spec("fourier:1,0.5,0.25", 64)
         # a0 + a1 cos + b1 sin at theta = 0
-        assert f.circle_repr(0.0) == pytest.approx(1.5)
+        assert f(0.0) == pytest.approx(1.5)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -240,13 +239,40 @@ def test_out_into_missing_directory_is_a_one_line_error(argv, runner, tmp_path, 
     ["nonnormal", "--cutoff", "1"],
     ["charge", "--modes", "3"],
     ["ground", "--kappa", "0.5"],
-], ids=["ground-format", "ground-cutoff", "nonnormal-cutoff", "charge-modes", "ground-kappa"])
+    ["verify", "--modes", "3"],
+], ids=["ground-format", "ground-cutoff", "nonnormal-cutoff", "charge-modes", "ground-kappa",
+        "verify-modes"])
 def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
     # each was accepted and then ignored
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground", "--q", "1e160"],
+    ["ground", "--q", "1e200"],
+    ["nonnormal", "--q", "1e308", "--n-max", "8"],
+], ids=["ground-q-1e160", "ground-q-1e200", "nonnormal-q-1e308"])
+def test_overflow_is_a_one_line_error(argv, capsys):
+    # ground ended in an OverflowError traceback from q**2, and nonnormal
+    # printed q_n = inf, flagged ok, with exit status 0
+    rc = cli.main(argv)
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: an input is out of range: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground", "--q", "1e150"],
+    ["nonnormal", "--q", "1e300", "--n-max", "8", "--format", "json"],
+], ids=["ground-q-1e150", "nonnormal-q-1e300"])
+def test_large_q_with_finite_results_runs(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "NaN" not in out
 
 
 class TestNonNormal:

@@ -223,8 +223,7 @@ class TestGnFamily:
 
 class TestLineIntegral:
     def test_zero_function(self):
-        z = fn.LineObject(fn.circle_from_real_modes(0.0), fn.Weight.FUNCTION)
-        r = fn.line_integral(z)
+        r = fn.line_integral(fn.circle_from_real_modes(0.0))
         assert r.value == pytest.approx(0.0, abs=1e-14)
         assert not r.divergent
 
@@ -234,9 +233,8 @@ class TestLineIntegral:
         ends = np.append(g4.nodes[1:], TWO_PI)
         nodes = np.sort(np.concatenate([g4.nodes, (g4.nodes + ends) / 2.0]))
         doubled = fn.PiecewiseLinearCircle(nodes, g4(nodes))
-        f = fn.LineObject(g4, fn.Weight.FUNCTION)
-        r1 = fn.line_integral(f)
-        r2 = fn.line_integral(fn.LineObject(doubled, fn.Weight.FUNCTION))
+        r1 = fn.line_integral(g4)
+        r2 = fn.line_integral(doubled)
         assert not r1.divergent
         assert abs(r1.value - r2.value) < 1e-8
 
@@ -248,29 +246,27 @@ class TestLineIntegral:
             TWO_PI - 1.0 / 8,
             limit=400,
         )
-        r = fn.line_integral(fn.LineObject(g4, fn.Weight.FUNCTION))
+        r = fn.line_integral(g4)
         assert r.value == pytest.approx(oracle, abs=1e-6)
 
     def test_limit_tent_divergence_flag(self):
-        f = fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION)
-        assert fn.line_integral(f).divergent
+        assert fn.line_integral(fn.g_limit()).divergent
 
     def test_constant_is_divergent(self):
-        one = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
-        assert fn.line_integral(one).divergent
+        assert fn.line_integral(fn.circle_from_real_modes(1.0)).divergent
 
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
     def test_divergence_test_is_scale_invariant(self, lam):
         # cos - 1 vanishes at infinity; adding 1e-4 gives |h(0)| / sum|c_n| = 5e-5
         zero = fn.circle_from_real_modes(-1.0, [1.0]).scale(lam)
         off = fn.circle_from_real_modes(-1.0 + 1e-4, [1.0]).scale(lam)
-        assert not fn.line_integral(fn.LineObject(zero, fn.Weight.FUNCTION)).divergent
-        assert fn.line_integral(fn.LineObject(off, fn.Weight.FUNCTION)).divergent
+        assert not fn.line_integral(zero).divergent
+        assert fn.line_integral(off).divergent
 
     @pytest.mark.parametrize("M", [16, 32])
     def test_gaussian_vanishes_at_infinity(self, M):
         bump, _ = fn.gaussian_bump_line(0.0, 1.0, M)
-        assert abs(bump.circle_repr(0.0)) < 1e-15
+        assert abs(bump(0.0)) < 1e-15
         assert not fn.line_integral(bump).divergent
 
     def test_gaussian_value(self):
@@ -285,7 +281,7 @@ class TestDilation:
     def test_identity_dilation(self):
         bump, _ = fn.gaussian_bump_line(0.3, 1.0, 96)
         out, resid = fn.dilate_line(bump, 0.0, 96)
-        diff = out.circle_repr - bump.circle_repr
+        diff = out - bump
         assert math.sqrt(fn.sobolev_half_sq(diff)) < 1e-8
         assert resid < 1e-8
 
@@ -300,24 +296,22 @@ class TestDilation:
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_sobolev_invariance(self, s):
         bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96)
-        a = fn.sobolev_half_sq(bump.circle_repr)
+        a = fn.sobolev_half_sq(bump)
         dil, _ = fn.dilate_line(bump, s, 96)
-        b = fn.sobolev_half_sq(dil.circle_repr)
+        b = fn.sobolev_half_sq(dil)
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_constant_is_dilation_invariant(self):
-        const = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
+        const = fn.circle_from_real_modes(1.0)
         out, resid = fn.dilate_line(const, 1.0, 32)
         assert resid < 1e-8
-        assert out.circle_repr.coeff(0) == pytest.approx(1.0, abs=1e-8)
+        assert out.coeff(0) == pytest.approx(1.0, abs=1e-8)
 
 
 def _vector_fields():
     hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])  # (1 - cos)^2
     hG = fn.circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])  # (1 - cos)^2 sin
-    F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-    G = fn.LineObject(hG, fn.Weight.VECTOR_FIELD, 5)
-    return F, G
+    return hF, hG
 
 
 class TestVectorFieldIntegral:
@@ -334,9 +328,8 @@ class TestVectorFieldIntegral:
 
     def test_integration_by_parts_chain(self):
         # int F''' G = int (h' + h''') g dtheta exactly on the circle side
-        F, G = _vector_fields()
-        r = fn.vectorfield_line_integral_f3g(F, G)
-        hF, hG = F.circle_repr, G.circle_repr
+        hF, hG = _vector_fields()
+        r = fn.vectorfield_line_integral_f3g(hF, hG)
         M = max(hF.max_mode, hG.max_mode)
         a = hF.pad(M).coeffs
         b = hG.pad(M).coeffs
@@ -345,10 +338,18 @@ class TestVectorFieldIntegral:
         assert r == pytest.approx(exact, abs=1e-8)
 
     def test_insufficient_vanishing_order_rejected(self):
-        F, _ = _vector_fields()
-        bad = fn.LineObject(F.circle_repr, fn.Weight.VECTOR_FIELD, 1)
-        with pytest.raises(ValueError):
-            fn.vectorfield_line_integral_f3g(bad, bad)
+        # orders 1 + 1 and 0 + 2 are below 3, where the integral diverges
+        sin = fn.circle_from_real_modes(0.0, [], [1.0])
+        one_minus_cos = fn.circle_from_real_modes(1.0, [-1.0])
+        for hF, hG in [(sin, sin), (fn.circle_from_real_modes(1.0), one_minus_cos)]:
+            with pytest.raises(ValueError, match="vanishing order"):
+                fn.vectorfield_line_integral_f3g(hF, hG)
+        # orders 2 + 1 are enough
+        assert math.isfinite(fn.vectorfield_line_integral_f3g(one_minus_cos, sin))
+
+    def test_non_fourier_field_rejected(self):
+        with pytest.raises(TypeError):
+            fn.vectorfield_line_integral_f3g(fn.g_limit(), _vector_fields()[0])
 
 
 def _mp_fourier_line_integral(h):
@@ -396,8 +397,8 @@ def _mp_f3g(F, G, T=1e4):
     """
 
     def pushforward(obj):
-        M = obj.circle_repr.max_mode
-        c = [mpmath.mpc(z.real, z.imag) for z in obj.circle_repr.coeffs]
+        M = obj.max_mode
+        c = [mpmath.mpc(z.real, z.imag) for z in obj.coeffs]
 
         def value(t):
             z = (t - 1j) / (t + 1j)  # e^{i theta(t)}
@@ -417,14 +418,14 @@ class TestMpmathOracles:
         c = h.coeffs.copy()
         c[M] -= np.sum(c).real
         h = fn.CircleFourier(c)
-        r = fn.line_integral(fn.LineObject(h, fn.Weight.FUNCTION))
+        r = fn.line_integral(h)
         assert not r.divergent
         assert r.value == pytest.approx(_mp_fourier_line_integral(h), abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 4, 8, 64, 1024])
     def test_gn_family(self, n):
         gn = fn.gn_family(n)
-        r = fn.line_integral(fn.LineObject(gn, fn.Weight.FUNCTION))
+        r = fn.line_integral(gn)
         assert not r.divergent
         assert r.value == pytest.approx(_mp_pl_line_integral(gn), abs=1e-9)
 
@@ -432,7 +433,7 @@ class TestMpmathOracles:
         # g_limit falls with slope -1 into theta = 2pi, so the integral cut at
         # 2pi - eps grows like -2 ln(eps); the finite part drops that term.
         eps = 1e-6
-        r = fn.line_integral(fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION))
+        r = fn.line_integral(fn.g_limit())
         assert r.divergent
         oracle = _mp_pl_line_integral(fn.g_limit(), cut=eps) + 2.0 * math.log(eps)
         assert r.value == pytest.approx(oracle, abs=1e-8)

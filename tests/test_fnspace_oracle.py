@@ -2,8 +2,9 @@
 against the dense kernels in fnspace_reference.py, on random band-limited
 functions with up to 128 modes, grids of any size the resampling allows
 (odd and prime ones included) and random piecewise-linear functions; the
-exact multiplication by t against the sampled projection it replaced; and
-fourier_project against mpmath quadrature."""
+exact multiplication by t against the sampled projection it replaced;
+fourier_project against mpmath quadrature; and the vanishing order at
+theta = 0 on products of known order and against sympy derivatives."""
 
 import math
 
@@ -11,9 +12,11 @@ import fnspace_reference as ref
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chiralground import cli
 from chiralground import fnspace as fn
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -146,3 +149,41 @@ def _mpmath_coeff(f: fn.PiecewiseLinearCircle, n: int) -> complex:
 def test_fourier_project_against_mpmath(f, n):
     c = fn.fourier_project(f, 64).coeff(n)
     assert abs(c - _mpmath_coeff(f, n)) < 1e-14
+
+
+@SETTINGS
+@given(st.integers(0, 3), st.integers(0, 6), seeds)
+def test_vanishing_order_of_products_with_one_minus_cos(k, Mp, seed):
+    # 1 - cos and sin vanish at theta = 0 to orders 2 and 1, and p(0) != 0 to order 0
+    p = random_circle(Mp, seed, True)
+    assume(abs(p(0.0)) > 1e-3 * np.sum(np.abs(p.coeffs)))
+    one_minus_cos = fn.circle_from_real_modes(1.0, [-1.0])
+    h, s = p, fn.circle_from_real_modes(0.0, [], [1.0])
+    for _ in range(k):
+        h = fn.pointwise_product(one_minus_cos, h, h.max_mode + 1)
+        s = fn.pointwise_product(one_minus_cos, s, s.max_mode + 1)
+    assert fn.vanishing_order(h) == 2 * k
+    assert fn.vanishing_order(s) == 2 * k + 1
+
+
+@pytest.mark.parametrize("M", [0, 1, 4])
+def test_vanishing_order_of_zero_exceeds_every_other(M):
+    assert fn.vanishing_order(fn.CircleFourier(np.zeros(2 * M + 1))) == 2 * M + 1
+
+
+def _sympy_order(h: fn.CircleFourier) -> int:
+    """The least n with d^n h / dtheta^n != 0 at theta = 0, in exact arithmetic."""
+    th = sympy.symbols("theta", real=True)
+    expr = sum((sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag))
+               * sympy.exp(sympy.I * n * th)
+               for n, c in zip(range(-h.max_mode, h.max_mode + 1), h.coeffs))
+    n = 0
+    while sympy.simplify(expr.subs(th, 0)) == 0:
+        expr, n = sympy.diff(expr, th), n + 1
+    return n
+
+
+def test_vanishing_order_of_default_fields_against_sympy():
+    F, G = cli._default_vector_fields()
+    assert [_sympy_order(F), _sympy_order(G)] == [4, 5]
+    assert [fn.vanishing_order(F), fn.vanishing_order(G)] == [4, 5]

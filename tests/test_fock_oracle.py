@@ -133,8 +133,7 @@ def vector_field_pairs(draw):
     max mode 1..3 (so the fields reach 2..4), and a kappa in [-2, 2]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     one_minus_cos = fn.circle_from_real_modes(1.0, [-1.0])
-    F, G = (fn.LineObject(fn.pointwise_product(one_minus_cos, p, p.max_mode + 1),
-                          fn.Weight.VECTOR_FIELD, 2)
+    F, G = (fn.pointwise_product(one_minus_cos, p, p.max_mode + 1)
             for p in (fn.random_real_circle(draw(st.integers(1, 3)), rng) for _ in range(2)))
     return F, G, draw(st.floats(-2.0, 2.0))
 
@@ -152,8 +151,8 @@ def _bracket(F, G, kappa, N):
 def test_charge_window_is_exact_and_tight(pair):
     F, G, kappa = pair
     assume(abs(fn.vectorfield_line_integral_f3g(F, G)) >= 1e-6)
-    reach = min(F.circle_repr.max_mode, G.circle_repr.max_mode)
-    scale = (np.sum(np.abs(F.circle_repr.coeffs)) * np.sum(np.abs(G.circle_repr.coeffs))
+    reach = min(F.max_mode, G.max_mode)
+    scale = (np.sum(np.abs(F.coeffs)) * np.sum(np.abs(G.coeffs))
              * (1.0 + kappa**2) * (reach + 1) ** 3)
     # every cutoff the window admits gives the amplitude at cutoff N + 2 reach
     for N in range(reach, reach + 3):

@@ -4,6 +4,7 @@ import math
 import fock_reference as ref
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 from scipy.linalg import expm
 
 from chiralground import fnspace as fn
@@ -19,40 +20,32 @@ def _bump(center=0.0, width=1.0, M=96):
 class TestWeylReduce:
     def test_single_factor(self):
         f = _bump()
-        phase, total = states.weyl_reduce(states.WeylWord((f,)), 96)
+        phase, total = states.weyl_reduce((f,), 96)
         assert phase == pytest.approx(1.0)
-        assert fn.sobolev_half_sq(total.circle_repr - f.circle_repr.pad(96)) < 1e-20
+        assert fn.sobolev_half_sq(total - f.pad(96)) < 1e-20
 
     def test_inverse_pair_cancels(self):
         f = _bump(0.2, 0.8)
-        phase, total = states.weyl_reduce(states.WeylWord((f, f.scale(-1.0))), 96)
+        phase, total = states.weyl_reduce((f, f.scale(-1.0)), 96)
         assert phase == pytest.approx(1.0)  # sigma(f, -f) = 0
-        assert fn.sobolev_half_sq(total.circle_repr) < 1e-20
+        assert fn.sobolev_half_sq(total) < 1e-20
 
     def test_pair_phase_formula(self):
         f, g = _bump(0.0, 1.0), _bump(0.7, 0.5)
-        phase, _ = states.weyl_reduce(states.WeylWord((f, g)), 96)
-        expected = cmath.exp(
-            -0.5j * fn.sigma(f.circle_repr.pad(96), g.circle_repr.pad(96)) / fn.SIGMA_NORM
-        )
+        phase, _ = states.weyl_reduce((f, g), 96)
+        expected = cmath.exp(-0.5j * fn.sigma(f.pad(96), g.pad(96)) / fn.SIGMA_NORM)
         assert phase == pytest.approx(expected, abs=1e-12)
 
     def test_reversal_conjugates_phase(self):
         f, g = _bump(0.0, 1.0), _bump(0.7, 0.5)
-        a, _ = states.weyl_reduce(states.WeylWord((f, g)), 96)
-        b, _ = states.weyl_reduce(states.WeylWord((g, f)), 96)
+        a, _ = states.weyl_reduce((f, g), 96)
+        b, _ = states.weyl_reduce((g, f), 96)
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
-
-    def test_vector_field_rejected(self):
-        h = fn.LineObject(fn.circle_from_real_modes(1.5, [-2.0, 0.5]), fn.Weight.VECTOR_FIELD, 4)
-        with pytest.raises(ValueError):
-            states.WeylWord((h,))
 
 
 class TestVacuumWeyl:
     def test_zero_function(self):
-        z = fn.LineObject(fn.circle_from_real_modes(0.0), fn.Weight.FUNCTION)
-        assert states.vacuum_weyl(z) == 1.0
+        assert states.vacuum_weyl(fn.circle_from_real_modes(0.0)) == 1.0
 
     def test_gaussian_law_in_scale(self):
         f = _bump()
@@ -79,13 +72,13 @@ class TestVacuumWeyl:
 class TestGroundWeyl:
     def test_q_zero_is_vacuum_state(self):
         f = _bump()
-        r = states.ground_weyl(0.0, states.WeylWord((f,)), 96)
+        r = states.ground_weyl(0.0, (f,), 96)
         assert r.value == pytest.approx(states.vacuum_weyl(f, 96))
         assert not r.divergent
 
     def test_charge_shows_up_as_phase(self):
         f = _bump()
-        w = states.WeylWord((f,))
+        w = (f,)
         a = states.ground_weyl(1.5, w, 96)
         b = states.ground_weyl(0.0, w, 96)
         assert abs(a.value) == pytest.approx(abs(b.value), rel=1e-12)
@@ -93,14 +86,13 @@ class TestGroundWeyl:
         assert a.value / b.value == pytest.approx(cmath.exp(1.5j * integral), abs=1e-10)
 
     def test_divergent_word_flagged(self):
-        tent = fn.LineObject(fn.g_limit(), fn.Weight.FUNCTION)
-        r = states.ground_weyl(1.0, states.WeylWord((tent,)), 256)
+        r = states.ground_weyl(1.0, (fn.g_limit(),), 256)
         assert r.divergent
 
     def test_value_bounded_by_one(self):
         f = _bump(0.3, 0.7)
         for q in (-2.0, 0.0, 3.0):
-            r = states.ground_weyl(q, states.WeylWord((f,)), 96)
+            r = states.ground_weyl(q, (f,), 96)
             assert abs(r.value) <= 1.0 + 1e-12
 
 
@@ -117,20 +109,28 @@ class TestOnePoints:
         assert b.closed_form == pytest.approx(3.0 * a.closed_form, rel=1e-12)
 
     def test_stress_quadratic_and_even_in_q(self):
-        hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
-        F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-        v1 = states.ground_stress_onepoint(1.0, F)
-        v2 = states.ground_stress_onepoint(-1.0, F)
-        v3 = states.ground_stress_onepoint(2.0, F)
+        f = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
+        v1 = states.ground_stress_onepoint(1.0, f)
+        v2 = states.ground_stress_onepoint(-1.0, f)
+        v3 = states.ground_stress_onepoint(2.0, f)
         assert v2 == v1  # q -> -q, exactly
         assert v3 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_stress_against_scipy_value(self):
         # int (1-cos)^2 / (2 sin^2(theta/2)) dtheta = int (1 - cos) dtheta = 2 pi
-        hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
-        F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-        v = states.ground_stress_onepoint(2.0, F)
+        f = fn.circle_from_real_modes(1.5, [-2.0, 0.5])
+        v = states.ground_stress_onepoint(2.0, f)
         assert v == pytest.approx(0.5 * 4.0 * 2.0 * math.pi, abs=1e-6)
+
+    def test_stress_reads_a_scalar_density(self):
+        # h = (1 - cos) sin^2: int h(theta(t)) dt = int sin^2 dtheta = pi, while the
+        # vector field ((t^2+1)/2) h(theta(t)) would integrate to int (1 + cos) dtheta = 2 pi
+        h = fn.pointwise_product(fn.circle_from_real_modes(1.0, [-1.0]),
+                                 fn.circle_from_real_modes(0.5, [0.0, -0.5]), 3)
+        oracle, _ = scipy_quad(lambda t: h(float(fn.theta_of_t(t))), -np.inf, np.inf, limit=400)
+        assert oracle == pytest.approx(math.pi, abs=1e-6)
+        q = 1.5
+        assert states.ground_stress_onepoint(q, h) == pytest.approx(0.5 * q**2 * oracle, abs=1e-6)
 
 
 class TestGramAndOrbits:
@@ -158,7 +158,7 @@ class TestGramAndOrbits:
 
     def test_divergent_sides_raise(self):
         # cos - 1 + 0.01 does not vanish at infinity
-        f = fn.LineObject(fn.circle_from_real_modes(-0.99, [1.0]), fn.Weight.FUNCTION)
+        f = fn.circle_from_real_modes(-0.99, [1.0])
         with pytest.raises(states.DivergenceError):
             states.dilation_orbit_residual(1.0, 0.5, f, 32)
         with pytest.raises(states.DivergenceError):
@@ -193,8 +193,6 @@ class TestNonNormality:
         assert b.d_n == a.d_n
 
     def test_qn_against_scipy_oracle(self):
-        from scipy.integrate import quad as scipy_quad
-
         n = 16
         gn = fn.gn_family(n)
         oracle, _ = scipy_quad(

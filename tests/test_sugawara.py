@@ -16,9 +16,7 @@ def _unit_sobolev(f, size):
 def _vector_fields():
     hF = fn.circle_from_real_modes(1.5, [-2.0, 0.5])  # (1 - cos)^2
     hG = fn.circle_from_real_modes(0.0, [], [1.25, -1.0, 0.25])  # (1 - cos)^2 sin
-    F = fn.LineObject(hF, fn.Weight.VECTOR_FIELD, 4)
-    G = fn.LineObject(hG, fn.Weight.VECTOR_FIELD, 5)
-    return F, G
+    return hF, hG
 
 
 class TestVirasoroModes:
@@ -110,7 +108,7 @@ class TestLineStress:
         F, _ = _vector_fields()
         v = ref.basis_vector(10, (2,))
         a = ref.apply_stress_line(F, 0.0, v)
-        b = ref.apply_stress_circle(F.circle_repr, v)
+        b = ref.apply_stress_circle(F, v)
         diff = ref.difference(a, b)
         assert fock.norm(diff) < 1e-13
 
@@ -118,17 +116,11 @@ class TestLineStress:
         # F' = t h + h' pointwise, on h's own modes
         F, G = _vector_fields()
         theta = np.random.default_rng(29).uniform(0.1, 2 * math.pi - 0.1, 64)
-        for X in (F, G):
-            h = X.circle_repr
-            phi = sugawara.line_derivative_repr(X)
+        for h in (F, G):
+            phi = sugawara.line_derivative_repr(h)
             assert phi.max_mode == h.max_mode
             want = -np.cos(theta / 2) / np.sin(theta / 2) * h(theta) + fn.derivative(h)(theta)
             assert np.max(np.abs(phi(theta) - want)) < 1e-13
-
-    def test_scalar_weight_rejected(self):
-        f = fn.LineObject(fn.circle_from_real_modes(1.0), fn.Weight.FUNCTION)
-        with pytest.raises(ValueError):
-            ref.apply_stress_line(f, 1.0, fock.vacuum(6))
 
 
 class TestCentralCharge:
