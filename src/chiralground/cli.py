@@ -24,7 +24,7 @@ import numpy as np
 from . import fock, states, sugawara
 from .fnspace import (CircleFourier, circle_from_real_modes, circle_to_json, dilate_line,
                       gaussian_bump_line, gn_family, random_real_circle, sobolev_half_sq,
-                      translate_line)
+                      translate_line, vanishing_order)
 
 HEADERS = {
     "verify": ("name", "window", "residual", "threshold", "status"),
@@ -71,6 +71,8 @@ def parse_function_spec(spec: str, M: int):
             if width <= 0:
                 raise ValueError("bump width must be > 0")
             obj, _resid = gaussian_bump_line(center, width, M)
+            if not np.any(obj.coeffs):  # no grid sample sees the bump: all of them are 0
+                raise ValueError(f"the sampling grid of --modes {M} misses the bump")
             return obj
         if kind == "fourier":
             vals = [_finite(x) for x in rest.split(",") if x] or [0.0]
@@ -185,9 +187,12 @@ def run_nonnormal(q: float, n_max: int, modes: int) -> tuple[list, bool]:
 
 
 def run_ground(q: float, fspec: str, M: int, seed: int) -> dict:
-    f = parse_function_spec(fspec, M)  # a fourier: spec keeps its modes, --modes must not cut one
-    if isinstance(f, CircleFourier) and np.any(f.pad(M).pad(f.max_mode).coeffs != f.coeffs):
-        raise UsageError(f"{fspec!r} has modes above --modes {M}")
+    f = parse_function_spec(fspec, M)
+    if fspec.partition(":")[0] == "fourier":  # exact input: no mode is cut, h(0) = 0 is exact
+        if np.any(f.pad(M).pad(f.max_mode).coeffs != f.coeffs):
+            raise UsageError(f"{fspec!r} has modes above --modes {M}")
+        if vanishing_order(f) == 0:  # line_integral's tolerance is for projected input
+            raise states.DivergenceError("current one-point value diverges")
     report = {"q": q, "function": fspec}
     gw = states.ground_weyl(q, (f,), M)
     report["ground_weyl"] = {"re": gw.value.real, "im": gw.value.imag,

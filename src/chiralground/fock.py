@@ -9,8 +9,10 @@ FockVector holds complex amplitudes over that basis, one column or a batch.
 J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and
 J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples (src,
 dst, w) over basis(N), column src going to w times row dst, w in the amplitude
-basis, so that J_n and L_n have exact integer and half weights.  Triples are
-applied as a fixed-width gather, a block of rows at a time, and composed by
+basis, so that J_n and L_n have exact integer and half weights.  A vector is
+applied by one scatter of the entries, the products w v[src] summed onto their
+rows; the Weyl path applies triples to a wide slab as a fixed-width gather, a
+block of rows at a time, which bounds its temporaries.  Triples are composed by
 products.  In the orthonormalized basis, gauged to make J(f) real symmetric,
 J(f) changes only the parts up to f's top mode: one small block per budget
 (spectators); _exp_gauged gives every block's exp(i t J(f)), complex symmetric, at once.
@@ -211,8 +213,19 @@ def vacuum(N: int) -> FockVector:
 
 
 def apply(op: Op, v: FockVector) -> FockVector:
-    """The operator with triples op over basis(v.cutoff), applied to v."""
-    return FockVector(v.cutoff, apply_gather(*gather(op, len(v.data)), v.data.astype(complex)))
+    """The operator with triples op over basis(v.cutoff), applied to v by one scatter: the
+    products w v[src] summed onto their rows dst in op order; IndexError off the basis."""
+    src, dst, w = op
+    x = v.data.reshape(len(v.data), -1)
+    dim, k = x.shape
+    if np.max(dst, initial=-1) >= dim:  # bincount would lengthen the vector, not refuse
+        raise IndexError("an entry of the operator maps past the basis")
+    terms = x[src].astype(complex, copy=False)  # w v[src], one row per entry
+    terms *= w[:, None]
+    at = (dst[:, None] * k + np.arange(k)).ravel()  # the place of each product in out
+    out = np.empty(dim * k, dtype=complex)
+    out.real, out.imag = (np.bincount(at, p.ravel(), dim * k) for p in (terms.real, terms.imag))
+    return FockVector(v.cutoff, out.reshape(v.data.shape))
 
 
 def apply_mode(n: int, v: FockVector) -> FockVector:

@@ -169,11 +169,17 @@ def test_negative_cutoff_is_a_one_line_error(command, capsys):
     (["--function", "bump:nan:1"], "function spec 'bump:nan:1': 'nan' is not a finite number"),
     (["--function", "gn:0"], "function spec 'gn:0': n must be >= 1"),
     (["--modes", "0"], "--modes must be >= 1"),
-], ids=["bump-width-0", "bump-width-negative", "bump-center-nan", "gn-0", "modes-0"])
+    (["--function", "bump:1e300:1", "--modes", "8"],
+     "function spec 'bump:1e300:1': the sampling grid of --modes 8 misses the bump"),
+    (["--function", "bump:0:1e-9", "--modes", "8"],
+     "function spec 'bump:0:1e-9': the sampling grid of --modes 8 misses the bump"),
+], ids=["bump-width-0", "bump-width-negative", "bump-center-nan", "gn-0", "modes-0",
+        "bump-far-off-grid", "bump-between-nodes"])
 def test_ground_input_is_validated(argv, message, capsys, recwarn):
     # bump:0:0 divided by zero with a RuntimeWarning, bump:0:-1 was accepted,
     # bump:nan:1 printed NaN values, gn:0 ended in a traceback and --modes 0
-    # printed vacuous values
+    # printed vacuous values; bump:1e300:1 overflowed with a RuntimeWarning, and it
+    # and bump:0:1e-9, whose every grid sample is 0, reported zeros as values
     rc = cli.main(["ground"] + argv)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -372,9 +378,12 @@ class TestGround:
             assert "projection_error" in report[key]
 
     def test_divergent_function_is_a_one_line_error(self, capsys):
-        rc = cli.main(["ground", "--function", "fourier:1"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: current one-point value diverges\n"
+        # h = -0.99999999 + cos has h(0) = 1e-8, within line_integral's tolerance for
+        # projected input: it printed a current one-point value of -2 pi and exited 0
+        for fspec in ("fourier:1", "fourier:-0.99999999,1"):
+            rc = cli.main(["ground", "--function", fspec, "--modes", "16"])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: current one-point value diverges\n"
 
     def test_wide_grid_resamples_a_function_vanishing_at_infinity(self, capsys):
         # 1 - cos vanishes at infinity like 2/t^2; from 785 modes on, the

@@ -2,6 +2,7 @@ import fock_reference as ref
 import numpy as np
 import pytest
 
+from chiralground import cli
 from chiralground import fnspace as fn
 from chiralground import fock
 
@@ -159,3 +160,34 @@ class TestMatrices:
         # p(0)+p(1)+p(2) = 4 states of level <= 2 inside cutoff 5
         P = np.eye(len(fock.basis_partitions(5)))[:, : len(fock.basis_partitions(2))]
         assert np.trace(P) == pytest.approx(4.0)
+
+
+class TestApply:
+    def test_verify_and_charge_need_no_gather(self, monkeypatch):
+        # fock.apply scatters the entries of an operator; the row-blocked gather is left
+        # to the Weyl path, which neither subcommand runs
+        def refused(*args):
+            raise AssertionError("fock.gather called")
+
+        monkeypatch.setattr(fock, "gather", refused)
+        assert cli.main(["verify", "--cutoff", "8"]) == 0
+        assert cli.main(["charge", "--cutoff", "8"]) == 0
+
+    def test_batch_equals_its_columns_and_the_dense_matrix(self):
+        N = 7
+        J1, Jm2 = fock.mode_triples(1, N), fock.mode_triples(-2, N)
+        # J_1 twice and complex weights: the (src, dst) pairs of J_1 repeat
+        op = fock.concat([fock.scaled(0.3 + 0.2j, J1), fock.scaled(-1.1j, J1),
+                          fock.scaled(0.7 - 0.4j, Jm2), fock.identity(N, 0.25)])
+        rng = np.random.default_rng(48)
+        X = rng.standard_normal((fock.basis(N).offsets[-1], 4, 2)).view(complex)[..., 0]
+        out = fock.apply(op, fock.FockVector(N, X)).data
+        for j in range(X.shape[1]):
+            assert np.array_equal(out[:, j], fock.apply(op, fock.FockVector(N, X[:, j])).data)
+        assert np.max(np.abs(out - ref.triples_matrix(op, N) @ X)) < 1e-13
+
+    def test_entry_past_the_basis_is_refused(self):
+        v = fock.vacuum(4)
+        past = (np.array([0]), np.array([len(v.data)]), np.array([1.0]))
+        with pytest.raises(IndexError):
+            fock.apply(past, v)
