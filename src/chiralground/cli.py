@@ -310,6 +310,8 @@ def _check_options(args):
     """Refuse options the computation cannot honour, with UsageError, before any work."""
     if args.command in ("verify", "charge") and args.cutoff < 0:
         raise UsageError("--cutoff must be >= 0")
+    if args.seed < 0:  # numpy's default_rng refuses it with a message that names no option
+        raise UsageError("--seed must be >= 0")
     if args.command in ("nonnormal", "ground"):
         if args.modes < 1:
             raise UsageError("--modes must be >= 1")

@@ -1,7 +1,8 @@
 """Test-function calculus on the circle and on the real line.
 
-Circle functions are stored by their Fourier coefficients with the
-convention f(theta) = sum_n c_n e^{i n theta}, c_n = (1/2pi) int f e^{-i n theta}.
+Circle functions are real and stored by their Fourier coefficients c_0 .. c_M
+with the convention f(theta) = sum_n c_n e^{i n theta}, c_n = (1/2pi) int f
+e^{-i n theta}; c_0 is real and c_{-n} = conj c_n is implied.
 The real line is identified with the circle minus one point through the
 Cayley map: the circle point -e^{i theta} corresponds to t(theta) = -cot(theta/2),
 so theta = 0 is the point at infinity and dt/dtheta = csc^2(theta/2)/2 > 0
@@ -37,59 +38,59 @@ SIGMA_NORM = TWO_PI
 
 @dataclass(frozen=True)
 class CircleFourier:
-    """Band-limited function on the circle, coeffs[n + M] = c_n for |n| <= M."""
+    """Real band-limited function on the circle, coeffs[n] = c_n for 0 <= n <= M.
+
+    c_0 is real and c_{-n} = conj c_n is implied, so the function is real by
+    construction: the imaginary part of a given c_0 is dropped.
+    """
 
     coeffs: np.ndarray
-    is_real: bool = True
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size % 2 != 1:
-            raise ValueError("coeffs must be a 1-d array of odd length 2M+1")
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("coeffs must be a 1-d array c_0 .. c_M")
+        c[0] = c[0].real
         object.__setattr__(self, "coeffs", c)
 
     @property
     def max_mode(self) -> int:
-        return (self.coeffs.size - 1) // 2
+        return self.coeffs.size - 1
 
     def coeff(self, n: int) -> complex:
-        M = self.max_mode
-        if abs(n) > M:
+        if abs(n) > self.max_mode:
             return 0.0 + 0.0j
-        return complex(self.coeffs[n + M])
+        c = complex(self.coeffs[abs(n)])
+        return c.conjugate() if n < 0 else c
+
+    def full(self) -> np.ndarray:
+        """The two-sided spectrum c_{-M} .. c_M."""
+        return np.concatenate([np.conj(self.coeffs[:0:-1]), self.coeffs])
 
     def pad(self, M: int) -> "CircleFourier":
         """Re-embed with max mode M (zero padding or truncation)."""
-        old = self.max_mode
-        out = np.zeros(2 * M + 1, dtype=complex)
-        k = min(M, old)
-        out[M - k : M + k + 1] = self.coeffs[old - k : old + k + 1]
-        return CircleFourier(out, self.is_real)
+        out = np.zeros(M + 1, dtype=complex)
+        k = min(M, self.max_mode) + 1
+        out[:k] = self.coeffs[:k]
+        return CircleFourier(out)
 
     def __call__(self, theta):
-        """Values at arbitrary angles, by Horner's rule in z = e^{i theta} and its conjugate."""
+        """Values at arbitrary angles: c_0 + 2 Re p, p = sum_{n>=1} c_n z^n by Horner's rule
+        in z = e^{i theta}."""
         z = np.exp(1j * np.asarray(theta, dtype=float))
-        w = np.conj(z)
-        M, c = self.max_mode, self.coeffs
-        up = np.full(z.shape, c[-1])  # sum_{n>=0} c_n z^n
-        for a in c[M:-1][::-1]:
-            up *= z
-            up += a
-        down = np.zeros(z.shape, dtype=complex)  # sum_{n>=1} c_{-n} w^n
-        for a in c[:M]:
-            down += a
-            down *= w
-        vals = up + down
-        if self.is_real:
-            vals = vals.real
+        c = self.coeffs
+        p = np.zeros(z.shape, dtype=complex)
+        for a in c[:0:-1]:
+            p += a
+            p *= z
+        vals = (p.real + c[0].real) + p.real
         if np.ndim(theta) == 0:
             return vals.item()
         return vals
 
     def _binop(self, other, op):
         M = max(self.max_mode, other.max_mode)
-        a, b = self.pad(M), other.pad(M)
-        return CircleFourier(op(a.coeffs, b.coeffs), self.is_real and other.is_real)
+        return CircleFourier(op(self.pad(M).coeffs, other.pad(M).coeffs))
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -98,7 +99,10 @@ class CircleFourier:
         return self._binop(other, np.subtract)
 
     def scale(self, lam: float) -> "CircleFourier":
-        return CircleFourier(lam * self.coeffs, self.is_real and np.isreal(lam))
+        """lam times the function; TypeError for a complex lam, which would leave it not real."""
+        if np.iscomplexobj(lam):  # float() of a numpy complex would only warn and drop its imag
+            raise TypeError("scale factor must be real")
+        return CircleFourier(lam * self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def fourier_project(f: PiecewiseLinearCircle, M: int) -> CircleFourier:
 
     Integrating by parts twice, f'' is a sum of point masses ds_k at the nodes
     theta_k (ds_k the slope jump there), so c_n = -sum_k ds_k e^{-in theta_k}
-    / (2pi n^2) for n >= 1 and c_{-n} = conj(c_n); c_0 is the trapezoid mean.
+    / (2pi n^2) for n >= 1, and c_0 is the trapezoid mean.
     No quadrature is involved.
     """
     if M < 1:
@@ -170,33 +174,26 @@ def fourier_project(f: PiecewiseLinearCircle, M: int) -> CircleFourier:
             pos += ds * np.exp(-1j * th * n)
     pos /= -TWO_PI * n**2
     c0 = np.sum((ys[:-1] + ys[1:]) * widths) / (2.0 * TWO_PI)
-    coeffs = np.concatenate([np.conj(pos[::-1]), [c0], pos])
-    return CircleFourier(coeffs, is_real=True)
+    return CircleFourier(np.concatenate([[c0], pos]))
 
 
 def derivative(f: CircleFourier) -> CircleFourier:
-    ns = np.arange(-f.max_mode, f.max_mode + 1)
-    return CircleFourier(1j * ns * f.coeffs, f.is_real)
+    return CircleFourier(1j * np.arange(f.max_mode + 1) * f.coeffs)
 
 
 def pointwise_product(f: CircleFourier, g: CircleFourier, M_out: int) -> CircleFourier:
     """Cauchy convolution of coefficients, truncated to |n| <= M_out."""
     if M_out < 1:
         raise ValueError("M_out must be positive")
-    full = np.convolve(f.coeffs, g.coeffs)  # modes -(Mf+Mg) .. Mf+Mg
+    full = np.convolve(f.full(), g.full())  # modes -(Mf+Mg) .. Mf+Mg
     M_full = f.max_mode + g.max_mode
-    out = np.zeros(2 * M_out + 1, dtype=complex)
-    k = min(M_out, M_full)
-    out[M_out - k : M_out + k + 1] = full[M_full - k : M_full + k + 1]
-    return CircleFourier(out, f.is_real and g.is_real)
+    return CircleFourier(full[M_full:]).pad(M_out)
 
 
 def sigma(f: CircleFourier, g: CircleFourier) -> float:
     """Literal symplectic integral int f g' dtheta, exact from coefficients."""
-    if not (f.is_real and g.is_real):
-        raise ValueError("sigma requires real functions")
     M = max(f.max_mode, g.max_mode)
-    a, b = f.pad(M).coeffs, g.pad(M).coeffs
+    a, b = f.pad(M).full(), g.pad(M).full()
     ns = np.arange(-M, M + 1)
     # int f g' dtheta = -2 pi i sum_n n f_n g_{-n}
     s = -TWO_PI * 1j * np.sum(ns * a * b[::-1])
@@ -205,11 +202,8 @@ def sigma(f: CircleFourier, g: CircleFourier) -> float:
 
 def sobolev_half_sq(f: CircleFourier) -> float:
     """Sum_{k>=1} k |c_k|^2; equals the squared Fock norm of the smeared current on the vacuum."""
-    if not f.is_real:
-        raise ValueError("sobolev_half_sq requires a real function")
-    M = f.max_mode
-    ks = np.arange(1, M + 1)
-    return float(np.sum(ks * np.abs(f.coeffs[M + 1 :]) ** 2))
+    ks = np.arange(1, f.max_mode + 1)
+    return float(np.sum(ks * np.abs(f.coeffs[1:]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +258,18 @@ def line_integral(h) -> LineIntegralResult:
     function f of representative h, in closed form.
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
-    divergent iff |h(0)| = |sum_n c_n| > 1e-5 sum_n |c_n|.  Piecewise-linear h:
-    each segment is integrated exactly, the wrap segment being cut at 2pi, and
-    the integral is divergent iff h(0) != 0 or the one-sided slopes at theta = 0
-    differ.  A divergent integral returns its finite part with divergent=True.
+    divergent iff |h(0)| = |c_0 + 2 Re sum_{n>=1} c_n| > 1e-5 sum_n |c_n|, both
+    sums taken over the two-sided spectrum.  Piecewise-linear h: each segment is
+    integrated exactly, the wrap segment being cut at 2pi, and the integral is
+    divergent iff h(0) != 0 or the one-sided slopes at theta = 0 differ.  A
+    divergent integral returns its finite part with divergent=True.
     """
     if isinstance(h, PiecewiseLinearCircle):
         return _pl_line_integral(h)
-    if not h.is_real:
-        raise ValueError("line_integral requires a real function")
+    c = h.full()
     ns = np.arange(-h.max_mode, h.max_mode + 1)
-    value = -TWO_PI * np.sum(np.abs(ns) * h.coeffs).real
-    h0 = abs(np.sum(h.coeffs))
-    divergent = h0 > 1e-5 * np.sum(np.abs(h.coeffs))
+    value = -TWO_PI * np.sum(np.abs(ns) * c).real
+    divergent = abs(np.sum(c)) > 1e-5 * np.sum(np.abs(c))
     return LineIntegralResult(float(value), bool(divergent))
 
 
@@ -292,7 +285,7 @@ def vectorfield_line_integral_f3g(hF: CircleFourier, hG: CircleFourier) -> float
     if vanishing_order(hF) + vanishing_order(hG) < 3:
         raise ValueError("combined vanishing order at infinity must be >= 3")
     M = max(hF.max_mode, hG.max_mode)
-    a, b = hF.pad(M).coeffs, hG.pad(M).coeffs
+    a, b = hF.pad(M).full(), hG.pad(M).full()
     ns = np.arange(-M, M + 1)
     return float(TWO_PI * np.sum(1j * (ns - ns**3) * a * b[::-1]).real)
 
@@ -351,23 +344,22 @@ def _on_grid(h: CircleFourier, K: int) -> np.ndarray:
         raise ValueError(f"{K} grid points alias the modes of a function with max mode {M}")
     n = np.arange(-M, M + 1)
     b = np.zeros(K, dtype=complex)
-    b[n % K] = h.coeffs * np.exp(1j * np.pi * n / K)
-    vals = K * np.fft.ifft(b)
-    return vals.real if h.is_real else vals
+    b[n % K] = h.full() * np.exp(1j * np.pi * n / K)
+    return (K * np.fft.ifft(b)).real
 
 
 def _project_samples(values, M: int) -> tuple[CircleFourier, float]:
     """Fourier projection of real samples on the half-shifted grid of K = values.size points.
 
     c_n = (1/K) sum_j v_j e^{-i n theta_j} = e^{-i n pi/K} fft(v)[n mod K] / K
-    for 0 <= n <= M, and c_{-n} = conj(c_n) as the samples are real.  Returns
+    for 0 <= n <= M.  Returns
     the projection and the rms mismatch between its grid values and the
     samples (the reported projection residual).
     """
     K = values.size
     n = np.arange(M + 1)
     pos = np.fft.rfft(values)[: M + 1] * np.exp(-1j * np.pi * n / K) / K
-    out = CircleFourier(np.concatenate([np.conj(pos[:0:-1]), pos]), is_real=True)
+    out = CircleFourier(pos)
     resid = float(np.sqrt(np.mean((_on_grid(out, K) - values) ** 2)))
     return out, resid
 
@@ -407,7 +399,8 @@ def vanishing_order(h: CircleFourier) -> int:
     POLE_TOL sum_n |c_n| of h, the scale of its rounding.  The zero function gets
     2M + 1, more than any other function on M modes.
     """
-    c, k, tol = h.coeffs, 0, POLE_TOL * np.sum(np.abs(h.coeffs))
+    c = h.full()
+    k, tol = 0, POLE_TOL * np.sum(np.abs(c))
     while c.size and abs(c.sum()) <= tol:
         c, k = np.cumsum(c[::-1])[::-1][1:], k + 1
     return k
@@ -422,8 +415,8 @@ def multiply_by_t(h: CircleFourier) -> CircleFourier:
     """
     if vanishing_order(h) < 1:
         raise ValueError("t h has a pole at theta = 0: h must vanish there")
-    q = np.cumsum(h.coeffs[::-1])[::-1][1:]  # q_n for n = -M .. M - 1
-    return CircleFourier(-1j * (np.append(q, 0.0) + np.insert(q, 0, 0.0)), h.is_real)
+    q = np.cumsum(h.full()[::-1])[::-1][h.max_mode:]  # q_n for n = -1 .. M - 1
+    return CircleFourier(-1j * (q + np.append(q[1:], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +426,19 @@ def multiply_by_t(h: CircleFourier) -> CircleFourier:
 def circle_from_real_modes(c0: float, cos_coeffs=(), sin_coeffs=()) -> CircleFourier:
     """Real function c0 + sum_k (a_k cos k theta + b_k sin k theta)."""
     M = max(len(cos_coeffs), len(sin_coeffs), 1)
-    coeffs = np.zeros(2 * M + 1, dtype=complex)
-    coeffs[M] = c0
+    coeffs = np.zeros(M + 1, dtype=complex)
+    coeffs[0] = c0
     for k in range(1, M + 1):
         a = cos_coeffs[k - 1] if k <= len(cos_coeffs) else 0.0
         b = sin_coeffs[k - 1] if k <= len(sin_coeffs) else 0.0
-        coeffs[M + k] = (a - 1j * b) / 2.0
-        coeffs[M - k] = (a + 1j * b) / 2.0
-    return CircleFourier(coeffs, is_real=True)
+        coeffs[k] = (a - 1j * b) / 2.0
+    return CircleFourier(coeffs)
 
 
 def random_real_circle(M: int, rng: np.random.Generator, scale: float = 1.0) -> CircleFourier:
-    coeffs = np.zeros(2 * M + 1, dtype=complex)
-    coeffs[M] = scale * rng.standard_normal()
+    c0 = scale * rng.standard_normal()
     pos = scale * (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / 2.0
-    coeffs[M + 1 :] = pos
-    coeffs[:M] = np.conj(pos[::-1])
-    return CircleFourier(coeffs, is_real=True)
+    return CircleFourier(np.concatenate([[c0], pos]))
 
 
 def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[CircleFourier, float]:
@@ -464,15 +453,13 @@ def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[Circle
         vals = np.exp(-(((t - center) / width) ** 2))
     proj, _ = _project_samples(vals, M)
     c = proj.coeffs.copy()
-    c[M] -= c.sum().real
-    proj = CircleFourier(c, is_real=True)
+    c[0] -= proj.full().sum().real
+    proj = CircleFourier(c)
     resid = float(np.sqrt(np.mean((_on_grid(proj, th.size) - vals) ** 2)))
     return proj, resid
 
 
 def circle_to_json(f: CircleFourier) -> dict:
-    return {
-        "M": f.max_mode,
-        "re": f.coeffs.real.tolist(),
-        "im": f.coeffs.imag.tolist(),
-    }
+    """The two-sided spectrum c_{-M} .. c_M as lists of real and imaginary parts."""
+    c = f.full()
+    return {"M": f.max_mode, "re": c.real.tolist(), "im": c.imag.tolist()}

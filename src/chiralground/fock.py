@@ -288,20 +288,16 @@ def _tail_degree(z: float) -> int:
 
 
 def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonal phase U that makes J(f), f real, a real symmetric matrix.
+    """The diagonal phase U that makes J(f) a real symmetric matrix.
 
     With c_{-n} = conj c_n and U e_p = e^{i phi(p)} e_p, phi(p) = -sum_{parts j of
     p} arg c_j, one has U* J(f) U = sum_{n>0} |c_n| (J_n + J_{-n}) in the
     orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as the
-    gather (S, W).  Raises ValueError if J(f) is not Hermitian.
+    gather (S, W).
     """
-    # orthonormalized, J_n and J_{-n} = J_n* have the entries sqrt(w), w those of J_|n|, and
-    # J(f) - J(f)* the entries (c_n - conj c_{-n}) sqrt(w)
-    J = {n: mode_triples(abs(n), N) for n in range(-f.max_mode, f.max_mode + 1)}
-    skew = max(abs(f.coeff(n) - np.conj(f.coeff(-n))) ** 2 * np.max(J[n][2], initial=0) for n in J)
-    if skew > 1e-24:
-        raise ValueError("J(f) is not Hermitian: f must be real")
+    # orthonormalized, J_n and J_{-n} = J_n* have the entries sqrt(w), w those of J_n
     c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
+    J = {n: mode_triples(n, N) for n in range(1, c.size + 1)}
     S, W = gather(concat([(a, b, abs(c[n - 1]) * np.sqrt(J[n][2])) for n in range(1, c.size + 1)
                           if c[n - 1] != 0 for a, b in (J[n][:2], J[n][1::-1])]),  # J_n, J_-n
                   len(basis(N).norm_sq))

@@ -54,7 +54,7 @@ def weyl_reduce(w: tuple, M: int = 64) -> tuple[complex, CircleFourier]:
     sigma / SIGMA_NORM, the one under which W(f) W(g) = phase * W(f+g) holds
     for the exponentials of the smeared current.
     """
-    acc = CircleFourier(np.zeros(2 * M + 1, dtype=complex))
+    acc = CircleFourier(np.zeros(M + 1))
     phase = 1.0 + 0.0j
     for f in w:
         cf = as_fourier(f, M)

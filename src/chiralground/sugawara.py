@@ -128,10 +128,10 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     holds on the untruncated domain; the residual is measured on the slab P of
     levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
     invariant and U* P = P times a phase, so the residual R is taken in the real
-    gauge J(g) = U A U* of fock._real_gauge (ValueError unless g is real), on the
-    rows sorted by fock.spectators, where exp(i A) is one dense block E_r per
-    budget r: column j of exp(-i A) P is conj E_r[:, local j] on the rows of j's
-    spectator.  E_r is complex symmetric, so the columns c, c + 1, ... of E_r
+    gauge J(g) = U A U* of fock._real_gauge, on the rows sorted by
+    fock.spectators, where exp(i A) is one dense block E_r per budget r: column
+    j of exp(-i A) P is conj E_r[:, local j] on the rows of j's spectator.
+    E_r is complex symmetric, so the columns c, c + 1, ... of E_r
     that exp_blocks yields are rows of E_r, and E_r^T times the rows Y_r of
     T(f) exp(-i A) P in budget r gives rows c, c + 1, ... of R_r in full; T(f),
     J(f g') and the scalar are their triples carried into that gauge, and on P

@@ -1,7 +1,8 @@
 """Reference Fourier kernels for the oracle tests: the dense e^{i n theta}
 matrices and the per-segment integrals that chiralground.fnspace replaced by
 FFTs on the half-shifted grid, Horner evaluation and slope jumps, and the
-sampled projection of t h that it replaced by an exact division.  Also the
+sampled projection of t h that it replaced by an exact division.  Each sums
+over the two-sided spectrum c_{-M} .. c_M of CircleFourier.full.  Also the
 segments of a piecewise-linear function, the scalar Cayley map and the JSON
 reader of circle functions, which only the tests use.
 """
@@ -14,21 +15,18 @@ from chiralground import fnspace as fn
 
 
 def dense_eval(h: fn.CircleFourier, theta) -> np.ndarray:
-    """sum_n c_n e^{i n theta} through the (points x modes) exponential matrix."""
+    """sum_{|n| <= M} c_n e^{i n theta} through the (points x modes) exponential matrix,
+    complex: its imaginary part is the rounding of a real sum."""
     th = np.asarray(theta, dtype=float)
     ns = np.arange(-h.max_mode, h.max_mode + 1)
-    vals = (np.exp(1j * np.outer(th.ravel(), ns)) @ h.coeffs).reshape(th.shape)
-    return vals.real if h.is_real else vals
+    return (np.exp(1j * np.outer(th.ravel(), ns)) @ h.full()).reshape(th.shape)
 
 
 def dense_project_samples(theta, values, M: int) -> tuple[fn.CircleFourier, float]:
-    """(1/K) sum_j v_j e^{-i n theta_j} through the (modes x samples) matrix,
-    symmetrized, with the rms mismatch of its dense reconstruction."""
+    """(1/K) sum_j v_j e^{-i n theta_j}, 0 <= n <= M, through the (modes x samples)
+    matrix, with the rms mismatch of its dense reconstruction."""
     K = theta.size
-    ns = np.arange(-M, M + 1)
-    coeffs = np.exp(-1j * np.outer(ns, theta)) @ values / K
-    coeffs = (coeffs + np.conj(coeffs[::-1])) / 2.0
-    out = fn.CircleFourier(coeffs, is_real=True)
+    out = fn.CircleFourier(np.exp(-1j * np.outer(np.arange(M + 1), theta)) @ values / K)
     resid = float(np.sqrt(np.mean(np.abs(dense_eval(out, theta) - values) ** 2)))
     return out, resid
 
@@ -53,22 +51,18 @@ def segments(f: fn.PiecewiseLinearCircle):
 def segment_fourier_project(f: fn.PiecewiseLinearCircle, M: int) -> fn.CircleFourier:
     """Fourier coefficients as the sum over segments of the closed-form integral
     of a linear function against e^{-i n theta}."""
-    ns = np.arange(-M, M + 1)
-    nz = ns != 0
-    n = ns[nz].astype(float)
-    coeffs = np.zeros(2 * M + 1, dtype=complex)
+    n = np.arange(1, M + 1, dtype=float)
+    coeffs = np.zeros(M + 1, dtype=complex)
     for a, b, va, vb in segments(f):
         s = (vb - va) / (b - a)
-        coeffs[M] += (va + vb) * (b - a) / 2.0
+        coeffs[0] += (va + vb) * (b - a) / 2.0
         ea = np.exp(-1j * n * a)
         eb = np.exp(-1j * n * b)
         inn = 1j * n
         i0 = (ea - eb) / inn
         i1 = -(b - a) * eb / inn + i0 / inn
-        coeffs[nz] += va * i0 + s * i1
-    coeffs /= fn.TWO_PI
-    coeffs = (coeffs + np.conj(coeffs[::-1])) / 2.0
-    return fn.CircleFourier(coeffs, is_real=True)
+        coeffs[1:] += va * i0 + s * i1
+    return fn.CircleFourier(coeffs / fn.TWO_PI)
 
 
 def cayley_t_of_theta(theta: float) -> float:
@@ -84,9 +78,11 @@ def cayley_t_of_theta(theta: float) -> float:
 
 
 def circle_from_json(obj: dict) -> fn.CircleFourier:
-    """Inverse of fnspace.circle_to_json."""
-    coeffs = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if coeffs.size != 2 * int(obj["M"]) + 1:
+    """Inverse of fnspace.circle_to_json; ValueError unless c_{-n} = conj c_n exactly."""
+    full = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    M = int(obj["M"])
+    if full.size != 2 * M + 1:
         raise ValueError("inconsistent serialized mode count")
-    sym = np.allclose(coeffs, np.conj(coeffs[::-1]), atol=1e-12)
-    return fn.CircleFourier(coeffs, is_real=bool(sym))
+    if not np.array_equal(full, np.conj(full[::-1])):
+        raise ValueError("not a real function: c_{-n} != conj c_n")
+    return fn.CircleFourier(full[M:])

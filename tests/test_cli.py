@@ -21,7 +21,8 @@ class TestFunctionSpec:
 
     def test_bump(self):
         f = cli.parse_function_spec("bump:0.5:1.2", 64)
-        assert f.is_real
+        assert isinstance(f, fnspace.CircleFourier) and f.max_mode == 64
+        assert isinstance(f(1.0), float)
 
     def test_fourier(self):
         f = cli.parse_function_spec("fourier:1,0.5,0.25", 64)
@@ -192,12 +193,15 @@ def test_ground_input_is_validated(argv, message, capsys, recwarn):
     (["nonnormal", "--q", "nan"], "--q: nan is not a finite number"),
     (["ground", "--q", "inf"], "--q: inf is not a finite number"),
     (["charge", "--kappa", ","], "--kappa: no value given"),
+    (["verify", "--cutoff", "4", "--seed", "-1"], "--seed must be >= 0"),
+    (["ground", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["charge-kappa-abc", "charge-kappa-nan", "nonnormal-q-nan", "ground-q-inf",
-        "charge-kappa-empty"])
+        "charge-kappa-empty", "verify-seed-negative", "ground-seed-negative"])
 def test_numeric_options_are_validated(argv, message, capsys):
     # charge --kappa abc ended in a traceback, --kappa nan and nonnormal --q nan
-    # printed nan, ground --q inf raised LinAlgError and --kappa , printed an
-    # empty table
+    # printed nan, ground --q inf raised LinAlgError, --kappa , printed an
+    # empty table and --seed -1 ended in numpy's error, which names no option,
+    # with exit status 1
     rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -118,11 +118,10 @@ class TestSigmaSobolev:
         rhs = fn.SIGMA_NORM * 2 * fock.inner(jf, jg).imag
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_sigma_requires_real(self):
-        f = fn.CircleFourier(np.array([0, 1j, 0]), is_real=False)
-        g = fn.circle_from_real_modes(1.0)
-        with pytest.raises(ValueError):
-            fn.sigma(f, g)
+    @pytest.mark.parametrize("lam", [1j, 2.0 + 0j, np.complex128(2.0)])
+    def test_scale_refuses_a_complex_factor(self, lam):
+        with pytest.raises(TypeError, match="must be real"):
+            fn.circle_from_real_modes(0.0, [1.0]).scale(lam)
 
     def test_sobolev_constant_zero(self):
         assert fn.sobolev_half_sq(fn.circle_from_real_modes(3.0)) == 0.0
@@ -152,7 +151,7 @@ class TestSigmaSobolev:
         f = fn.random_real_circle(6, rng)
         th = np.linspace(0, TWO_PI, 2 * 6 + 3, endpoint=False)
         grid_power = np.mean(np.asarray(f(th)) ** 2)
-        assert grid_power == pytest.approx(np.sum(np.abs(f.coeffs) ** 2), abs=1e-12)
+        assert grid_power == pytest.approx(np.sum(np.abs(f.full()) ** 2), abs=1e-12)
 
 
 class TestCayley:
@@ -331,8 +330,8 @@ class TestVectorFieldIntegral:
         hF, hG = _vector_fields()
         r = fn.vectorfield_line_integral_f3g(hF, hG)
         M = max(hF.max_mode, hG.max_mode)
-        a = hF.pad(M).coeffs
-        b = hG.pad(M).coeffs
+        a = hF.pad(M).full()
+        b = hG.pad(M).full()
         ns = np.arange(-M, M + 1)
         exact = (TWO_PI * np.sum(1j * (ns - ns**3) * a * b[::-1])).real
         assert r == pytest.approx(exact, abs=1e-8)
@@ -360,7 +359,7 @@ def _mp_fourier_line_integral(h):
     """
     M = h.max_mode
     with mpmath.workdps(50):
-        c = [mpmath.mpc(z.real, z.imag) for z in h.coeffs]
+        c = [mpmath.mpc(z.real, z.imag) for z in h.full()]
         c[M] = -(mpmath.fsum(c[:M]) + mpmath.fsum(c[M + 1 :]))  # h(0) = 0 exactly
 
         def folded(th):
@@ -398,7 +397,7 @@ def _mp_f3g(F, G, T=1e4):
 
     def pushforward(obj):
         M = obj.max_mode
-        c = [mpmath.mpc(z.real, z.imag) for z in obj.coeffs]
+        c = [mpmath.mpc(z.real, z.imag) for z in obj.full()]
 
         def value(t):
             z = (t - 1j) / (t + 1j)  # e^{i theta(t)}
@@ -416,7 +415,7 @@ class TestMpmathOracles:
     def test_fourier_with_zero_at_infinity(self, M):
         h = fn.random_real_circle(M, np.random.default_rng(50 + M))
         c = h.coeffs.copy()
-        c[M] -= np.sum(c).real
+        c[0] -= np.sum(h.full()).real
         h = fn.CircleFourier(c)
         r = fn.line_integral(h)
         assert not r.divergent
@@ -450,5 +449,10 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         f = fn.random_real_circle(5, rng)
         g = ref.circle_from_json(fn.circle_to_json(f))
-        assert np.allclose(f.coeffs, g.coeffs)
-        assert g.is_real
+        assert np.array_equal(f.coeffs, g.coeffs)
+
+    def test_non_hermitian_list_is_refused(self):
+        obj = fn.circle_to_json(fn.circle_from_real_modes(0.0, [1.0]))
+        obj["im"][0] = 0.5  # c_{-1} no longer conj c_1
+        with pytest.raises(ValueError, match="not a real function"):
+            ref.circle_from_json(obj)

@@ -3,8 +3,9 @@ against the dense kernels in fnspace_reference.py, on random band-limited
 functions with up to 128 modes, grids of any size the resampling allows
 (odd and prime ones included) and random piecewise-linear functions; the
 exact multiplication by t against the sampled projection it replaced;
-fourier_project against mpmath quadrature; and the vanishing order at
-theta = 0 on products of known order and against sympy derivatives."""
+fourier_project against mpmath quadrature; the vanishing order at theta = 0
+on products of known order and against sympy derivatives; and that any
+coefficient array makes a real function, with a Hermitian current."""
 
 import math
 
@@ -16,7 +17,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chiralground import cli
+from chiralground import cli, fock
 from chiralground import fnspace as fn
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -25,12 +26,9 @@ PRIMES = [17, 101, 257, 521, 1031, 2053]
 seeds = st.integers(0, 2**32 - 1)
 
 
-def random_circle(M: int, seed: int, real: bool) -> fn.CircleFourier:
+def random_circle(M: int, seed: int) -> fn.CircleFourier:
     rng = np.random.default_rng(seed)
-    if real:
-        return fn.random_real_circle(M, rng, float(rng.uniform(0.1, 10.0)))
-    return fn.CircleFourier(rng.standard_normal(2 * M + 1) + 1j * rng.standard_normal(2 * M + 1),
-                            is_real=False)
+    return fn.random_real_circle(M, rng, float(rng.uniform(0.1, 10.0)))
 
 
 @st.composite
@@ -54,11 +52,11 @@ def piecewise_linear(draw):
 
 
 @SETTINGS
-@given(st.integers(0, 128), seeds, st.booleans())
-def test_call_matches_dense_sum(M, seed, real):
-    h = random_circle(M, seed, real)
+@given(st.integers(0, 128), seeds)
+def test_call_matches_dense_sum(M, seed):
+    h = random_circle(M, seed)
     theta = np.random.default_rng(seed + 1).uniform(-20.0, 20.0, 64)
-    tol = 1e-12 * (1.0 + np.sum(np.abs(h.coeffs)))
+    tol = 1e-12 * (1.0 + np.sum(np.abs(h.full())))
     assert np.max(np.abs(h(theta) - ref.dense_eval(h, theta))) < tol
     assert abs(h(float(theta[0])) - ref.dense_eval(h, theta[0])) < tol
 
@@ -72,27 +70,26 @@ def test_project_samples_matches_dense_sum(grid, seed):
     out, resid = fn._project_samples(values, M)
     want, want_resid = ref.dense_project_samples(fn._shifted_grid(K), values, M)
     tol = 1e-12 * np.max(np.abs(values))
-    assert out.is_real and out.max_mode == M
+    assert out.max_mode == M
     assert np.max(np.abs(out.coeffs - want.coeffs)) < tol
-    assert np.array_equal(out.coeffs, np.conj(out.coeffs[::-1]))
     assert resid == pytest.approx(want_resid, abs=tol)
 
 
 @SETTINGS
-@given(st.one_of(st.integers(3, 600), st.sampled_from(PRIMES)), seeds, st.booleans())
-def test_grid_values_match_dense_sum(K, seed, real):
+@given(st.one_of(st.integers(3, 600), st.sampled_from(PRIMES)), seeds)
+def test_grid_values_match_dense_sum(K, seed):
     M = np.random.default_rng(seed).integers(0, min(128, (K - 1) // 2) + 1)
-    h = random_circle(int(M), seed, real)
+    h = random_circle(int(M), seed)
     th = fn._shifted_grid(K)
-    tol = 1e-12 * (1.0 + np.sum(np.abs(h.coeffs)))
+    tol = 1e-12 * (1.0 + np.sum(np.abs(h.full())))
     assert np.max(np.abs(fn._on_grid(h, K) - ref.dense_eval(h, th))) < tol
 
 
 @pytest.mark.parametrize("K", [16, 17])
 def test_grid_refuses_aliased_modes(K):
-    fn._on_grid(random_circle((K - 1) // 2, 0, True), K)
+    fn._on_grid(random_circle((K - 1) // 2, 0), K)
     with pytest.raises(ValueError, match="alias"):
-        fn._on_grid(random_circle(K // 2 + K % 2, 0, True), K)
+        fn._on_grid(random_circle(K // 2 + K % 2, 0), K)
 
 
 def test_multiply_by_t_refuses_a_pole():
@@ -104,15 +101,21 @@ def test_multiply_by_t_refuses_a_pole():
         fn.multiply_by_t(h + fn.circle_from_real_modes(1e-6))
 
 
+@pytest.mark.parametrize("M", [0, 3])
+def test_multiply_by_t_of_the_zero_function_is_zero(M):
+    out = fn.multiply_by_t(fn.CircleFourier(np.zeros(M + 1)))
+    assert out.max_mode == M and not np.any(out.coeffs)
+
+
 @SETTINGS
 @given(st.integers(1, 24), seeds)
 def test_multiply_by_t_matches_dense_kernels(Mh, seed):
-    h = random_circle(Mh, seed, True)
+    h = random_circle(Mh, seed)
     h = h - fn.circle_from_real_modes(h(0.0))  # vanish at theta = 0, up to rounding
     out = fn.multiply_by_t(h)
-    assert out.is_real and out.max_mode == Mh
+    assert out.max_mode == Mh
     want, want_resid = ref.sampled_multiply_by_t(h)
-    scale = np.sum(np.abs(h.coeffs))
+    scale = np.sum(np.abs(h.full()))
     assert np.max(np.abs(out.pad(want.max_mode).coeffs - want.coeffs)) < 1e-10 * scale
     assert want_resid < 1e-10 * scale
     theta = np.random.default_rng(seed).uniform(0.1, TWO_PI - 0.1, 64)
@@ -124,9 +127,8 @@ def test_multiply_by_t_matches_dense_kernels(Mh, seed):
 @given(piecewise_linear(), st.integers(1, 256))
 def test_fourier_project_matches_segment_integrals(f, M):
     got, want = fn.fourier_project(f, M), ref.segment_fourier_project(f, M)
-    assert got.is_real and got.max_mode == M
+    assert got.max_mode == M
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12 * (1.0 + np.max(np.abs(f.values)))
-    assert np.array_equal(got.coeffs, np.conj(got.coeffs[::-1]))
 
 
 def _mpmath_coeff(f: fn.PiecewiseLinearCircle, n: int) -> complex:
@@ -155,8 +157,8 @@ def test_fourier_project_against_mpmath(f, n):
 @given(st.integers(0, 3), st.integers(0, 6), seeds)
 def test_vanishing_order_of_products_with_one_minus_cos(k, Mp, seed):
     # 1 - cos and sin vanish at theta = 0 to orders 2 and 1, and p(0) != 0 to order 0
-    p = random_circle(Mp, seed, True)
-    assume(abs(p(0.0)) > 1e-3 * np.sum(np.abs(p.coeffs)))
+    p = random_circle(Mp, seed)
+    assume(abs(p(0.0)) > 1e-3 * np.sum(np.abs(p.full())))
     one_minus_cos = fn.circle_from_real_modes(1.0, [-1.0])
     h, s = p, fn.circle_from_real_modes(0.0, [], [1.0])
     for _ in range(k):
@@ -168,7 +170,7 @@ def test_vanishing_order_of_products_with_one_minus_cos(k, Mp, seed):
 
 @pytest.mark.parametrize("M", [0, 1, 4])
 def test_vanishing_order_of_zero_exceeds_every_other(M):
-    assert fn.vanishing_order(fn.CircleFourier(np.zeros(2 * M + 1))) == 2 * M + 1
+    assert fn.vanishing_order(fn.CircleFourier(np.zeros(M + 1))) == 2 * M + 1
 
 
 def _sympy_order(h: fn.CircleFourier) -> int:
@@ -176,7 +178,7 @@ def _sympy_order(h: fn.CircleFourier) -> int:
     th = sympy.symbols("theta", real=True)
     expr = sum((sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag))
                * sympy.exp(sympy.I * n * th)
-               for n, c in zip(range(-h.max_mode, h.max_mode + 1), h.coeffs))
+               for n, c in zip(range(-h.max_mode, h.max_mode + 1), h.full()))
     n = 0
     while sympy.simplify(expr.subs(th, 0)) == 0:
         expr, n = sympy.diff(expr, th), n + 1
@@ -187,3 +189,31 @@ def test_vanishing_order_of_default_fields_against_sympy():
     F, G = cli._default_vector_fields()
     assert [_sympy_order(F), _sympy_order(G)] == [4, 5]
     assert [fn.vanishing_order(F), fn.vanishing_order(G)] == [4, 5]
+
+
+complex_coeffs = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                             allow_infinity=False), min_size=1, max_size=9)
+
+
+@SETTINGS
+@given(complex_coeffs, seeds)
+def test_any_coefficients_give_a_real_function(c, seed):
+    # c is read as c_0 .. c_M: c_0 loses its imaginary part and c_{-n} = conj c_n
+    h = fn.CircleFourier(np.array(c))
+    M = len(c) - 1
+    herm = np.concatenate([np.conj(c[:0:-1]), [c[0].real], c[1:]])
+    assert np.array_equal(h.full(), herm)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-20.0, 20.0, 16)
+    tol = 1e-12 * (1.0 + np.sum(np.abs(herm)))
+    vals = h(theta)
+    assert vals.dtype == np.float64 and isinstance(h(float(theta[0])), float)
+    assert np.max(np.abs(vals - np.exp(1j * np.outer(theta, np.arange(-M, M + 1))) @ herm)) < tol
+    assert abs(fn.sigma(h, h)) <= 1e-12 * (1.0 + np.sum(np.arange(M + 1) * np.abs(h.coeffs) ** 2))
+    # J(h) is Hermitian on the truncated space: <u, J(h) v> = <J(h) u, v>
+    N = 8
+    u, v = (fock.FockVector(N, x) for x in rng.standard_normal((2, len(fock.basis(N).norm_sq), 2))
+            .view(complex)[..., 0])
+    lhs = fock.inner(u, fock.apply_current(h, v))
+    rhs = fock.inner(fock.apply_current(h, u), v)
+    assert abs(lhs - rhs) <= 1e-12 * N * (1.0 + np.sum(np.abs(herm))) * fock.norm(u) * fock.norm(v)

@@ -152,7 +152,7 @@ def test_charge_window_is_exact_and_tight(pair):
     F, G, kappa = pair
     assume(abs(fn.vectorfield_line_integral_f3g(F, G)) >= 1e-6)
     reach = min(F.max_mode, G.max_mode)
-    scale = (np.sum(np.abs(F.coeffs)) * np.sum(np.abs(G.coeffs))
+    scale = (np.sum(np.abs(F.full())) * np.sum(np.abs(G.full()))
              * (1.0 + kappa**2) * (reach + 1) ** 3)
     # every cutoff the window admits gives the amplitude at cutoff N + 2 reach
     for N in range(reach, reach + 3):
@@ -372,12 +372,6 @@ def test_L0_equals_its_pair_sum_block(N):
         assert np.max(np.abs(out.data - want), initial=0.0) < 1e-12
 
 
-def test_exp_current_refuses_a_non_real_generator():
-    g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
-    with pytest.raises(ValueError, match="Hermitian"):
-        ref.exp_current(g, 1.0, np.eye(len(fock.basis_partitions(6)), 3), 6)
-
-
 def test_exp_current_round_trip():
     g, _ = _sized_pair(40, 3.0)
     N = 12
@@ -400,21 +394,6 @@ def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     g, f = _sized_pair(1, 0.5)
     assert 0.0 < sugawara.weyl_adjoint_stress_residual(g, f, 12) < 1.0
-
-
-def test_weyl_adjoint_rejects_skew_generator_at_threshold():
-    g, f = _sized_pair(43, 0.5)
-    coeffs = g.coeffs.copy()
-    coeffs[g.max_mode - 1] += 1e-6  # c_{-1}
-    with pytest.raises(ValueError, match="Hermitian"):
-        sugawara.weyl_adjoint_stress_residual(fn.CircleFourier(coeffs, is_real=False), f, 6)
-
-
-def test_weyl_adjoint_rejects_complex_generator():
-    g = fn.CircleFourier(np.array([0.0, 0.0, 1.0]), is_real=False)  # J(g) = J_1
-    f = fn.random_real_circle(2, np.random.default_rng(37))
-    with pytest.raises(ValueError, match="Hermitian"):
-        sugawara.weyl_adjoint_stress_residual(g, f, 6)
 
 
 def test_cli_import_leaves_scipy_out():
