@@ -253,15 +253,22 @@ def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
     return LineIntegralResult(float(total), bool(h0 != 0.0 or kink))
 
 
+# The one test of vanishing at infinity, applied by line_integral and vanishing_order:
+# h(0) = 0 iff |h(0)| <= POLE_TOL sum_n |c_n|, as the sum h(0) = sum_n c_n rounds by about
+# (2M + 1) 2^-53 of it.  Projections vanish exactly where their source does (_project_samples).
+POLE_TOL = 1e-12
+
+
 def line_integral(h) -> LineIntegralResult:
     """int_R f(t) dt = int_0^{2pi} h(theta) / (1 - cos theta) dtheta for the scalar
     function f of representative h, in closed form.
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
-    divergent iff |h(0)| = |c_0 + 2 Re sum_{n>=1} c_n| > 1e-5 sum_n |c_n|, both
-    sums taken over the two-sided spectrum.  Piecewise-linear h: each segment is
-    integrated exactly, the wrap segment being cut at 2pi, and the integral is
-    divergent iff h(0) != 0 or the one-sided slopes at theta = 0 differ.  A
+    divergent iff |h(0)| = |sum_n c_n| > POLE_TOL sum_n |c_n|, both sums taken
+    over the two-sided spectrum: iff vanishing_order(h) is 0.  Piecewise-linear
+    h: each segment is integrated exactly, the wrap segment being cut at 2pi, and
+    the integral is divergent iff h(0) != 0 or the one-sided slopes at theta = 0
+    differ.  A
     divergent integral returns its finite part with divergent=True.
     """
     if isinstance(h, PiecewiseLinearCircle):
@@ -269,7 +276,7 @@ def line_integral(h) -> LineIntegralResult:
     c = h.full()
     ns = np.arange(-h.max_mode, h.max_mode + 1)
     value = -TWO_PI * np.sum(np.abs(ns) * c).real
-    divergent = abs(np.sum(c)) > 1e-5 * np.sum(np.abs(c))
+    divergent = abs(np.sum(c)) > POLE_TOL * np.sum(np.abs(c))
     return LineIntegralResult(float(value), bool(divergent))
 
 
@@ -348,27 +355,31 @@ def _on_grid(h: CircleFourier, K: int) -> np.ndarray:
     return (K * np.fft.ifft(b)).real
 
 
-def _project_samples(values, M: int) -> tuple[CircleFourier, float]:
+def _project_samples(values, M: int, vanishes: bool) -> tuple[CircleFourier, float]:
     """Fourier projection of real samples on the half-shifted grid of K = values.size points.
 
     c_n = (1/K) sum_j v_j e^{-i n theta_j} = e^{-i n pi/K} fft(v)[n mod K] / K
-    for 0 <= n <= M.  Returns
-    the projection and the rms mismatch between its grid values and the
-    samples (the reported projection residual).
+    for 0 <= n <= M, then c_0 shifted to make h(0) = sum_n c_n = 0 if the samples
+    vanish at infinity; line integrals, the seminorm and sigma weight c_0 by 0.
+    Returns the projection and the rms mismatch between its grid values and the
+    samples (the reported projection residual, shift included).
     """
     K = values.size
     n = np.arange(M + 1)
     pos = np.fft.rfft(values)[: M + 1] * np.exp(-1j * np.pi * n / K) / K
+    if vanishes:
+        pos[0] -= CircleFourier(pos).full().sum().real
     out = CircleFourier(pos)
     resid = float(np.sqrt(np.mean((_on_grid(out, K) - values) ** 2)))
     return out, resid
 
 
 def _resample_line(h, preimage, M: int) -> tuple[CircleFourier, float]:
-    """Re-project t -> f(preimage(t)) onto M circle modes, f the scalar function of h."""
+    """Re-project t -> f(preimage(t)) onto M circle modes, f the scalar function of h;
+    an affine preimage keeps f's vanishing at infinity, and so does the projection."""
     _, t = _line_grid(M)
     vals = np.asarray(h(theta_of_t(preimage(t))), dtype=float)
-    return _project_samples(vals, M)
+    return _project_samples(vals, M, not line_integral(h).divergent)
 
 
 def dilate_line(h, s: float, M: int = 64) -> tuple[CircleFourier, float]:
@@ -383,11 +394,6 @@ def dilate_line(h, s: float, M: int = 64) -> tuple[CircleFourier, float]:
 def translate_line(h, a: float, M: int = 64) -> tuple[CircleFourier, float]:
     """Representative of t -> f(t - a), re-projected to M modes, f the scalar function of h."""
     return _resample_line(h, lambda t: t - a, M)
-
-
-# vanishing_order reads |h(0)| <= POLE_TOL sum_n |c_n| as h(0) = 0: the sum h(0) = sum_n c_n
-# rounds by about (2M + 1) 2^-53 of it, and a larger h(0) is a pole of t h at theta = 0.
-POLE_TOL = 1e-12
 
 
 def vanishing_order(h: CircleFourier) -> int:
@@ -444,19 +450,13 @@ def random_real_circle(M: int, rng: np.random.Generator, scale: float = 1.0) -> 
 def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[CircleFourier, float]:
     """Representative of the scalar exp(-((t - center)/width)^2), projected to M modes.
 
-    The bump vanishes at the point at infinity, so c_0 is shifted to make the
-    projection vanish there exactly too; the returned residual includes the
-    shift.
+    The projection vanishes at infinity exactly, as the bump does; the returned
+    residual includes that shift of c_0.
     """
-    th, t = _line_grid(M)
+    _, t = _line_grid(M)
     with np.errstate(over="ignore"):  # a square past the float range is exp(-inf) = 0, exactly
         vals = np.exp(-(((t - center) / width) ** 2))
-    proj, _ = _project_samples(vals, M)
-    c = proj.coeffs.copy()
-    c[0] -= proj.full().sum().real
-    proj = CircleFourier(c)
-    resid = float(np.sqrt(np.mean((_on_grid(proj, th.size) - vals) ** 2)))
-    return proj, resid
+    return _project_samples(vals, M, True)
 
 
 def circle_to_json(f: CircleFourier) -> dict:

@@ -133,42 +133,40 @@ def gram_psd(q: float, fs, M: int = 64) -> float:
     return float(np.linalg.eigvalsh(G)[0])
 
 
-def _covariance_residual(lhs: GroundWeylResult, rhs: GroundWeylResult) -> float:
+@dataclass(frozen=True)
+class CovarianceResult:
+    residual: float
+    budget: float  # a bound on residual, see _covariance_residual
+    projection_error: float  # of the resampled side
+
+
+def _covariance_residual(q: float, lam: float, f, image: tuple, M: int) -> CovarianceResult:
+    """|omega_q(W(g)) - omega_{lam q}(W(f))| for the resampled image = (g, projection error).
+
+    The budget |q| |int g - lam int f| + |norm^2 g - norm^2 f| / 2, norms on M modes,
+    bounds it: |e^{ia - x} - e^{ib - y}| <= |a - b| + |x - y| for x, y >= 0.  Raises
+    DivergenceError when the charge phase of either side diverges.
+    """
+    g, projection_error = image
+    lhs = ground_weyl(q, (g,), M)
+    rhs = ground_weyl(lam * q, (f,), M)
     if lhs.divergent or rhs.divergent:
         raise DivergenceError("covariance residual diverges")
-    return abs(lhs.value - rhs.value)
+    budget = (abs(q) * abs(line_integral(g).value - lam * line_integral(f).value)
+              + abs(sobolev_half_sq(g) - sobolev_half_sq(as_fourier(f, M))) / 2.0)
+    return CovarianceResult(abs(lhs.value - rhs.value), budget, projection_error)
 
 
-def dilation_orbit_residual(q: float, s: float, f, M: int = 64,
-                            dilated: CircleFourier = None) -> float:
-    """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|.
-
-    Both sides are evaluated independently; the identity is the dilation
-    orbit of the ground-state family.  dilated, when given, is the first
-    result of dilate_line(f, s, M), for a caller that also reports its
-    projection error; otherwise f is resampled here.  Raises DivergenceError
-    when the charge phase of either side diverges.
-    """
-    if dilated is None:
-        dilated, _resid = dilate_line(f, s, M)
-    lhs = ground_weyl(q, (dilated,), M)
-    rhs = ground_weyl(math.exp(s) * q, (f,), M)
-    return _covariance_residual(lhs, rhs)
+def dilation_orbit_residual(q: float, s: float, f, M: int = 64) -> CovarianceResult:
+    """|omega_q(W(f dilated by s)) - omega_{e^s q}(W(f))|, the dilation orbit of the
+    ground-state family, f resampled to M modes here; lam = e^s in the budget."""
+    return _covariance_residual(q, math.exp(s), f, dilate_line(f, s, M), M)
 
 
-def translation_invariance_residual(q: float, f, t: float, M: int = 64,
-                                    translated: CircleFourier = None) -> float:
-    """|omega_q(W(f translated by t)) - omega_q(W(f))|.
-
-    translated, when given, is the first result of translate_line(f, t, M);
-    otherwise f is resampled here.  Raises DivergenceError when the
-    charge phase of either side diverges.
-    """
-    if translated is None:
-        translated, _resid = translate_line(f, t, M)
-    lhs = ground_weyl(q, (translated,), M)
-    rhs = ground_weyl(q, (f,), M)
-    return _covariance_residual(lhs, rhs)
+def translation_invariance_residual(q: float, f, t: float, M: int = 64) -> CovarianceResult:
+    """|omega_q(W(f translated by t)) - omega_q(W(f))|, f resampled to M modes here;
+    lam = 1 in the budget."""
+    return _covariance_residual(q, 1.0, f, translate_line(f, t, M), M)
 
 
 @dataclass(frozen=True)

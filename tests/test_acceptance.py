@@ -121,8 +121,8 @@ def test_acceptance_07_ground_state_values():
 
 def test_acceptance_08_covariance():
     bump, _ = fn.gaussian_bump_line(0.0, 1.0, 96)
-    dil = max(states.dilation_orbit_residual(1.0, s, bump, 96) for s in (-0.5, 0.5))
-    tr = states.translation_invariance_residual(1.5, bump, 0.7, 96)
+    dil = max(states.dilation_orbit_residual(1.0, s, bump, 96).residual for s in (-0.5, 0.5))
+    tr = states.translation_invariance_residual(1.5, bump, 0.7, 96).residual
     ok = dil < 1e-5 and tr < 1e-5
     _report(8, "dilation_translation", ok, f"dilation residual {dil:.1e}, translation {tr:.1e}")
 

@@ -256,11 +256,13 @@ class TestLineIntegral:
 
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
     def test_divergence_test_is_scale_invariant(self, lam):
-        # cos - 1 vanishes at infinity; adding 1e-4 gives |h(0)| / sum|c_n| = 5e-5
-        zero = fn.circle_from_real_modes(-1.0, [1.0]).scale(lam)
-        off = fn.circle_from_real_modes(-1.0 + 1e-4, [1.0]).scale(lam)
-        assert not fn.line_integral(zero).divergent
-        assert fn.line_integral(off).divergent
+        # h = -1 + eps + cos has |h(0)| / sum|c_n| ~ eps / 2: line_integral and vanishing_order
+        # apply one rule, which reads 1e-14 as rounding and 1e-8 as a pole (the parent's
+        # 1e-5 tolerance called 1e-8 convergent)
+        for eps, divergent in [(0.0, False), (1e-14, False), (1e-8, True), (1e-4, True)]:
+            h = fn.circle_from_real_modes(-1.0 + eps, [1.0]).scale(lam)
+            assert fn.line_integral(h).divergent == divergent
+            assert fn.line_integral(h).divergent == (fn.vanishing_order(h) == 0)
 
     @pytest.mark.parametrize("M", [16, 32])
     def test_gaussian_vanishes_at_infinity(self, M):
@@ -305,6 +307,41 @@ class TestDilation:
         out, resid = fn.dilate_line(const, 1.0, 32)
         assert resid < 1e-8
         assert out.coeff(0) == pytest.approx(1.0, abs=1e-8)
+
+
+def _unshifted(h, preimage, M):
+    """The projection of t -> f(preimage(t)) without the shift that makes it vanish at infinity."""
+    _, t = fn._line_grid(M)
+    return fn._project_samples(np.asarray(h(fn.theta_of_t(preimage(t)))), M, False)[0]
+
+
+class TestVanishingProjection:
+    @pytest.mark.parametrize("source", [
+        lambda: fn.gaussian_bump_line(0.3, 1.1, 96)[0],
+        lambda: fn.gn_family(8),
+        lambda: fn.circle_from_real_modes(1.0, [-1.0]),
+    ], ids=["bump", "gn", "one_minus_cos"])
+    def test_images_of_a_vanishing_source_vanish(self, source):
+        h = source()
+        g = fn.random_real_circle(96, np.random.default_rng(5))
+        lam = math.exp(-0.5)
+        for (image, _), preimage in [(fn.dilate_line(h, 0.5, 96), lambda t: lam * t),
+                                     (fn.translate_line(h, 1.0, 96), lambda t: t - 1.0)]:
+            raw = _unshifted(h, preimage, 96)
+            assert fn.vanishing_order(image) >= 1
+            assert np.array_equal(image.coeffs[1:], raw.coeffs[1:])
+            assert fn.line_integral(image).value == fn.line_integral(raw).value
+            assert fn.sobolev_half_sq(image) == fn.sobolev_half_sq(raw)
+            assert fn.sigma(image, g) == fn.sigma(raw, g)
+            assert fn.sigma(g, image) == fn.sigma(g, raw)
+
+    def test_non_vanishing_source_is_not_shifted(self):
+        h = fn.circle_from_real_modes(-0.99, [1.0])
+        image, _ = fn.dilate_line(h, 0.5, 32)
+        lam = math.exp(-0.5)
+        assert np.array_equal(image.coeffs, _unshifted(h, lambda t: lam * t, 32).coeffs)
+        assert fn.vanishing_order(image) == 0
+        assert fn.line_integral(image).divergent
 
 
 def _vector_fields():

@@ -67,7 +67,7 @@ def test_project_samples_matches_dense_sum(grid, seed):
     K, M = grid
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(K) * rng.uniform(0.1, 10.0)
-    out, resid = fn._project_samples(values, M)
+    out, resid = fn._project_samples(values, M, False)
     want, want_resid = ref.dense_project_samples(fn._shifted_grid(K), values, M)
     tol = 1e-12 * np.max(np.abs(values))
     assert out.max_mode == M

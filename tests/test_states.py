@@ -150,11 +150,23 @@ class TestGramAndOrbits:
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_dilation_orbit(self, s):
         f = _bump(0.0, 1.0)
-        assert states.dilation_orbit_residual(1.0, s, f, 96) < 1e-5
+        r = states.dilation_orbit_residual(1.0, s, f, 96)
+        assert r.residual < 1e-5
+        assert r.residual <= r.budget * (1 + 1e-12)
 
     def test_translation_invariance(self):
         f = _bump(0.0, 1.0)
-        assert states.translation_invariance_residual(1.5, f, 0.7, 96) < 1e-5
+        r = states.translation_invariance_residual(1.5, f, 0.7, 96)
+        assert r.residual < 1e-5
+        assert r.residual <= r.budget * (1 + 1e-12)
+
+    def test_budget_catches_a_right_side_at_the_undilated_charge(self, monkeypatch):
+        # mutation: every side at charge q = 1, so the right side misses its e^s
+        f = _bump(0.0, 1.0)
+        exact = states.ground_weyl
+        monkeypatch.setattr(states, "ground_weyl", lambda q, w, M: exact(1.0, w, M))
+        r = states.dilation_orbit_residual(1.0, 0.5, f, 96)
+        assert r.residual > r.budget
 
     def test_divergent_sides_raise(self):
         # cos - 1 + 0.01 does not vanish at infinity
