@@ -59,7 +59,8 @@ def parse_function_spec(spec: str, M: int):
     Returns the circle representative of the scalar function and, for a bump, the
     residual of its projection and the error |int f dt - width sqrt(pi)| (else None).
     fourier coefficients are read as a0 + sum_k (a_k cos k theta + b_k sin k theta)
-    with the list a0,a1,b1,a2,b2,...  Raises UsageError for a spec it cannot honour.
+    with the list a0,a1,b1,a2,b2,...  Raises UsageError for a spec it cannot honour,
+    a fourier spec with a nonzero mode above M among them.
     """
     kind, _, rest = spec.partition(":")
     try:
@@ -77,7 +78,12 @@ def parse_function_spec(spec: str, M: int):
             return obj, {"projection_error": resid, "integral_error": error}
         if kind == "fourier":
             vals = [_finite(x) for x in rest.split(",") if x] or [0.0]
-            return circle_from_real_modes(vals[0], vals[1::2], vals[2::2]), None
+            h = circle_from_real_modes(vals[0], vals[1::2], vals[2::2])
+            if np.any(h.coeffs[M + 1:]):
+                raise UsageError(f"{spec!r} has modes above --modes {M}")
+            return h, None
+    except UsageError:
+        raise
     except ValueError as exc:
         raise UsageError(f"function spec {spec!r}: {exc}") from None
     raise UsageError(f"unknown function spec: {spec!r}")
@@ -189,8 +195,6 @@ def run_nonnormal(q: float, n_max: int, modes: int) -> tuple[list, bool]:
 
 def run_ground(q: float, fspec: str, M: int, seed: int) -> dict:
     f, projection = parse_function_spec(fspec, M)
-    if fspec.partition(":")[0] == "fourier" and np.any(f.pad(M).pad(f.max_mode).coeffs != f.coeffs):
-        raise UsageError(f"{fspec!r} has modes above --modes {M}")
     report = {"q": q, "function": fspec}
     if projection is not None:
         report["input"] = projection
@@ -202,11 +206,10 @@ def run_ground(q: float, fspec: str, M: int, seed: int) -> dict:
                                   "finite_difference": one.finite_difference}
     report["stress_onepoint"] = states.ground_stress_onepoint(q, f)
     rng = np.random.default_rng(seed)
-    fs = []
-    for _ in range(4):
-        b, _resid = gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M)
-        fs.append(b.scale(float(rng.uniform(-1, 1))))
-    report["gram_min_eigenvalue"] = states.gram_psd(q, fs, M)
+    draws = [(*gaussian_bump_line(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 1.5)), M),
+              float(rng.uniform(-1, 1))) for _ in range(4)]  # (bump, residual, scale)
+    report["gram_min_eigenvalue"] = states.gram_psd(q, [b.scale(s) for b, _, s in draws], M)
+    report["gram_projection_error"] = max(resid for _, resid, _ in draws)
     # f vanishes at infinity here (a divergent f ended the run above), so its images do too
     for key, arg, value, r in (
             ("dilation_orbit", "s", 0.5, states.dilation_orbit_residual(q, 0.5, f, M)),

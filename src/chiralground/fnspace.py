@@ -460,6 +460,5 @@ def gaussian_bump_line(center: float, width: float, M: int = 64) -> tuple[Circle
 
 
 def circle_to_json(f: CircleFourier) -> dict:
-    """The two-sided spectrum c_{-M} .. c_M as lists of real and imaginary parts."""
-    c = f.full()
-    return {"M": f.max_mode, "re": c.real.tolist(), "im": c.imag.tolist()}
+    """The stored coefficients c_0 .. c_M as lists of real and imaginary parts."""
+    return {"M": f.max_mode, "re": f.coeffs.real.tolist(), "im": f.coeffs.imag.tolist()}

@@ -4,11 +4,18 @@ A Weyl word W(f_1) ... W(f_k) is the tuple (f_1, ..., f_k) of the circle
 representatives of its real test functions, each read as a scalar function
 on the line (see fnspace).
 
-The vacuum functional on a Weyl generator is the Gaussian
-exp(-sobolev_half_sq/2); the charge-density family multiplies each
-generator by the unimodular phase exp(i q int f dt).  No GNS vectors are
-materialized: every quantity below is a finite formula in circle Fourier
-data and line integrals.
+Every value is a closed form in the one-particle form
+
+    B(f, g) = sum_{k>=1} k conj(c_k(f)) c_k(g),
+
+whose diagonal is the Sobolev-1/2 seminorm (the vacuum is the Gaussian
+omega_0(W(f)) = exp(-B(f, f)/2)) and whose imaginary part is the Weyl cocycle,
+W(f) W(g) = exp(i Im B(f, g)) W(f + g).  The charge-q ground state
+omega_q(W(f)) = exp(i q int f dt) omega_0(W(f)) therefore takes the word to
+
+    exp(i q sum_j int f_j dt - sum_j B_jj / 2 - sum_{j<l} B_lj),  B_jl = B(f_j, f_l).
+
+No GNS vectors are materialized and no word is reduced factor by factor.
 """
 
 from __future__ import annotations
@@ -19,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fnspace import (SIGMA_NORM, CircleFourier, PiecewiseLinearCircle, dilate_line,
-                      fourier_project, g_limit, gn_family, line_integral, sigma, sobolev_half_sq,
-                      translate_line)
+from .fnspace import (CircleFourier, PiecewiseLinearCircle, dilate_line, fourier_project,
+                      g_limit, gn_family, line_integral, sobolev_half_sq, translate_line)
 
 
 class DivergenceError(ValueError):
@@ -47,25 +53,10 @@ def as_fourier(f, M: int) -> CircleFourier:
     return f.pad(M)
 
 
-def weyl_reduce(w: tuple, M: int = 64) -> tuple[complex, CircleFourier]:
-    """Left-to-right Weyl reduction: accumulated phase and summed generator.
-
-    The phase cocycle uses the Fock-normalized symplectic form
-    sigma / SIGMA_NORM, the one under which W(f) W(g) = phase * W(f+g) holds
-    for the exponentials of the smeared current.
-    """
-    acc = CircleFourier(np.zeros(M + 1))
-    phase = 1.0 + 0.0j
-    for f in w:
-        cf = as_fourier(f, M)
-        phase *= cmath.exp(-0.5j * sigma(acc, cf) / SIGMA_NORM)
-        acc = acc + cf
-    return phase, acc
-
-
-def vacuum_weyl(f, M: int = 64) -> float:
-    """Vacuum value of a Weyl generator: exp(-norm^2/2) with the Sobolev-1/2 norm."""
-    return math.exp(-0.5 * sobolev_half_sq(as_fourier(f, M)))
+def one_particle_form(fs, M: int = 64) -> np.ndarray:
+    """B_jl = sum_{k>=1} k conj(c_k(f_j)) c_k(f_l) for the representatives fs on M modes."""
+    C = np.array([as_fourier(f, M).coeffs[1:] for f in fs]).reshape(len(fs), M)
+    return C.conj() @ (np.arange(1, M + 1) * C).T
 
 
 def ground_weyl(q: float, w: tuple, M: int = 64) -> GroundWeylResult:
@@ -73,18 +64,13 @@ def ground_weyl(q: float, w: tuple, M: int = 64) -> GroundWeylResult:
 
     The charge phase integrates each factor in its original representation
     (so divergence of a piecewise-linear factor is detected before any
-    band-limited projection smooths it away); the cocycle phase and the
-    Gaussian factor use the projected sum.
+    band-limited projection smooths it away); the form B uses the projections.
     """
-    phase, total = weyl_reduce(w, M)
-    integral = 0.0
-    divergent = False
-    for f in w:
-        li = line_integral(f)
-        integral += li.value
-        divergent = divergent or li.divergent
-    value = phase * cmath.exp(1j * q * integral) * vacuum_weyl(total, M)
-    return GroundWeylResult(complex(value), bool(divergent))
+    lis = [line_integral(f) for f in w]
+    B = one_particle_form(w, M)
+    exponent = (1j * q * sum(li.value for li in lis) - 0.5 * np.trace(B).real
+                - np.tril(B, -1).sum())
+    return GroundWeylResult(cmath.exp(exponent), any(li.divergent for li in lis))
 
 
 def ground_current_onepoint(q: float, f, M: int = 64) -> OnePointResult:
@@ -120,17 +106,14 @@ def ground_stress_onepoint(q: float, f) -> float:
 
 
 def gram_psd(q: float, fs, M: int = 64) -> float:
-    """Smallest eigenvalue of the Gram matrix G_jk = omega_q(W(f_j)* W(f_k))."""
-    k = len(fs)
-    G = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            r = ground_weyl(q, (fs[i].scale(-1.0), fs[j]), M)
-            if r.divergent:
-                raise DivergenceError("divergent entry in Gram matrix")
-            G[i, j] = r.value
-    G = (G + G.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(G)[0])
+    """Smallest eigenvalue of the Gram matrix G_jl = omega_q(W(f_j)* W(f_l)), which is
+    conj(d_j) d_l exp(B_lj) with d_l = exp(i q int f_l dt - B_ll / 2)."""
+    lis = [line_integral(f) for f in fs]
+    if any(li.divergent for li in lis):
+        raise DivergenceError("divergent entry in Gram matrix")
+    B = one_particle_form(fs, M)
+    d = np.exp(1j * q * np.array([li.value for li in lis]) - 0.5 * B.diagonal().real)
+    return float(np.linalg.eigvalsh(np.outer(d.conj(), d) * np.exp(B.T))[0])
 
 
 @dataclass(frozen=True)

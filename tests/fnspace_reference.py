@@ -78,11 +78,8 @@ def cayley_t_of_theta(theta: float) -> float:
 
 
 def circle_from_json(obj: dict) -> fn.CircleFourier:
-    """Inverse of fnspace.circle_to_json; ValueError unless c_{-n} = conj c_n exactly."""
-    full = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    M = int(obj["M"])
-    if full.size != 2 * M + 1:
+    """Inverse of fnspace.circle_to_json."""
+    c = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    if c.size != int(obj["M"]) + 1:
         raise ValueError("inconsistent serialized mode count")
-    if not np.array_equal(full, np.conj(full[::-1])):
-        raise ValueError("not a real function: c_{-n} != conj c_n")
-    return fn.CircleFourier(full[M:])
+    return fn.CircleFourier(c)

@@ -35,6 +35,12 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             cli.parse_function_spec("nope:1", 64)
 
+    def test_fourier_above_the_modes_refused(self):
+        with pytest.raises(cli.UsageError, match=r"^'fourier:-1,0,0,1' has modes above --modes 1$"):
+            cli.parse_function_spec("fourier:-1,0,0,1", 1)
+        f, _ = cli.parse_function_spec("fourier:1,-1,0,0,0", 1)  # zero modes above 1 are kept
+        assert f.max_mode == 2 and f.coeffs[1] == -0.5
+
 
 class TestVerify:
     def test_exit_zero_and_all_pass(self, tmp_path, capsys):
@@ -321,13 +327,25 @@ class TestGround:
         assert rc == 0
         report = json.loads(out.read_text())
         for key in ["ground_weyl", "current_onepoint", "stress_onepoint",
-                    "gram_min_eigenvalue", "dilation_orbit", "translation",
-                    "circle_representative"]:
+                    "gram_min_eigenvalue", "gram_projection_error", "dilation_orbit",
+                    "translation", "circle_representative"]:
             assert key in report
         assert not report["ground_weyl"]["divergent"]
         one = report["current_onepoint"]
         assert one["finite_difference"] == pytest.approx(one["closed_form"], abs=1e-6)
         assert report["gram_min_eigenvalue"] > -1e-10
+
+    def test_gram_projection_error_and_representative(self, capsys):
+        # the largest projection residual of the four seeded Gram bumps, and the
+        # stored coefficients c_0 .. c_M of the input
+        assert cli.main(["ground", "--function", "bump:0:1", "--modes", "96", "--seed", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        err = report["gram_projection_error"]
+        assert math.isfinite(err) and 0.0 < err < 1e-8
+        rep = report["circle_representative"]
+        f, _ = cli.parse_function_spec("bump:0:1", 96)
+        assert rep["M"] == 96 and len(rep["re"]) == len(rep["im"]) == 97
+        assert rep["re"] == f.coeffs.real.tolist() and rep["im"] == f.coeffs.imag.tolist()
 
     def test_gn_function_accepted(self, tmp_path):
         out = tmp_path / "gn.json"

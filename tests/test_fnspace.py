@@ -485,11 +485,7 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         f = fn.random_real_circle(5, rng)
-        g = ref.circle_from_json(fn.circle_to_json(f))
+        obj = fn.circle_to_json(f)
+        assert obj["M"] == 5 and len(obj["re"]) == len(obj["im"]) == 6  # c_0 .. c_M
+        g = ref.circle_from_json(obj)
         assert np.array_equal(f.coeffs, g.coeffs)
-
-    def test_non_hermitian_list_is_refused(self):
-        obj = fn.circle_to_json(fn.circle_from_real_modes(0.0, [1.0]))
-        obj["im"][0] = 0.5  # c_{-1} no longer conj c_1
-        with pytest.raises(ValueError, match="not a real function"):
-            ref.circle_from_json(obj)

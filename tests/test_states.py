@@ -1,9 +1,17 @@
+"""The ground states of chiralground.states: the closed form in the one-particle
+form B against the left-to-right Weyl reduction of states_reference.py, and B
+against the Fock layer; one-point values, the Gram matrix, the covariance
+residuals and the non-normality table."""
+
 import cmath
 import math
 
 import fock_reference as ref
 import numpy as np
 import pytest
+import states_reference as sref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.linalg import expm
 
@@ -20,46 +28,52 @@ def _bump(center=0.0, width=1.0, M=96):
 class TestWeylReduce:
     def test_single_factor(self):
         f = _bump()
-        phase, total = states.weyl_reduce((f,), 96)
+        phase, total = sref.weyl_reduce((f,), 96)
         assert phase == pytest.approx(1.0)
         assert fn.sobolev_half_sq(total - f.pad(96)) < 1e-20
 
     def test_inverse_pair_cancels(self):
         f = _bump(0.2, 0.8)
-        phase, total = states.weyl_reduce((f, f.scale(-1.0)), 96)
+        phase, total = sref.weyl_reduce((f, f.scale(-1.0)), 96)
         assert phase == pytest.approx(1.0)  # sigma(f, -f) = 0
         assert fn.sobolev_half_sq(total) < 1e-20
 
     def test_pair_phase_formula(self):
         f, g = _bump(0.0, 1.0), _bump(0.7, 0.5)
-        phase, _ = states.weyl_reduce((f, g), 96)
+        phase, _ = sref.weyl_reduce((f, g), 96)
         expected = cmath.exp(-0.5j * fn.sigma(f.pad(96), g.pad(96)) / fn.SIGMA_NORM)
         assert phase == pytest.approx(expected, abs=1e-12)
+        # the cocycle is the imaginary part of the one-particle form
+        B = states.one_particle_form((f, g), 96)
+        assert phase == pytest.approx(cmath.exp(1j * B[0, 1].imag), abs=1e-12)
 
     def test_reversal_conjugates_phase(self):
         f, g = _bump(0.0, 1.0), _bump(0.7, 0.5)
-        a, _ = states.weyl_reduce((f, g), 96)
-        b, _ = states.weyl_reduce((g, f), 96)
+        a, _ = sref.weyl_reduce((f, g), 96)
+        b, _ = sref.weyl_reduce((g, f), 96)
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
 
 
 class TestVacuumWeyl:
     def test_zero_function(self):
-        assert states.vacuum_weyl(fn.circle_from_real_modes(0.0)) == 1.0
+        assert sref.vacuum_weyl(fn.circle_from_real_modes(0.0)) == 1.0
+        assert states.ground_weyl(0.0, (fn.circle_from_real_modes(0.0),)).value == 1.0
 
     def test_gaussian_law_in_scale(self):
         f = _bump()
-        v1 = states.vacuum_weyl(f, 96)
-        v2 = states.vacuum_weyl(f.scale(2.0), 96)
+        v1 = states.ground_weyl(0.0, (f,), 96).value
+        v2 = states.ground_weyl(0.0, (f.scale(2.0),), 96).value
         # exp(-2 s^2) law: log v scales like s^2
-        assert math.log(v2) == pytest.approx(4.0 * math.log(v1), rel=1e-10)
+        assert cmath.log(v2) == pytest.approx(4.0 * cmath.log(v1), rel=1e-10)
+        assert v1 == pytest.approx(sref.vacuum_weyl(f, 96), rel=1e-15)
 
     def test_fock_matrix_exponential_cross_check(self):
-        # <vac, exp(i J(f)) vac> -> exp(-sobolev/2) as the cutoff grows
+        # <vac, exp(i J(f)) vac> -> omega_0(W(f)) = exp(-sobolev/2) as the cutoff grows
         rng = np.random.default_rng(40)
         f = fn.random_real_circle(2, rng)
         f = f.scale(0.4 / max(1e-9, math.sqrt(fn.sobolev_half_sq(f))))
-        target = math.exp(-0.5 * fn.sobolev_half_sq(f))
+        target = states.ground_weyl(0.0, (f,), 2).value
+        assert target == pytest.approx(sref.vacuum_weyl(f, 2), rel=1e-15)
         errs = []
         for N in (6, 10, 14):
             J = ref.operator_matrix(lambda v: fock.apply_current(f, v), N)
@@ -69,11 +83,43 @@ class TestVacuumWeyl:
         assert errs[2] < 1e-6
 
 
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def weyl_words(draw):
+    """A word of 1 to 4 factors, each a random real Fourier function of top mode
+    1 to 6 or a tent g_n of the non-normality sequence."""
+    rng = np.random.default_rng(draw(seeds))
+    k = draw(st.integers(1, 4))
+    return tuple(fn.gn_family(draw(st.integers(1, 64))) if draw(st.booleans())
+                 else fn.random_real_circle(draw(st.integers(1, 6)), rng) for _ in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_words(), st.floats(-3.0, 3.0), st.sampled_from([8, 32, 96]))
+def test_ground_weyl_matches_the_reduction(w, q, M):
+    got = states.ground_weyl(q, w, M)
+    assert got.value == pytest.approx(sref.ground_weyl(q, w, M), rel=0, abs=1e-14)
+    assert got.divergent == any(fn.line_integral(f).divergent for f in w)
+
+
+def test_one_particle_form_is_the_fock_inner_product():
+    # <J(f_j) vac, J(f_l) vac> = B(f_l, f_j): the form is antilinear in its first slot
+    rng = np.random.default_rng(23)
+    fs = [fn.random_real_circle(m, rng) for m in range(1, 7)]
+    B = states.one_particle_form(fs, 8)
+    vecs = [fock.apply_current(f, fock.vacuum(8)) for f in fs]
+    G = np.array([[fock.inner(u, v) for v in vecs] for u in vecs])
+    assert np.max(np.abs(G - B.T)) < 1e-14
+    assert np.max(np.abs(G - B)) > 0.1  # the untransposed form differs
+
+
 class TestGroundWeyl:
     def test_q_zero_is_vacuum_state(self):
         f = _bump()
         r = states.ground_weyl(0.0, (f,), 96)
-        assert r.value == pytest.approx(states.vacuum_weyl(f, 96))
+        assert r.value == pytest.approx(sref.vacuum_weyl(f, 96), rel=1e-15)
         assert not r.divergent
 
     def test_charge_shows_up_as_phase(self):
@@ -146,6 +192,24 @@ class TestGramAndOrbits:
     def test_gram_psd(self, q):
         lam = states.gram_psd(q, self._family(), 96)
         assert lam > -1e-10
+
+    @pytest.mark.parametrize("q", [-2.0, 1.0])
+    def test_gram_is_the_state_on_two_factor_words(self, q):
+        # G_jl = omega_q(W(-f_j) W(f_l)) entry by entry against the reduction; its
+        # spectrum cannot see the cocycle's orientation or q, which act on G by a
+        # transpose and a diagonal unitary, so only the entries test them
+        fs = [f.scale(s) for f, s in zip(self._family(), (1.0, -0.7, 0.9, -1.2))]
+        G = np.array([[states.ground_weyl(q, (f.scale(-1.0), g), 96).value for g in fs]
+                      for f in fs])
+        want = np.array([[sref.ground_weyl(q, (f.scale(-1.0), g), 96) for g in fs] for f in fs])
+        assert np.max(np.abs(G - want)) < 1e-14
+        assert np.linalg.eigvalsh(G)[0] == pytest.approx(states.gram_psd(q, fs, 96), abs=1e-14)
+        assert states.gram_psd(q, fs, 96) == pytest.approx(states.gram_psd(0.0, fs, 96),
+                                                           abs=1e-14)
+
+    def test_gram_refuses_a_divergent_function(self):
+        with pytest.raises(states.DivergenceError):
+            states.gram_psd(1.0, [_bump(), fn.g_limit()], 96)
 
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_dilation_orbit(self, s):
