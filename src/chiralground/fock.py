@@ -11,11 +11,13 @@ J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples (src,
 dst, w) over basis(N), column src going to w times row dst, w in the amplitude
 basis, so that J_n and L_n have exact integer and half weights.  A vector is
 applied by one scatter of the entries, the products w v[src] summed onto their
-rows; the Weyl path applies triples to a wide slab as a fixed-width gather, a
-block of rows at a time, which bounds its temporaries.  Triples are composed by
-products.  In the orthonormalized basis, gauged to make J(f) real symmetric,
-J(f) changes only the parts up to f's top mode: one small block per budget
-(spectators); _exp_gauged gives every block's exp(i t J(f)), complex symmetric, at once.
+rows.  Triples are composed by products, which is also how the Weyl path
+applies T(f) to exp(-i J(g)) P, held as its entries.  In the orthonormalized
+basis, gauged to make J(f) real symmetric, J(f) changes only the parts up to
+f's top mode: one small block per budget (spectators); _exp_gauged gives every
+block's exp(i t J(f)), complex symmetric, at once, by a Chebyshev series that
+applies J(f) as a fixed-width gather, a block of rows at a time, which bounds
+its temporaries.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -187,15 +189,6 @@ def _row_blocks(S: np.ndarray):
 def _gathered(S: np.ndarray, W: np.ndarray, Z: np.ndarray, rows: slice) -> np.ndarray:
     """Rows ``rows`` of the gather (S, W) applied to the columns of Z."""
     return np.matmul(W[rows, None], Z[S[rows]])[:, 0]
-
-
-def apply_gather(S: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The gather (S, W) applied to Z, one vector or its columns, a block of rows at a time."""
-    Z2 = Z.reshape(len(Z), -1)
-    out = np.empty((len(S), Z2.shape[1]), dtype=np.result_type(W, Z))
-    for rows in _row_blocks(S):
-        out[rows] = _gathered(S, W, Z2, rows)
-    return out.reshape((len(S),) + Z.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

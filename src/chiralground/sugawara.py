@@ -9,7 +9,7 @@ KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -129,42 +129,110 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
     invariant and U* P = P times a phase, so the residual R is taken in the real
     gauge J(g) = U A U* of fock._real_gauge, on the rows sorted by
-    fock.spectators, where exp(i A) is one dense block E_r per budget r: column
-    j of exp(-i A) P is conj E_r[:, local j] on the rows of j's spectator.
-    E_r is complex symmetric, so the columns c, c + 1, ... of E_r
-    that exp_blocks yields are rows of E_r, and E_r^T times the rows Y_r of
-    T(f) exp(-i A) P in budget r gives rows c, c + 1, ... of R_r in full; T(f),
-    J(f g') and the scalar are their triples carried into that gauge, and on P
-    matrix entries, subtracted from those rows.  The norm of R is the root of
-    the top eigenvalue of R* R, summed over the rows as they are formed: neither
-    T(f) exp(-i A) P nor R is held whole.
+    fock.spectators, where exp(i A) is one dense block E_r per budget r.
+    W*P = exp(-i A) P is held as its entries: column j is conj E_r[:, local j] on
+    the rows of j's spectator, read from the first chunk that exp_blocks yields,
+    which has every local row of P.  T(f), J(f g') and the scalar are their
+    triples carried into that gauge, built after that chunk.  The rows Y_r of
+    T(f) W*P in budget r are the product of T(f)'s entries into them with those
+    of W*P, scattered into one (d_r n_r, slab) block (_stress_rows).  E_r is
+    complex symmetric, so the columns c, c + 1, ... of E_r that exp_blocks
+    yields are rows of E_r, and E_r^T Y_r gives rows c, c + 1, ... of R_r in
+    full; Y_r is kept while E_r has chunks to come.  The entries on P of T(f) +
+    J(f g') + the scalar are subtracted from those rows, and the norm of R is
+    the root of the top eigenvalue of R* R, summed over the rows as they are
+    formed.  So neither W*P nor R is held whole, and T(f) W*P only in the
+    budgets whose E_r comes in more than one chunk.
     """
-    fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     phase, S, W = fock._real_gauge(g, N)
     sp = fock.spectators(N, min(g.max_mode, N))
-    e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
-    T = fock.rescaled(smear(virasoro_triples, f, N), e)
     slab = fock.basis(N).offsets[N // 2 + 1]
-    src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
-                               fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
-    on = src < slab
-    src, dst, w = src[on], sp.pos[dst[on]], w[on]  # the entries on P, dst as a sorted row
+    cells = len(phase) * slab  # the series' chunk, and the cap on a chunk of products
     start = np.cumsum(sp.sizes * sp.counts) - sp.sizes * sp.counts  # the first row of each budget
     G = np.zeros((slab, slab), dtype=complex)
-    for c, Es in sp.exp_blocks(S, W, 1.0, len(e) * slab):
-        if c == 0:  # the first chunk has >= slab columns, those of every local row of P
-            WsP = np.zeros((len(e), slab), dtype=complex)
-            for r, (E, n) in enumerate(zip(Es, sp.counts)):
-                j = np.flatnonzero(sp.budget[:slab] == r)
-                WsP[sp.pos[j] + np.subtract.outer(np.arange(len(E)), sp.local[j]) * n, j] = \
-                    E[:, sp.local[j]].conj()
-            TS, TW = fock.gather((sp.pos[T[0]], sp.pos[T[1]], T[2]), len(e))
-        for E, d, n, a in zip(Es, sp.sizes, sp.counts, start):
-            Rr = E.T @ fock.apply_gather(TS[a:a + d * n], TW[a:a + d * n], WsP).reshape(d, -1)
-            Rr = Rr.reshape(-1, slab)  # the sorted rows [lo, hi), those of local rows c, c + 1, ...
+    kept = {}  # Y_r of the budgets whose E_r has chunks to come
+    for c, Es in sp.exp_blocks(S, W, 1.0, cells):
+        if c == 0:  # T(f) is built once the series' temporaries are gone
+            T, (src, dst, w), first = _weyl_operands(g, f, N, sp, phase, start)
+            col_first = first[sp.pos[:slab]]  # the first row of each column's spectator
+            cols = (col_first, sp.sizes[sp.budget[:slab]],
+                    np.bincount(col_first, minlength=len(first)))
+            # a chunk of W*P is built once for every budget when all of P is one chunk
+            wsp = lru_cache(maxsize=1)(partial(_wsp_entries, sp, Es, col_first))
+        for r, (E, d, n, a) in enumerate(zip(Es, sp.sizes, sp.counts, start)):
+            if E.shape[1] == 0:  # E_r ended in an earlier chunk
+                continue
+            Y = kept.pop(r) if c else _stress_rows(T, wsp, first, cols, cells, a, d * n)
+            Rr = (E.T @ Y.reshape(d, -1)).reshape(-1, slab)  # the sorted rows [lo, hi)
             lo, hi = a + c * n, a + (c + E.shape[1]) * n
             k = (dst >= lo) & (dst < hi)
             np.subtract.at(Rr, (dst[k] - lo, src[k]), w[k])
             G += Rr.conj().T @ Rr
-        del Es, E, Rr  # free the table and the rows before the next chunk is built
+            if c + E.shape[1] < d:
+                kept[r] = Y
+        if c == 0:  # the later chunks read only the rows kept
+            del T, wsp
+        del Es, E, Rr, Y  # free the table and the rows before the next chunk is built
     return math.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))
+
+
+def _weyl_operands(g: CircleFourier, f: CircleFourier, N: int, sp: fock.Spectators,
+                   phase: np.ndarray, start: np.ndarray) -> tuple:
+    """For weyl_adjoint_stress_residual: T(f) in the real gauge on the sorted rows,
+    ordered by dst; the entries on P of T(f) + J(f g') + the scalar, dst a sorted
+    row; and the first sorted row of each sorted row's spectator."""
+    fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
+    e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
+    T = fock.rescaled(smear(virasoro_triples, f, N), e)
+    src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
+                               fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
+    on = src < fock.basis(N).offsets[N // 2 + 1]
+    order = np.argsort(sp.pos[T[1]], kind="stable")
+    a, n = start[sp.budget], sp.counts[sp.budget]
+    first = np.empty(len(e), dtype=int)
+    first[sp.pos] = a + (sp.pos - a) % n  # row a_r + i n_r + s has spectator s
+    return (tuple(x[order] for x in (sp.pos[T[0]], sp.pos[T[1]], T[2])),
+            (src[on], sp.pos[dst[on]], w[on]), first)
+
+
+def _wsp_entries(sp: fock.Spectators, Es: list, col_first: np.ndarray, j0: int,
+                 j1: int) -> fock.Op:
+    """The entries of W*P in P's columns [j0, j1), sorted by dst, a sorted row: column
+    j is conj E_r[:, local j] on the rows col_first[j] + i n_r of j's spectator, E_r
+    from the first chunk."""
+    j = np.arange(j0, j1)
+    parts = []
+    for r in np.flatnonzero(np.bincount(sp.budget[j])):
+        J = j[sp.budget[j] == r]
+        J = J[np.argsort(col_first[J], kind="stable")]  # by spectator: the rows ascend
+        rows = col_first[J] + np.arange(sp.sizes[r])[:, None] * sp.counts[r]
+        parts.append((np.broadcast_to(J, rows.shape).ravel(), rows.ravel(),
+                      Es[r][:, sp.local[J]].conj().ravel()))
+    return fock.concat(parts)
+
+
+def _stress_rows(T: fock.Op, wsp, first: np.ndarray, cols: tuple, cells: int, a: int,
+                 rows: int) -> np.ndarray:
+    """Y, the sorted rows [a, a + rows) of T(f) W*P: the entries A of T(f) into them
+    times those of W*P, wsp(j0, j1) for P's columns [j0, j1), summed into Y one chunk
+    of columns at a time.  Column j of W*P has cols[1][j] entries, on the rows of the
+    spectator whose first row is cols[0][j], and the product meets them with the
+    entries of A out of those rows; cols[2] counts the columns on each spectator.  A
+    chunk's entries of W*P and of the product, triples of two cells' bytes each, fill
+    at most ``cells`` cells, past the column that reaches the cap."""
+    lo, hi = np.searchsorted(T[1], (a, a + rows))
+    A = tuple(x[lo:hi] for x in T)
+    slab, reads = len(cols[0]), first[A[0]]  # the spectators of the rows that A reads
+    if 2 * (cols[1].sum() + cols[2][reads].sum()) <= cells:  # all of P in one chunk
+        edges = []
+    else:
+        cost = cols[1] + np.bincount(reads, minlength=len(first))[cols[0]]
+        edges = np.flatnonzero(np.diff(2 * (np.cumsum(cost) - cost) // cells)) + 1
+    Y = np.zeros((rows, slab), dtype=complex)
+    span = A[0].min(initial=len(first)), A[0].max(initial=-1) + 1  # the rows that A reads
+    for j0, j1 in zip([0, *edges], [*edges, slab]):
+        B = wsp(j0, j1)
+        src, dst, w = fock.product(A, tuple(x[slice(*np.searchsorted(B[1], span))] for x in B))
+        np.add.at(Y.reshape(-1), (dst - a) * slab + src, w)
+        del B, src, dst, w  # before the next chunk's product
+    return Y

@@ -7,8 +7,8 @@ of J_n and of L_n (summed pair by pair), the dense bracket residual built on
 them, and the dense matrix of a set of triples; the triples of J_n one n at a
 time and of L_n one pair at a time; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
-amplitudes by partition, the smeared stress tensor T(f) and exp(i t J(f)) on
-ungauged columns.
+amplitudes by partition, the smeared stress tensor T(f), exp(i t J(f)) on
+ungauged columns and a gather of fock.gather applied to dense columns.
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -251,6 +251,15 @@ def weyl_residual_eigh(g, f, N: int) -> float:
     return float(np.linalg.norm(A, ord=2))
 
 
+def apply_gather(S: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The gather (S, W) of fock.gather applied to the columns of Z, a block of rows at
+    a time."""
+    out = np.empty((len(S), Z.shape[1]), dtype=np.result_type(W, Z))
+    for rows in fock._row_blocks(S):
+        out[rows] = fock._gathered(S, W, Z, rows)
+    return out
+
+
 def weyl_residual_series(g, f, N: int) -> float:
     """The Weyl adjoint residual with exp(-+i A) applied to the whole basis by the
     series of fock._exp_gauged, in the real gauge J(g) = U A U* of fock._real_gauge:
@@ -261,8 +270,8 @@ def weyl_residual_series(g, f, N: int) -> float:
     e = np.sqrt(fock.basis(N).norm_sq) / phase
     T = fock.rescaled(fock.smear(sugawara.virasoro_triples, f, N), e)
     slab = fock.basis(N).offsets[N // 2 + 1]
-    TWsP = fock.apply_gather(*fock.gather(T, len(e)),
-                             fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
+    TWsP = apply_gather(*fock.gather(T, len(e)),
+                        fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
     R = fock._exp_gauged(S, W, 1.0, TWsP)
     src, dst, w = fock.concat([T, fock.rescaled(fock.smear(fock.mode_triples, fgp, N), e),
                                fock.identity(N, fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM))])

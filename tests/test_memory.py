@@ -45,19 +45,26 @@ def _traced_peak_in_slabs(call, N):
 
 
 def test_weyl_residual_peak():
-    # measured 3.2 slabs with the rows of R streamed per budget, 3.9 with R held whole;
-    # the full-space series measured 6.1 (6.2 with two buffers, 7.2 with three buffers
-    # and whole sums)
+    # measured 2.3 slabs with W*P held as its entries, 3.2 with W*P dense and the rows of
+    # R streamed per budget, 3.9 with R held whole; the full-space series measured 6.1
+    # (6.2 with two buffers, 7.2 with three buffers and whole sums)
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 3.9
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 2.7
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # one slab is 32 MB here, and the largest budget holds 7% of the rows: with the rows
-    # of R streamed per budget the peak is W*P and little else, measured 1.6 slabs
-    # (3.3 with T(f) W*P, R and its conjugate held whole)
+    # one slab is 32 MB here, and the largest budget holds 7% of the rows: with W*P held
+    # as its entries the peak is one budget's rows of T(f) W*P and the products that form
+    # them, measured 0.54 slabs (1.6 with W*P dense, 3.3 with T(f) W*P, R and its
+    # conjugate held whole)
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 24), 24) < 2.0
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 24), 24) < 0.65
+
+
+def test_weyl_residual_peak_at_cutoff_28():
+    # one slab is 150 MB here; measured 0.38 slabs, where W*P alone was one slab
+    g, f = _pair()
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 28), 28) < 0.46
 
 
 @pytest.mark.parametrize("N, series_peak", [(12, 8.2), (16, 6.25)])
@@ -85,10 +92,10 @@ def test_series_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 7.8 MB peak and left 1.6 MB of
-    # caches behind; with R held whole the peak was 10.5 MB, with the full-space series
-    # 17.4 MB and 3.1 MB, and with dense level blocks 27.4 MB and 10.4 MB.  The bounds allow
-    # about 20% and 30% over the measured values.
+    # From cleared caches the N = 10..18 sweep measured a 5.3 MB peak and left 1.5 MB of
+    # caches behind; with W*P dense the peak was 7.8 MB, with R held whole 10.5 MB, with
+    # the full-space series 17.4 MB and 3.1 MB, and with dense level blocks 27.4 MB and
+    # 10.4 MB.  The bounds allow about 20% and 40% over the measured values.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
@@ -101,7 +108,7 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 9.5e6
+    assert peak < 6.4e6
     assert held < 2.1e6
 
 
