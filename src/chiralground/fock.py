@@ -17,7 +17,8 @@ basis, gauged to make J(f) real symmetric, J(f) changes only the parts up to
 f's top mode: one small block per budget (spectators); _exp_gauged gives every
 block's exp(i t J(f)), complex symmetric, at once, by a Chebyshev series that
 applies J(f) as a fixed-width gather, a block of rows at a time, which bounds
-its temporaries.
+its temporaries.  Spectators.exp_blocks runs it on the first k columns of the
+blocks only, the columns that the Weyl path reads.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -306,20 +307,23 @@ class Spectators(NamedTuple):
     sizes: np.ndarray  # d_r, the spectator-free rows of level <= r, per budget r ascending
     counts: np.ndarray  # n_r, the spectators of budget r
 
-    def exp_blocks(self, S: np.ndarray, W: np.ndarray, t: float, cells: int):
-        """Yield (c, [E_r]): the columns c, c + 1, ... of E_r = exp(i t A_r), A_r
-        the block of level <= r of the spectator-free rows of the gather (S, W) of
+    def exp_blocks(self, S: np.ndarray, W: np.ndarray, t: float, cells: int, k: int):
+        """Yield (c, [E_r]): the columns c, c + 1, ... below k of E_r = exp(i t A_r),
+        A_r the block of level <= r of the spectator-free rows of the gather (S, W) of
         _real_gauge, from one _exp_gauged call on their direct sum per chunk of columns;
-        a chunk has at most ``cells`` entries, and at least cells / dim columns."""
+        a chunk has at most ``cells`` entries, and at least cells / dim columns.  So E_r
+        comes as its first min(d_r, k) columns.  The gather is released once the direct
+        sum is built: a caller that holds no reference to it frees it then."""
         free = np.flatnonzero(self.budget == len(self.sizes) - 1)  # the rows of budget N
         Sf, ends = self.local[S[free]], np.cumsum(self.sizes)
         S2 = np.concatenate([Sf[:d] + e - d for d, e in zip(self.sizes, ends)])
         W2 = np.concatenate([W[free[:d]] * (Sf[:d] < d) for d in self.sizes])  # cut at level r
-        del Sf
+        del S, W, Sf
+        k = min(k, self.sizes[-1])
         width = cells // ends[-1]  # >= cells // dim: each budget has a spectator
-        for c in range(0, self.sizes[-1], width):
+        for c in range(0, k, width):
             E = _exp_gauged(S2, W2, t, np.concatenate(
-                [np.eye(d, min(width, self.sizes[-1] - c), -c) for d in self.sizes]))
+                [np.eye(d, min(width, k - c), -c) for d in self.sizes]))
             yield c, [Er[:, :max(d - c, 0)] for Er, d in zip(np.split(E, ends[:-1]), self.sizes)]
             del E  # before the next chunk is built
 

@@ -127,31 +127,43 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
     holds on the untruncated domain; the residual is measured on the slab P of
     levels <= N // 2 and converges as N grows.  The 2-norm is unitarily
-    invariant and U* P = P times a phase, so the residual R is taken in the real
+    invariant and U* P = P times a phase, so the residual is taken in the real
     gauge J(g) = U A U* of fock._real_gauge, on the rows sorted by
-    fock.spectators, where exp(i A) is one dense block E_r per budget r.
-    W*P = exp(-i A) P is held as its entries: column j is conj E_r[:, local j] on
-    the rows of j's spectator, read from the first chunk that exp_blocks yields,
-    which has every local row of P.  T(f), J(f g') and the scalar are their
+    fock.spectators, where exp(i A) is one dense block E_r per budget r, and as
+    W* R = T(f) W*P - W* X P, with X = T(f) + J(f g') + the scalar.  A row's
+    local level is that of its parts <= m, g's top mode, and X raises it by at
+    most max(min(F, 2 m), m), F f's top mode: J(f g') creates at most one part
+    and an L_n of T(f) one part in place of another, each adding at most m, or,
+    for n < 0, two parts of sum -n <= F, adding at most min(F, 2 m).  So W* X P
+    reads only the first k columns of each E_r, k the spectator-free rows of
+    level <= N // 2 + that lift; exp_blocks yields no others.  W*P = exp(-i A) P is held as its entries: column j is
+    conj E_r[:, local j] on the rows of j's spectator, read from the first chunk
+    that exp_blocks yields, which has every local row of P.  T(f) and X are their
     triples carried into that gauge, built after that chunk.  The rows Y_r of
-    T(f) W*P in budget r are the product of T(f)'s entries into them with those
-    of W*P, scattered into one (d_r n_r, slab) block (_stress_rows).  E_r is
-    complex symmetric, so the columns c, c + 1, ... of E_r that exp_blocks
-    yields are rows of E_r, and E_r^T Y_r gives rows c, c + 1, ... of R_r in
-    full; Y_r is kept while E_r has chunks to come.  The entries on P of T(f) +
-    J(f g') + the scalar are subtracted from those rows, and the norm of R is
-    the root of the top eigenvalue of R* R, summed over the rows as they are
-    formed.  So neither W*P nor R is held whole, and T(f) W*P only in the
-    budgets whose E_r comes in more than one chunk.
+    T(f) W*P in budget r are the product of T(f)'s entries into them with those of
+    W*P, scattered into one (d_r n_r, slab) block (_stress_rows).  From Y_r each
+    chunk of columns c, c + 1, ... of E_r subtracts conj E_r[:, chunk] times the
+    rows of X P with those local rows, and once E_r has no chunk to come Y_r is
+    the budget's rows of W* R.  The norm is the root of the top eigenvalue of
+    R* R, summed over the budgets as they are done.  So neither W*P nor R is held
+    whole, and T(f) W*P only in the budgets whose E_r comes in more than one chunk.
     """
+    if N < 0:
+        raise ValueError("cutoff must be >= 0")
+    m = min(g.max_mode, N)
     phase, S, W = fock._real_gauge(g, N)
-    sp = fock.spectators(N, min(g.max_mode, N))
-    slab = fock.basis(N).offsets[N // 2 + 1]
+    sp = fock.spectators(N, m)
+    off = fock.basis(N).offsets
+    slab = off[N // 2 + 1]
+    top = min(N // 2 + max(min(f.max_mode, 2 * m), m), N)  # the top local level of X P
+    k = np.count_nonzero(sp.budget[:off[top + 1]] == len(sp.sizes) - 1)  # free rows to top
     cells = len(phase) * slab  # the series' chunk, and the cap on a chunk of products
     start = np.cumsum(sp.sizes * sp.counts) - sp.sizes * sp.counts  # the first row of each budget
     G = np.zeros((slab, slab), dtype=complex)
     kept = {}  # Y_r of the budgets whose E_r has chunks to come
-    for c, Es in sp.exp_blocks(S, W, 1.0, cells):
+    blocks = sp.exp_blocks(S, W, 1.0, cells, k)
+    del S, W  # exp_blocks frees the gather once it holds the direct sum of the blocks
+    for c, Es in blocks:
         if c == 0:  # T(f) is built once the series' temporaries are gone
             T, (src, dst, w), first = _weyl_operands(g, f, N, sp, phase, start)
             col_first = first[sp.pos[:slab]]  # the first row of each column's spectator
@@ -163,30 +175,32 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
             if E.shape[1] == 0:  # E_r ended in an earlier chunk
                 continue
             Y = kept.pop(r) if c else _stress_rows(T, wsp, first, cols, cells, a, d * n)
-            Rr = (E.T @ Y.reshape(d, -1)).reshape(-1, slab)  # the sorted rows [lo, hi)
-            lo, hi = a + c * n, a + (c + E.shape[1]) * n
-            k = (dst >= lo) & (dst < hi)
-            np.subtract.at(Rr, (dst[k] - lo, src[k]), w[k])
-            G += Rr.conj().T @ Rr
-            if c + E.shape[1] < d:
+            lo, hi = np.searchsorted(dst, (a + c * n, a + (c + E.shape[1]) * n))
+            XP = np.zeros((E.shape[1] * n, slab), dtype=complex)  # the rows of this chunk
+            np.add.at(XP, (dst[lo:hi] - a - c * n, src[lo:hi]), w[lo:hi])
+            Y.reshape(d, -1)[:] -= E.conj() @ XP.reshape(E.shape[1], -1)
+            if c + E.shape[1] < min(d, k):
                 kept[r] = Y
+            else:
+                G += Y.conj().T @ Y
         if c == 0:  # the later chunks read only the rows kept
             del T, wsp
-        del Es, E, Rr, Y  # free the table and the rows before the next chunk is built
+        del Es, E, XP, Y  # free the table and the rows before the next chunk is built
     return math.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))
 
 
 def _weyl_operands(g: CircleFourier, f: CircleFourier, N: int, sp: fock.Spectators,
                    phase: np.ndarray, start: np.ndarray) -> tuple:
     """For weyl_adjoint_stress_residual: T(f) in the real gauge on the sorted rows,
-    ordered by dst; the entries on P of T(f) + J(f g') + the scalar, dst a sorted
-    row; and the first sorted row of each sorted row's spectator."""
+    ordered by dst; the entries on P of X = T(f) + J(f g') + the scalar, ordered by
+    dst, a sorted row; and the first sorted row of each sorted row's spectator."""
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     e = np.sqrt(fock.basis(N).norm_sq) / phase  # amplitudes to U* in the orthonormalized basis
     T = fock.rescaled(smear(virasoro_triples, f, N), e)
     src, dst, w = fock.concat([T, fock.rescaled(smear(mode_triples, fgp, N), e),
                                fock.identity(N, sigma(fgp, g) / (2.0 * SIGMA_NORM))])
-    on = src < fock.basis(N).offsets[N // 2 + 1]
+    on = np.flatnonzero(src < fock.basis(N).offsets[N // 2 + 1])
+    on = on[np.argsort(sp.pos[dst[on]], kind="stable")]  # by sorted row
     order = np.argsort(sp.pos[T[1]], kind="stable")
     a, n = start[sp.budget], sp.counts[sp.budget]
     first = np.empty(len(e), dtype=int)

@@ -220,6 +220,44 @@ def test_weyl_adjoint_blocks_match_the_series(N, seed):
     assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12)
 
 
+@pytest.mark.parametrize("N, m, F", [(10, 2, 2), (12, 2, 2), (16, 2, 2), (18, 2, 2), (12, 1, 3),
+                                     (14, 3, 1)])
+def test_weyl_adjoint_column_cut_is_tight(N, m, F, monkeypatch):
+    # the rows of X P reach local level N // 2 + max(min(F, 2 m), m) and no higher (F, m:
+    # the top modes of f and g; the local level is that of the parts <= m), and W* X P
+    # reads the columns of each E_r on the spectator-free rows up to that level: the
+    # residual passes their count to exp_blocks, and zeroing those of the top level misses
+    rng = np.random.default_rng(1)
+    g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
+            for h in (fn.random_real_circle(m, rng), fn.random_real_circle(F, rng)))
+    top = N // 2 + max(min(F, 2 * m), m)
+    b = fock.basis(N)
+    fgp = fn.pointwise_product(f, fn.derivative(g), F + m)
+    src, dst, _ = fock.concat([fock.smear(sugawara.virasoro_triples, f, N),
+                               fock.smear(fock.mode_triples, fgp, N)])
+    local = b.counts[:, :m + 1] @ np.arange(m + 1)
+    assert local[dst[src < b.offsets[N // 2 + 1]]].max() == top
+    exact = ref.weyl_residual_series(g, f, N)
+    exp_blocks, passed = fock.Spectators.exp_blocks, []
+
+    def residual(zero_from):  # with the columns of each E_r from zero_from on zeroed
+        def cut(sp, S, W, t, cells, k):
+            passed.append(k)
+            for c, Es in exp_blocks(sp, S, W, t, cells, k):
+                for E in Es:
+                    E[:, max(zero_from - c, 0):] = 0
+                yield c, Es
+
+        monkeypatch.setattr(fock.Spectators, "exp_blocks", cut)
+        return sugawara.weyl_adjoint_stress_residual(g, f, N)
+
+    below, k = (sum(len(fock.partitions_at(lvl, m)) for lvl in range(level + 1))
+                for level in (top - 1, top))  # the spectator-free rows to that level
+    assert residual(k) == pytest.approx(exact, rel=1e-12)
+    assert abs(residual(below) - exact) > 0.1 * exact
+    assert passed == [k, k]
+
+
 @pytest.mark.parametrize("max_mode", [0, 1, 3])
 def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
     rng = np.random.default_rng(50)
@@ -231,7 +269,7 @@ def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
 
 def test_weyl_adjoint_streams_a_wide_generator_by_column_chunks(monkeypatch):
     # g of top mode N has one block of all dim rows, exponentiated a slab of columns at a
-    # time; every chunk recomputes its rows of T(f) exp(-i A) P
+    # time; its rows of T(f) exp(-i A) P are kept between chunks
     N = 12
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
@@ -253,19 +291,27 @@ def test_weyl_adjoint_streams_a_wide_generator_by_column_chunks(monkeypatch):
 @pytest.mark.parametrize("max_mode", [1, 2, 3, None])
 def test_exp_blocks_are_symmetric(max_mode):
     # the Weyl residual reads the column chunks of each E_r = exp(i A_r) as its rows;
-    # None stands for a generator of top mode N, whose one block comes in several chunks
+    # None stands for a generator of top mode N, whose one block comes in several chunks.
+    # Cut to k columns, each block is the first min(d_r, k) columns of the full one.
     for N in range(21 if max_mode else 13):
         g = fn.random_real_circle(max_mode or N, np.random.default_rng(52), 0.3)
         _, S, W = fock._real_gauge(g, N)
         sp = fock.spectators(N, min(g.max_mode, N))
         off = fock.basis(N).offsets
-        tables = [[] for _ in sp.sizes]
-        for _, Es in sp.exp_blocks(S, W, 1.0, off[-1] * off[N // 2 + 1]):
-            for table, E in zip(tables, Es):
-                table.append(E)
-        for table, d in zip(tables, sp.sizes):
-            E = np.hstack(table)
+
+        def blocks(k):
+            tables = [[] for _ in sp.sizes]
+            for _, Es in sp.exp_blocks(S, W, 1.0, off[-1] * off[N // 2 + 1], k):
+                for table, E in zip(tables, Es):
+                    table.append(E)
+            return [np.hstack(table) for table in tables]
+
+        full = blocks(sp.sizes[-1])
+        for E, d in zip(full, sp.sizes):
             assert E.shape == (d, d) and np.max(np.abs(E - E.T)) <= 1e-14
+        for k in sorted({1, *sp.sizes[:-1], sp.sizes[-1] - 1, sp.sizes[-1] + 1} - {0}):
+            for E, F, d in zip(blocks(k), full, sp.sizes):
+                assert E.shape == (d, min(d, k)) and np.max(np.abs(E - F[:, :k])) <= 1e-15
 
 
 @pytest.mark.parametrize("max_mode", [1, 2, 3])

@@ -45,33 +45,36 @@ def _traced_peak_in_slabs(call, N):
 
 
 def test_weyl_residual_peak():
-    # measured 2.3 slabs with W*P held as its entries, 3.2 with W*P dense and the rows of
-    # R streamed per budget, 3.9 with R held whole; the full-space series measured 6.1
-    # (6.2 with two buffers, 7.2 with three buffers and whole sums)
+    # measured 1.9 slabs with the series cut to the columns that W* X P reads, 2.3 on all
+    # columns with W*P held as its entries, 3.2 with W*P dense and the rows of R streamed
+    # per budget, 3.9 with R held whole; the full-space series measured 6.1 (6.2 with two
+    # buffers, 7.2 with three buffers and whole sums)
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 2.7
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 2.3
 
 
 def test_weyl_residual_peak_at_cutoff_24():
     # one slab is 32 MB here, and the largest budget holds 7% of the rows: with W*P held
     # as its entries the peak is one budget's rows of T(f) W*P and the products that form
-    # them, measured 0.54 slabs (1.6 with W*P dense, 3.3 with T(f) W*P, R and its
-    # conjugate held whole)
+    # them, measured 0.46 slabs (0.54 with the series on all columns, 1.6 with W*P dense,
+    # 3.3 with T(f) W*P, R and its conjugate held whole)
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 24), 24) < 0.65
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 24), 24) < 0.56
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # one slab is 150 MB here; measured 0.38 slabs, where W*P alone was one slab
+    # one slab is 150 MB here; measured 0.35 slabs (0.38 with the series on all columns),
+    # where W*P alone was one slab
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 28), 28) < 0.46
+    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 28), 28) < 0.42
 
 
 @pytest.mark.parametrize("N, series_peak", [(12, 8.2), (16, 6.25)])
 def test_wide_generator_peak(N, series_peak):
     # g of max mode N has one spectator, the empty one, and one block of all dim rows,
-    # exponentiated in column chunks of at most a slab.  Measured 7.2 and 5.7 slabs; the
-    # full-space series of ref.weyl_residual_series measured 8.2 and 6.2 on the same call.
+    # exponentiated in column chunks of at most a slab.  Measured 6.2 and 5.1 slabs (6.7
+    # and 5.4 while the caller kept the gather that exp_blocks copies); the full-space
+    # series of ref.weyl_residual_series measured 8.2 and 6.2 on the same call.
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -92,10 +95,11 @@ def test_series_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 5.3 MB peak and left 1.5 MB of
-    # caches behind; with W*P dense the peak was 7.8 MB, with R held whole 10.5 MB, with
-    # the full-space series 17.4 MB and 3.1 MB, and with dense level blocks 27.4 MB and
-    # 10.4 MB.  The bounds allow about 20% and 40% over the measured values.
+    # From cleared caches the N = 10..18 sweep measured a 4.7 MB peak and left 1.5 MB of
+    # caches behind; with the series on all columns the peak was 5.3 MB, with W*P dense
+    # 7.8 MB, with R held whole 10.5 MB, with the full-space series 17.4 MB and 3.1 MB,
+    # and with dense level blocks 27.4 MB and 10.4 MB.  The bounds allow about 20% and
+    # 40% over the measured values.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
@@ -108,7 +112,7 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6.4e6
+    assert peak < 5.6e6
     assert held < 2.1e6
 
 

@@ -178,6 +178,12 @@ class TestWeylAdjoint:
         zero = fn.circle_from_real_modes(0.0)
         assert sugawara.weyl_adjoint_stress_residual(zero, f, 8) < 1e-12
 
+    def test_negative_cutoff_refused(self):
+        rng = np.random.default_rng(33)
+        g, f = fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)
+        with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+            sugawara.weyl_adjoint_stress_residual(g, f, -1)
+
     def test_residual_decreases_with_cutoff(self):
         rng = np.random.default_rng(34)
         g = _unit_sobolev(fn.random_real_circle(2, rng), 0.5)
