@@ -318,9 +318,12 @@ def _check_options(args):
 
 
 def _kappas(text: str) -> list:
-    kappas = [_option("--kappa", x) for x in text.split(",") if x]
-    if not kappas:
+    entries = text.split(",")
+    if not any(entries):
         raise UsageError("--kappa: no value given")
+    if not all(entries):
+        raise UsageError("--kappa: empty entry")
+    kappas = [_option("--kappa", x) for x in entries]
     for kappa in kappas:
         if abs(kappa) > KAPPA_MAX:
             raise UsageError(f"--kappa: {kappa:g} is out of range: |kappa| must be "

@@ -11,14 +11,9 @@ J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples (src,
 dst, w) over basis(N), column src going to w times row dst, w in the amplitude
 basis, so that J_n and L_n have exact integer and half weights.  A vector is
 applied by one scatter of the entries, the products w v[src] summed onto their
-rows.  Triples are composed by products, which is also how the Weyl path
-applies T(f) to exp(-i J(g)) P, held as its entries.  In the orthonormalized
-basis, gauged to make J(f) real symmetric, J(f) changes only the parts up to
-f's top mode: one small block per budget (spectators); _exp_gauged gives every
-block's exp(i t J(f)), complex symmetric, at once, by a Chebyshev series that
-applies J(f) as a fixed-width gather, a block of rows at a time, which bounds
-its temporaries.  Spectators.exp_blocks runs it on the first k columns of the
-blocks only, the columns that the Weyl path reads.
+rows.  Triples are composed by products.  exp_current gives exp(i t A) X for
+a Hermitian A, such as J(f) rescaled to the orthonormalized basis, by a
+Chebyshev series whose every step is one such scatter.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -39,7 +34,6 @@ from .fnspace import CircleFourier
 
 Op = tuple  # (src, dst, w): column src goes to w times row dst; entries may repeat
 
-GATHER_ENTRIES = 512  # gathered entries (rows x width) per row block: caps a gather's temporary
 _EMPTY = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
@@ -168,30 +162,6 @@ def merge(op: Op, dim: int) -> Op:
     return key % dim, key // dim, out
 
 
-def gather(op: Op, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """op as a fixed-width gather (S, W): row r of op Z is sum_k W[r, k] Z[S[r, k]].
-    A row keeps its entries in the order of op; zero weights pad a short row."""
-    src, dst, w = op
-    order = np.argsort(dst, kind="stable")
-    count = np.bincount(dst, minlength=dim)
-    slot = np.arange(len(dst)) - np.repeat(np.cumsum(count) - count, count)
-    S = np.zeros((dim, np.max(count, initial=0)), dtype=int)
-    W = np.zeros(S.shape, dtype=w.dtype)
-    S[dst[order], slot], W[dst[order], slot] = src[order], w[order]
-    return S, W
-
-
-def _row_blocks(S: np.ndarray):
-    """Slices of the rows of a gather, each gathering at most GATHER_ENTRIES entries per column."""
-    step = max(1, GATHER_ENTRIES // max(S.shape[1], 1))
-    return (slice(r, r + step) for r in range(0, len(S), step))
-
-
-def _gathered(S: np.ndarray, W: np.ndarray, Z: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the gather (S, W) applied to the columns of Z."""
-    return np.matmul(W[rows, None], Z[S[rows]])[:, 0]
-
-
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """Amplitudes over basis_partitions(cutoff): data is (dim,) or a (dim, k) batch."""
@@ -281,108 +251,29 @@ def _tail_degree(z: float) -> int:
     return int(np.argmax(2 * tails <= 2.0**-53))
 
 
-def _real_gauge(f: CircleFourier, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonal phase U that makes J(f) a real symmetric matrix.
+def exp_current(A: Op, t: float, X: FockVector) -> FockVector:
+    """exp(i t A) X for the triples A of a Hermitian operator over basis(X.cutoff), such
+    as J(f) rescaled to the orthonormalized basis.
 
-    With c_{-n} = conj c_n and U e_p = e^{i phi(p)} e_p, phi(p) = -sum_{parts j of
-    p} arg c_j, one has U* J(f) U = sum_{n>0} |c_n| (J_n + J_{-n}) in the
-    orthonormalized basis.  Returns (e^{i phi}, S, W), with that operator as the
-    gather (S, W).
+    ||A|| <= b, its largest absolute row sum, and exp(i t A) is the Chebyshev series
+    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z) fixed in
+    advance.  Each step of the recurrence T_k = 2 (A / b) T_{k-1} - T_{k-2} on the
+    columns of X is one apply.  Raises ArithmeticError rather than return a
+    non-finite result.
     """
-    # orthonormalized, J_n and J_{-n} = J_n* have the entries sqrt(w), w those of J_n
-    c = np.array([f.coeff(n) for n in range(1, min(f.max_mode, N) + 1)])
-    J = {n: mode_triples(n, N) for n in range(1, c.size + 1)}
-    S, W = gather(concat([(a, b, abs(c[n - 1]) * np.sqrt(J[n][2])) for n in range(1, c.size + 1)
-                          if c[n - 1] != 0 for a, b in (J[n][:2], J[n][1::-1])]),  # J_n, J_-n
-                  len(basis(N).norm_sq))
-    phase = np.exp(-1j * (basis(N).counts[:, 1:c.size + 1] @ np.angle(c)))
-    return phase, S, W
-
-
-class Spectators(NamedTuple):
-    """basis(N) split for an operator of the parts <= m, as by spectators(N, m)."""
-    local: np.ndarray  # local[i]: row i without its spectator, among the spectator-free rows
-    pos: np.ndarray  # pos[i]: the place of row i sorted by budget, local row and spectator
-    budget: np.ndarray  # budget[i]: the index in sizes of row i's budget
-    sizes: np.ndarray  # d_r, the spectator-free rows of level <= r, per budget r ascending
-    counts: np.ndarray  # n_r, the spectators of budget r
-
-    def exp_blocks(self, S: np.ndarray, W: np.ndarray, t: float, cells: int, k: int):
-        """Yield (c, [E_r]): the columns c, c + 1, ... below k of E_r = exp(i t A_r),
-        A_r the block of level <= r of the spectator-free rows of the gather (S, W) of
-        _real_gauge, from one _exp_gauged call on their direct sum per chunk of columns;
-        a chunk has at most ``cells`` entries, and at least cells / dim columns.  So E_r
-        comes as its first min(d_r, k) columns.  The gather is released once the direct
-        sum is built: a caller that holds no reference to it frees it then."""
-        free = np.flatnonzero(self.budget == len(self.sizes) - 1)  # the rows of budget N
-        Sf, ends = self.local[S[free]], np.cumsum(self.sizes)
-        S2 = np.concatenate([Sf[:d] + e - d for d, e in zip(self.sizes, ends)])
-        W2 = np.concatenate([W[free[:d]] * (Sf[:d] < d) for d in self.sizes])  # cut at level r
-        del S, W, Sf
-        k = min(k, self.sizes[-1])
-        width = cells // ends[-1]  # >= cells // dim: each budget has a spectator
-        for c in range(0, k, width):
-            E = _exp_gauged(S2, W2, t, np.concatenate(
-                [np.eye(d, min(width, k - c), -c) for d in self.sizes]))
-            yield c, [Er[:, :max(d - c, 0)] for Er, d in zip(np.split(E, ends[:-1]), self.sizes)]
-            del E  # before the next chunk is built
-
-
-def spectators(N: int, m: int) -> Spectators:
-    """Row i of basis(N) is a spectator-free row (no part above m) with the parts of its
-    spectator rho added.  An operator of the parts <= m, truncated at N, acts on the rows
-    of rho as on the spectator-free rows of level <= r = N - |rho|, the budget."""
-    b = basis(N)
-    level = np.repeat(np.arange(N + 1), np.diff(b.offsets))
-    low = b.counts * (np.arange(N + 1) <= m)
-    spec = b.find(b.counts - low)  # the spectator's row, the vacuum's for none
-    local = np.searchsorted(np.flatnonzero(spec == 0), b.find(low))
-    budgets, budget = np.unique(N - level[spec], return_inverse=True)
-    return Spectators(local, np.argsort(np.lexsort((spec, local, budget))), budget,
-                      np.searchsorted(level[spec == 0], budgets, "right"),
-                      np.bincount(budget[local == 0]))
-
-
-def _exp_gauged(S: np.ndarray, W: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:
-    """exp(i t A) X for the real symmetric A of the gather (S, W) of _real_gauge.
-
-    ||A|| <= b, its largest row sum, and exp(i t A) is the Chebyshev series
-    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z)
-    fixed in advance.  The recurrence runs on the real columns of X (its real
-    and imaginary parts when X is complex) in two buffers, T_k overwriting
-    T_{k-2} one row block at a time, and sums the real (k even) and imaginary
-    (k odd) coefficients apart in the same blocks.  For A a direct sum of
-    spectator blocks and X their stacked identities (Spectators.exp_blocks),
-    this is every block's exponential.  Raises ArithmeticError rather than
-    return a non-finite result.
-    """
-    b = np.max(W.sum(axis=1), initial=0.0)
+    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X.data)), initial=0.0)
     K = _tail_degree(t * b)
     M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
     coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
     coef[1:] *= 2  # now eps_k i^k J_k(t b)
-    W = 2 * W / (b or 1.0)
-
-    prev = np.array(X, dtype=np.result_type(X, float)).view(float)  # T_0 X on real columns
-    Y = np.zeros(X.shape, dtype=complex)  # for real X, the two sums are its two parts
-    yr, yi = (Y.view(float), np.zeros_like(prev)) if np.iscomplexobj(X) else (Y.real, Y.imag)
-    np.multiply(prev, coef[0].real, out=yr)
-    cur = np.empty_like(prev)
+    A = scaled(2 / (b or 1.0), A)
+    last, cur = X.data, apply(A, X).data / 2  # T_0 X and T_1 X
+    Y = coef[0] * last
     for k in range(1, K + 1):
-        y, a = (yi, coef[k].imag) if k % 2 else (yr, coef[k].real)  # i^k J_k(z): real iff k even
-        last, out = (prev, cur) if k == 1 else (cur, prev)  # T_k = 2 x T_{k-1} - T_{k-2} into out
-        for rows in _row_blocks(S):
-            if k == 1:  # T_1 = x T_0
-                np.multiply(_gathered(S, W, last, rows), 0.5, out=out[rows])
-            else:
-                np.subtract(_gathered(S, W, last, rows), out[rows], out=out[rows])
-            y[rows] += a * out[rows]
         if k > 1:
-            prev, cur = cur, prev
-    if np.iscomplexobj(X):  # Y = yr + i yi on the complex columns
-        for rows in _row_blocks(S):
-            Y[rows] += 1j * yi.view(complex)[rows]
+            last, cur = cur, apply(A, FockVector(X.cutoff, cur)).data - last
+        Y += coef[k] * cur
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
-    return Y
+    return FockVector(X.cutoff, Y)

@@ -1,14 +1,14 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
 the array layer in chiralground.fock must reproduce; the Weyl adjoint
-residual computed with a dense eigendecomposition of J(g), and with the
-Chebyshev series of exp(-+i J(g)) on the whole basis; dense level blocks
-of J_n and of L_n (summed pair by pair), the dense bracket residual built on
-them, and the dense matrix of a set of triples; the triples of J_n one n at a
-time and of L_n one pair at a time; and small helpers of the
+residual on the fixed slab computed with a dense eigendecomposition of J(g),
+and with the Chebyshev series of exp(-+i J(g)) applied on both sides of T(f);
+dense level blocks of J_n and of L_n (summed pair by pair), the dense bracket
+residual built on them, and the dense matrix of a set of triples; the triples
+of J_n one n at a time and of L_n one pair at a time; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
-amplitudes by partition, the smeared stress tensor T(f), exp(i t J(f)) on
-ungauged columns and a gather of fock.gather applied to dense columns.
+amplitudes by partition, the smeared stress tensor T(f) and exp(i t J(f)) on
+columns in the orthonormalized basis.
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -224,60 +224,48 @@ def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> flo
         m + n, lvl) + central * np.eye(*virasoro_block(m + n, lvl).shape), N)
 
 
+def current_orthonormal(f, N: int) -> fock.Op:
+    """The triples of J(f) on basis(N) rescaled to the orthonormalized basis."""
+    return fock.rescaled(fock.smear(fock.mode_triples, f, N), np.sqrt(fock.basis(N).norm_sq))
+
+
 def exp_current(f, t: float, X: np.ndarray, N: int) -> np.ndarray:
-    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N:
-    U exp(i t A) U* X in the real gauge J(f) = U A U* of fock._real_gauge."""
-    phase, S, W = fock._real_gauge(f, N)
-    return phase[:, None] * fock._exp_gauged(S, W, t, phase.conj()[:, None] * X)
+    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N."""
+    return fock.exp_current(current_orthonormal(f, N), t, fock.FockVector(N, X)).data
 
 
-def weyl_residual_eigh(g, f, N: int) -> float:
-    """The Weyl adjoint residual with W = exp(i J(g)) from the eigendecomposition
-    of the dense Hermitian J(g), on the level-<=N/2 slab of the array layer."""
-    Jg = operator_matrix(lambda v: fock.apply_current(g, v), N)
-    lam, V = np.linalg.eigh(Jg)
+def _weyl_slab_columns(g, f, N: int) -> tuple:
+    """The orthonormalized T(f), the slab P of levels <= WEYL_SLAB and X P, with
+    X = T(f) + J(f g') + sigma(f g', g) / (2 SIGMA_NORM), as dense columns."""
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]
 
     def hat(op, h, Y):
         return s * op(h, fock.FockVector(N, Y / s)).data
 
-    P = np.eye(len(s), fock.basis(N).offsets[N // 2 + 1])
+    P = np.eye(len(s), fock.basis(N).offsets[min(sugawara.WEYL_SLAB, N) + 1])
+    XP = (hat(apply_stress_circle, f, P) + hat(fock.apply_current, fgp, P)
+          + fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
+    return (lambda Y: hat(apply_stress_circle, f, Y)), P, XP
+
+
+def weyl_residual_eigh(g, f, N: int) -> float:
+    """The Weyl adjoint residual ||(W T(f) W* - X) P|| with W = exp(i J(g)) from the
+    eigendecomposition of the dense Hermitian J(g), on the fixed slab P."""
+    lam, V = np.linalg.eigh(operator_matrix(lambda v: fock.apply_current(g, v), N))
+    T, P, XP = _weyl_slab_columns(g, f, N)
     WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
-    TWsP = hat(apply_stress_circle, f, WsP)
-    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ TWsP))
-    A = (WTWsP - hat(apply_stress_circle, f, P) - hat(fock.apply_current, fgp, P)
-         - fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
-    return float(np.linalg.norm(A, ord=2))
+    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ T(WsP)))
+    return float(np.linalg.norm(WTWsP - XP, ord=2))
 
 
-def apply_gather(S: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The gather (S, W) of fock.gather applied to the columns of Z, a block of rows at
-    a time."""
-    out = np.empty((len(S), Z.shape[1]), dtype=np.result_type(W, Z))
-    for rows in fock._row_blocks(S):
-        out[rows] = fock._gathered(S, W, Z, rows)
-    return out
-
-
-def weyl_residual_series(g, f, N: int) -> float:
-    """The Weyl adjoint residual with exp(-+i A) applied to the whole basis by the
-    series of fock._exp_gauged, in the real gauge J(g) = U A U* of fock._real_gauge:
-    exp(-i A) on the level-<=N/2 slab P, T(f) on the result, exp(i A) on that, and
-    T(f), J(f g') and the scalar subtracted as entries on P."""
-    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
-    phase, S, W = fock._real_gauge(g, N)
-    e = np.sqrt(fock.basis(N).norm_sq) / phase
-    T = fock.rescaled(fock.smear(sugawara.virasoro_triples, f, N), e)
-    slab = fock.basis(N).offsets[N // 2 + 1]
-    TWsP = apply_gather(*fock.gather(T, len(e)),
-                        fock._exp_gauged(S, W, -1.0, np.eye(len(e), slab)))
-    R = fock._exp_gauged(S, W, 1.0, TWsP)
-    src, dst, w = fock.concat([T, fock.rescaled(fock.smear(fock.mode_triples, fgp, N), e),
-                               fock.identity(N, fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM))])
-    on = src < slab
-    np.subtract.at(R, (dst[on], src[on]), w[on])
-    return math.sqrt(max(np.linalg.eigvalsh(R.conj().T @ R)[-1], 0.0))
+def weyl_residual_two_sided(g, f, N: int) -> float:
+    """The Weyl adjoint residual ||(W T(f) W* - X) P|| on the fixed slab, with the
+    series of fock.exp_current applied on both sides of T(f): exp(-i J(g)) to P,
+    exp(i J(g)) to T(f) W*P, and X P subtracted."""
+    T, P, XP = _weyl_slab_columns(g, f, N)
+    WTWsP = exp_current(g, 1.0, T(exp_current(g, -1.0, P, N)), N)
+    return float(np.linalg.norm(WTWsP - XP, ord=2))
 
 
 def virasoro_block(n: int, level: int) -> np.ndarray:

@@ -201,15 +201,20 @@ def test_ground_input_is_validated(argv, message, capsys, recwarn):
     (["nonnormal", "--q", "nan"], "--q: nan is not a finite number"),
     (["ground", "--q", "inf"], "--q: inf is not a finite number"),
     (["charge", "--kappa", ","], "--kappa: no value given"),
+    (["charge", "--kappa", "1,,2"], "--kappa: empty entry"),
+    (["charge", "--kappa", "0,1,"], "--kappa: empty entry"),
+    (["charge", "--kappa", ",1"], "--kappa: empty entry"),
     (["verify", "--cutoff", "4", "--seed", "-1"], "--seed must be >= 0"),
     (["ground", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["charge-kappa-abc", "charge-kappa-nan", "nonnormal-q-nan", "ground-q-inf",
-        "charge-kappa-empty", "verify-seed-negative", "ground-seed-negative"])
+        "charge-kappa-empty", "charge-kappa-empty-entry", "charge-kappa-trailing-comma",
+        "charge-kappa-leading-comma", "verify-seed-negative", "ground-seed-negative"])
 def test_numeric_options_are_validated(argv, message, capsys):
     # charge --kappa abc ended in a traceback, --kappa nan and nonnormal --q nan
     # printed nan, ground --q inf raised LinAlgError, --kappa , printed an
-    # empty table and --seed -1 ended in numpy's error, which names no option,
-    # with exit status 1
+    # empty table, --kappa 1,,2 and 0,1, dropped the empty entry and printed the
+    # other rows with exit status 0, and --seed -1 ended in numpy's error, which
+    # names no option, with exit status 1
     rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"

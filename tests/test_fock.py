@@ -2,7 +2,6 @@ import fock_reference as ref
 import numpy as np
 import pytest
 
-from chiralground import cli
 from chiralground import fnspace as fn
 from chiralground import fock
 
@@ -163,16 +162,6 @@ class TestMatrices:
 
 
 class TestApply:
-    def test_verify_and_charge_need_no_gather(self, monkeypatch):
-        # fock.apply scatters the entries of an operator; the row-blocked gather is left
-        # to the Weyl path, which neither subcommand runs
-        def refused(*args):
-            raise AssertionError("fock.gather called")
-
-        monkeypatch.setattr(fock, "gather", refused)
-        assert cli.main(["verify", "--cutoff", "8"]) == 0
-        assert cli.main(["charge", "--cutoff", "8"]) == 0
-
     def test_batch_equals_its_columns_and_the_dense_matrix(self):
         N = 7
         J1, Jm2 = fock.mode_triples(1, N), fock.mode_triples(-2, N)

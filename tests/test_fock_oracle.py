@@ -2,8 +2,9 @@
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
-at a time; the Weyl adjoint residual against three dense or whole-basis
-formulas; and the exactness window of the central charge
+at a time; the Weyl adjoint residual on its fixed slab against dense expm, the
+eigendecomposition of J(g) and the series applied on both sides, and its
+mutations; and the exactness window of the central charge
 against the same amplitude at a larger cutoff."""
 
 import math
@@ -169,7 +170,8 @@ def test_charge_window_is_exact_and_tight(pair):
 
 
 def _weyl_dense(g, f, N):
-    """The dense formula: ||(W T(f) W* - T(f) - J(f g') - sigma) P|| with W = expm(i J(g))."""
+    """The dense formula: ||(W T(f) W* - T(f) - J(f g') - sigma) P|| with W = expm(i J(g)),
+    P the fixed slab of levels <= WEYL_SLAB."""
     Jg = ref.dense_matrix(lambda v: ref.smeared(ref.apply_mode, g, v), N)
     Tf = ref.dense_matrix(lambda v: ref.smeared(ref.apply_virasoro_mode, f, v), N)
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
@@ -177,7 +179,12 @@ def _weyl_dense(g, f, N):
     W = expm(1j * Jg)
     scalar = fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM)
     A = W @ Tf @ W.conj().T - Tf - Jfgp - scalar * np.eye(len(Tf))
-    return np.linalg.norm(A[:, : len(ref.partitions_upto(N // 2))], ord=2)
+    return np.linalg.norm(A[:, : len(ref.partitions_upto(sugawara.WEYL_SLAB))], ord=2)
+
+
+# The residual is a difference of O(1) terms: near 1e-12 the rounding of those terms
+# dominates it, so the oracles compare it with a relative and an absolute tolerance.
+WEYL_REL, WEYL_ABS = 1e-10, 1e-14
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])
@@ -186,7 +193,7 @@ def test_weyl_adjoint_matches_dense_expm(N):
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(_weyl_dense(g, f, N), rel=1e-10)
+    assert r == pytest.approx(_weyl_dense(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
 def _sized_pair(seed, size):
@@ -201,156 +208,69 @@ def _sized_pair(seed, size):
 def test_weyl_adjoint_matches_eigh_formula(N, seed):
     g, f = _sized_pair(seed, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-12)
+    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
 @pytest.mark.parametrize("N", [N for N in range(10, 21) if N not in (12, 14, 16)])
 def test_weyl_adjoint_matches_eigh_formula_to_cutoff_20(N):
-    # the rows of R are streamed per budget; the dense eigendecomposition holds all of them
     g, f = _sized_pair(1, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=1e-12)
+    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
 @pytest.mark.parametrize("N, seed", [(N, seed) for N in range(10, 21) for seed in (1, 2)]
                          + [(22, 1), (24, 1)])
 def test_weyl_adjoint_blocks_match_the_series(N, seed):
+    # one series on the stacked column blocks [P | X P] against the series applied on
+    # both sides of T(f), W T(f) W* P - X P, also past the cutoffs the eigh formula reaches
     g, f = _sized_pair(seed, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12)
+    assert r == pytest.approx(ref.weyl_residual_two_sided(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
-@pytest.mark.parametrize("N, m, F", [(10, 2, 2), (12, 2, 2), (16, 2, 2), (18, 2, 2), (12, 1, 3),
-                                     (14, 3, 1)])
-def test_weyl_adjoint_column_cut_is_tight(N, m, F, monkeypatch):
-    # the rows of X P reach local level N // 2 + max(min(F, 2 m), m) and no higher (F, m:
-    # the top modes of f and g; the local level is that of the parts <= m), and W* X P
-    # reads the columns of each E_r on the spectator-free rows up to that level: the
-    # residual passes their count to exp_blocks, and zeroing those of the top level misses
-    rng = np.random.default_rng(1)
-    g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
-            for h in (fn.random_real_circle(m, rng), fn.random_real_circle(F, rng)))
-    top = N // 2 + max(min(F, 2 * m), m)
-    b = fock.basis(N)
-    fgp = fn.pointwise_product(f, fn.derivative(g), F + m)
-    src, dst, _ = fock.concat([fock.smear(sugawara.virasoro_triples, f, N),
-                               fock.smear(fock.mode_triples, fgp, N)])
-    local = b.counts[:, :m + 1] @ np.arange(m + 1)
-    assert local[dst[src < b.offsets[N // 2 + 1]]].max() == top
-    exact = ref.weyl_residual_series(g, f, N)
-    exp_blocks, passed = fock.Spectators.exp_blocks, []
-
-    def residual(zero_from):  # with the columns of each E_r from zero_from on zeroed
-        def cut(sp, S, W, t, cells, k):
-            passed.append(k)
-            for c, Es in exp_blocks(sp, S, W, t, cells, k):
-                for E in Es:
-                    E[:, max(zero_from - c, 0):] = 0
-                yield c, Es
-
-        monkeypatch.setattr(fock.Spectators, "exp_blocks", cut)
-        return sugawara.weyl_adjoint_stress_residual(g, f, N)
-
-    below, k = (sum(len(fock.partitions_at(lvl, m)) for lvl in range(level + 1))
-                for level in (top - 1, top))  # the spectator-free rows to that level
-    assert residual(k) == pytest.approx(exact, rel=1e-12)
-    assert abs(residual(below) - exact) > 0.1 * exact
-    assert passed == [k, k]
-
-
-@pytest.mark.parametrize("max_mode", [0, 1, 3])
+@pytest.mark.parametrize("max_mode", [0, 1, 3, None])
 def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
+    # None stands for a generator of top mode N, which moves every part
     rng = np.random.default_rng(50)
-    g, f = fn.random_real_circle(max_mode, rng, 0.3), fn.random_real_circle(2, rng, 0.3)
-    for N in range(15):
+    for N in range(15 if max_mode is not None else 13):
+        g = fn.random_real_circle(N if max_mode is None else max_mode, rng, 0.3)
+        f = fn.random_real_circle(2, rng, 0.3)
         r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-        assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12, abs=1e-15)
+        assert r == pytest.approx(ref.weyl_residual_two_sided(g, f, N), rel=WEYL_REL,
+                                  abs=WEYL_ABS)
+        assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
-def test_weyl_adjoint_streams_a_wide_generator_by_column_chunks(monkeypatch):
-    # g of top mode N has one block of all dim rows, exponentiated a slab of columns at a
-    # time; its rows of T(f) exp(-i A) P are kept between chunks
-    N = 12
-    rng = np.random.default_rng(1)
-    g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
-            for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
-    chunks = []
-    exp_blocks = fock.Spectators.exp_blocks
-
-    def counted(sp, *args):
-        for c, Es in exp_blocks(sp, *args):
-            chunks.append(c)
-            yield c, Es
-
-    monkeypatch.setattr(fock.Spectators, "exp_blocks", counted)
-    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert len(chunks) > 1
-    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-12)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weyl_adjoint_reaches_rounding_on_the_fixed_slab(seed):
+    # measured 5.3e-12, 1.3e-11 and 4.2e-15 at N = 30 on seeds 1, 2 and 3
+    g, f = _sized_pair(seed, 0.5)
+    assert sugawara.weyl_adjoint_stress_residual(g, f, 30) < 1e-10
 
 
-@pytest.mark.parametrize("max_mode", [1, 2, 3, None])
-def test_exp_blocks_are_symmetric(max_mode):
-    # the Weyl residual reads the column chunks of each E_r = exp(i A_r) as its rows;
-    # None stands for a generator of top mode N, whose one block comes in several chunks.
-    # Cut to k columns, each block is the first min(d_r, k) columns of the full one.
-    for N in range(21 if max_mode else 13):
-        g = fn.random_real_circle(max_mode or N, np.random.default_rng(52), 0.3)
-        _, S, W = fock._real_gauge(g, N)
-        sp = fock.spectators(N, min(g.max_mode, N))
-        off = fock.basis(N).offsets
-
-        def blocks(k):
-            tables = [[] for _ in sp.sizes]
-            for _, Es in sp.exp_blocks(S, W, 1.0, off[-1] * off[N // 2 + 1], k):
-                for table, E in zip(tables, Es):
-                    table.append(E)
-            return [np.hstack(table) for table in tables]
-
-        full = blocks(sp.sizes[-1])
-        for E, d in zip(full, sp.sizes):
-            assert E.shape == (d, d) and np.max(np.abs(E - E.T)) <= 1e-14
-        for k in sorted({1, *sp.sizes[:-1], sp.sizes[-1] - 1, sp.sizes[-1] + 1} - {0}):
-            for E, F, d in zip(blocks(k), full, sp.sizes):
-                assert E.shape == (d, min(d, k)) and np.max(np.abs(E - F[:, :k])) <= 1e-15
+def test_weyl_adjoint_sees_a_wrong_scalar(monkeypatch):
+    # the scalar shifted by 1e-6 reads 1e-6 where the identity holds to 5.3e-9
+    g, f = _sized_pair(1, 0.5)
+    assert sugawara.weyl_adjoint_stress_residual(g, f, 24) < 1e-8
+    sigma = sugawara.sigma
+    monkeypatch.setattr(sugawara, "sigma",
+                        lambda a, b: sigma(a, b) + 2e-6 * fn.SIGMA_NORM)
+    assert sugawara.weyl_adjoint_stress_residual(g, f, 24) == pytest.approx(1e-6, rel=1e-2)
 
 
-@pytest.mark.parametrize("max_mode", [1, 2, 3])
-def test_gauged_current_splits_into_spectator_blocks(max_mode):
-    N = 12
-    g = fn.random_real_circle(max_mode, np.random.default_rng(51))
-    _, S, W = fock._real_gauge(g, N)
-    parts = fock.basis_partitions(N)
-    A = np.zeros((len(parts), len(parts)))
-    np.add.at(A, (np.arange(len(parts))[:, None], S), W)
-    spectator = [tuple(p for p in q if p > max_mode) for q in parts]
-    free = [i for i, rho in enumerate(spectator) if not rho]
-    local = {parts[i]: k for k, i in enumerate(free)}
-    rows = {}  # the rows of each spectator, by their local part
-    for i, q in enumerate(parts):
-        rows.setdefault(spectator[i], []).append((local[tuple(p for p in q if p <= max_mode)], i))
-    assert np.array_equal(A, A.T)
-    sp = fock.spectators(N, max_mode)
-    for rho, pairs in rows.items():
-        ks, at = map(list, zip(*sorted(pairs)))
-        assert not np.any(np.delete(A[:, at], at, axis=0))  # no entry leaves the spectator
-        budget = N - sum(rho)
-        d = sum(sum(parts[i]) <= budget for i in free)
-        assert ks == list(range(d))  # every spectator-free row of level <= the budget
-        assert np.array_equal(A[np.ix_(at, at)], A[np.ix_(free[:d], free[:d])])
-        assert list(sp.local[at]) == ks and np.all(sp.sizes[sp.budget[at]] == d)
-    # grouped by budget, local row and spectator: the rows of a budget form (d_r, n_r) blocks
-    order = np.argsort(sp.pos)
-    for block, d, n in zip(np.split(order, np.cumsum(sp.sizes * sp.counts)[:-1]), sp.sizes,
-                           sp.counts):
-        block = block.reshape(d, n)
-        assert block.shape == (d, n) and np.all(sp.local[block] == np.arange(d)[:, None])
-        assert all(len({spectator[i] for i in col}) == 1 for col in block.T)
+def test_weyl_adjoint_sees_the_sign_of_the_current_term(monkeypatch):
+    # f g' with its sign flipped, in J(f g') and in the scalar, measured 2.42
+    g, f = _sized_pair(1, 0.5)
+    product = sugawara.pointwise_product
+    monkeypatch.setattr(sugawara, "pointwise_product",
+                        lambda a, b, m: product(a, b, m).scale(-1.0))
+    assert sugawara.weyl_adjoint_stress_residual(g, f, 24) > 1.0
 
 
 def _series_argument(g, N):
-    """z = t b at t = 1: b is the largest row sum of J(g) in its real gauge."""
-    _, _, W = fock._real_gauge(g, N)
-    return np.max(W.sum(axis=1))
+    """z = t b at t = 1: b is the largest absolute row sum of the orthonormalized J(g)."""
+    _, dst, w = ref.current_orthonormal(g, N)
+    return np.max(np.bincount(dst, np.abs(w)))
 
 
 @pytest.mark.parametrize("size", [0.5, 3.0, 6.0])
@@ -368,17 +288,6 @@ def test_exp_current_matches_dense_expm(N, size):
         assert np.max(np.abs(ref.exp_current(g, t, X, N) - dense @ X)) < 1e-12
 
 
-def test_real_gauge_makes_the_current_real_symmetric():
-    g, _ = _sized_pair(44, 1.0)
-    N = 8
-    phase, S, W = fock._real_gauge(g, N)
-    A = np.zeros((len(phase), len(phase)))
-    np.add.at(A, (np.arange(len(phase))[:, None], S), W)
-    J = ref.operator_matrix(lambda v: fock.apply_current(g, v), N)
-    assert np.max(np.abs(phase.conj()[:, None] * J * phase - A)) < 1e-13
-    assert np.max(np.abs(A - A.T)) < 1e-14
-
-
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.1, 0.6, 1.0, 3.2, -5.2, 10.0, 20.0, 40.0, 60.0])
 def test_tail_degree_bounds_the_bessel_tail(z):
     K = fock._tail_degree(z)
@@ -391,19 +300,6 @@ def test_tail_degree_bounds_the_bessel_tail(z):
         assert 2 * sum(h**k / mpmath.factorial(k) for k in range(K, K + 200)) > 2.0**-53
     if z in (3.2, -5.2):
         assert K == {3.2: 21, -5.2: 26}[z]
-
-
-@pytest.mark.parametrize("t", [1.0, -1.0])
-def test_gauged_series_on_real_columns_matches_complex_columns(t, monkeypatch):
-    g, _ = _sized_pair(45, 3.0)
-    N = 12  # 272 rows: more than one gather block
-    _, S, W = fock._real_gauge(g, N)
-    X = np.random.default_rng(46).standard_normal((len(fock.basis_partitions(N)), 6))
-    Y = fock._exp_gauged(S, W, t, X)
-    assert np.max(np.abs(Y - fock._exp_gauged(S, W, t, X + 0j))) < 1e-13
-    for entries in (1, 28, 10**6):  # the row blocks of the gathers do not change the result
-        monkeypatch.setattr(fock, "GATHER_ENTRIES", entries)
-        assert np.max(np.abs(fock._exp_gauged(S, W, t, X) - Y)) < 1e-13
 
 
 @pytest.mark.parametrize("N", [0, 1, 6, 10])

@@ -1,5 +1,5 @@
-"""Traced peak memory of the Weyl path, in units of the complex level slab
-(basis dimension x slab columns x 16 bytes), and of one fock.apply, in bytes
+"""Traced peak memory of the Weyl path, in bytes per entry of T(f), of its
+series, in bytes per entry of J(g) and column, and of one fock.apply, in bytes
 per entry of its operator.
 
 tracemalloc counts numpy's array allocations, so these peaks do not depend on
@@ -25,11 +25,6 @@ def _pair():
                  for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
 
 
-def _slab(N):
-    off = fock.basis(N).offsets
-    return np.eye(off[-1], off[N // 2 + 1])
-
-
 def _traced_peak(call):
     call()
     tracemalloc.start()
@@ -40,66 +35,59 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def _traced_peak_in_slabs(call, N):
-    return _traced_peak(call) / (2 * _slab(N).nbytes)
+def _weyl_peak_per_stress_entry(g, f, N):
+    """The warm traced peak of the Weyl residual in bytes per entry of T(f)."""
+    entries = len(fock.smear(sugawara.virasoro_triples, f, N)[0])
+    return _traced_peak(lambda: sugawara.weyl_adjoint_stress_residual(g, f, N)) / entries
 
+
+# The Weyl residual's peak is T(f) applied to the 4 columns of W*P: 128 bytes per entry
+# of T(f) in fock.apply (a complex product per column, its real or imaginary part, and
+# the place of each), beside the 32 bytes of T(f)'s own triples.  Each bound is about
+# 10% over the value measured at that cutoff.
 
 def test_weyl_residual_peak():
-    # measured 1.9 slabs with the series cut to the columns that W* X P reads, 2.3 on all
-    # columns with W*P held as its entries, 3.2 with W*P dense and the rows of R streamed
-    # per budget, 3.9 with R held whole; the full-space series measured 6.1 (6.2 with two
-    # buffers, 7.2 with three buffers and whole sums)
+    # 8,000 entries of T(f): measured 234 bytes per entry
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 16), 16) < 2.3
+    assert _weyl_peak_per_stress_entry(g, f, 16) < 260
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # one slab is 32 MB here, and the largest budget holds 7% of the rows: with W*P held
-    # as its entries the peak is one budget's rows of T(f) W*P and the products that form
-    # them, measured 0.46 slabs (0.54 with the series on all columns, 1.6 with W*P dense,
-    # 3.3 with T(f) W*P, R and its conjugate held whole)
+    # 83,313 entries of T(f): measured 205 bytes per entry
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 24), 24) < 0.56
+    assert _weyl_peak_per_stress_entry(g, f, 24) < 225
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # one slab is 150 MB here; measured 0.35 slabs (0.38 with the series on all columns),
-    # where W*P alone was one slab
+    # 230,951 entries of T(f), 46 MB: measured 201 bytes per entry
     g, f = _pair()
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, 28), 28) < 0.42
+    assert _weyl_peak_per_stress_entry(g, f, 28) < 220
 
 
-@pytest.mark.parametrize("N, series_peak", [(12, 8.2), (16, 6.25)])
-def test_wide_generator_peak(N, series_peak):
-    # g of max mode N has one spectator, the empty one, and one block of all dim rows,
-    # exponentiated in column chunks of at most a slab.  Measured 6.2 and 5.1 slabs (6.7
-    # and 5.4 while the caller kept the gather that exp_blocks copies); the full-space
-    # series of ref.weyl_residual_series measured 8.2 and 6.2 on the same call.
+@pytest.mark.parametrize("N, bound", [(12, 395), (16, 365)])
+def test_wide_generator_peak(N, bound):
+    # g of top mode N, so J(g) has entries from every row: measured 359 and 330 bytes per
+    # entry of T(f) at N = 12 and 16
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
-    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_series(g, f, N), rel=1e-10)
-    assert _traced_peak_in_slabs(lambda: sugawara.weyl_adjoint_stress_residual(g, f, N),
-                                 N) < series_peak
+    assert _weyl_peak_per_stress_entry(g, f, N) < bound
 
 
 def test_series_peak_on_the_slab():
-    # measured 5.6 slabs with the two-buffer series (6.4 with three buffers and whole sums)
+    # exp_current on the 2 x 4 columns [P | X P] of the fixed slab at N = 18: measured 64
+    # bytes per entry of J(g) and column, where one fock.apply takes 32 and the (dim, 8)
+    # buffers of the recurrence the rest
     g, _ = _pair()
-    P = _slab(18)
-    assert _traced_peak_in_slabs(lambda: ref.exp_current(g, -1.0, P, 18), 18) < 6
-    # in the gauge the slab keeps its real columns, and costs less than half: measured 2.3
-    _, S, W = fock._real_gauge(g, 18)
-    assert _traced_peak_in_slabs(lambda: fock._exp_gauged(S, W, -1.0, P), 18) < 2.5
+    N, k = 18, 2 * fock.basis(18).offsets[sugawara.WEYL_SLAB + 1]
+    A = ref.current_orthonormal(g, N)
+    X = fock.FockVector(N, np.eye(fock.basis(N).offsets[-1], k, dtype=complex))
+    assert _traced_peak(lambda: fock.exp_current(A, -1.0, X)) / (len(A[0]) * k) < 70
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 4.7 MB peak and left 1.5 MB of
-    # caches behind; with the series on all columns the peak was 5.3 MB, with W*P dense
-    # 7.8 MB, with R held whole 10.5 MB, with the full-space series 17.4 MB and 3.1 MB,
-    # and with dense level blocks 27.4 MB and 10.4 MB.  The bounds allow about 20% and
-    # 40% over the measured values.
+    # From cleared caches the N = 10..18 sweep measured a 4.9 MB peak and left 1.5 MB of
+    # caches behind.  The bounds allow about 15% and 40% over the measured values.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
