@@ -37,6 +37,11 @@ HEADERS = {
 # overflows from |kappa| = 4.4e153; at 1e150 it and 1 + kappa^2 stay below 1e301.
 KAPPA_MAX = 1e150
 
+# verify refuses a larger cutoff before any work: its basis has p(0) + ... + p(N) vectors,
+# and --cutoff 40 took 16 s and 1.0 GiB peak RSS on a 2-core host, each further level
+# multiplying both by about 1.25 (N = 50 would need some 8 GiB).
+VERIFY_CUTOFF_MAX = 40
+
 
 class UsageError(ValueError):
     """Input the command line accepted but the computation cannot honour (exit 2)."""
@@ -115,9 +120,10 @@ def run_verify(N: int, seed: int, drop_central: bool = False) -> tuple[list, boo
         check(f"virasoro({m},{n})", fock.exactness_window(N, m, n),
               lambda: sugawara.virasoro_residual(m, n, N, drop_central=drop_central), 1e-9)
 
-    def vacuum_moment(n):
-        v, L = fock.vacuum(N), sugawara.apply_virasoro_mode
-        return abs(fock.inner(v, L(n, L(-n, v))) - (n**3 - n) / 12.0)
+    def vacuum_moment(n):  # <vac, x> is x[0], the vacuum being the first basis vector
+        L = sugawara.virasoro_triples
+        return abs(fock.apply(L(n, N), fock.apply(L(-n, N), fock.vacuum(N)))[0]
+                   - (n**3 - n) / 12.0)
 
     for n in range(2, 6):  # L_{-n} vac lies on level n, which L_n takes back to the vacuum
         check(f"vacuum_moment({n})", fock.exactness_window(N, n),
@@ -132,10 +138,10 @@ def run_verify(N: int, seed: int, drop_central: bool = False) -> tuple[list, boo
     def adjointness(n):  # u, v on the levels <= the window, amplitudes drawn as (re, im) pairs
         off = fock.basis(N).offsets
         amps = rng.standard_normal((2, off[fock.exactness_window(N, n) + 1], 2)).view(complex)
-        u, v = (fock.FockVector(N, np.pad(a[:, 0], (0, off[-1] - len(a)))) for a in amps)
-        lhs = fock.inner(fock.apply_mode(-n, u), v)
-        rhs = fock.inner(u, fock.apply_mode(n, v))
-        return abs(lhs - rhs) / (fock.norm(u) * fock.norm(v))
+        u, v = (np.pad(a[:, 0], (0, off[-1] - len(a))) for a in amps)
+        lhs = fock.inner(fock.apply(fock.mode_triples(-n, N), u), v, N)
+        rhs = fock.inner(u, fock.apply(fock.mode_triples(n, N), v), N)
+        return abs(lhs - rhs) / (fock.norm(u, N) * fock.norm(v, N))
 
     for trial in range(3):
         n = int(rng.integers(1, 4))
@@ -146,8 +152,8 @@ def run_verify(N: int, seed: int, drop_central: bool = False) -> tuple[list, boo
         worst = 0.0
         for _ in range(50):
             f = random_real_circle(int(rng.integers(1, N + 1)), rng)
-            jf = fock.apply_current(f, fock.vacuum(N))
-            worst = max(worst, abs(fock.inner(jf, jf).real - sobolev_half_sq(f)))
+            jf = fock.apply(fock.smear(fock.mode_triples, f, N), fock.vacuum(N))
+            worst = max(worst, abs(fock.inner(jf, jf, N).real - sobolev_half_sq(f)))
         return worst
 
     # at N = 0 no mode of a test function fits under the cutoff
@@ -305,6 +311,8 @@ def _check_options(args):
     """Refuse options the computation cannot honour, with UsageError, before any work."""
     if args.command in ("verify", "charge") and args.cutoff < 0:
         raise UsageError("--cutoff must be >= 0")
+    if args.command == "verify" and args.cutoff > VERIFY_CUTOFF_MAX:
+        raise UsageError(f"--cutoff must be <= {VERIFY_CUTOFF_MAX} for verify")
     if args.seed < 0:  # numpy's default_rng refuses it with a message that names no option
         raise UsageError("--seed must be >= 0")
     if args.command in ("nonnormal", "ground"):

@@ -340,21 +340,6 @@ def _line_grid(M: int):
     return th, _t_of_theta_arr(th)
 
 
-def _on_grid(h: CircleFourier, K: int) -> np.ndarray:
-    """h at the half-shifted grid theta_j = (j + 1/2) 2pi/K, j < K.
-
-    One inverse FFT of the coefficients twisted by e^{i n pi/K}; raises
-    ValueError when K <= 2 * max_mode, where distinct modes would alias.
-    """
-    M = h.max_mode
-    if K <= 2 * M:
-        raise ValueError(f"{K} grid points alias the modes of a function with max mode {M}")
-    n = np.arange(-M, M + 1)
-    b = np.zeros(K, dtype=complex)
-    b[n % K] = h.full() * np.exp(1j * np.pi * n / K)
-    return (K * np.fft.ifft(b)).real
-
-
 def _project_samples(values, M: int, vanishes: bool) -> tuple[CircleFourier, float]:
     """Fourier projection of real samples on the half-shifted grid of K = values.size points.
 
@@ -362,16 +347,18 @@ def _project_samples(values, M: int, vanishes: bool) -> tuple[CircleFourier, flo
     for 0 <= n <= M, then c_0 shifted to make h(0) = sum_n c_n = 0 if the samples
     vanish at infinity; line integrals, the seminorm and sigma weight c_0 by 0.
     Returns the projection and the rms mismatch between its grid values and the
-    samples (the reported projection residual, shift included).
+    samples, shift included, by Parseval: the squares of the dropped bins M < n <= K/2
+    of fft(v) / K, twice (c_n and c_{-n}) but the Nyquist bin n = K/2, plus the shift
+    squared.  Needs K > 2 M, where the kept modes do not alias.
     """
     K = values.size
-    n = np.arange(M + 1)
-    pos = np.fft.rfft(values)[: M + 1] * np.exp(-1j * np.pi * n / K) / K
-    if vanishes:
-        pos[0] -= CircleFourier(pos).full().sum().real
-    out = CircleFourier(pos)
-    resid = float(np.sqrt(np.mean((_on_grid(out, K) - values) ** 2)))
-    return out, resid
+    spectrum = np.fft.rfft(values)
+    pos = spectrum[: M + 1] * np.exp(-1j * np.pi * np.arange(M + 1) / K) / K
+    shift = CircleFourier(pos).full().sum().real if vanishes else 0.0
+    pos[0] -= shift
+    tail = np.abs(spectrum[M + 1:]) ** 2
+    power = 2 * tail.sum() - (tail[-1] if K % 2 == 0 else 0.0)
+    return CircleFourier(pos), math.sqrt(shift**2 + power / K**2)
 
 
 def _resample_line(h, preimage, M: int) -> tuple[CircleFourier, float]:

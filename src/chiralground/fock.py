@@ -5,15 +5,15 @@ order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac.
 basis(N) indexes them by one table, counts[i, j] = m_j, the number of parts j
 of partition i; the squared norm prod_j j^{m_j} m_j!, the position of a
 multiplicity row (Basis.find) and every J_n, from one find, come from it.  A
-FockVector holds complex amplitudes over that basis, one column or a batch.
-J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).  J_n and
-J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples (src,
-dst, w) over basis(N), column src going to w times row dst, w in the amplitude
-basis, so that J_n and L_n have exact integer and half weights.  A vector is
-applied by one scatter of the entries, the products w v[src] summed onto their
-rows.  Triples are composed by products.  exp_current gives exp(i t A) X for
-a Hermitian A, such as J(f) rescaled to the orthonormalized basis, by a
-Chebyshev series whose every step is one such scatter.
+vector is a numpy array of complex amplitudes over that basis, (dim,) or a
+(dim, k) batch.  J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
+J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
+(src, dst, w) over basis(N), column src going to w times row dst, w in the
+amplitude basis, so that J_n and L_n have exact integer and half weights.  A
+vector is applied by one scatter of the entries, the products w v[src] summed
+onto their rows.  Triples are composed by products.  exp_current gives
+exp(i t A) X for a Hermitian A, such as J(f) rescaled to the orthonormalized
+basis, by a Chebyshev series whose every step is one such scatter.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -23,7 +23,6 @@ the modes alone, the top input level whose amplitudes stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -162,54 +161,43 @@ def merge(op: Op, dim: int) -> Op:
     return key % dim, key // dim, out
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Amplitudes over basis_partitions(cutoff): data is (dim,) or a (dim, k) batch."""
-
-    cutoff: int
-    data: np.ndarray
-
-
-def vacuum(N: int) -> FockVector:
+def vacuum(N: int) -> np.ndarray:
     if N < 0:
         raise ValueError("cutoff must be >= 0")
-    return FockVector(N, np.eye(1, len(basis(N).norm_sq), dtype=complex)[0])
+    return np.eye(1, len(basis(N).norm_sq), dtype=complex)[0]
 
 
-def apply(op: Op, v: FockVector) -> FockVector:
-    """The operator with triples op over basis(v.cutoff), applied to v by one scatter: the
-    products w v[src] summed onto their rows dst in op order; IndexError off the basis."""
+def apply(op: Op, x: np.ndarray) -> np.ndarray:
+    """The operator with triples op applied to the amplitudes x, (dim,) or (dim, k), by one
+    scatter: the products w x[src] summed onto their rows dst in op order; IndexError off
+    the basis."""
     src, dst, w = op
-    x = v.data.reshape(len(v.data), -1)
-    dim, k = x.shape
+    cols = x.reshape(len(x), -1)
+    dim, k = cols.shape
     if np.max(dst, initial=-1) >= dim:  # bincount would lengthen the vector, not refuse
         raise IndexError("an entry of the operator maps past the basis")
-    terms = x[src].astype(complex, copy=False)  # w v[src], one row per entry
+    terms = cols[src].astype(complex, copy=False)  # w x[src], one row per entry
     terms *= w[:, None]
     at = (dst[:, None] * k + np.arange(k)).ravel()  # the place of each product in out
     out = np.empty(dim * k, dtype=complex)
     out.real, out.imag = (np.bincount(at, p.ravel(), dim * k) for p in (terms.real, terms.imag))
-    return FockVector(v.cutoff, out.reshape(v.data.shape))
+    return out.reshape(x.shape)
 
 
-def apply_mode(n: int, v: FockVector) -> FockVector:
-    """Current mode J_n: creation for n < 0, annihilation for n > 0, zero for n = 0."""
-    return apply(mode_triples(n, v.cutoff), v)
+def _norm_sq(N: int, *vs: np.ndarray) -> np.ndarray:
+    """The squared norms of basis(N); ValueError for a vector of another length."""
+    norm_sq = basis(N).norm_sq
+    if any(len(v) != len(norm_sq) for v in vs):
+        raise ValueError(f"a vector's length is not the dimension {len(norm_sq)} of cutoff {N}")
+    return norm_sq
 
 
-def apply_current(f: CircleFourier, v: FockVector) -> FockVector:
-    """Smeared current J(f) = sum_n c_n J_n."""
-    return apply(smear(mode_triples, f, v.cutoff), v)
+def inner(u: np.ndarray, v: np.ndarray, N: int) -> complex:
+    return complex(np.vdot(u, _norm_sq(N, u, v) * v))
 
 
-def inner(u: FockVector, v: FockVector) -> complex:
-    if u.cutoff != v.cutoff:
-        raise ValueError("cutoff mismatch")
-    return complex(np.vdot(u.data, basis(u.cutoff).norm_sq * v.data))
-
-
-def norm(v: FockVector) -> float:
-    return float(np.sqrt((basis(v.cutoff).norm_sq * np.abs(v.data) ** 2).sum()))
+def norm(v: np.ndarray, N: int) -> float:
+    return float(np.sqrt((_norm_sq(N, v) * np.abs(v) ** 2).sum()))
 
 
 def bracket_residual(A: Op, B: Op, rhs: Op, window: int, N: int) -> float:
@@ -251,9 +239,9 @@ def _tail_degree(z: float) -> int:
     return int(np.argmax(2 * tails <= 2.0**-53))
 
 
-def exp_current(A: Op, t: float, X: FockVector) -> FockVector:
-    """exp(i t A) X for the triples A of a Hermitian operator over basis(X.cutoff), such
-    as J(f) rescaled to the orthonormalized basis.
+def exp_current(A: Op, t: float, X: np.ndarray) -> np.ndarray:
+    """exp(i t A) X for the triples A of a Hermitian operator over the basis that the
+    columns X run over, such as J(f) rescaled to the orthonormalized basis.
 
     ||A|| <= b, its largest absolute row sum, and exp(i t A) is the Chebyshev series
     sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and Kosloff,
@@ -262,18 +250,18 @@ def exp_current(A: Op, t: float, X: FockVector) -> FockVector:
     columns of X is one apply.  Raises ArithmeticError rather than return a
     non-finite result.
     """
-    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X.data)), initial=0.0)
+    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X)), initial=0.0)
     K = _tail_degree(t * b)
     M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
     coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
     coef[1:] *= 2  # now eps_k i^k J_k(t b)
     A = scaled(2 / (b or 1.0), A)
-    last, cur = X.data, apply(A, X).data / 2  # T_0 X and T_1 X
+    last, cur = X, apply(A, X) / 2  # T_0 X and T_1 X
     Y = coef[0] * last
     for k in range(1, K + 1):
         if k > 1:
-            last, cur = cur, apply(A, FockVector(X.cutoff, cur)).data - last
+            last, cur = cur, apply(A, cur) - last
         Y += coef[k] * cur
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
-    return FockVector(X.cutoff, Y)
+    return Y

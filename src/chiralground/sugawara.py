@@ -16,7 +16,7 @@ import numpy as np
 from . import fock
 from .fnspace import (SIGMA_NORM, CircleFourier, derivative, multiply_by_t, pointwise_product,
                       sigma, vectorfield_line_integral_f3g)
-from .fock import FockVector, mode_triples, smear
+from .fock import mode_triples, smear
 
 # Coupling of the current term in the perturbed stress tensor; with
 # [J_m, J_n] = m delta the perturbation (kappa/sqrt(12)) J(f') shifts the
@@ -45,11 +45,6 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     B = fock.concat([(s, d + t * dim, (0.5 if 2 * k == n else 1.0) * w) for t, k in enumerate(ks)
                      for s, d, w in [mode_triples(k, N)]])
     return fock.merge(fock.product(A, B), dim)
-
-
-def apply_virasoro_mode(n: int, v: FockVector) -> FockVector:
-    """L_n = (1/2) sum_m :J_{-m} J_{n+m}:; L_0 is the level."""
-    return fock.apply(virasoro_triples(n, v.cutoff), v)
 
 
 def line_derivative_repr(h: CircleFourier) -> CircleFourier:
@@ -118,8 +113,8 @@ def central_charge_estimate(F: CircleFourier, G: CircleFourier, kappa: float, N:
                          f"outside its exactness window (it needs cutoff {reach})")
     vac = fock.vacuum(reach)
     TF, TG = (stress_line_triples(X, kappa, reach) for X in (F, G))
-    num = (fock.inner(vac, fock.apply(TF, fock.apply(TG, vac)))
-           - fock.inner(vac, fock.apply(TG, fock.apply(TF, vac))))
+    # <vac, x> is x[0]: the vacuum is the first basis vector, of norm 1
+    num = fock.apply(TF, fock.apply(TG, vac))[0] - fock.apply(TG, fock.apply(TF, vac))[0]
     c = 12.0 * SIGMA_NORM * num / (1j * denom)
     return float(c.real)
 
@@ -145,7 +140,6 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     for src, dst, w in (T, fock.rescaled(smear(mode_triples, fgp, N), e)):
         on = src < P.shape[1]  # the entries of T(f) and J(f g') on the columns of P
         np.add.at(XP, (dst[on], src[on]), w[on])
-    V = fock.exp_current(fock.rescaled(smear(mode_triples, g, N), e), -1.0,
-                         FockVector(N, np.hstack([P, XP])))
-    WsP, WsXP = np.split(V.data, [P.shape[1]], axis=1)
-    return float(np.linalg.norm(fock.apply(T, FockVector(N, WsP)).data - WsXP, ord=2))
+    V = fock.exp_current(fock.rescaled(smear(mode_triples, g, N), e), -1.0, np.hstack([P, XP]))
+    WsP, WsXP = np.split(V, [P.shape[1]], axis=1)
+    return float(np.linalg.norm(fock.apply(T, WsP) - WsXP, ord=2))

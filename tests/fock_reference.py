@@ -44,7 +44,7 @@ def basis_norm_sq(parts) -> int:
     return out
 
 
-def apply_mode(n: int, v: DictVector) -> DictVector:
+def dict_mode(n: int, v: DictVector) -> DictVector:
     """J_n: creation for n < 0, annihilation for n > 0, zero for n = 0."""
     if n == 0:
         return DictVector(v.cutoff, {})
@@ -94,11 +94,6 @@ def vec_scale(lam, v: DictVector) -> DictVector:
     return DictVector(v.cutoff, {p: lam * a for p, a in v.amps.items()})
 
 
-def difference(u: fock.FockVector, v: fock.FockVector) -> fock.FockVector:
-    """u - v, for two vectors of the array layer at one cutoff."""
-    return fock.FockVector(u.cutoff, u.data - v.data)
-
-
 def inner(u: DictVector, v: DictVector) -> complex:
     s = 0.0 + 0.0j
     for p, a in u.amps.items():
@@ -108,7 +103,7 @@ def inner(u: DictVector, v: DictVector) -> complex:
     return complex(s)
 
 
-def apply_virasoro_mode(n: int, v: DictVector) -> DictVector:
+def dict_virasoro_mode(n: int, v: DictVector) -> DictVector:
     """L_n as the pair sum over k >= j, j + k = n, annihilator first."""
     out = DictVector(v.cutoff, {})
     for k in range(-((-n) // 2), max(0, v.level_max()) + 1):
@@ -116,7 +111,7 @@ def apply_virasoro_mode(n: int, v: DictVector) -> DictVector:
         if j == 0 or k == 0:
             continue
         weight = 0.5 if j == k else 1.0
-        out = vec_add(out, vec_scale(weight, apply_mode(j, apply_mode(k, v))))
+        out = vec_add(out, vec_scale(weight, dict_mode(j, dict_mode(k, v))))
     return out
 
 
@@ -153,13 +148,14 @@ def dense_matrix(op, N: int) -> np.ndarray:
 
 
 def operator_matrix(op, N: int) -> np.ndarray:
-    """Dense matrix of a linear operator of the array layer in the orthonormalized
-    partition basis, built from the basis vectors of each level as one batch."""
+    """Dense matrix of a linear operator on the amplitude arrays over basis(N), in the
+    orthonormalized partition basis, built from the basis vectors of each level as one
+    batch."""
     off, s = fock.basis(N).offsets, np.sqrt(fock.basis(N).norm_sq)
     A = np.zeros((len(s), len(s)), dtype=complex)
     for lvl in range(N + 1):
         batch = np.eye(len(s), off[lvl + 1] - off[lvl], -off[lvl], dtype=complex)
-        A[:, off[lvl]:off[lvl + 1]] = op(fock.FockVector(N, batch)).data
+        A[:, off[lvl]:off[lvl + 1]] = op(batch)
     A *= s[:, None] / s
     return A
 
@@ -185,11 +181,11 @@ def blocks_matrix(block, n: int, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def mode_block(n: int, level: int) -> np.ndarray:
-    """Dense block of J_n from ``level`` to ``level - n``, column by column from apply_mode."""
+    """Dense block of J_n from ``level`` to ``level - n``, column by column from dict_mode."""
     rows = {p: i for i, p in enumerate(fock.partitions_at(level - n))}
     out = np.zeros((len(rows), len(fock.partitions_at(level))))
     for c, p in enumerate(fock.partitions_at(level)):
-        for q, a in apply_mode(n, DictVector(max(level, level - n), {p: 1.0})).amps.items():
+        for q, a in dict_mode(n, DictVector(max(level, level - n), {p: 1.0})).amps.items():
             out[rows[q], c] = a
     return out
 
@@ -224,14 +220,19 @@ def virasoro_residual(m: int, n: int, N: int, drop_central: bool = False) -> flo
         m + n, lvl) + central * np.eye(*virasoro_block(m + n, lvl).shape), N)
 
 
+def current(f, N: int) -> fock.Op:
+    """The triples of the smeared current J(f) = sum_n c_n J_n on basis(N)."""
+    return fock.smear(fock.mode_triples, f, N)
+
+
 def current_orthonormal(f, N: int) -> fock.Op:
     """The triples of J(f) on basis(N) rescaled to the orthonormalized basis."""
-    return fock.rescaled(fock.smear(fock.mode_triples, f, N), np.sqrt(fock.basis(N).norm_sq))
+    return fock.rescaled(current(f, N), np.sqrt(fock.basis(N).norm_sq))
 
 
 def exp_current(f, t: float, X: np.ndarray, N: int) -> np.ndarray:
     """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N."""
-    return fock.exp_current(current_orthonormal(f, N), t, fock.FockVector(N, X)).data
+    return fock.exp_current(current_orthonormal(f, N), t, X)
 
 
 def _weyl_slab_columns(g, f, N: int) -> tuple:
@@ -240,19 +241,19 @@ def _weyl_slab_columns(g, f, N: int) -> tuple:
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
     s = np.sqrt(fock.basis(N).norm_sq)[:, None]
 
-    def hat(op, h, Y):
-        return s * op(h, fock.FockVector(N, Y / s)).data
+    def hat(op, Y):
+        return s * fock.apply(op, Y / s)
 
+    T = fock.smear(sugawara.virasoro_triples, f, N)
     P = np.eye(len(s), fock.basis(N).offsets[min(sugawara.WEYL_SLAB, N) + 1])
-    XP = (hat(apply_stress_circle, f, P) + hat(fock.apply_current, fgp, P)
-          + fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P)
-    return (lambda Y: hat(apply_stress_circle, f, Y)), P, XP
+    XP = hat(T, P) + hat(current(fgp, N), P) + fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P
+    return (lambda Y: hat(T, Y)), P, XP
 
 
 def weyl_residual_eigh(g, f, N: int) -> float:
     """The Weyl adjoint residual ||(W T(f) W* - X) P|| with W = exp(i J(g)) from the
     eigendecomposition of the dense Hermitian J(g), on the fixed slab P."""
-    lam, V = np.linalg.eigh(operator_matrix(lambda v: fock.apply_current(g, v), N))
+    lam, V = np.linalg.eigh(operator_matrix(lambda v: fock.apply(current(g, N), v), N))
     T, P, XP = _weyl_slab_columns(g, f, N)
     WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
     WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ T(WsP)))
@@ -308,7 +309,7 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     return key % dim, key // dim, out
 
 
-def from_amps(cutoff: int, amps: dict) -> fock.FockVector:
+def from_amps(cutoff: int, amps: dict) -> np.ndarray:
     """The vector with amplitude a at each partition p of amps (parts in any order)."""
     rows = np.zeros((len(amps), cutoff + 1), dtype=np.uint8)
     for row, p in zip(rows, amps):
@@ -317,35 +318,35 @@ def from_amps(cutoff: int, amps: dict) -> fock.FockVector:
         np.add.at(row, list(p), 1)
     data = np.zeros(len(fock.basis(cutoff).norm_sq), dtype=complex)
     data[fock.basis(cutoff).find(rows)] = list(amps.values())
-    return fock.FockVector(cutoff, data)
+    return data
 
 
-def amps(v: fock.FockVector) -> dict:
-    """The nonzero amplitudes of a single vector, keyed by partition."""
-    return {p: complex(a) for p, a in zip(fock.basis(v.cutoff).partitions, v.data) if a != 0}
+def amps(v: np.ndarray, N: int) -> dict:
+    """The nonzero amplitudes of a single vector over basis(N), keyed by partition."""
+    return {p: complex(a) for p, a in zip(fock.basis(N).partitions, v, strict=True) if a != 0}
 
 
-def basis_vector(N: int, parts) -> fock.FockVector:
+def basis_vector(N: int, parts) -> np.ndarray:
     return from_amps(N, {tuple(parts): 1.0})
 
 
-def apply_stress_circle(f, v: fock.FockVector) -> fock.FockVector:
+def apply_stress_circle(f, v: np.ndarray, N: int) -> np.ndarray:
     """Smeared stress tensor T(f) = sum_n c_n L_n."""
-    return fock.apply(fock.smear(sugawara.virasoro_triples, f, v.cutoff), v)
+    return fock.apply(fock.smear(sugawara.virasoro_triples, f, N), v)
 
 
-def apply_L0(v: fock.FockVector) -> fock.FockVector:
+def apply_L0(v: np.ndarray, N: int) -> np.ndarray:
     """L_0 as the level of each basis vector."""
-    levels = np.array([sum(p) for p in fock.basis_partitions(v.cutoff)], dtype=float)
-    return fock.FockVector(v.cutoff, (levels * v.data.T).T)
+    levels = np.array([sum(p) for p in fock.basis_partitions(N)], dtype=float)
+    return (levels * v.T).T
 
 
-def parity_flip(v: fock.FockVector) -> fock.FockVector:
+def parity_flip(v: np.ndarray, N: int) -> np.ndarray:
     """Diagonal involution (-1)^{#parts}; conjugation sends J(f) to J(-f)."""
-    sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(v.cutoff)])
-    return fock.FockVector(v.cutoff, (sign * v.data.T).T)
+    sign = np.array([(-1.0) ** len(p) for p in fock.basis_partitions(N)])
+    return (sign * v.T).T
 
 
-def apply_stress_line(F, kappa: float, v: fock.FockVector) -> fock.FockVector:
+def apply_stress_line(F, kappa: float, v: np.ndarray, N: int) -> np.ndarray:
     """Perturbed stress tensor on a vector field: T(h) + kappa-scaled J(F')."""
-    return fock.apply(sugawara.stress_line_triples(F, kappa, v.cutoff), v)
+    return fock.apply(sugawara.stress_line_triples(F, kappa, N), v)

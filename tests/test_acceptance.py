@@ -46,8 +46,9 @@ def test_acceptance_02_virasoro_and_mutation():
 def test_acceptance_03_vacuum_moments():
     worst = 0.0
     for n in range(2, 6):
-        v = fock.vacuum(2 * n + 2)
-        val = fock.inner(v, sugawara.apply_virasoro_mode(n, sugawara.apply_virasoro_mode(-n, v)))
+        N = 2 * n + 2
+        x = fock.apply(sugawara.virasoro_triples(-n, N), fock.vacuum(N))
+        val = fock.inner(fock.vacuum(N), fock.apply(sugawara.virasoro_triples(n, N), x), N)
         worst = max(worst, abs(val - (n**3 - n) / 12.0))
     ok = worst < 1e-10
     _report(3, "vacuum_moments", ok, f"max deviation {worst:.2e}")
@@ -89,8 +90,8 @@ def test_acceptance_06_sobolev_identity():
     v = fock.vacuum(12)
     for _ in range(50):
         f = fn.random_real_circle(int(rng.integers(1, 13)), rng)
-        jf = fock.apply_current(f, v)
-        worst = max(worst, abs(fock.inner(jf, jf).real - fn.sobolev_half_sq(f)))
+        jf = fock.apply(fock.smear(fock.mode_triples, f, 12), v)
+        worst = max(worst, abs(fock.inner(jf, jf, 12).real - fn.sobolev_half_sq(f)))
     ok = worst < 1e-12
     _report(6, "sobolev_norm_identity", ok, f"max deviation {worst:.2e}")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chiralground
-from chiralground import cli, fnspace, states, sugawara
+from chiralground import cli, fnspace, fock, states, sugawara
 
 
 class TestFunctionSpec:
@@ -81,6 +81,24 @@ class TestVerify:
         assert rc == 0
         name, window, _, _, status = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert (name, window, status) == ("sobolev_norm_identity", "none", "skip")
+
+    @pytest.mark.parametrize("cutoff", [cli.VERIFY_CUTOFF_MAX + 1, 100000])
+    def test_cutoff_above_the_cap_refused_before_any_work(self, cutoff, monkeypatch, capsys):
+        # --cutoff 100000 enumerated the partitions of every level up to it until the process
+        # was killed for its memory; a refused cutoff builds no basis
+        def refuse(*_args):
+            raise AssertionError("a basis built for a refused cutoff")
+
+        monkeypatch.setattr(fock, "basis", refuse)
+        monkeypatch.setattr(fock, "partitions_at", refuse)
+        assert cli.main(["verify", "--cutoff", str(cutoff)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --cutoff must be <= {cli.VERIFY_CUTOFF_MAX} for verify")
+        # the cap itself passes the option checks, and charge takes any cutoff
+        for argv in (["verify", "--cutoff", str(cli.VERIFY_CUTOFF_MAX)],
+                     ["charge", "--cutoff", str(cutoff)]):
+            cli._check_options(cli._parser().parse_args(argv))
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -113,9 +113,9 @@ class TestSigmaSobolev:
         rng = np.random.default_rng(8)
         f, g = fn.random_real_circle(4, rng), fn.random_real_circle(4, rng)
         v = fock.vacuum(10)
-        jf, jg = fock.apply_current(f, v), fock.apply_current(g, v)
+        jf, jg = (fock.apply(fock.smear(fock.mode_triples, h, 10), v) for h in (f, g))
         lhs = fn.sigma(f, g)
-        rhs = fn.SIGMA_NORM * 2 * fock.inner(jf, jg).imag
+        rhs = fn.SIGMA_NORM * 2 * fock.inner(jf, jg, 10).imag
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [1j, 2.0 + 0j, np.complex128(2.0)])

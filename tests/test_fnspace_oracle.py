@@ -75,23 +75,6 @@ def test_project_samples_matches_dense_sum(grid, seed):
     assert resid == pytest.approx(want_resid, abs=tol)
 
 
-@SETTINGS
-@given(st.one_of(st.integers(3, 600), st.sampled_from(PRIMES)), seeds)
-def test_grid_values_match_dense_sum(K, seed):
-    M = np.random.default_rng(seed).integers(0, min(128, (K - 1) // 2) + 1)
-    h = random_circle(int(M), seed)
-    th = fn._shifted_grid(K)
-    tol = 1e-12 * (1.0 + np.sum(np.abs(h.full())))
-    assert np.max(np.abs(fn._on_grid(h, K) - ref.dense_eval(h, th))) < tol
-
-
-@pytest.mark.parametrize("K", [16, 17])
-def test_grid_refuses_aliased_modes(K):
-    fn._on_grid(random_circle((K - 1) // 2, 0), K)
-    with pytest.raises(ValueError, match="alias"):
-        fn._on_grid(random_circle(K // 2 + K % 2, 0), K)
-
-
 def test_multiply_by_t_refuses_a_pole():
     # 1 - cos vanishes at theta = 0, so t (1 - cos) = -sin; 1e-6 more leaves a pole there
     h = fn.circle_from_real_modes(1.0, [-1.0])
@@ -212,8 +195,9 @@ def test_any_coefficients_give_a_real_function(c, seed):
     assert abs(fn.sigma(h, h)) <= 1e-12 * (1.0 + np.sum(np.arange(M + 1) * np.abs(h.coeffs) ** 2))
     # J(h) is Hermitian on the truncated space: <u, J(h) v> = <J(h) u, v>
     N = 8
-    u, v = (fock.FockVector(N, x) for x in rng.standard_normal((2, len(fock.basis(N).norm_sq), 2))
-            .view(complex)[..., 0])
-    lhs = fock.inner(u, fock.apply_current(h, v))
-    rhs = fock.inner(fock.apply_current(h, u), v)
-    assert abs(lhs - rhs) <= 1e-12 * N * (1.0 + np.sum(np.abs(herm))) * fock.norm(u) * fock.norm(v)
+    u, v = rng.standard_normal((2, len(fock.basis(N).norm_sq), 2)).view(complex)[..., 0]
+    J = fock.smear(fock.mode_triples, h, N)
+    lhs = fock.inner(u, fock.apply(J, v), N)
+    rhs = fock.inner(fock.apply(J, u), v, N)
+    bound = 1e-12 * N * (1.0 + np.sum(np.abs(herm))) * fock.norm(u, N) * fock.norm(v, N)
+    assert abs(lhs - rhs) <= bound

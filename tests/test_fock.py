@@ -8,7 +8,7 @@ from chiralground import fock
 
 class TestBasis:
     def test_vacuum_norm_one(self):
-        assert fock.norm(fock.vacuum(8)) == 1.0
+        assert fock.norm(fock.vacuum(8), 8) == 1.0
 
     def test_norm_sq_examples(self):
         # prod_j j^{m_j} m_j! computed by hand, read at each partition's position
@@ -24,10 +24,10 @@ class TestBasis:
         for parts in [(2,), (2, 1), (3, 3), (4, 2, 2, 1)]:
             v = fock.vacuum(12)
             for k in reversed(parts):
-                v = fock.apply_mode(-k, v)
+                v = fock.apply(fock.mode_triples(-k, 12), v)
             for k in parts:
-                v = fock.apply_mode(k, v)
-            assert ref.amps(v) == {(): b.norm_sq[b.partitions.index(parts)]}
+                v = fock.apply(fock.mode_triples(k, 12), v)
+            assert ref.amps(v, 12) == {(): b.norm_sq[b.partitions.index(parts)]}
 
     def test_norm_sq_equals_the_exact_integers(self):
         # the float products of the factors j^m m! stay exact up to N = 24
@@ -56,7 +56,7 @@ class TestBasis:
     def test_orthogonality(self):
         u = ref.basis_vector(6, (2, 1))
         v = ref.basis_vector(6, (3,))
-        assert fock.inner(u, v) == 0
+        assert fock.inner(u, v, 6) == 0
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError):
@@ -66,19 +66,19 @@ class TestBasis:
 class TestModes:
     def test_annihilator_kills_vacuum(self):
         for n in [1, 2, 5]:
-            assert not ref.amps(fock.apply_mode(n, fock.vacuum(8)))
+            assert not ref.amps(fock.apply(fock.mode_triples(n, 8), fock.vacuum(8)), 8)
 
     def test_zero_mode_is_zero(self):
-        assert not ref.amps(fock.apply_mode(0, ref.basis_vector(8, (3, 1))))
+        assert not ref.amps(fock.apply(fock.mode_triples(0, 8), ref.basis_vector(8, (3, 1))), 8)
 
     def test_creation_example(self):
-        v = fock.apply_mode(-2, ref.basis_vector(8, (3,)))
-        assert ref.amps(v) == {(3, 2): pytest.approx(1.0)}
+        v = fock.apply(fock.mode_triples(-2, 8), ref.basis_vector(8, (3,)))
+        assert ref.amps(v, 8) == {(3, 2): pytest.approx(1.0)}
 
     def test_annihilation_multiplicity(self):
         # J_2 on (2,2,1): coefficient 2 * multiplicity(2) = 4
-        v = fock.apply_mode(2, ref.basis_vector(8, (2, 2, 1)))
-        assert ref.amps(v) == {(2, 1): pytest.approx(4.0)}
+        v = fock.apply(fock.mode_triples(2, 8), ref.basis_vector(8, (2, 2, 1)))
+        assert ref.amps(v, 8) == {(2, 1): pytest.approx(4.0)}
 
     def test_creation_is_the_transpose_of_annihilation(self):
         # J_{-n} has weight 1 on each entry of J_n, transposed, and takes every basis
@@ -103,8 +103,8 @@ class TestModes:
             pu, pv = basis[rng.integers(len(basis))], basis[rng.integers(len(basis))]
             u, v = ref.basis_vector(10, pu), ref.basis_vector(10, pv)
             k = int(rng.integers(1, 5))
-            lhs = fock.inner(fock.apply_mode(-k, u), v)
-            rhs = fock.inner(u, fock.apply_mode(k, v))
+            lhs = fock.inner(fock.apply(fock.mode_triples(-k, 10), u), v, 10)
+            rhs = fock.inner(u, fock.apply(fock.mode_triples(k, 10), v), 10)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -114,44 +114,43 @@ class TestSmearedCurrent:
         rng = np.random.default_rng(21)
         for _ in range(5):
             f = fn.random_real_circle(4, rng)
-            v = fock.apply_current(f, fock.vacuum(10))
-            assert fock.inner(v, v).real == pytest.approx(fn.sobolev_half_sq(f), rel=1e-13)
+            v = fock.apply(ref.current(f, 10), fock.vacuum(10))
+            assert fock.inner(v, v, 10).real == pytest.approx(fn.sobolev_half_sq(f), rel=1e-13)
 
     def test_constant_acts_as_zero(self):
         one = fn.circle_from_real_modes(2.0)
-        assert not ref.amps(fock.apply_current(one, ref.basis_vector(8, (2, 1))))
+        assert not ref.amps(fock.apply(ref.current(one, 8), ref.basis_vector(8, (2, 1))), 8)
 
     def test_commutator_matches_sigma(self):
         rng = np.random.default_rng(22)
         f, g = fn.random_real_circle(3, rng), fn.random_real_circle(3, rng)
         v = ref.basis_vector(12, (2, 1))
-        comm = ref.difference(fock.apply_current(f, fock.apply_current(g, v)),
-                              fock.apply_current(g, fock.apply_current(f, v)))
-        diff = fock.FockVector(12, comm.data - 1j * fn.sigma(f, g) / fn.SIGMA_NORM * v.data)
-        assert fock.norm(diff) < 1e-13
+        Jf, Jg = ref.current(f, 12), ref.current(g, 12)
+        comm = fock.apply(Jf, fock.apply(Jg, v)) - fock.apply(Jg, fock.apply(Jf, v))
+        assert fock.norm(comm - 1j * fn.sigma(f, g) / fn.SIGMA_NORM * v, 12) < 1e-13
 
     def test_L0_eigenvalues(self):
         for parts in [(), (1,), (3, 2), (4, 1, 1)]:
             v = ref.basis_vector(8, parts)
-            w = ref.apply_L0(v)
+            w = ref.apply_L0(v, 8)
             if sum(parts) == 0:
-                assert not ref.amps(w)
+                assert not ref.amps(w, 8)
             else:
-                assert ref.amps(w) == {parts: pytest.approx(float(sum(parts)))}
+                assert ref.amps(w, 8) == {parts: pytest.approx(float(sum(parts)))}
 
 
 class TestMatrices:
     def test_operator_matrix_unitary_norms(self):
         # J_{-1} in the orthonormal basis must satisfy A^* = matrix of J_1
         N = 6
-        A = ref.operator_matrix(lambda v: fock.apply_mode(-1, v), N)
-        B = ref.operator_matrix(lambda v: fock.apply_mode(1, v), N)
+        A = ref.operator_matrix(lambda v: fock.apply(fock.mode_triples(-1, N), v), N)
+        B = ref.operator_matrix(lambda v: fock.apply(fock.mode_triples(1, N), v), N)
         P = slice(len(fock.basis_partitions(N - 1)))
         assert np.linalg.norm((A.conj().T - B)[:, P], ord=2) < 1e-12
 
     def test_L0_matrix_diagonal(self):
         N = 5
-        A = ref.operator_matrix(ref.apply_L0, N)
+        A = ref.operator_matrix(lambda v: ref.apply_L0(v, N), N)
         levels = np.array([sum(p) for p in fock.basis_partitions(N)], dtype=float)
         assert np.allclose(A, np.diag(levels))
 
@@ -170,13 +169,33 @@ class TestApply:
                           fock.scaled(0.7 - 0.4j, Jm2), fock.identity(N, 0.25)])
         rng = np.random.default_rng(48)
         X = rng.standard_normal((fock.basis(N).offsets[-1], 4, 2)).view(complex)[..., 0]
-        out = fock.apply(op, fock.FockVector(N, X)).data
+        out = fock.apply(op, X)
         for j in range(X.shape[1]):
-            assert np.array_equal(out[:, j], fock.apply(op, fock.FockVector(N, X[:, j])).data)
+            assert np.array_equal(out[:, j], fock.apply(op, X[:, j]))
         assert np.max(np.abs(out - ref.triples_matrix(op, N) @ X)) < 1e-13
 
     def test_entry_past_the_basis_is_refused(self):
         v = fock.vacuum(4)
-        past = (np.array([0]), np.array([len(v.data)]), np.array([1.0]))
+        past = (np.array([0]), np.array([len(v)]), np.array([1.0]))
         with pytest.raises(IndexError):
             fock.apply(past, v)
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "batch"])
+    def test_apply_and_exp_current_return_arrays_of_the_input_shape(self, shape):
+        N = 6
+        rng = np.random.default_rng(49)
+        x = rng.standard_normal((fock.basis(N).offsets[-1], *shape)) + 0j
+        g = fn.random_real_circle(2, rng)
+        for out in (fock.apply(ref.current(g, N), x),
+                    fock.exp_current(ref.current_orthonormal(g, N), 1.0, x)):
+            assert type(out) is np.ndarray and out.shape == x.shape and out.dtype == complex
+
+    def test_inner_refuses_a_vector_of_another_length(self):
+        # a length-1 vector would broadcast against the squared norms if not refused
+        u, v = fock.vacuum(6), fock.vacuum(5)
+        for a, b in ((u, v), (v, u), (u, u[:1]), (v, v)):
+            with pytest.raises(ValueError, match="not the dimension 30 of cutoff 6"):
+                fock.inner(a, b, 6)
+        with pytest.raises(ValueError, match="not the dimension"):
+            fock.norm(v, 6)
+        assert fock.inner(u, u, 6) == 1.0 and fock.norm(v, 5) == 1.0

@@ -76,7 +76,7 @@ class TestVacuumWeyl:
         assert target == pytest.approx(sref.vacuum_weyl(f, 2), rel=1e-15)
         errs = []
         for N in (6, 10, 14):
-            J = ref.operator_matrix(lambda v: fock.apply_current(f, v), N)
+            J = ref.operator_matrix(lambda v: fock.apply(ref.current(f, N), v), N)
             W = expm(1j * J)
             errs.append(abs(W[0, 0] - target))
         assert errs[0] > errs[1] > errs[2]
@@ -109,8 +109,8 @@ def test_one_particle_form_is_the_fock_inner_product():
     rng = np.random.default_rng(23)
     fs = [fn.random_real_circle(m, rng) for m in range(1, 7)]
     B = states.one_particle_form(fs, 8)
-    vecs = [fock.apply_current(f, fock.vacuum(8)) for f in fs]
-    G = np.array([[fock.inner(u, v) for v in vecs] for u in vecs])
+    vecs = [fock.apply(ref.current(f, 8), fock.vacuum(8)) for f in fs]
+    G = np.array([[fock.inner(u, v, 8) for v in vecs] for u in vecs])
     assert np.max(np.abs(G - B.T)) < 1e-14
     assert np.max(np.abs(G - B)) > 0.1  # the untransposed form differs
 
