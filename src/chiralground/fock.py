@@ -9,11 +9,11 @@ vector is a numpy array of complex amplitudes over that basis, (dim,) or a
 (dim, k) batch.  J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
 J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
-amplitude basis, so that J_n and L_n have exact integer and half weights.  A
-vector is applied by one scatter of the entries, the products w v[src] summed
-onto their rows.  Triples are composed by products.  exp_current gives
-exp(i t A) X for a Hermitian A, such as J(f) rescaled to the orthonormalized
-basis, by a Chebyshev series whose every step is one such scatter.
+amplitude basis, so that J_n and L_n have exact integer and half weights.  apply
+sums the products w v[src] onto their rows by one scatter; triples are composed
+by products.  exp_current gives exp(i t A) X for a Hermitian A, such as J(f) in
+the orthonormalized basis, by a Chebyshev series: A is laid out once by rows, and
+each step of the series is a few gathers over that layout.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -246,22 +246,37 @@ def exp_current(A: Op, t: float, X: np.ndarray) -> np.ndarray:
     ||A|| <= b, its largest absolute row sum, and exp(i t A) is the Chebyshev series
     sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and Kosloff,
     J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z) fixed in
-    advance.  Each step of the recurrence T_k = 2 (A / b) T_{k-1} - T_{k-2} on the
-    columns of X is one apply.  Raises ArithmeticError rather than return a
-    non-finite result.
+    advance.  2 A / b is laid out once by rows, by falling entry count, so that the r-th
+    entries of the rows in op order fill the first rows; each step T_k = 2 (A / b)
+    T_{k-1} - T_{k-2} on the columns of X is one gather per rank, in apply's order.
+    IndexError for an entry off the basis; ArithmeticError for a non-finite result.
     """
-    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X)), initial=0.0)
+    src, dst, w = A
+    per_row = np.bincount(dst, minlength=len(X))
+    b = np.max(np.bincount(dst, np.abs(w), len(X)), initial=0.0)
     K = _tail_degree(t * b)
     M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
     coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
     coef[1:] *= 2  # now eps_k i^k J_k(t b)
-    A = scaled(2 / (b or 1.0), A)
-    last, cur = X, apply(A, X) / 2  # T_0 X and T_1 X
-    Y = coef[0] * last
+    perm = np.argsort(-per_row, kind="stable")  # past the basis, X[perm] raises IndexError
+    at = np.argsort(perm)  # row d is row at[d] of the layout
+    order = np.argsort(dst, kind="stable")
+    rank = np.arange(len(dst)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    order = order[np.lexsort((at[dst[order]], rank))]  # by rank, then by layout row
+    ends = np.cumsum(np.bincount(rank))[:-1]
+    ranks = list(zip(np.split(at[src[order]], ends), np.split(2 / (b or 1.0) * w[order], ends)))
+
+    def step(V):  # 2 A V / b on the layout's rows
+        out = np.zeros(V.shape, dtype=complex)
+        for i, c in ranks:
+            out[:len(i)] += V[i] * c[:, None]
+        return out
+
+    cur = X.reshape(len(X), -1)[perm]  # T_0 X on the layout's rows
+    Y = coef[0] * cur
     for k in range(1, K + 1):
-        if k > 1:
-            last, cur = cur, apply(A, cur) - last
+        last, cur = cur, step(cur) / 2 if k == 1 else step(cur) - last
         Y += coef[k] * cur
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
-    return Y
+    return Y[at].reshape(X.shape)

@@ -235,6 +235,24 @@ def exp_current(f, t: float, X: np.ndarray, N: int) -> np.ndarray:
     return fock.exp_current(current_orthonormal(f, N), t, X)
 
 
+def exp_current_by_apply(A: fock.Op, t: float, X: np.ndarray) -> np.ndarray:
+    """exp(i t A) X by fock.exp_current's Chebyshev series, of the same degree and
+    coefficients, with every step of the recurrence one fock.apply of 2 A / b."""
+    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X)), initial=0.0)
+    K = fock._tail_degree(t * b)
+    M = 2 * K + 2
+    coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
+    coef[1:] *= 2
+    A = fock.scaled(2 / (b or 1.0), A)
+    last, cur = X, fock.apply(A, X) / 2
+    Y = coef[0] * last
+    for k in range(1, K + 1):
+        if k > 1:
+            last, cur = cur, fock.apply(A, cur) - last
+        Y += coef[k] * cur
+    return Y
+
+
 def _weyl_slab_columns(g, f, N: int) -> tuple:
     """The orthonormalized T(f), the slab P of levels <= WEYL_SLAB and X P, with
     X = T(f) + J(f g') + sigma(f g', g) / (2 SIGMA_NORM), as dense columns."""

@@ -179,6 +179,8 @@ class TestApply:
         past = (np.array([0]), np.array([len(v)]), np.array([1.0]))
         with pytest.raises(IndexError):
             fock.apply(past, v)
+        with pytest.raises(IndexError):
+            fock.exp_current(past, 1.0, np.eye(len(v), 2))
 
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "batch"])
     def test_apply_and_exp_current_return_arrays_of_the_input_shape(self, shape):
@@ -189,6 +191,13 @@ class TestApply:
         for out in (fock.apply(ref.current(g, N), x),
                     fock.exp_current(ref.current_orthonormal(g, N), 1.0, x)):
             assert type(out) is np.ndarray and out.shape == x.shape and out.dtype == complex
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exp_current_of_the_zero_generator_is_the_identity(self, dtype):
+        # b = 0, so the series has degree K = 0 and its layout no entries
+        empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        X = np.random.default_rng(50).standard_normal((len(fock.vacuum(5)), 3)).astype(dtype)
+        assert np.array_equal(fock.exp_current(empty, 1.0, X), X)
 
     def test_inner_refuses_a_vector_of_another_length(self):
         # a length-1 vector would broadcast against the squared norms if not refused

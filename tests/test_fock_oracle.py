@@ -328,6 +328,47 @@ def test_exp_current_refuses_an_unconverged_series():
     X = np.full((len(fock.basis_partitions(6)), 1), np.nan)
     with pytest.raises(ArithmeticError, match="did not converge"):
         ref.exp_current(g, 1.0, X, 6)
+    # one NaN, at the vacuum row of column 1, among finite columns
+    X = np.eye(len(X), 3, dtype=complex)
+    X[0, 1] = np.nan
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        ref.exp_current(g, 1.0, X, 6)
+
+
+def _series_cases():
+    """The orthonormalized J(g) of perfbench's Weyl pair at N = 10 ... 18, and of a g of
+    top mode N, whose J(g) has entries in every row, at N = 12 and 16."""
+    for N in range(10, 19, 2):
+        yield _sized_pair(1, 0.5)[0], N
+    for N in (12, 16):
+        rng = np.random.default_rng(N)
+        g = fn.random_real_circle(N, rng)
+        yield g.scale(0.5 / math.sqrt(fn.sobolev_half_sq(g))), N
+
+
+@pytest.mark.parametrize("columns", [(), (8,)], ids=["vector", "batch"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exp_current_is_bitwise_the_series_by_apply(columns, dtype):
+    # the row layout adds each row's products in op order, as apply's scatter does
+    for g, N in _series_cases():
+        A = ref.current_orthonormal(g, N)
+        rng = np.random.default_rng(N)
+        X = rng.standard_normal((len(fock.basis_partitions(N)), *columns, 2))
+        X = X.view(complex)[..., 0] if dtype is complex else X[..., 0]
+        for t in (1.0, -1.0):
+            assert np.array_equal(fock.exp_current(A, t, X), ref.exp_current_by_apply(A, t, X))
+
+
+def test_exp_current_calls_no_apply(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("fock.apply called")
+
+    g, _ = _sized_pair(1, 0.5)
+    A = ref.current_orthonormal(g, 12)
+    X = np.eye(len(fock.basis_partitions(12)), 4)
+    want = ref.exp_current_by_apply(A, -1.0, X)
+    monkeypatch.setattr(fock, "apply", refuse)
+    assert np.array_equal(fock.exp_current(A, -1.0, X), want)
 
 
 def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
