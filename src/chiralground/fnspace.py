@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,13 +128,23 @@ class PiecewiseLinearCircle:
         object.__setattr__(self, "nodes", th)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def closed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The wrap rule: nodes and values closed by the first node again at nodes[0] + 2pi."""
+        return np.append(self.nodes, self.nodes[0] + TWO_PI), np.append(self.values, self.values[0])
+
+    @cached_property
+    def slope_jumps(self) -> np.ndarray:
+        """ds_k, the slope after node k less the one before: f'' = sum_k ds_k delta_{theta_k}."""
+        xs, ys = self.closed
+        slopes = np.diff(ys) / np.diff(xs)
+        return slopes - np.roll(slopes, 1)
+
     def __call__(self, theta):
         th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
         # shift angles below the first node into the wrap segment
         th = np.where(th < self.nodes[0], th + TWO_PI, th)
-        xp = np.concatenate([self.nodes, [self.nodes[0] + TWO_PI]])
-        fp = np.concatenate([self.values, [self.values[0]]])
-        out = np.interp(th, xp, fp)
+        out = np.interp(th, *self.closed)
         if np.ndim(theta) == 0:
             return out.item()
         return out
@@ -162,18 +173,14 @@ def fourier_project(f: PiecewiseLinearCircle, M: int) -> CircleFourier:
     """
     if M < 1:
         raise ValueError("M must be positive")
-    xs = np.append(f.nodes, f.nodes[0] + TWO_PI)
-    ys = np.append(f.values, f.values[0])
-    widths = np.diff(xs)
-    slopes = np.diff(ys) / widths
-    jumps = slopes - np.roll(slopes, 1)
     n = np.arange(1, M + 1, dtype=float)
     pos = np.zeros(M, dtype=complex)
-    for th, ds in zip(f.nodes, jumps):
+    for th, ds in zip(f.nodes, f.slope_jumps):
         if ds != 0.0:
             pos += ds * np.exp(-1j * th * n)
     pos /= -TWO_PI * n**2
-    c0 = np.sum((ys[:-1] + ys[1:]) * widths) / (2.0 * TWO_PI)
+    xs, ys = f.closed
+    c0 = np.sum((ys[:-1] + ys[1:]) * np.diff(xs)) / (2.0 * TWO_PI)
     return CircleFourier(np.concatenate([[c0], pos]))
 
 
@@ -223,36 +230,6 @@ def _t_of_theta_arr(theta):
 # Line integrals
 
 
-def _pl_antiderivative(theta: float, c: float, s: float) -> float:
-    """Antiderivative of (c + s theta) / (2 sin^2(theta/2)) on (0, 2pi).
-
-    At theta = 0 and 2pi it returns the Hadamard finite part, which drops the
-    1/theta and log(theta) terms and leaves -2s(1 + ln 2) at either end.
-    """
-    if theta == 0.0 or theta == TWO_PI:
-        return -2.0 * s * (1.0 + math.log(2.0))
-    half = theta / 2.0
-    return -(c + s * theta) * math.cos(half) / math.sin(half) + 2.0 * s * math.log(math.sin(half))
-
-
-def _pl_line_integral(h: PiecewiseLinearCircle) -> LineIntegralResult:
-    th, v = h.nodes, h.values
-    s_wrap = (v[0] - v[-1]) / (th[0] + TWO_PI - th[-1])
-    h0 = v[0] - s_wrap * th[0]  # value at the wrap point
-    # cut the wrap segment at 2pi so that every piece lies in [0, 2pi]
-    xs, ys = [*th, TWO_PI], [*v, h0]
-    if th[0] > 0.0:
-        xs, ys = [0.0, *xs], [h0, *ys]
-    total = 0.0
-    for a, b, va, vb in zip(xs, xs[1:], ys, ys[1:]):
-        s = (vb - va) / (b - a)
-        c = va - s * a
-        total += _pl_antiderivative(b, c, s) - _pl_antiderivative(a, c, s)
-    # the one-sided slopes can differ only when the wrap point is a node
-    kink = th[0] == 0.0 and (v[1] - v[0]) / (th[1] - th[0]) != s_wrap
-    return LineIntegralResult(float(total), bool(h0 != 0.0 or kink))
-
-
 # The one test of vanishing at infinity, applied by line_integral and vanishing_order:
 # h(0) = 0 iff |h(0)| <= POLE_TOL sum_n |c_n|, as the sum h(0) = sum_n c_n rounds by about
 # (2M + 1) 2^-53 of it.  Projections vanish exactly where their source does (_project_samples).
@@ -265,14 +242,22 @@ def line_integral(h) -> LineIntegralResult:
 
     Fourier h: the Hadamard finite part -2pi sum_n |n| c_n.  The integral is
     divergent iff |h(0)| = |sum_n c_n| > POLE_TOL sum_n |c_n|, both sums taken
-    over the two-sided spectrum: iff vanishing_order(h) is 0.  Piecewise-linear
-    h: each segment is integrated exactly, the wrap segment being cut at 2pi, and
-    the integral is divergent iff h(0) != 0 or the one-sided slopes at theta = 0
-    differ.  A
-    divergent integral returns its finite part with divergent=True.
+    over the two-sided spectrum: iff vanishing_order(h) is 0.
+
+    Piecewise-linear h: the same sum over the slope-jump coefficients of
+    fourier_project, with sum_{n>=1} cos(n theta)/n = -ln(2 sin(theta/2)), is
+    -2 sum_k ds_k ln(2 sin(theta_k/2)) over the nodes theta_k > 0; a node at
+    theta = 0 adds the finite part 2 ds_0 of its kink.  The integral is divergent
+    iff h(0) != 0 or ds_0 != 0.
+
+    A divergent integral returns its finite part with divergent=True.
     """
     if isinstance(h, PiecewiseLinearCircle):
-        return _pl_line_integral(h)
+        th, ds = h.nodes.tolist(), h.slope_jumps.tolist()
+        kink = ds[0] if th[0] == 0.0 else 0.0  # only the first node can sit at theta = 0
+        logs = sum(d * math.log(2.0 * math.sin(t / 2.0)) for t, d in zip(th, ds) if t > 0.0)
+        h0 = np.interp(TWO_PI, *h.closed)  # h(0), read on the wrap segment
+        return LineIntegralResult(2.0 * (kink - logs), bool(h0 != 0.0 or kink != 0.0))
     c = h.full()
     ns = np.arange(-h.max_mode, h.max_mode + 1)
     value = -TWO_PI * np.sum(np.abs(ns) * c).real

@@ -185,10 +185,10 @@ def apply(op: Op, x: np.ndarray) -> np.ndarray:
 
 
 def _norm_sq(N: int, *vs: np.ndarray) -> np.ndarray:
-    """The squared norms of basis(N); ValueError for a vector of another length."""
+    """The squared norms of basis(N); ValueError for a batch or a vector of another length."""
     norm_sq = basis(N).norm_sq
-    if any(len(v) != len(norm_sq) for v in vs):
-        raise ValueError(f"a vector's length is not the dimension {len(norm_sq)} of cutoff {N}")
+    if any(np.ndim(v) != 1 or len(v) != len(norm_sq) for v in vs):
+        raise ValueError(f"a vector is not 1-d or not the dimension {len(norm_sq)} of cutoff {N}")
     return norm_sq
 
 

@@ -407,23 +407,52 @@ def _mp_fourier_line_integral(h):
 
 
 def _mp_pl_line_integral(h, cut=0.0):
-    """int h(theta) / (2 sin^2(theta/2)) dtheta segment by segment, up to 2pi - cut.
+    """int h(theta) / (2 sin^2(theta/2)) dtheta over [cut, 2pi - cut], segment by segment;
+    the wrap segment, which ends past 2pi, on both sides of 2pi.
 
-    Every segment where h is nonzero must stay away from theta = 0.
+    Without a cut, every segment where h is nonzero must stay away from theta = 0.
     """
     total = mpmath.mpf(0)
     with mpmath.workdps(30):
+        two_pi = 2 * mpmath.pi
         for a, b, va, vb in ref.segments(h):
             if va == 0.0 and vb == 0.0:
                 continue
             a, b, va, vb = map(mpmath.mpf, (a, b, va, vb))
-            hi = min(b, 2 * mpmath.pi - cut)
-            assert 0.0 < a and hi < 2 * mpmath.pi
-            total += mpmath.quad(
-                lambda th: (va + (vb - va) * (th - a) / (b - a)) / (2 * mpmath.sin(th / 2) ** 2),
-                [a, hi],
-            )
+            for shift, lo, hi in ((0, max(a, cut), min(b, two_pi - cut)),
+                                  (two_pi, max(a - two_pi, cut), b - two_pi)):
+                if lo >= hi:
+                    continue
+                assert 0.0 < lo and hi < two_pi
+                total += mpmath.quad(
+                    lambda th: ((va + (vb - va) * (th + shift - a) / (b - a))
+                                / (2 * mpmath.sin(th / 2) ** 2)),
+                    [lo, hi],
+                )
     return float(total)
+
+
+def _mp_pl_finite_part(h, eps=1e-5):
+    """Hadamard finite part of int h(theta) / (2 sin^2(theta/2)) dtheta, h piecewise linear.
+
+    The integral over [eps, 2pi - eps], less 2 h(0) cot(eps/2), the integral of the constant
+    h(0).  Near theta = 0, h - h(0) is s_+ theta on the right and s_- theta on the left, so
+    the cut drops -2 (s_+ - s_-) ln(eps) of it, which is added back, and O(eps^2) besides.
+    """
+    a, b, va, vb = list(ref.segments(h))[-1]  # the wrap segment, which holds theta = 2pi
+    h0 = va + (vb - va) * (TWO_PI - a) / (b - a)
+    th, v = h.nodes, h.values
+    ds0 = (v[1] - v[0]) / (th[1] - th[0]) - (vb - va) / (b - a) if th[0] == 0.0 else 0.0
+    return (_mp_pl_line_integral(h, cut=eps) - 2.0 * h0 / math.tan(eps / 2.0)
+            + 2.0 * ds0 * math.log(eps))
+
+
+def _random_pl(seed):
+    """Nodes and values of a seeded random piecewise-linear function: 3 to 6 nodes in
+    [0.3, 2pi - 0.3] and normal values."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 7))
+    return np.sort(rng.uniform(0.3, TWO_PI - 0.3, m)), rng.standard_normal(m)
 
 
 def _mp_f3g(F, G, T=1e4):
@@ -458,7 +487,8 @@ class TestMpmathOracles:
         assert not r.divergent
         assert r.value == pytest.approx(_mp_fourier_line_integral(h), abs=1e-9)
 
-    @pytest.mark.parametrize("n", [1, 4, 8, 64, 1024])
+    # 10**8 is not dyadic, so its nodes 2pi - 1/n and 2pi - 1/(2n) are rounded
+    @pytest.mark.parametrize("n", [1, 4, 8, 64, 1024, 2**20, 2**30, 10**8])
     def test_gn_family(self, n):
         gn = fn.gn_family(n)
         r = fn.line_integral(gn)
@@ -473,6 +503,33 @@ class TestMpmathOracles:
         assert r.divergent
         oracle = _mp_pl_line_integral(fn.g_limit(), cut=eps) + 2.0 * math.log(eps)
         assert r.value == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pl_vanishing_near_infinity(self, seed):
+        nodes, values = _random_pl(seed)
+        values[[0, -1]] = 0.0  # zero on the wrap segment
+        h = fn.PiecewiseLinearCircle(nodes, values)
+        r = fn.line_integral(h)
+        assert not r.divergent
+        assert r.value == pytest.approx(_mp_pl_line_integral(h), rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kink_at_infinity_returns_finite_part(self, seed):
+        # h(0) = 0 at a node there: the finite part 2 ds_0 of the kink beside the log sum
+        nodes, values = _random_pl(seed)
+        nodes[0] = values[0] = 0.0
+        h = fn.PiecewiseLinearCircle(nodes, values)
+        r = fn.line_integral(h)
+        assert r.divergent and h.slope_jumps[0] != 0.0
+        assert r.value == pytest.approx(_mp_pl_finite_part(h), rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_pole_at_infinity_returns_finite_part(self, seed):
+        # no node at theta = 0 and h(0) != 0: the log sum alone is the finite part
+        h = fn.PiecewiseLinearCircle(*_random_pl(seed))
+        r = fn.line_integral(h)
+        assert r.divergent and h(0.0) != 0.0
+        assert r.value == pytest.approx(_mp_pl_finite_part(h), rel=1e-12, abs=1e-9)
 
     def test_f3g_default_vector_fields(self):
         F, G = _vector_fields()

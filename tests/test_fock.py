@@ -208,3 +208,14 @@ class TestApply:
         with pytest.raises(ValueError, match="not the dimension"):
             fock.norm(v, 6)
         assert fock.inner(u, u, 6) == 1.0 and fock.norm(v, 5) == 1.0
+
+    def test_inner_and_norm_refuse_a_batch(self):
+        # a (dim, k) batch would have its rows weighted by the squared norms of the columns
+        V = np.zeros((4, 4))
+        V[2, 0] = 1.0  # the basis vector (2) of cutoff 2, of squared norm 2
+        for call in (lambda: fock.norm(V, 2), lambda: fock.inner(V, V, 2),
+                     lambda: fock.inner(V[:, 0], V, 2), lambda: fock.norm(V[:, :2], 2),
+                     lambda: fock.norm(V[0, 0], 2)):
+            with pytest.raises(ValueError, match="not 1-d"):
+                call()
+        assert fock.norm(V[:, 0], 2) == np.sqrt(2.0) and fock.inner(V[:, 0], V[:, 0], 2) == 2.0

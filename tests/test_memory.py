@@ -86,8 +86,9 @@ def test_series_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 4.9 MB peak and left 1.5 MB of
-    # caches behind.  The bounds allow about 15% and 40% over the measured values.
+    # From cleared caches the N = 10..18 sweep measured a 5.2 MB peak and left 1.95 MB of
+    # caches behind, first in its process (4.8 MB and 1.6 MB when repeated).  The bounds
+    # allow about 8% over the first measurement.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
