@@ -1,12 +1,12 @@
 """Command-line driver for the verification suites and numerical demonstrations.
 
-Subcommands: verify | charge | nonnormal | ground.  verify, charge and
-nonnormal print a table as CSV or JSON, ground a JSON report; numbers carry
-12 significant digits.  The exit status is 0 iff every executed check passed
-or was explicitly skipped by the window rules; charge checks each c_est.
-ground and nonnormal run no gated check yet, so for them that rule is vacuous.
-Every printed number is finite: a run that overflows, or would print inf or
-nan, ends with a one-line error and exit status 1.
+Subcommands: verify | charge | nonnormal | ground.  verify, charge and nonnormal print a
+table as CSV, whose numbers carry 12 significant digits, or as JSON; ground prints a JSON
+report.  JSON numbers are the shortest repr of each float.  The exit status is 0 iff every
+executed check passed or was explicitly skipped by the window rules; charge checks each
+c_est.  ground and nonnormal run no gated check yet, so for them that rule is vacuous.
+Every printed number is finite: a run that overflows (a numpy overflow or invalid result
+among others), or would print inf or nan, ends with a one-line error and exit status 1.
 """
 
 from __future__ import annotations
@@ -339,6 +339,7 @@ def _kappas(text: str) -> list:
     return kappas
 
 
+@np.errstate(over="raise", invalid="raise")  # a numpy overflow ends in one error line
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # e.g. a DivergenceError, or a cutoff outside a window
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OverflowError as exc:  # e.g. q^2 at --q 1e160, or q_n = inf at --q 1e308
+    except (OverflowError, FloatingPointError) as exc:  # e.g. q^2 at --q 1e160, numpy overflow
         sys.stderr.write(f"error: an input is out of range: {exc.args[-1]}\n")
         return 1
     except MemoryError as exc:  # e.g. numpy refusing an array of 10^12 modes

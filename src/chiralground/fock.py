@@ -11,9 +11,8 @@ J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
 amplitude basis, so that J_n and L_n have exact integer and half weights.  apply
 sums the products w v[src] onto their rows by one scatter; triples are composed
-by products.  exp_current gives exp(i t A) X for a Hermitian A, such as J(f) in
-the orthonormalized basis, by a Chebyshev series: A is laid out once by rows, and
-each step of the series is a few gathers over that layout.
+by products.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the
+levels <= N, in closed form: a product of single-mode displacements.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -222,61 +221,48 @@ def heisenberg_residual(m: int, n: int, N: int) -> float:
                             identity(N, m if m + n == 0 else 0), exactness_window(N, m, n), N)
 
 
-def _tail_degree(z: float) -> int:
-    """Least K with 2 sum_{k>K} (|z|/2)^k / k! <= 2^-53.
+def displacement(alpha: complex, L: int) -> np.ndarray:
+    """<j|D(alpha)|k> for j, k <= L, D(alpha) = exp(alpha a^+ - conj(alpha) a) on one mode:
+    sqrt(lo!/hi!) b^(hi - lo) e^(-|alpha|^2/2) L_lo^(hi - lo)(|alpha|^2), lo and hi the lesser
+    and greater of j and k, b = alpha for j >= k and -conj(alpha) above (Cahill and Glauber,
+    Phys. Rev. 177, 1857, 1969), with the Laguerre L_k^(a) by their recurrence in k."""
+    x, a = abs(alpha) ** 2, np.arange(L + 1)
+    lag = np.outer(np.eye(1, L + 2), np.ones(L + 1))  # lag[k, a] = L_k^(a)(x), row -1 as k = -1
+    for k in range(L):
+        lag[k + 1] = ((2 * k + 1 + a - x) * lag[k] - (k + a) * lag[k - 1]) / (k + 1)
+    j, k = np.indices((L + 1, L + 1))
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, L + 1)))])
+    b = np.where(j >= k, complex(alpha), -np.conj(alpha))
+    return np.exp((log_fact[lo] - log_fact[hi] - x) / 2) * b ** (hi - lo) * lag[lo, hi - lo]
 
-    The sum bounds 2 sum_{k>K} |J_k(z)| for real z (DLMF 10.14.4), the error of
-    the Jacobi-Anger series of exp(i z x) cut after T_K, for |x| <= 1.
+
+def weyl(g: CircleFourier, X: np.ndarray, N: int) -> np.ndarray:
+    """P_N exp(i J(g)) P_N X for the columns X, (dim,) or (dim, k), over the orthonormalized
+    basis(N), P_N the projection on the levels <= N of the untruncated space.
+
+    The modes of J(g) commute, so exp(i J(g)) is the product of the displacements
+    D(alpha_n), alpha_n = i sqrt(n) conj c_n(g), of the multiplicities m_n, n >= 1 (J_0 = 0
+    in charge zero).  Row p of X reaches the rows q that share its parts above g's top mode,
+    with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>.  A mode n > N adds the factor
+    exp(-|alpha_n|^2 / 2) = <0|D(alpha_n)|0>, which the exponential of the compressed J(g)
+    would drop.  ValueError for an X of another length; ArithmeticError if not finite.
     """
-    h = abs(z) / 2
-    if h == 0:
-        return 0
-    # beyond the last k the terms are below 2^-89 and shrink by a factor 2e or more per step
-    k = np.arange(1, math.ceil(2 * math.e * h) + 90)
-    log_terms = k * math.log(h) - np.cumsum(np.log(k))
-    # a term above 1 only occurs in tails far above 2^-53, so capping it decides nothing
-    tails = np.append(np.cumsum(np.exp(np.minimum(log_terms, 0.0))[::-1])[::-1], 0.0)
-    return int(np.argmax(2 * tails <= 2.0**-53))
-
-
-def exp_current(A: Op, t: float, X: np.ndarray) -> np.ndarray:
-    """exp(i t A) X for the triples A of a Hermitian operator over the basis that the
-    columns X run over, such as J(f) rescaled to the orthonormalized basis.
-
-    ||A|| <= b, its largest absolute row sum, and exp(i t A) is the Chebyshev series
-    sum_k eps_k i^k J_k(z) T_k(A / b), z = t b (Jacobi-Anger; Tal-Ezer and Kosloff,
-    J. Chem. Phys. 81, 3967, 1984), cut at the degree _tail_degree(z) fixed in
-    advance.  2 A / b is laid out once by rows, by falling entry count, so that the r-th
-    entries of the rows in op order fill the first rows; each step T_k = 2 (A / b)
-    T_{k-1} - T_{k-2} on the columns of X is one gather per rank, in apply's order.
-    IndexError for an entry off the basis; ArithmeticError for a non-finite result.
-    """
-    src, dst, w = A
-    per_row = np.bincount(dst, minlength=len(X))
-    b = np.max(np.bincount(dst, np.abs(w), len(X)), initial=0.0)
-    K = _tail_degree(t * b)
-    M = 2 * K + 2  # FFT length: the aliases k +- M of each k <= K lie past K, in the tail bound
-    coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
-    coef[1:] *= 2  # now eps_k i^k J_k(t b)
-    perm = np.argsort(-per_row, kind="stable")  # past the basis, X[perm] raises IndexError
-    at = np.argsort(perm)  # row d is row at[d] of the layout
-    order = np.argsort(dst, kind="stable")
-    rank = np.arange(len(dst)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    order = order[np.lexsort((at[dst[order]], rank))]  # by rank, then by layout row
-    ends = np.cumsum(np.bincount(rank))[:-1]
-    ranks = list(zip(np.split(at[src[order]], ends), np.split(2 / (b or 1.0) * w[order], ends)))
-
-    def step(V):  # 2 A V / b on the layout's rows
-        out = np.zeros(V.shape, dtype=complex)
-        for i, c in ranks:
-            out[:len(i)] += V[i] * c[:, None]
-        return out
-
-    cur = X.reshape(len(X), -1)[perm]  # T_0 X on the layout's rows
-    Y = coef[0] * cur
-    for k in range(1, K + 1):
-        last, cur = cur, step(cur) / 2 if k == 1 else step(cur) - last
-        Y += coef[k] * cur
+    counts = basis(N).counts
+    if len(X) != len(counts):
+        raise ValueError(f"X has {len(X)} rows, not the dimension {len(counts)} of cutoff {N}")
+    top = min(g.max_mode, N)
+    alpha = 1j * np.sqrt(np.arange(1, g.max_mode + 1)) * np.conj(g.coeffs[1:])
+    tables = [displacement(a, N // n) for n, a in enumerate(alpha[:top], 1)]
+    kept = _row_keys(counts * (np.arange(N + 1) > top))  # the parts exp(i J(g)) keeps
+    cols = X.reshape(len(X), -1)
+    Y = np.zeros(cols.shape, dtype=complex)
+    for p in np.flatnonzero(np.any(cols != 0, axis=1)):  # one gather per nonzero row
+        q = np.flatnonzero(kept == kept[p])
+        w = np.full(len(q), math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2)), dtype=complex)
+        for n, D in enumerate(tables, 1):
+            w *= D[counts[q, n], counts[p, n]]
+        Y[q] += w[:, None] * cols[p]
     if not np.all(np.isfinite(Y)):
-        raise ArithmeticError("exp(i t J(f)) did not converge: the series is not finite")
-    return Y[at].reshape(X.shape)
+        raise ArithmeticError("exp(i J(g)) X is not finite")
+    return Y.reshape(X.shape)

@@ -122,13 +122,12 @@ def central_charge_estimate(F: CircleFourier, G: CircleFourier, kappa: float, N:
 def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> float:
     """Operator-norm residual of the exponentiated adjoint action on T(f).
 
-    With W(g) = exp(i J(g)) on the truncated space, the identity
+    With W(g) = exp(i J(g)) on the untruncated space, the identity
     W(g) T(f) W(g)* = T(f) + J(f g') + sigma(f g', g) / (2 * SIGMA_NORM)
-    holds on the untruncated domain; the residual is measured on the fixed slab P
-    of levels <= WEYL_SLAB, over all rows <= N, and converges as N grows.  The
-    2-norm is unitarily invariant, so in the orthonormalized basis it is that of
-    T(f) W*P - W* X P, with X = T(f) + J(f g') + the scalar: one series of
-    fock.exp_current on the stacked columns [P | X P].
+    holds on its domain; the residual is measured on the fixed slab P of levels
+    <= WEYL_SLAB, with W* compressed to the levels <= N, and converges as N grows.
+    In the orthonormalized basis it is ||T(f) P_N W* P - P_N W* P_N X P||, with
+    X = T(f) + J(f g') + the scalar: one fock.weyl of -g on the stacked columns [P | X P].
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
@@ -140,6 +139,5 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     for src, dst, w in (T, fock.rescaled(smear(mode_triples, fgp, N), e)):
         on = src < P.shape[1]  # the entries of T(f) and J(f g') on the columns of P
         np.add.at(XP, (dst[on], src[on]), w[on])
-    V = fock.exp_current(fock.rescaled(smear(mode_triples, g, N), e), -1.0, np.hstack([P, XP]))
-    WsP, WsXP = np.split(V, [P.shape[1]], axis=1)
+    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
     return float(np.linalg.norm(fock.apply(T, WsP) - WsXP, ord=2))

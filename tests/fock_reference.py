@@ -1,14 +1,14 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
-the array layer in chiralground.fock must reproduce; the Weyl adjoint
-residual on the fixed slab computed with a dense eigendecomposition of J(g),
-and with the Chebyshev series of exp(-+i J(g)) applied on both sides of T(f);
-dense level blocks of J_n and of L_n (summed pair by pair), the dense bracket
+the array layer in chiralground.fock must reproduce; the compressed Weyl
+operator P_N exp(i J(g)) P_N as single-mode expm tables applied to dict
+vectors one mode at a time, and as dense expm of J(g) at a larger cutoff, and
+the Weyl adjoint residual on the fixed slab built on either; dense level
+blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
 of J_n one n at a time and of L_n one pair at a time; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
-amplitudes by partition, the smeared stress tensor T(f) and exp(i t J(f)) on
-columns in the orthonormalized basis.
+amplitudes by partition and the smeared stress tensor T(f).
 
 Partitions are tuples of parts sorted descending; the partition
 (n_1, ..., n_k) stands for J_{-n_1} ... J_{-n_k} vac, whose squared norm is
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 
 from chiralground import fnspace as fn
 from chiralground import fock, sugawara
@@ -230,26 +231,65 @@ def current_orthonormal(f, N: int) -> fock.Op:
     return fock.rescaled(current(f, N), np.sqrt(fock.basis(N).norm_sq))
 
 
-def exp_current(f, t: float, X: np.ndarray, N: int) -> np.ndarray:
-    """exp(i t J(f)) X for the columns of X in the orthonormalized basis of cutoff N."""
-    return fock.exp_current(current_orthonormal(f, N), t, X)
+@lru_cache(maxsize=None)
+def displacement_expm(alpha: complex, L: int, levels: int = 120) -> np.ndarray:
+    """<j|D(alpha)|k> for j, k <= L from scipy's expm of alpha a^+ - conj(alpha) a on the
+    lowest ``levels`` levels of one mode; the default serves |alpha| <= 3 and L <= 24."""
+    a = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    return expm(alpha * a.T - np.conj(alpha) * a)[:L + 1, :L + 1]
 
 
-def exp_current_by_apply(A: fock.Op, t: float, X: np.ndarray) -> np.ndarray:
-    """exp(i t A) X by fock.exp_current's Chebyshev series, of the same degree and
-    coefficients, with every step of the recurrence one fock.apply of 2 A / b."""
-    b = np.max(np.bincount(A[1], np.abs(A[2]), len(X)), initial=0.0)
-    K = fock._tail_degree(t * b)
-    M = 2 * K + 2
-    coef = np.fft.fft(np.exp(1j * t * b * np.cos(2 * np.pi * np.arange(M) / M)))[:K + 1] / M
-    coef[1:] *= 2
-    A = fock.scaled(2 / (b or 1.0), A)
-    last, cur = X, fock.apply(A, X) / 2
-    Y = coef[0] * last
-    for k in range(1, K + 1):
-        if k > 1:
-            last, cur = cur, fock.apply(A, cur) - last
-        Y += coef[k] * cur
+def weyl(g, amps: dict, N: int) -> dict:
+    """P_N exp(i J(g)) P_N on the vector with amplitudes amps in the orthonormalized basis,
+    keyed by partition: the displacement_expm of each mode n of g, alpha_n =
+    i sqrt(n) conj c_n, applied to the multiplicity of the parts n, one mode after another
+    on the untruncated space.  A row is dropped as soon as the parts that no later factor
+    changes (those up to n and those above g's top mode) exceed level N, since it can only
+    end above N; the other rows above N are dropped at the end."""
+    out = dict(amps)
+    for n in range(1, g.max_mode + 1):
+        D = displacement_expm(1j * math.sqrt(n) * np.conj(g.coeff(n)), N // n)
+        step = {}
+        for p, a in out.items():
+            rest = [k for k in p if k != n]
+            room = N - sum(k for k in rest if k < n or k > g.max_mode)  # for j parts n
+            for j in range(room // n + 1):
+                q = tuple(sorted(rest + [n] * j, reverse=True))
+                step[q] = step.get(q, 0.0) + D[j, p.count(n)] * a
+        out = step
+    return {p: a for p, a in out.items() if sum(p) <= N}
+
+
+def weyl_columns(g, X: np.ndarray, N: int) -> np.ndarray:
+    """weyl on the columns X, (dim, k) over the orthonormalized basis(N), one basis vector
+    per nonzero row of X."""
+    parts = fock.basis_partitions(N)
+    index = {p: i for i, p in enumerate(parts)}
+    Y = np.zeros(X.shape, dtype=complex)
+    for i in np.flatnonzero(np.any(X != 0, axis=1)):
+        for q, a in weyl(g, {parts[i]: 1.0}, N).items():
+            Y[index[q]] += a * X[i]
+    return Y
+
+
+def weyl_expm(g, X: np.ndarray, N: int, N_big: int) -> np.ndarray:
+    """P_N exp(i J(g)) P_N X from scipy's expm of the orthonormalized J(g) on basis(N_big),
+    which tends to the untruncated exp(i J(g)) as N_big grows.  J(g) keeps the parts above
+    g's top mode, so on basis(N_big) it is block diagonal over their multiplicities and its
+    expm is taken block by block, on the blocks of the nonzero rows of X; basis(N) is the
+    head of basis(N_big)."""
+    src, dst, w = current_orthonormal(g, N_big)
+    keys = [bytes(row[g.max_mode + 1:]) for row in fock.basis(N_big).counts]
+    Y = np.zeros(X.shape, dtype=complex)
+    for key in {keys[i] for i in np.flatnonzero(np.any(X != 0, axis=1))}:
+        R = np.array([i for i, k in enumerate(keys) if k == key])
+        at = np.full(len(keys), -1)
+        at[R] = np.arange(len(R))
+        on = at[src] >= 0
+        A = np.zeros((len(R), len(R)), dtype=complex)
+        np.add.at(A, (at[dst[on]], at[src[on]]), w[on])
+        keep = R < len(X)
+        Y[R[keep]] += expm(1j * A)[np.ix_(keep, keep)] @ X[R[keep]]
     return Y
 
 
@@ -268,23 +308,12 @@ def _weyl_slab_columns(g, f, N: int) -> tuple:
     return (lambda Y: hat(T, Y)), P, XP
 
 
-def weyl_residual_eigh(g, f, N: int) -> float:
-    """The Weyl adjoint residual ||(W T(f) W* - X) P|| with W = exp(i J(g)) from the
-    eigendecomposition of the dense Hermitian J(g), on the fixed slab P."""
-    lam, V = np.linalg.eigh(operator_matrix(lambda v: fock.apply(current(g, N), v), N))
+def weyl_residual(g, f, N: int, W=weyl_columns) -> float:
+    """The Weyl adjoint residual ||T(f) W* P - W* X P|| on the fixed slab P, with
+    W* = P_N exp(-i J(g)) P_N from W(-g, Y, N), by default the dict oracle weyl."""
     T, P, XP = _weyl_slab_columns(g, f, N)
-    WsP = V @ (np.exp(-1j * lam)[:, None] * V[: P.shape[1]].conj().T)
-    WTWsP = V @ (np.exp(1j * lam)[:, None] * (V.conj().T @ T(WsP)))
-    return float(np.linalg.norm(WTWsP - XP, ord=2))
-
-
-def weyl_residual_two_sided(g, f, N: int) -> float:
-    """The Weyl adjoint residual ||(W T(f) W* - X) P|| on the fixed slab, with the
-    series of fock.exp_current applied on both sides of T(f): exp(-i J(g)) to P,
-    exp(i J(g)) to T(f) W*P, and X P subtracted."""
-    T, P, XP = _weyl_slab_columns(g, f, N)
-    WTWsP = exp_current(g, 1.0, T(exp_current(g, -1.0, P, N)), N)
-    return float(np.linalg.norm(WTWsP - XP, ord=2))
+    WsP, WsXP = (W(g.scale(-1.0), Y, N) for Y in (P, XP))
+    return float(np.linalg.norm(T(WsP) - WsXP, ord=2))
 
 
 def virasoro_block(n: int, level: int) -> np.ndarray:

@@ -306,6 +306,18 @@ def test_overflow_is_a_one_line_error(argv, capsys):
     assert err.startswith("error: an input is out of range: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fspec", ["fourier:1e308,1e308", "fourier:0,1e200,0,1e200"])
+def test_numpy_overflow_is_a_one_line_error(fspec, capsys):
+    # each printed numpy RuntimeWarnings (overflow in square, in matmul, ...) before its
+    # one-line error
+    rc = cli.main(["ground", "--function", fspec])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: an input is out of range: overflow encountered in ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["ground", "--q", "1e150"],
     ["nonnormal", "--q", "1e300", "--n-max", "8", "--format", "json"],

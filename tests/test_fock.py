@@ -179,25 +179,39 @@ class TestApply:
         past = (np.array([0]), np.array([len(v)]), np.array([1.0]))
         with pytest.raises(IndexError):
             fock.apply(past, v)
-        with pytest.raises(IndexError):
-            fock.exp_current(past, 1.0, np.eye(len(v), 2))
 
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "batch"])
-    def test_apply_and_exp_current_return_arrays_of_the_input_shape(self, shape):
+    def test_apply_and_weyl_return_arrays_of_the_input_shape(self, shape):
         N = 6
         rng = np.random.default_rng(49)
         x = rng.standard_normal((fock.basis(N).offsets[-1], *shape)) + 0j
         g = fn.random_real_circle(2, rng)
-        for out in (fock.apply(ref.current(g, N), x),
-                    fock.exp_current(ref.current_orthonormal(g, N), 1.0, x)):
+        for out in (fock.apply(ref.current(g, N), x), fock.weyl(g, x, N)):
             assert type(out) is np.ndarray and out.shape == x.shape and out.dtype == complex
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_exp_current_of_the_zero_generator_is_the_identity(self, dtype):
-        # b = 0, so the series has degree K = 0 and its layout no entries
-        empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    def test_weyl_of_the_zero_generator_is_the_identity(self, dtype):
+        # every displacement table is the identity, exactly
+        zero = fn.CircleFourier(np.zeros(4))
         X = np.random.default_rng(50).standard_normal((len(fock.vacuum(5)), 3)).astype(dtype)
-        assert np.array_equal(fock.exp_current(empty, 1.0, X), X)
+        assert np.array_equal(fock.weyl(zero, X, 5), X)
+
+    def test_weyl_refuses_an_input_of_another_length(self):
+        g = fn.random_real_circle(2, np.random.default_rng(51))
+        for x in (fock.vacuum(5), np.eye(len(fock.vacuum(6)) + 1, 2)):
+            with pytest.raises(ValueError, match="not the dimension 30 of cutoff 6"):
+                fock.weyl(g, x, 6)
+
+    def test_weyl_refuses_a_non_finite_result(self):
+        g = fn.random_real_circle(2, np.random.default_rng(42), 0.5)
+        X = np.full((len(fock.vacuum(6)), 1), np.nan)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            fock.weyl(g, X, 6)
+        # one NaN, at the vacuum row of column 1, among finite columns
+        X = np.eye(len(X), 3, dtype=complex)
+        X[0, 1] = np.nan
+        with pytest.raises(ArithmeticError, match="not finite"):
+            fock.weyl(g, X, 6)
 
     def test_inner_refuses_a_vector_of_another_length(self):
         # a length-1 vector would broadcast against the squared norms if not refused

@@ -2,10 +2,12 @@
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
-at a time; the Weyl adjoint residual on its fixed slab against dense expm, the
-eigendecomposition of J(g) and the series applied on both sides, and its
-mutations; and the exactness window of the central charge
-against the same amplitude at a larger cutoff."""
+at a time; the closed-form Weyl operator and its displacement tables against
+single-mode expm tables applied one mode at a time to dict vectors, dense expm
+of J(g) at a larger cutoff, the coherent vector and the vacuum value of the
+states layer; the Weyl adjoint residual on its fixed slab against residuals
+built on those oracles, and its mutations; and the exactness window of the
+central charge against the same amplitude at a larger cutoff."""
 
 import math
 import os
@@ -14,16 +16,15 @@ import sys
 from pathlib import Path
 
 import fock_reference as ref
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.special import factorial
 
 import chiralground
 from chiralground import fnspace as fn
-from chiralground import fock, sugawara
+from chiralground import fock, states, sugawara
 
 SETTINGS = settings(max_examples=200, deadline=None)
 amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False,
@@ -170,19 +171,6 @@ def test_charge_window_is_exact_and_tight(pair):
     assert abs(c - (1.0 + kappa**2)) <= 1e-10 * scale / abs(denom)
 
 
-def _weyl_dense(g, f, N):
-    """The dense formula: ||(W T(f) W* - T(f) - J(f g') - sigma) P|| with W = expm(i J(g)),
-    P the fixed slab of levels <= WEYL_SLAB."""
-    Jg = ref.dense_matrix(lambda v: ref.smeared(ref.dict_mode, g, v), N)
-    Tf = ref.dense_matrix(lambda v: ref.smeared(ref.dict_virasoro_mode, f, v), N)
-    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
-    Jfgp = ref.dense_matrix(lambda v: ref.smeared(ref.dict_mode, fgp, v), N)
-    W = expm(1j * Jg)
-    scalar = fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM)
-    A = W @ Tf @ W.conj().T - Tf - Jfgp - scalar * np.eye(len(Tf))
-    return np.linalg.norm(A[:, : len(ref.partitions_upto(sugawara.WEYL_SLAB))], ord=2)
-
-
 # The residual is a difference of O(1) terms: near 1e-12 the rounding of those terms
 # dominates it, so the oracles compare it with a relative and an absolute tolerance.
 WEYL_REL, WEYL_ABS = 1e-10, 1e-14
@@ -190,11 +178,13 @@ WEYL_REL, WEYL_ABS = 1e-10, 1e-14
 
 @pytest.mark.parametrize("N", [6, 8, 10])
 def test_weyl_adjoint_matches_dense_expm(N):
+    # W* from scipy's expm of J(-g) on basis(N + 20), compressed to the levels <= N
     rng = np.random.default_rng(36)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(_weyl_dense(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
+    want = ref.weyl_residual(g, f, N, lambda h, Y, n: ref.weyl_expm(h, Y, n, n + 20))
+    assert r == pytest.approx(want, rel=WEYL_REL, abs=WEYL_ABS)
 
 
 def _sized_pair(seed, size):
@@ -204,42 +194,23 @@ def _sized_pair(seed, size):
                  for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("N", [12, 14, 16])
-def test_weyl_adjoint_matches_eigh_formula(N, seed):
-    g, f = _sized_pair(seed, 0.5)
-    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
-
-
-@pytest.mark.parametrize("N", [N for N in range(10, 21) if N not in (12, 14, 16)])
-def test_weyl_adjoint_matches_eigh_formula_to_cutoff_20(N):
-    g, f = _sized_pair(1, 0.5)
-    r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
-
-
 @pytest.mark.parametrize("N, seed", [(N, seed) for N in range(10, 21) for seed in (1, 2)]
                          + [(22, 1), (24, 1)])
-def test_weyl_adjoint_blocks_match_the_series(N, seed):
-    # one series on the stacked column blocks [P | X P] against the series applied on
-    # both sides of T(f), W T(f) W* P - X P, also past the cutoffs the eigh formula reaches
+def test_weyl_adjoint_matches_the_dict_oracle(N, seed):
     g, f = _sized_pair(seed, 0.5)
     r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-    assert r == pytest.approx(ref.weyl_residual_two_sided(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
+    assert r == pytest.approx(ref.weyl_residual(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
 @pytest.mark.parametrize("max_mode", [0, 1, 3, None])
-def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
+def test_weyl_adjoint_matches_the_dict_oracle_for_other_generators(max_mode):
     # None stands for a generator of top mode N, which moves every part
     rng = np.random.default_rng(50)
     for N in range(15 if max_mode is not None else 13):
         g = fn.random_real_circle(N if max_mode is None else max_mode, rng, 0.3)
         f = fn.random_real_circle(2, rng, 0.3)
         r = sugawara.weyl_adjoint_stress_residual(g, f, N)
-        assert r == pytest.approx(ref.weyl_residual_two_sided(g, f, N), rel=WEYL_REL,
-                                  abs=WEYL_ABS)
-        assert r == pytest.approx(ref.weyl_residual_eigh(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
+        assert r == pytest.approx(ref.weyl_residual(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -268,39 +239,63 @@ def test_weyl_adjoint_sees_the_sign_of_the_current_term(monkeypatch):
     assert sugawara.weyl_adjoint_stress_residual(g, f, 24) > 1.0
 
 
-def _series_argument(g, N):
-    """z = t b at t = 1: b is the largest absolute row sum of the orthonormalized J(g)."""
-    _, dst, w = ref.current_orthonormal(g, N)
-    return np.max(np.bincount(dst, np.abs(w)))
+@pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 1.0, 1.66, 3.16, 5.0])
+def test_displacement_matches_expm(size):
+    alpha = size * np.exp(0.7j)
+    for L in (0, 1, 2, 5, 20, 40):
+        err = np.max(np.abs(fock.displacement(alpha, L) - ref.displacement_expm(alpha, L, 300)))
+        assert err < 1e-13
 
 
-@pytest.mark.parametrize("size", [0.5, 3.0, 6.0])
-@pytest.mark.parametrize("N", [8, 10])
-def test_exp_current_matches_dense_expm(N, size):
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 3, None])
+def test_weyl_matches_the_dict_oracle(max_mode):
+    # None stands for a generator of top mode N; X has unit columns over every row
+    rng = np.random.default_rng(51)
+    for N in range(11):
+        g = fn.random_real_circle(N if max_mode is None else max_mode, rng)
+        dim = fock.basis(N).offsets[-1]
+        X = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        X /= np.linalg.norm(X, axis=0)
+        assert np.max(np.abs(fock.weyl(g, X, N) - ref.weyl_columns(g, X, N))) < 1e-13
+
+
+@pytest.mark.parametrize("size", [0.5, 1.0])
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_weyl_matches_dense_expm(N, size):
+    # g of top mode 2 on every basis vector: the expm of J(g) compressed from N + 24
+    # measured within 1.2e-15 (5.7e-14 from N + 20 at size 1)
     g, _ = _sized_pair(38, size)
-    # beyond |z| = 10 the coefficients i^k J_k(z) oscillate in sign and size up to k ~ |z|
-    assert (_series_argument(g, N) > 10) == (size > 1)
-    rng = np.random.default_rng(39)
-    dim = len(fock.basis_partitions(N))
-    X = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
-    X /= np.linalg.norm(X, axis=0)
-    W = expm(1j * ref.operator_matrix(lambda v: fock.apply(ref.current(g, N), v), N))
-    for t, dense in ((1.0, W), (-1.0, W.conj().T)):
-        assert np.max(np.abs(ref.exp_current(g, t, X, N) - dense @ X)) < 1e-12
+    X = np.eye(fock.basis(N).offsets[-1])
+    assert np.max(np.abs(fock.weyl(g, X, N) - ref.weyl_expm(g, X, N, N + 24))) < 1e-14
 
 
-@pytest.mark.parametrize("z", [0.0, 1e-3, 0.1, 0.6, 1.0, 3.2, -5.2, 10.0, 20.0, 40.0, 60.0])
-def test_tail_degree_bounds_the_bessel_tail(z):
-    K = fock._tail_degree(z)
-    # past k = K + 60 the bound (|z|/2)^k / k! is below 1e-57 on this grid
-    tail = 2 * sum(abs(mpmath.besselj(k, z)) for k in range(K + 1, K + 61))
-    assert tail <= 2.0**-53
-    # K is the least degree the bound 2 sum_{k>K} (|z|/2)^k / k! admits
-    h = mpmath.mpf(abs(z)) / 2
-    if K:
-        assert 2 * sum(h**k / mpmath.factorial(k) for k in range(K, K + 200)) > 2.0**-53
-    if z in (3.2, -5.2):
-        assert K == {3.2: 21, -5.2: 26}[z]
+@pytest.mark.parametrize("max_mode", [1, 2, 3, 12])
+def test_weyl_of_the_vacuum_is_the_coherent_vector(max_mode):
+    # W(g) vac = exp(-||g||^2 / 2) prod_n alpha_n^{m_n} / sqrt(m_n!) on the rows without
+    # parts above g's top mode, 0 on the others; modes above N = 10 only scale it
+    N = 10
+    g = fn.random_real_circle(max_mode, np.random.default_rng(52))
+    g = g.scale(1.0 / math.sqrt(fn.sobolev_half_sq(g)))
+    counts = fock.basis(N).counts.astype(int)
+    want = np.full(len(counts), math.exp(-0.5 * fn.sobolev_half_sq(g)), dtype=complex)
+    for n in range(1, min(max_mode, N) + 1):
+        alpha = 1j * math.sqrt(n) * np.conj(g.coeff(n))
+        want *= alpha ** counts[:, n] / np.sqrt(factorial(counts[:, n]))
+    want[np.any(counts[:, max_mode + 1:] > 0, axis=1)] = 0.0
+    assert np.max(np.abs(fock.weyl(g, fock.vacuum(N), N) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 3, 4])
+def test_weyl_vacuum_amplitude_is_the_ground_state_value(max_mode):
+    # <vac, W(g) vac> = exp(-||g||^2 / 2) = omega_0(W(g)) at every cutoff, also below
+    # g's top mode, where each mode above the cutoff gives its factor exp(-|alpha_n|^2 / 2)
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        g = fn.random_real_circle(max_mode, rng, 0.5)
+        want = states.ground_weyl(0.0, (g,), 8).value
+        assert want.real > 0.05 and want.imag == 0.0
+        for N in range(13):
+            assert abs(fock.weyl(g, fock.vacuum(N), N)[0] - want) <= 1e-15
 
 
 @pytest.mark.parametrize("N", [0, 1, 6, 10])
@@ -313,62 +308,6 @@ def test_L0_equals_its_pair_sum_block(N):
         want = np.concatenate([ref.virasoro_block(0, lvl) @ x[off[lvl]:off[lvl + 1]]
                                for lvl in range(N + 1)])
         assert np.max(np.abs(out - want), initial=0.0) < 1e-12
-
-
-def test_exp_current_round_trip():
-    g, _ = _sized_pair(40, 3.0)
-    N = 12
-    X = np.random.default_rng(41).standard_normal((len(fock.basis_partitions(N)), 4))
-    back = ref.exp_current(g, 1.0, ref.exp_current(g, -1.0, X, N), N)
-    assert np.max(np.abs(back - X)) < 1e-12 * np.max(np.abs(X))
-
-
-def test_exp_current_refuses_an_unconverged_series():
-    g, _ = _sized_pair(42, 0.5)
-    X = np.full((len(fock.basis_partitions(6)), 1), np.nan)
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        ref.exp_current(g, 1.0, X, 6)
-    # one NaN, at the vacuum row of column 1, among finite columns
-    X = np.eye(len(X), 3, dtype=complex)
-    X[0, 1] = np.nan
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        ref.exp_current(g, 1.0, X, 6)
-
-
-def _series_cases():
-    """The orthonormalized J(g) of perfbench's Weyl pair at N = 10 ... 18, and of a g of
-    top mode N, whose J(g) has entries in every row, at N = 12 and 16."""
-    for N in range(10, 19, 2):
-        yield _sized_pair(1, 0.5)[0], N
-    for N in (12, 16):
-        rng = np.random.default_rng(N)
-        g = fn.random_real_circle(N, rng)
-        yield g.scale(0.5 / math.sqrt(fn.sobolev_half_sq(g))), N
-
-
-@pytest.mark.parametrize("columns", [(), (8,)], ids=["vector", "batch"])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_exp_current_is_bitwise_the_series_by_apply(columns, dtype):
-    # the row layout adds each row's products in op order, as apply's scatter does
-    for g, N in _series_cases():
-        A = ref.current_orthonormal(g, N)
-        rng = np.random.default_rng(N)
-        X = rng.standard_normal((len(fock.basis_partitions(N)), *columns, 2))
-        X = X.view(complex)[..., 0] if dtype is complex else X[..., 0]
-        for t in (1.0, -1.0):
-            assert np.array_equal(fock.exp_current(A, t, X), ref.exp_current_by_apply(A, t, X))
-
-
-def test_exp_current_calls_no_apply(monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("fock.apply called")
-
-    g, _ = _sized_pair(1, 0.5)
-    A = ref.current_orthonormal(g, 12)
-    X = np.eye(len(fock.basis_partitions(12)), 4)
-    want = ref.exp_current_by_apply(A, -1.0, X)
-    monkeypatch.setattr(fock, "apply", refuse)
-    assert np.array_equal(fock.exp_current(A, -1.0, X), want)
 
 
 def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):

@@ -1,6 +1,6 @@
 """Traced peak memory of the Weyl path, in bytes per entry of T(f), of its
-series, in bytes per entry of J(g) and column, and of one fock.apply, in bytes
-per entry of its operator.
+Weyl operator fock.weyl, in bytes per basis row and column, and of one
+fock.apply, in bytes per entry of its operator.
 
 tracemalloc counts numpy's array allocations, so these peaks do not depend on
 the host.  Each call runs once untraced first, so that the level caches are
@@ -11,7 +11,6 @@ instead, so that it sees them.
 import math
 import tracemalloc
 
-import fock_reference as ref
 import numpy as np
 import pytest
 
@@ -74,15 +73,14 @@ def test_wide_generator_peak(N, bound):
     assert _weyl_peak_per_stress_entry(g, f, N) < bound
 
 
-def test_series_peak_on_the_slab():
-    # exp_current on the 2 x 4 columns [P | X P] of the fixed slab at N = 18: measured 46
-    # bytes per entry of J(g) and column, nearly all of it the (dim, 8) buffers of the
-    # recurrence and of one gather; the row layout of J(g) takes under 4
+def test_weyl_peak_on_the_slab():
+    # fock.weyl on the 2 x 4 columns of [P | X P] on the fixed slab at N = 18, here the
+    # first 8 basis vectors: measured 23.4 bytes per basis row and column, 16 of them the
+    # (dim, 8) complex result
     g, _ = _pair()
     N, k = 18, 2 * fock.basis(18).offsets[sugawara.WEYL_SLAB + 1]
-    A = ref.current_orthonormal(g, N)
     X = np.eye(fock.basis(N).offsets[-1], k, dtype=complex)
-    assert _traced_peak(lambda: fock.exp_current(A, -1.0, X)) / (len(A[0]) * k) < 51
+    assert _traced_peak(lambda: fock.weyl(g.scale(-1.0), X, N)) / (len(X) * k) < 26
 
 
 def test_cold_weyl_sweep_peak_and_caches():
