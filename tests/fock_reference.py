@@ -1,9 +1,10 @@
 """Reference Fock layer for the oracle tests: one dict of partition -> amplitude
 per vector and one Python loop per basis vector, with the truncation rules
 the array layer in chiralground.fock must reproduce; the compressed Weyl
-operator P_N exp(i J(g)) P_N as single-mode expm tables applied to dict
-vectors one mode at a time, and as dense expm of J(g) at a larger cutoff, and
-the Weyl adjoint residual on the fixed slab built on either; dense level
+operator P_N exp(i J(g)) P_N as single-mode tables (expm or the exponential
+series) applied to dict vectors one mode at a time, and as the exponential of
+J(g) at a larger cutoff (expm or the eigh formula), and the Weyl adjoint
+residual on the fixed slab built on any of them; dense level
 blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
 of J_n one n at a time and of L_n one pair at a time; and small helpers of the
@@ -239,16 +240,30 @@ def displacement_expm(alpha: complex, L: int, levels: int = 120) -> np.ndarray:
     return expm(alpha * a.T - np.conj(alpha) * a)[:L + 1, :L + 1]
 
 
-def weyl(g, amps: dict, N: int) -> dict:
+def displacement_series(alpha: complex, L: int, degree: int = 80) -> np.ndarray:
+    """<j|D(alpha)|k> for j, k <= L from the exponential series of alpha a^+ - conj(alpha) a
+    to ``degree``, on the lowest L + degree // 2 + 1 levels of one mode, which carry every
+    path of up to ``degree`` steps between levels <= L: only the series is cut.  Its terms
+    cancel as |alpha| grows (1e-13 at |alpha| = 1, L = 24); it serves |alpha| <= 1."""
+    a = np.diag(np.sqrt(np.arange(1.0, L + degree // 2 + 1)), 1)
+    A = alpha * a.T - np.conj(alpha) * a
+    term = out = np.eye(len(A), dtype=complex)
+    for k in range(1, degree + 1):
+        term = term @ A / k
+        out = out + term
+    return out[:L + 1, :L + 1]
+
+
+def weyl(g, amps: dict, N: int, table=displacement_expm) -> dict:
     """P_N exp(i J(g)) P_N on the vector with amplitudes amps in the orthonormalized basis,
-    keyed by partition: the displacement_expm of each mode n of g, alpha_n =
+    keyed by partition: the displacement table of each mode n of g, alpha_n =
     i sqrt(n) conj c_n, applied to the multiplicity of the parts n, one mode after another
     on the untruncated space.  A row is dropped as soon as the parts that no later factor
     changes (those up to n and those above g's top mode) exceed level N, since it can only
     end above N; the other rows above N are dropped at the end."""
     out = dict(amps)
     for n in range(1, g.max_mode + 1):
-        D = displacement_expm(1j * math.sqrt(n) * np.conj(g.coeff(n)), N // n)
+        D = table(1j * math.sqrt(n) * np.conj(g.coeff(n)), N // n)
         step = {}
         for p, a in out.items():
             rest = [k for k in p if k != n]
@@ -260,24 +275,32 @@ def weyl(g, amps: dict, N: int) -> dict:
     return {p: a for p, a in out.items() if sum(p) <= N}
 
 
-def weyl_columns(g, X: np.ndarray, N: int) -> np.ndarray:
+def weyl_columns(g, X: np.ndarray, N: int, table=displacement_expm) -> np.ndarray:
     """weyl on the columns X, (dim, k) over the orthonormalized basis(N), one basis vector
     per nonzero row of X."""
     parts = fock.basis_partitions(N)
     index = {p: i for i, p in enumerate(parts)}
+    table = lru_cache(maxsize=None)(table)
     Y = np.zeros(X.shape, dtype=complex)
     for i in np.flatnonzero(np.any(X != 0, axis=1)):
-        for q, a in weyl(g, {parts[i]: 1.0}, N).items():
+        for q, a in weyl(g, {parts[i]: 1.0}, N, table).items():
             Y[index[q]] += a * X[i]
     return Y
 
 
-def weyl_expm(g, X: np.ndarray, N: int, N_big: int) -> np.ndarray:
-    """P_N exp(i J(g)) P_N X from scipy's expm of the orthonormalized J(g) on basis(N_big),
-    which tends to the untruncated exp(i J(g)) as N_big grows.  J(g) keeps the parts above
-    g's top mode, so on basis(N_big) it is block diagonal over their multiplicities and its
-    expm is taken block by block, on the blocks of the nonzero rows of X; basis(N) is the
-    head of basis(N_big)."""
+def exp_i_eigh(A: np.ndarray) -> np.ndarray:
+    """exp(i A) of the Hermitian A by the eigh formula V exp(i Lambda) V*."""
+    lam, V = np.linalg.eigh(A)
+    return (V * np.exp(1j * lam)) @ V.conj().T
+
+
+def weyl_expm(g, X: np.ndarray, N: int, N_big: int,
+              exp_i=lambda A: expm(1j * A)) -> np.ndarray:
+    """P_N exp(i J(g)) P_N X from exp_i, by default scipy's expm, of the orthonormalized J(g)
+    on basis(N_big), which tends to the untruncated exp(i J(g)) as N_big grows.  J(g) keeps
+    the parts above g's top mode, so on basis(N_big) it is block diagonal over their
+    multiplicities and its exponential is taken block by block, on the blocks of the nonzero
+    rows of X; basis(N) is the head of basis(N_big)."""
     src, dst, w = current_orthonormal(g, N_big)
     keys = [bytes(row[g.max_mode + 1:]) for row in fock.basis(N_big).counts]
     Y = np.zeros(X.shape, dtype=complex)
@@ -289,7 +312,7 @@ def weyl_expm(g, X: np.ndarray, N: int, N_big: int) -> np.ndarray:
         A = np.zeros((len(R), len(R)), dtype=complex)
         np.add.at(A, (at[dst[on]], at[src[on]]), w[on])
         keep = R < len(X)
-        Y[R[keep]] += expm(1j * A)[np.ix_(keep, keep)] @ X[R[keep]]
+        Y[R[keep]] += exp_i(A)[np.ix_(keep, keep)] @ X[R[keep]]
     return Y
 
 
@@ -308,9 +331,9 @@ def _weyl_slab_columns(g, f, N: int) -> tuple:
     return (lambda Y: hat(T, Y)), P, XP
 
 
-def weyl_residual(g, f, N: int, W=weyl_columns) -> float:
+def weyl_residual(g, f, N: int, W) -> float:
     """The Weyl adjoint residual ||T(f) W* P - W* X P|| on the fixed slab P, with
-    W* = P_N exp(-i J(g)) P_N from W(-g, Y, N), by default the dict oracle weyl."""
+    W* = P_N exp(-i J(g)) P_N from W(-g, Y, N), one of the oracles above."""
     T, P, XP = _weyl_slab_columns(g, f, N)
     WsP, WsXP = (W(g.scale(-1.0), Y, N) for Y in (P, XP))
     return float(np.linalg.norm(T(WsP) - WsXP, ord=2))
