@@ -10,8 +10,9 @@ vector is a numpy array of complex amplitudes over that basis, (dim,) or a
 J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
 amplitude basis, so that J_n and L_n have exact integer and half weights.  apply
-sums the products w v[src] onto their rows by one scatter; triples are composed
-by products.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the
+sums the products w v[src] onto their rows by one scatter; bracket_residual
+composes triples by products, and L_n composes the slices of J_c with
+raise_map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the
 levels <= N, in closed form: a product of single-mode displacements.
 
 Truncation contract: mode operators never throw past the cutoff; the
@@ -109,6 +110,25 @@ def mode_triples(n: int, N: int) -> Op:
         return _EMPTY
     ends, down, up = _modes(N)
     return tuple(a[ends[abs(n)]:ends[abs(n) + 1]] for a in (up if n < 0 else down))
+
+
+def lowering(lo: int, hi: int, N: int) -> tuple:
+    """J_c for lo <= c <= hi on basis(N), one slice of the triples of _modes, and the part c
+    of each of its entries."""
+    ends, down, _ = _modes(N)
+    return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
+            np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
+
+
+def raise_map(N: int) -> np.ndarray:
+    """up[a, i], the position in basis(N) of partition i with one more part a, or dim where
+    that passes level N; column dim maps to dim, so that raises compose.  int32, by one
+    scatter of the triples of _modes."""
+    (src, dst, _), part = lowering(1, N, N)
+    dim = len(basis(N).counts)
+    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)
+    up[part, dst] = src
+    return up
 
 
 def concat(ops) -> Op:
@@ -246,7 +266,9 @@ def weyl(g: CircleFourier, X: np.ndarray, N: int) -> np.ndarray:
     in charge zero).  Row p of X reaches the rows q that share its parts above g's top mode,
     with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>.  A mode n > N adds the factor
     exp(-|alpha_n|^2 / 2) = <0|D(alpha_n)|0>, which the exponential of the compressed J(g)
-    would drop.  ValueError for an X of another length; ArithmeticError if not finite.
+    would drop.  The nonzero rows are grouped by those parts, and each group is taken k
+    rows p at a time, k the columns of X, as one weight block times those rows of X.
+    ValueError for an X of another length; ArithmeticError if not finite.
     """
     counts = basis(N).counts
     if len(X) != len(counts):
@@ -254,15 +276,22 @@ def weyl(g: CircleFourier, X: np.ndarray, N: int) -> np.ndarray:
     top = min(g.max_mode, N)
     alpha = 1j * np.sqrt(np.arange(1, g.max_mode + 1)) * np.conj(g.coeffs[1:])
     tables = [displacement(a, N // n) for n, a in enumerate(alpha[:top], 1)]
+    scale = math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2))
     kept = _row_keys(counts * (np.arange(N + 1) > top))  # the parts exp(i J(g)) keeps
     cols = X.reshape(len(X), -1)
     Y = np.zeros(cols.shape, dtype=complex)
-    for p in np.flatnonzero(np.any(cols != 0, axis=1)):  # one gather per nonzero row
-        q = np.flatnonzero(kept == kept[p])
-        w = np.full(len(q), math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2)), dtype=complex)
-        for n, D in enumerate(tables, 1):
-            w *= D[counts[q, n], counts[p, n]]
-        Y[q] += w[:, None] * cols[p]
+    nonzero = np.flatnonzero(np.any(cols != 0, axis=1))
+    keys, group = np.unique(kept[nonzero], return_inverse=True)
+    ends = np.cumsum(np.bincount(group))[:-1]
+    groups = np.split(nonzero[np.argsort(group, kind="stable")], ends)
+    for key, ps in zip(keys, groups):
+        q = np.flatnonzero(kept == key)
+        mq = counts[q, 1:top + 1].T[:, :, None]  # m_n(q), one row per mode n
+        for p in np.split(ps, range(cols.shape[1], len(ps), cols.shape[1])):
+            block = np.full((len(q), len(p)), scale, dtype=complex)
+            for D, i, j in zip(tables, mq, counts[p, 1:top + 1].T):
+                block *= D[i, j]
+            Y[q] += block @ cols[p]
     if not np.all(np.isfinite(Y)):
         raise ArithmeticError("exp(i J(g)) X is not finite")
     return Y.reshape(X.shape)

@@ -1,7 +1,7 @@
 """Virasoro modes via the normal-ordered quadratic (Sugawara) construction.
 
-L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k: the
-merged products of the J triples of fock, whose weights, and so the algebra
+L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k, built
+from the J triples of fock and its raise map; its weights, and so the algebra
 checks, are exact.  The perturbed stress tensor couples its current term with
 KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
 """
@@ -30,21 +30,43 @@ WEYL_SLAB = 2
 
 @lru_cache(maxsize=None)
 def virasoro_triples(n: int, N: int) -> fock.Op:
-    """L_n on basis(N), truncated at N, as merged triples.
+    """L_n on basis(N), truncated at N, as triples ordered by (dst, src), each (src, dst) once.
 
     L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
     weight 1/2 iff j = k, and J_k applied first.  Truncating J_k at N drops
     nothing that J_j would keep, since the middle level is never above the
-    last.  The weights are sums of small integers and halves, hence exact.  All
-    pairs are one product, the middle row of pair t offset by t dim.
+    last.  L_0 is the level operator.  For n != 0 no two pairs meet at one
+    (src, dst), so the triples are the entries of the pairs side by side, sorted:
+    the pairs J_{c-n} J_c with c > 0 and c > n raise the middle rows of the slice
+    of J_c by a part c - n through fock.raise_map, and the at most |n|/2 pairs
+    whose modes both lower or both raise run through that map from the lower
+    row.  The weights are products of small integers and halves, hence exact.
     """
-    dim = fock.basis(N).offsets[-1]
-    ks = [k for k in range(-((-n) // 2), N + 1) if k and n - k]
-    A = fock.concat([(s + t * dim, d, w) for t, k in enumerate(ks)
-                     for s, d, w in [mode_triples(n - k, N)]])
-    B = fock.concat([(s, d + t * dim, (0.5 if 2 * k == n else 1.0) * w) for t, k in enumerate(ks)
-                     for s, d, w in [mode_triples(k, N)]])
-    return fock.merge(fock.product(A, B), dim)
+    counts = fock.basis(N).counts
+    dim = len(counts)
+    if abs(n) > N:  # no level <= N reaches another by |n|
+        return fock.concat([])
+    if n == 0:  # sum_k J_{-k} J_k = sum_k k m_k: the level, on every partition but the vacuum
+        diag = np.arange(1, dim)
+        return diag, diag, np.repeat(np.arange(N + 1.0), np.diff(fock.basis(N).offsets))[1:]
+    up = fock.raise_map(N)
+    # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
+    (src, mid, w), c = fock.lowering(max(1, n + 1), min(N, N + n), N)
+    dst = up[c - n, mid]
+    # J_a J_b for n > 0, J_{-a} J_{-b} for n < 0, a <= b = |n| - a: the slice of J_a, from
+    # between down to low, with between raised by b to high
+    (between, low, wa), a = fock.lowering(1, abs(n) // 2, N)
+    high = up[abs(n) - a, between]
+    on = high < dim
+    low, high, wa, a = low[on], high[on], wa[on], a[on]
+    b = abs(n) - a
+    half = np.where(a == b, 0.5, 1.0)
+    pairs = (high, low, half * wa * (b * counts[high, b])) if n > 0 else (low, high, half)
+    src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
+    on = dst < dim  # raised past level N
+    src, dst, w = src[on], dst[on].astype(int), w[on]  # int rows, as in J_n, and no overflow below
+    order = np.argsort(dst * dim + src)
+    return src[order], dst[order], w[order]
 
 
 def line_derivative_repr(h: CircleFourier) -> CircleFourier:

@@ -8,13 +8,15 @@ of J(g) at a larger cutoff, the coherent vector and the vacuum value of the
 states layer; the Weyl adjoint residual on its fixed slab against residuals
 built on the dense expm, on the eigh formula of J(g) at a larger cutoff and on
 the dict oracle with each single-mode factor summed as its exponential series,
-and its mutations; and the exactness window of the
+and its mutations; the identity in its exact form, with W* P taken to the
+levels T(f) can reach, at rounding; and the exactness window of the
 central charge against the same amplitude at a larger cutoff."""
 
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fock_reference as ref
@@ -248,13 +250,13 @@ def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_weyl_adjoint_reaches_rounding_on_the_fixed_slab(seed):
-    # measured 5.3e-12, 1.3e-11 and 4.2e-15 at N = 30 on seeds 1, 2 and 3
+    # measured 2.9e-12, 4.3e-12 and 7.7e-16 at N = 30 on seeds 1, 2 and 3
     g, f = _sized_pair(seed, 0.5)
     assert sugawara.weyl_adjoint_stress_residual(g, f, 30) < 1e-10
 
 
 def test_weyl_adjoint_sees_a_wrong_scalar(monkeypatch):
-    # the scalar shifted by 1e-6 reads 1e-6 where the identity holds to 5.3e-9
+    # the scalar shifted by 1e-6 reads 1e-6 where the identity holds to 2.8e-9
     g, f = _sized_pair(1, 0.5)
     assert sugawara.weyl_adjoint_stress_residual(g, f, 24) < 1e-8
     sigma = sugawara.sigma
@@ -270,6 +272,46 @@ def test_weyl_adjoint_sees_the_sign_of_the_current_term(monkeypatch):
     monkeypatch.setattr(sugawara, "pointwise_product",
                         lambda a, b, m: product(a, b, m).scale(-1.0))
     assert sugawara.weyl_adjoint_stress_residual(g, f, 24) > 1.0
+
+
+def _exact_weyl_terms(g, f, N, shift=0.0, sign=1.0):
+    """P_N T(f) W* P and P_N W* X P on the fixed slab P, X = T(f) + J(f g') + the scalar
+    (shifted by ``shift``, f g' times ``sign``), in the orthonormalized basis.  T(f) lowers
+    the level by at most M_f, so its rows <= N need W* P only to level N + M_f, which
+    fock.weyl gives exactly at that cutoff; X P lies below level L + M_f + M_g <= N."""
+    top = N + f.max_mode
+    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode).scale(sign)
+    e = np.sqrt(fock.basis(top).norm_sq)
+    T, J = (fock.rescaled(fock.smear(op, h, top), e)
+            for op, h in ((sugawara.virasoro_triples, f), (fock.mode_triples, fgp)))
+    P = np.eye(len(e), fock.basis(top).offsets[sugawara.WEYL_SLAB + 1], dtype=complex)
+    XP = fock.apply(T, P) + fock.apply(J, P) + (fn.sigma(fgp, g) / (2 * fn.SIGMA_NORM) + shift) * P
+    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), top), [P.shape[1]], axis=1)
+    rows = fock.basis(N).offsets[-1]
+    return fock.apply(T, WsP)[:rows], WsXP[:rows]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weyl_adjoint_exact_form_reaches_rounding(seed):
+    # The identity with W* P taken to level N + M_f holds exactly from N = L + M_f + M_g on.
+    # Its two sides have 2-norms of 1.4 to 3.0 on these pairs, and each entry sums a few
+    # dozen rounded products, so rounding leaves a few ulp of the larger side: 16 ulp of it
+    # is 4.9e-15 to 1.1e-14, where 4.6e-16 ... 5.7e-16 was measured.
+    g, f = _sized_pair(seed, 0.5)
+    for N in range(sugawara.WEYL_SLAB + f.max_mode + g.max_mode, 21):
+        lhs, rhs = _exact_weyl_terms(g, f, N)
+        bound = 16 * np.finfo(float).eps * max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2))
+        assert np.linalg.norm(lhs - rhs, 2) < bound
+
+
+def test_weyl_adjoint_exact_form_sees_its_mutations():
+    # at N = 8, a scalar shifted by 1e-6 reads 1e-6 (W* P is an isometry to 1e-9 there), and
+    # f g' with its sign flipped, in J(f g') and in the scalar, measured 2.4
+    g, f = _sized_pair(1, 0.5)
+    lhs, rhs = _exact_weyl_terms(g, f, 8, shift=1e-6)
+    assert np.linalg.norm(lhs - rhs, 2) == pytest.approx(1e-6, rel=1e-6)
+    lhs, rhs = _exact_weyl_terms(g, f, 8, sign=-1.0)
+    assert np.linalg.norm(lhs - rhs, 2) > 1.0
 
 
 @pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 1.0, 1.66, 3.16, 5.0])
@@ -290,6 +332,24 @@ def test_weyl_matches_the_dict_oracle(max_mode):
         X = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
         X /= np.linalg.norm(X, axis=0)
         assert np.max(np.abs(fock.weyl(g, X, N) - ref.weyl_columns(g, X, N))) < 1e-13
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 3, 12])
+def test_grouped_weyl_matches_the_dict_oracle(max_mode):
+    # fock.weyl groups the nonzero rows of X by their parts above g's top mode and takes a
+    # group k rows at a time for k columns: here the rows fall into 3 groups or more (into
+    # one below top mode 12 = N, which moves every part), one of them over k rows
+    N, k = 12, 2
+    rng = np.random.default_rng(55)
+    g = fn.random_real_circle(max_mode, rng)
+    parts = fock.basis_partitions(N)
+    rows = rng.choice(len(parts), 40, replace=False)
+    X = np.zeros((len(parts), k), dtype=complex)
+    X[rows] = rng.standard_normal((len(rows), k)) + 1j * rng.standard_normal((len(rows), k))
+    X /= np.linalg.norm(X, axis=0)
+    groups = Counter(tuple(p for p in parts[i] if p > max_mode) for i in rows)
+    assert len(groups) >= (3 if max_mode < N else 1) and max(groups.values()) > k
+    assert np.max(np.abs(fock.weyl(g, X, N) - ref.weyl_columns(g, X, N))) < 1e-13
 
 
 @pytest.mark.parametrize("size", [0.5, 1.0])
@@ -350,6 +410,21 @@ def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     g, f = _sized_pair(1, 0.5)
     assert 0.0 < sugawara.weyl_adjoint_stress_residual(g, f, 12) < 1.0
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 16])
+def test_virasoro_triples_need_no_product_or_merge(monkeypatch, N):
+    # every L_n is composed from slices of the J triples and the raise map; the generic
+    # product and merge stay for the brackets alone
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("fock.product or fock.merge called")
+
+    monkeypatch.setattr(fock, "product", refuse)
+    monkeypatch.setattr(fock, "merge", refuse)
+    for cached in (fock.basis, fock._modes, sugawara.virasoro_triples):
+        cached.cache_clear()
+    for n in range(-N - 2, N + 3):
+        sugawara.virasoro_triples(n, N)
 
 
 def test_cli_import_leaves_scipy_out():

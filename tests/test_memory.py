@@ -1,6 +1,6 @@
 """Traced peak memory of the Weyl path, in bytes per entry of T(f), of its
-Weyl operator fock.weyl, in bytes per basis row and column, and of one
-fock.apply, in bytes per entry of its operator.
+Weyl operator fock.weyl, in bytes per basis row and column, of one cold L_n
+build, and of one fock.apply, in bytes per entry of its operator.
 
 tracemalloc counts numpy's array allocations, so these peaks do not depend on
 the host.  Each call runs once untraced first, so that the level caches are
@@ -52,13 +52,13 @@ def test_weyl_residual_peak():
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of T(f): measured 205 bytes per entry
+    # 83,313 entries of T(f): measured 207.6 bytes per entry
     g, f = _pair()
     assert _weyl_peak_per_stress_entry(g, f, 24) < 225
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of T(f), 46 MB: measured 201 bytes per entry
+    # 230,951 entries of T(f), 46 MB: measured 203.7 bytes per entry
     g, f = _pair()
     assert _weyl_peak_per_stress_entry(g, f, 28) < 220
 
@@ -75,7 +75,7 @@ def test_wide_generator_peak(N, bound):
 
 def test_weyl_peak_on_the_slab():
     # fock.weyl on the 2 x 4 columns of [P | X P] on the fixed slab at N = 18, here the
-    # first 8 basis vectors: measured 23.4 bytes per basis row and column, 16 of them the
+    # first 8 basis vectors: measured 22.2 bytes per basis row and column, 16 of them the
     # (dim, 8) complex result
     g, _ = _pair()
     N, k = 18, 2 * fock.basis(18).offsets[sugawara.WEYL_SLAB + 1]
@@ -84,9 +84,9 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 5.2 MB peak and left 1.95 MB of
-    # caches behind, first in its process (4.8 MB and 1.6 MB when repeated).  The bounds
-    # allow about 8% over the first measurement.
+    # From cleared caches the N = 10..18 sweep measured a 5.0 MB peak and left 1.75 MB of
+    # caches behind, first in its process (4.8 MB and 1.5 MB when repeated).  The bounds
+    # were set about 8% over a first measurement of 5.2 MB and 1.95 MB.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
@@ -101,6 +101,21 @@ def test_cold_weyl_sweep_peak_and_caches():
         tracemalloc.stop()
     assert peak < 5.6e6
     assert held < 2.1e6
+
+
+def test_cold_virasoro_build_peak():
+    # L_{-2} at N = 24, 18,994 entries, built from the slices of J_c and the raise map with
+    # the basis and the J triples cached: measured 2.23 MB (3.18 MB as one product over
+    # all pairs and a merge); the bound is about 10% over
+    fock.mode_triples(1, 24)
+    sugawara.virasoro_triples.cache_clear()
+    tracemalloc.start()
+    try:
+        sugawara.virasoro_triples(-2, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.45e6
 
 
 def test_apply_peak_per_entry():
