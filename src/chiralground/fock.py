@@ -9,11 +9,12 @@ vector is a numpy array of complex amplitudes over that basis, (dim,) or a
 (dim, k) batch.  J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
 J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
-amplitude basis, so that J_n and L_n have exact integer and half weights.  apply
-sums the products w v[src] onto their rows by one scatter; bracket_residual
-composes triples by products, and L_n composes the slices of J_c with
-raise_map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the
-levels <= N, in closed form: a product of single-mode displacements.
+amplitude basis only, so that J_n and L_n have exact integer and half weights;
+J_n, n > 0, is stored once, and J_{-n} is its slice swapped.  apply sums the
+products w v[src] onto their rows by one scatter; bracket_residual composes
+triples by products, and L_n composes the slices of J_c with raise_map.  weyl
+gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the levels <= N, on
+orthonormal columns Y, on which triples act as e apply(op, Y / e), e the norms.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -94,28 +95,28 @@ def basis_partitions(N: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _modes(N: int) -> tuple:
-    """J_n for n > 0, each partition with m_n > 0 to n m_n times it less a part n, and J_{-n},
-    its transpose with weight 1 sorted by src: triples stacked by n, and where each n starts."""
+    """J_n for n > 0, each partition with m_n > 0 to n m_n times it less a part n: triples
+    stacked by n, src ascending within each n, and where each n starts."""
     counts = basis(N).counts
     n, src = np.nonzero(counts.T)  # by part, then src ascending; no partition has a part 0
     dst = basis(N).find(counts[src] - np.eye(N + 1, dtype=np.uint8)[n])
-    order = np.lexsort((dst, n))
-    return (np.searchsorted(n, np.arange(N + 2)), (src, dst, n * counts[src, n].astype(float)),
-            (dst[order], src[order], np.ones(len(src))))
+    return np.searchsorted(n, np.arange(N + 2)), (src, dst, n * counts[src, n].astype(float))
 
 
 def mode_triples(n: int, N: int) -> Op:
-    """J_n on basis(N), truncated at N; src ascending, dst without repeats."""
+    """J_n on basis(N), truncated at N; src ascending, dst without repeats.  J_{-n} is J_n's
+    slice swapped, with weight 1: adding a part keeps the basis order."""
     if abs(n) > N:  # no partition of level <= N has a part |n|
         return _EMPTY
-    ends, down, up = _modes(N)
-    return tuple(a[ends[abs(n)]:ends[abs(n) + 1]] for a in (up if n < 0 else down))
+    ends, (src, dst, w) = _modes(N)
+    at = slice(ends[abs(n)], ends[abs(n) + 1])
+    return (src[at], dst[at], w[at]) if n > 0 else (dst[at], src[at], np.ones(at.stop - at.start))
 
 
 def lowering(lo: int, hi: int, N: int) -> tuple:
     """J_c for lo <= c <= hi on basis(N), one slice of the triples of _modes, and the part c
     of each of its entries."""
-    ends, down, _ = _modes(N)
+    ends, down = _modes(N)
     return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
             np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
 
@@ -137,13 +138,15 @@ def concat(ops) -> Op:
 
 
 def scaled(c, op: Op) -> Op:
-    return op[0], op[1], c * op[2]
+    """c times op; a zero multiple has no entries."""
+    src, dst, w = (a[:0] for a in op) if c == 0 else op
+    return src, dst, c * w
 
 
 def identity(N: int, c) -> Op:
     """c times the identity on basis(N)."""
     diag = np.arange(basis(N).offsets[-1])
-    return diag, diag, np.full(len(diag), c, dtype=np.result_type(c, 1.0))
+    return scaled(c, (diag, diag, np.ones(len(diag))))
 
 
 def smear(op, f: CircleFourier, N: int) -> Op:
@@ -152,10 +155,10 @@ def smear(op, f: CircleFourier, N: int) -> Op:
                    if f.coeff(n) != 0])
 
 
-def rescaled(op: Op, e: np.ndarray) -> Op:
-    """op in the coordinates e x of an amplitude vector x: w becomes w e[dst] / e[src]."""
-    src, dst, w = op
-    return src, dst, w * e[dst] / e[src]
+def columns(op: Op, top: int) -> Op:
+    """op on the first top basis vectors: its entries with src < top."""
+    on = op[0] < top
+    return tuple(a[on] for a in op)
 
 
 def product(A: Op, B: Op) -> Op:
@@ -225,12 +228,9 @@ def bracket_residual(A: Op, B: Op, rhs: Op, window: int, N: int) -> float:
     if window < 0:
         raise ValueError("window too small")
     top, norm_sq = basis(N).offsets[window + 1], basis(N).norm_sq
-
-    def cols(op):  # op on the basis vectors of the window
-        return tuple(a[op[0] < top] for a in op)
-
-    src, dst, r = merge(concat([product(A, cols(B)), scaled(-1, product(B, cols(A))),
-                                scaled(-1, cols(rhs))]), len(norm_sq))
+    src, dst, r = merge(concat([product(A, columns(B, top)),
+                                scaled(-1, product(B, columns(A, top))),
+                                scaled(-1, columns(rhs, top))]), len(norm_sq))
     worst = np.bincount(src, norm_sq[dst] * np.abs(r) ** 2, minlength=top) / norm_sq[:top]
     return math.sqrt(np.max(worst, initial=0.0))
 

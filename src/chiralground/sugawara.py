@@ -154,12 +154,10 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     if N < 0:
         raise ValueError("cutoff must be >= 0")
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    e = np.sqrt(fock.basis(N).norm_sq)  # amplitudes to the orthonormalized basis
-    T = fock.rescaled(smear(virasoro_triples, f, N), e)
+    e = np.sqrt(fock.basis(N).norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
+    T = smear(virasoro_triples, f, N)
     P = np.eye(len(e), fock.basis(N).offsets[min(WEYL_SLAB, N) + 1], dtype=complex)
-    XP = sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
-    for src, dst, w in (T, fock.rescaled(smear(mode_triples, fgp, N), e)):
-        on = src < P.shape[1]  # the entries of T(f) and J(f g') on the columns of P
-        np.add.at(XP, (dst[on], src[on]), w[on])
+    X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, smear(mode_triples, fgp, N))])
+    XP = e * fock.apply(X, P / e) + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
     WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
-    return float(np.linalg.norm(fock.apply(T, WsP) - WsXP, ord=2))
+    return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))

@@ -228,8 +228,10 @@ def current(f, N: int) -> fock.Op:
 
 
 def current_orthonormal(f, N: int) -> fock.Op:
-    """The triples of J(f) on basis(N) rescaled to the orthonormalized basis."""
-    return fock.rescaled(current(f, N), np.sqrt(fock.basis(N).norm_sq))
+    """The triples of J(f) on basis(N) rescaled to the orthonormalized basis: w e[dst] / e[src],
+    e the basis norms."""
+    (src, dst, w), e = current(f, N), np.sqrt(fock.basis(N).norm_sq)
+    return src, dst, w * e[dst] / e[src]
 
 
 @lru_cache(maxsize=None)

@@ -174,6 +174,12 @@ class TestApply:
             assert np.array_equal(out[:, j], fock.apply(op, X[:, j]))
         assert np.max(np.abs(out - ref.triples_matrix(op, N) @ X)) < 1e-13
 
+    def test_a_zero_multiple_has_no_entries(self):
+        assert all(len(a) == 0 for a in fock.identity(6, 0))
+        assert all(len(a) == 0 for a in fock.scaled(0.0, fock.mode_triples(-2, 6)))
+        assert fock.identity(6, 0)[2].dtype == fock.identity(6, 1)[2].dtype == float
+        assert fock.identity(6, 1j)[2].dtype == complex
+
     def test_entry_past_the_basis_is_refused(self):
         v = fock.vacuum(4)
         past = (np.array([0]), np.array([len(v)]), np.array([1.0]))

@@ -84,7 +84,7 @@ def test_virasoro_block_matches_pair_sum():
                                   ref.blocks_matrix(ref.mode_block, n, N))
 
 
-@pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 16, 18])
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 16, 18, 22])
 def test_triples_equal_the_one_at_a_time_builds(N):
     # J_n sliced from one table for every n and L_n as one product over all pairs are the
     # arrays that one n and one pair at a time give, bit for bit and dtype for dtype
@@ -276,19 +276,22 @@ def test_weyl_adjoint_sees_the_sign_of_the_current_term(monkeypatch):
 
 def _exact_weyl_terms(g, f, N, shift=0.0, sign=1.0):
     """P_N T(f) W* P and P_N W* X P on the fixed slab P, X = T(f) + J(f g') + the scalar
-    (shifted by ``shift``, f g' times ``sign``), in the orthonormalized basis.  T(f) lowers
-    the level by at most M_f, so its rows <= N need W* P only to level N + M_f, which
-    fock.weyl gives exactly at that cutoff; X P lies below level L + M_f + M_g <= N."""
+    (shifted by ``shift``, f g' times ``sign``), in the orthonormalized basis, where an
+    operator A of amplitude triples acts on columns Y as e A(Y / e), e the basis norms.
+    T(f) lowers the level by at most M_f, so its rows <= N need W* P only to level
+    N + M_f, which fock.weyl gives exactly at that cutoff; X P lies below level
+    L + M_f + M_g <= N."""
     top = N + f.max_mode
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode).scale(sign)
-    e = np.sqrt(fock.basis(top).norm_sq)
-    T, J = (fock.rescaled(fock.smear(op, h, top), e)
+    e = np.sqrt(fock.basis(top).norm_sq)[:, None]
+    T, J = (fock.smear(op, h, top)
             for op, h in ((sugawara.virasoro_triples, f), (fock.mode_triples, fgp)))
     P = np.eye(len(e), fock.basis(top).offsets[sugawara.WEYL_SLAB + 1], dtype=complex)
-    XP = fock.apply(T, P) + fock.apply(J, P) + (fn.sigma(fgp, g) / (2 * fn.SIGMA_NORM) + shift) * P
+    XP = (e * (fock.apply(T, P / e) + fock.apply(J, P / e))
+          + (fn.sigma(fgp, g) / (2 * fn.SIGMA_NORM) + shift) * P)
     WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), top), [P.shape[1]], axis=1)
     rows = fock.basis(N).offsets[-1]
-    return fock.apply(T, WsP)[:rows], WsXP[:rows]
+    return (e * fock.apply(T, WsP / e))[:rows], WsXP[:rows]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

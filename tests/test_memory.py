@@ -46,27 +46,27 @@ def _weyl_peak_per_stress_entry(g, f, N):
 # 10% over the value measured at that cutoff.
 
 def test_weyl_residual_peak():
-    # 8,000 entries of T(f): measured 221 bytes per entry
+    # 8,000 entries of T(f): measured 212.8 bytes per entry
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 16) < 243
+    assert _weyl_peak_per_stress_entry(g, f, 16) < 234
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of T(f): measured 207.6 bytes per entry
+    # 83,313 entries of T(f): measured 200.2 bytes per entry
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 24) < 225
+    assert _weyl_peak_per_stress_entry(g, f, 24) < 220
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of T(f), 46 MB: measured 203.7 bytes per entry
+    # 230,951 entries of T(f), 45 MB: measured 196.5 bytes per entry
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 28) < 220
+    assert _weyl_peak_per_stress_entry(g, f, 28) < 216
 
 
-@pytest.mark.parametrize("N, bound", [(12, 296), (16, 257)], ids=["12", "16"])
+@pytest.mark.parametrize("N, bound", [(12, 275), (16, 235)], ids=["12", "16"])
 def test_wide_generator_peak(N, bound):
-    # g of top mode N, so J(g) has entries from every row: measured 269 and 234 bytes per
-    # entry of T(f) at N = 12 and 16
+    # g of top mode N, so J(g) has entries from every row: measured 249.9 and 213.1 bytes
+    # per entry of T(f) at N = 12 and 16
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -84,9 +84,9 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 5.0 MB peak and left 1.75 MB of
-    # caches behind, first in its process (4.8 MB and 1.5 MB when repeated).  The bounds
-    # were set about 8% over a first measurement of 5.2 MB and 1.95 MB.
+    # From cleared caches the N = 10..18 sweep measured a 4.67 MB peak and left 1.53 MB of
+    # caches behind, first in its process (4.41 MB and 1.27 MB when repeated); J_n is
+    # cached once, J_{-n} being its swapped slice.  The bounds are about 9% over.
     g, f = _pair()
     for mod in (fn, fock, states, sugawara):
         for obj in vars(mod).values():
@@ -99,8 +99,8 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.6e6
-    assert held < 2.1e6
+    assert peak < 5.1e6
+    assert held < 1.67e6
 
 
 def test_cold_virasoro_build_peak():
