@@ -2,19 +2,26 @@
 
 Basis vectors are integer partitions (parts sorted descending) in level
 order; (n_1, ..., n_k) stands for the unnormalized J_{-n_1} ... J_{-n_k} vac.
-basis(N) indexes them by one table, counts[i, j] = m_j, the number of parts j
-of partition i; the squared norm prod_j j^{m_j} m_j!, the position of a
-multiplicity row (Basis.find) and every J_n, from one find, come from it.  A
-vector is a numpy array of complex amplitudes over that basis, (dim,) or a
-(dim, k) batch.  J_n maps level l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
+With P[m, a] the partitions of m with parts <= a, P[m, a] = P[m, a - 1] +
+P[m - a, a] (Andrews, The Theory of Partitions, 1976, ch. 1), level l is the
+blocks a = l, l - 1, ..., 1: the part a put in front of each of the last
+P[l - a, a] partitions of level l - a, in their order.  So a partition's
+position is closed form in its largest part and the position of the rest, and
+basis(N) is built a level at a time, from the largest basis built below N.
+It holds counts[i, j] = m_j, the number of parts j of partition i, the squared
+norm prod_j j^{m_j} m_j! and the raise map up[a, i], partition i with one more
+part a, each level's from the levels below.  A vector is a numpy array of
+complex amplitudes over that basis, (dim,) or a (dim, k) batch.  J_n maps level
+l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
 J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
 amplitude basis only, so that J_n and L_n have exact integer and half weights;
-J_n, n > 0, is stored once, and J_{-n} is its slice swapped.  apply sums the
-products w v[src] onto their rows by one scatter; bracket_residual composes
-triples by products, and L_n composes the slices of J_c with raise_map.  weyl
-gives P_N exp(i J(g)) P_N, the Weyl operator compressed to the levels <= N, on
-orthonormal columns Y, on which triples act as e apply(op, Y / e), e the norms.
+J_n, n > 0, is read off the raise map once, and J_{-n} is its slice swapped.
+apply sums the products w v[src] onto their rows by one scatter per column;
+bracket_residual composes triples by products, and L_n composes the slices of
+J_c with the raise map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator
+compressed to the levels <= N, on orthonormal columns Y, on which triples act as
+e apply(op, Y / e), e the norms.
 
 Truncation contract: mode operators never throw past the cutoff; the
 overflowing components are dropped.  exactness_window(N, *reach) gives, from
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -52,55 +59,93 @@ def partitions_at(level: int, max_part: int = None) -> tuple:
 
 
 class Basis(NamedTuple):
-    partitions: tuple
     offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
     counts: np.ndarray  # (dim, N + 1) uint8: counts[i, j] = m_j, the parts j in partition i
     norm_sq: np.ndarray  # prod_j j^{m_j} m_j!, exact where below 2^53
-    keys: np.ndarray  # the rows of counts as byte strings, sorted
-    order: np.ndarray  # keys[k] is the row of partition order[k]
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of the partitions with multiplicity rows ``rows``; ValueError for a
-        row that is no partition of the basis."""
-        keys = _row_keys(rows)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        if np.any(self.keys[at] != keys):
-            raise ValueError("partition not in the basis")
-        return self.order[at]
+    up: np.ndarray  # (N + 1, dim + 1) int32: up[a, i] = i with a part a more, or dim past N
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:  # rows as byte strings, which sort and compare
-    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{np.shape(rows)[1]}")[:, 0]
+_BASES = {}  # basis(N) by cutoff N; only the cutoffs asked for are kept
+_NONE = Basis(np.zeros(1, dtype=int), np.zeros((0, 0), dtype=np.uint8), np.zeros(0),
+              np.zeros((0, 1), dtype=np.int32))  # the cutoff -1, which basis(0) grows from
 
 
-@lru_cache(maxsize=None)
 def basis(N: int) -> Basis:
-    parts = tuple(p for lvl in range(N + 1) for p in partitions_at(lvl))
+    """The basis of the levels <= N, grown from the largest basis built below N."""
+    if N < 0:
+        raise ValueError("cutoff must be >= 0")
+    if N not in _BASES:
+        _BASES[N] = _grow(_BASES.get(max((M for M in _BASES if M < N), default=None), _NONE), N)
+    return _BASES[N]
+
+
+basis.cache_clear = _BASES.clear
+
+
+def _grow(old: Basis, N: int) -> Basis:
+    """basis(N), its levels <= M taken from old = basis(M), M < N, and the levels above M
+    built in turn, each from the levels below it."""
+    M = len(old.offsets) - 2
+    # P[m, a], the partitions of m with parts <= a: P[m, a] = P[m, a - 1] + P[m - a, a]
+    P = [[1] * (N + 1)]
+    for m in range(1, N + 1):
+        row = list(accumulate((P[m - a][a] for a in range(1, m + 1)), initial=0))
+        P.append(row + row[-1:] * (N - m))
+    P = np.array(P)
+    offsets = np.concatenate([[0], np.cumsum(P[:, N])])
+    dim = offsets[-1]
+    B = offsets[1:, None] - P  # B[m, a]: the first row of level m with parts <= a
+    # level l is the blocks a = l, l - 1, ..., 1, the part a put in front of each of the
+    # last P[l - a, a] rows of level l - a; row i is first[i] in front of row prev[i], and
+    # the vacuum the part 0 in front of itself
+    blocks = np.maximum(np.arange(N + 1), 1)
+    lvl = np.repeat(np.arange(N + 1), blocks)  # the level and the part of each block
+    part = lvl - np.arange(len(lvl)) + np.repeat(np.cumsum(blocks) - blocks, blocks)
+    size = P[lvl - part, part]
+    first = np.repeat(part, size)
+    prev = np.repeat(B[lvl - part, part] - np.cumsum(size) + size, size) + np.arange(dim)
+    level = np.repeat(np.arange(N + 1), P[:, N])
     # multiplicities are at most N, far below 256 for any basis that fits in memory
-    at = (np.repeat(np.arange(len(parts)) * (N + 1), [len(p) for p in parts])
-          + np.fromiter(chain.from_iterable(parts), dtype=int))
-    counts = np.bincount(at, minlength=len(parts) * (N + 1)).astype(np.uint8).reshape(-1, N + 1)
-    factor = np.array([[float(j**m * math.factorial(m)) for m in range(N + 1)]
-                       for j in range(N + 1)])  # j^m m!
-    keys = _row_keys(counts)
-    order = np.argsort(keys)
-    return Basis(parts, np.cumsum([0] + [len(partitions_at(lvl)) for lvl in range(N + 1)]),
-                 counts, np.prod(factor[np.arange(N + 1), counts], axis=1), keys[order], order)
+    counts = np.zeros((dim, N + 1), dtype=np.uint8)
+    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)
+    counts[:offsets[M + 1], :M + 1] = old.counts
+    kept = up[:M + 1, :offsets[M + 1]]
+    kept[...] = old.up[:, :-1]
+    kept[kept == offsets[M + 1]] = dim  # the old sentinel
+    for t in range(max(M + 1, 1), N + 1):  # the rows of level t, and every raise to level t
+        rows = np.arange(offsets[t], offsets[t + 1])
+        counts[rows] = counts[prev[rows]]
+        counts[rows, first[rows]] += 1
+        i = np.arange(offsets[t])
+        a, f = t - level[i], first[i]
+        to = i - B[t - a, a] + B[t, a]  # a put in front of i, where a >= i's parts
+        low = np.flatnonzero(a < f)  # else f put in front of prev[i] raised by a
+        to[low] = up[a[low], prev[low]] - B[t - f[low], f[low]] + B[t, f[low]]
+        up[a, i] = to
+    factor = np.ones((N + 1, N + 1))  # j^m m!, for the multiplicities m <= N / j of a part j
+    for j in range(1, N + 1):
+        factor[j, :N // j + 1] = [float(j**m * math.factorial(m)) for m in range(N // j + 1)]
+    # np.prod multiplies in order of j, so the factors 1 of the parts above M leave old's alone
+    norm_sq = np.prod(factor[np.arange(N + 1), counts[offsets[M + 1]:]], axis=1)
+    return Basis(offsets, counts, np.concatenate([old.norm_sq, norm_sq]), up)
 
 
 def basis_partitions(N: int) -> tuple:
     """All partitions of level 0..N, ordered by level."""
-    return basis(N).partitions
+    return tuple(chain.from_iterable(map(partitions_at, range(N + 1))))
 
 
 @lru_cache(maxsize=None)
 def _modes(N: int) -> tuple:
-    """J_n for n > 0, each partition with m_n > 0 to n m_n times it less a part n: triples
-    stacked by n, src ascending within each n, and where each n starts."""
-    counts = basis(N).counts
-    n, src = np.nonzero(counts.T)  # by part, then src ascending; no partition has a part 0
-    dst = basis(N).find(counts[src] - np.eye(N + 1, dtype=np.uint8)[n])
-    return np.searchsorted(n, np.arange(N + 2)), (src, dst, n * counts[src, n].astype(float))
+    """J_n for n > 0, read off the raise map: each dst of a level <= N - n from src = up[n, dst]
+    with weight n m_n(src), stacked by n; src ascends with dst, since adding a part keeps the
+    basis order.  Also where each n starts."""
+    b = basis(N)
+    ends = np.concatenate([[0, 0], np.cumsum(b.offsets[N:0:-1])])
+    n = np.repeat(np.arange(1, N + 1), b.offsets[N:0:-1])
+    dst = np.arange(ends[-1]) - ends[n]
+    src = b.up[n, dst].astype(int)
+    return ends, (src, dst, n * b.counts[src, n].astype(float))
 
 
 def mode_triples(n: int, N: int) -> Op:
@@ -119,17 +164,6 @@ def lowering(lo: int, hi: int, N: int) -> tuple:
     ends, down = _modes(N)
     return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
             np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
-
-
-def raise_map(N: int) -> np.ndarray:
-    """up[a, i], the position in basis(N) of partition i with one more part a, or dim where
-    that passes level N; column dim maps to dim, so that raises compose.  int32, by one
-    scatter of the triples of _modes."""
-    (src, dst, _), part = lowering(1, N, N)
-    dim = len(basis(N).counts)
-    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)
-    up[part, dst] = src
-    return up
 
 
 def concat(ops) -> Op:
@@ -184,25 +218,25 @@ def merge(op: Op, dim: int) -> Op:
 
 
 def vacuum(N: int) -> np.ndarray:
-    if N < 0:
-        raise ValueError("cutoff must be >= 0")
     return np.eye(1, len(basis(N).norm_sq), dtype=complex)[0]
 
 
 def apply(op: Op, x: np.ndarray) -> np.ndarray:
     """The operator with triples op applied to the amplitudes x, (dim,) or (dim, k), by one
-    scatter: the products w x[src] summed onto their rows dst in op order; IndexError off
-    the basis."""
+    scatter per column: the products w x[src] summed onto their rows dst in op order;
+    IndexError off the basis."""
     src, dst, w = op
     cols = x.reshape(len(x), -1)
-    dim, k = cols.shape
+    dim = len(cols)
     if np.max(dst, initial=-1) >= dim:  # bincount would lengthen the vector, not refuse
         raise IndexError("an entry of the operator maps past the basis")
-    terms = cols[src].astype(complex, copy=False)  # w x[src], one row per entry
-    terms *= w[:, None]
-    at = (dst[:, None] * k + np.arange(k)).ravel()  # the place of each product in out
-    out = np.empty(dim * k, dtype=complex)
-    out.real, out.imag = (np.bincount(at, p.ravel(), dim * k) for p in (terms.real, terms.imag))
+    out = np.empty(cols.shape, dtype=complex)
+    for c, col in enumerate(np.ascontiguousarray(cols.T, dtype=complex)):
+        terms = col[src]  # w x[src], one per entry
+        terms *= w
+        out.real[:, c], out.imag[:, c] = (np.bincount(dst, p, dim)
+                                          for p in (terms.real, terms.imag))
+        del terms  # so that no two columns' products are held at once
     return out.reshape(x.shape)
 
 
@@ -277,7 +311,8 @@ def weyl(g: CircleFourier, X: np.ndarray, N: int) -> np.ndarray:
     alpha = 1j * np.sqrt(np.arange(1, g.max_mode + 1)) * np.conj(g.coeffs[1:])
     tables = [displacement(a, N // n) for n, a in enumerate(alpha[:top], 1)]
     scale = math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2))
-    kept = _row_keys(counts * (np.arange(N + 1) > top))  # the parts exp(i J(g)) keeps
+    # the parts exp(i J(g)) keeps, each row as one byte string
+    kept = (counts * (np.arange(N + 1) > top)).view(f"V{N + 1}")[:, 0]
     cols = X.reshape(len(X), -1)
     Y = np.zeros(cols.shape, dtype=complex)
     nonzero = np.flatnonzero(np.any(cols != 0, axis=1))

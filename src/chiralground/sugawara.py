@@ -38,9 +38,9 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     last.  L_0 is the level operator.  For n != 0 no two pairs meet at one
     (src, dst), so the triples are the entries of the pairs side by side, sorted:
     the pairs J_{c-n} J_c with c > 0 and c > n raise the middle rows of the slice
-    of J_c by a part c - n through fock.raise_map, and the at most |n|/2 pairs
-    whose modes both lower or both raise run through that map from the lower
-    row.  The weights are products of small integers and halves, hence exact.
+    of J_c by a part c - n through the raise map fock.basis(N).up, and the at most
+    |n|/2 pairs whose modes both lower or both raise run through that map from the
+    lower row.  The weights are products of small integers and halves, hence exact.
     """
     counts = fock.basis(N).counts
     dim = len(counts)
@@ -49,7 +49,7 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     if n == 0:  # sum_k J_{-k} J_k = sum_k k m_k: the level, on every partition but the vacuum
         diag = np.arange(1, dim)
         return diag, diag, np.repeat(np.arange(N + 1.0), np.diff(fock.basis(N).offsets))[1:]
-    up = fock.raise_map(N)
+    up = fock.basis(N).up
     # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
     (src, mid, w), c = fock.lowering(max(1, n + 1), min(N, N + n), N)
     dst = up[c - n, mid]

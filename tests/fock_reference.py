@@ -7,7 +7,9 @@ J(g) at a larger cutoff (expm or the eigh formula), and the Weyl adjoint
 residual on the fixed slab built on any of them; dense level
 blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
-of J_n one n at a time and of L_n one pair at a time; and small helpers of the
+of J_n one n at a time and of L_n one pair at a time, and the raise map from them;
+the tables of basis(N) from the partitions of each level, with a lookup of a
+partition by a binary search of its multiplicity row; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
 amplitudes by partition and the smeared stress tensor T(f).
 
@@ -19,6 +21,7 @@ prod_j j^{m_j} m_j!.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import expm
@@ -353,6 +356,39 @@ def virasoro_block(n: int, level: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def basis(N: int) -> tuple:
+    """offsets, counts and norm_sq of basis(N) from the partitions of each level
+    (fock.partitions_at), flattened into one table of part multiplicities; norm_sq is the
+    product of the factors j^m m! in order of j.  Also the rows of counts as byte strings,
+    sorted, and the row of each, for find."""
+    parts = [p for lvl in range(N + 1) for p in fock.partitions_at(lvl)]
+    at = (np.repeat(np.arange(len(parts)) * (N + 1), [len(p) for p in parts])
+          + np.fromiter(chain.from_iterable(parts), dtype=int))
+    counts = np.bincount(at, minlength=len(parts) * (N + 1)).astype(np.uint8).reshape(-1, N + 1)
+    factor = np.array([[float(j**m * math.factorial(m)) for m in range(N + 1)]
+                       for j in range(N + 1)])  # j^m m!
+    keys = _row_keys(counts)
+    order = np.argsort(keys)
+    return (np.cumsum([0] + [len(fock.partitions_at(lvl)) for lvl in range(N + 1)]), counts,
+            np.prod(factor[np.arange(N + 1), counts], axis=1), keys[order], order)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:  # rows as byte strings, which sort and compare
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{np.shape(rows)[1]}")[:, 0]
+
+
+def find(N: int, rows: np.ndarray) -> np.ndarray:
+    """Positions in basis(N) of the partitions with multiplicity rows ``rows``, by a binary
+    search of their byte strings; ValueError for a row that is no partition of the basis."""
+    *_, keys, order = basis(N)
+    want = _row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if np.any(keys[at] != want):
+        raise ValueError("partition not in the basis")
+    return order[at]
+
+
 def mode_triples(n: int, N: int) -> fock.Op:
     """J_n on basis(N), one n at a time: J_n for n > 0 from the rows with m_n > 0 and
     a part n removed, J_{-n} its transpose sorted by src."""
@@ -362,10 +398,21 @@ def mode_triples(n: int, N: int) -> fock.Op:
         return dst[order], src[order], np.ones(len(src))
     if n > N:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    counts = fock.basis(N).counts
+    counts = basis(N)[1]
     src = np.flatnonzero(counts[:, n])
     e_n = np.eye(1, N + 1, n, dtype=np.uint8)
-    return src, fock.basis(N).find(counts[src] - e_n), n * counts[src, n].astype(float)
+    return src, find(N, counts[src] - e_n), n * counts[src, n].astype(float)
+
+
+def raise_map(N: int) -> np.ndarray:
+    """up[a, i], the position in basis(N) of partition i with one more part a, or dim where
+    that passes level N, and dim in column dim: J_a's src scattered onto its dst."""
+    dim = len(basis(N)[1])
+    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)
+    for a in range(1, N + 1):
+        src, dst, _ = mode_triples(a, N)
+        up[a, dst] = src
+    return up
 
 
 def virasoro_triples(n: int, N: int) -> fock.Op:
@@ -388,14 +435,14 @@ def from_amps(cutoff: int, amps: dict) -> np.ndarray:
         if min(p, default=1) < 1 or sum(p) > cutoff:
             raise ValueError(f"{p!r} is no partition of a level <= {cutoff}")
         np.add.at(row, list(p), 1)
-    data = np.zeros(len(fock.basis(cutoff).norm_sq), dtype=complex)
-    data[fock.basis(cutoff).find(rows)] = list(amps.values())
+    data = np.zeros(len(basis(cutoff)[1]), dtype=complex)
+    data[find(cutoff, rows)] = list(amps.values())
     return data
 
 
 def amps(v: np.ndarray, N: int) -> dict:
     """The nonzero amplitudes of a single vector over basis(N), keyed by partition."""
-    return {p: complex(a) for p, a in zip(fock.basis(N).partitions, v, strict=True) if a != 0}
+    return {p: complex(a) for p, a in zip(fock.basis_partitions(N), v, strict=True) if a != 0}
 
 
 def basis_vector(N: int, parts) -> np.ndarray:

@@ -2,15 +2,17 @@
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
-at a time; the closed-form Weyl operator and its displacement tables against
-single-mode expm tables applied one mode at a time to dict vectors, dense expm
-of J(g) at a larger cutoff, the coherent vector and the vacuum value of the
-states layer; the Weyl adjoint residual on its fixed slab against residuals
-built on the dense expm, on the eigh formula of J(g) at a larger cutoff and on
-the dict oracle with each single-mode factor summed as its exponential series,
-and its mutations; the identity in its exact form, with W* P taken to the
-levels T(f) can reach, at rounding; and the exactness window of the
-central charge against the same amplitude at a larger cutoff."""
+at a time; the tables of the basis, grown level by level in any order of
+cutoffs, against those built from the partition tuples; the closed-form Weyl
+operator and its displacement tables against single-mode expm tables applied
+one mode at a time to dict vectors, dense expm of J(g) at a larger cutoff, the
+coherent vector and the vacuum value of the states layer; the Weyl adjoint
+residual on its fixed slab against residuals built on the dense expm, on the
+eigh formula of J(g) at a larger cutoff and on the dict oracle with each
+single-mode factor summed as its exponential series, and its mutations; the
+identity in its exact form, with W* P taken to the levels T(f) can reach, at
+rounding; and the exactness window of the central charge against the same
+amplitude at a larger cutoff."""
 
 import math
 import os
@@ -92,9 +94,38 @@ def test_triples_equal_the_one_at_a_time_builds(N):
         for new, old in ((fock.mode_triples(n, N), ref.mode_triples(n, N)),
                          (sugawara.virasoro_triples(n, N), ref.virasoro_triples(n, N))):
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(new, old))
-    want = [np.bincount(p, minlength=N + 1) for p in fock.basis(N).partitions]
+    want = [np.bincount(p, minlength=N + 1) for p in fock.basis_partitions(N)]
     assert np.array_equal(fock.basis(N).counts, np.reshape(want, (-1, N + 1)))
     assert fock.basis(N).counts.dtype == np.uint8
+
+
+def _same(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("N", range(23))
+def test_basis_equals_the_reference(N):
+    # offsets, counts, norm_sq, every J_n and the raise map of the level-by-level build are
+    # those of the partition tuples, their byte-key lookup and a scatter of the J_n triples
+    b, (offsets, counts, norm_sq, *_) = fock.basis(N), ref.basis(N)
+    assert _same(b.offsets, offsets) and _same(b.counts, counts) and _same(b.norm_sq, norm_sq)
+    assert _same(b.up, ref.raise_map(N))
+    for n in range(-N - 1, N + 2):
+        assert all(map(_same, fock.mode_triples(n, N), ref.mode_triples(n, N)))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_basis_is_the_same_whatever_was_built_before(order):
+    # basis(N) grows from the largest basis already built below N, or from the vacuum
+    alone = []
+    for N in range(26):
+        fock.basis.cache_clear()
+        alone.append(fock.basis(N))
+    fock.basis.cache_clear()
+    cutoffs = {"ascending": range(26), "descending": range(25, -1, -1),
+               "shuffled": map(int, np.random.default_rng(1).permutation(26))}[order]
+    for N in cutoffs:
+        assert all(map(_same, fock.basis(N), alone[N]))
 
 
 def test_sparse_brackets_equal_dense_blocks():

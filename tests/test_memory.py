@@ -1,6 +1,7 @@
 """Traced peak memory of the Weyl path, in bytes per entry of T(f), of its
 Weyl operator fock.weyl, in bytes per basis row and column, of one cold L_n
-build, and of one fock.apply, in bytes per entry of its operator.
+build, and of one fock.apply, in bytes per entry of its operator; and that
+clearing the package's caches leaves no basis behind.
 
 tracemalloc counts numpy's array allocations, so these peaks do not depend on
 the host.  Each call runs once untraced first, so that the level caches are
@@ -14,14 +15,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chiralground import cli, fock, states, sugawara
 from chiralground import fnspace as fn
-from chiralground import fock, states, sugawara
 
 
 def _pair():
     rng = np.random.default_rng(1)
     return tuple(h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
                  for h in (fn.random_real_circle(2, rng), fn.random_real_circle(2, rng)))
+
+
+def _clear_caches():
+    """Clear every cache of the package, found by its cache_clear, as a benchmark pass does."""
+    for mod in (cli, fn, fock, states, sugawara):
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
 
 
 def _traced_peak(call):
@@ -40,33 +49,37 @@ def _weyl_peak_per_stress_entry(g, f, N):
     return _traced_peak(lambda: sugawara.weyl_adjoint_stress_residual(g, f, N)) / entries
 
 
-# The Weyl residual's peak is T(f) applied to the 4 columns of W*P: 128 bytes per entry
-# of T(f) in fock.apply (a complex product per column, its real or imaginary part, and
-# the place of each), beside the 32 bytes of T(f)'s own triples.  Each bound is about
-# 10% over the value measured at that cutoff.
+# The Weyl residual's peak is T(f) applied to the 4 columns of W*P: 24 bytes per entry
+# of T(f) in fock.apply, which scatters one column at a time (a complex product per entry
+# and a copy of its real or imaginary part), beside the 32 bytes of T(f)'s own triples and
+# the dense columns of the sweep.  Each bound is about 10% over the value measured at that
+# cutoff.
 
 def test_weyl_residual_peak():
-    # 8,000 entries of T(f): measured 212.8 bytes per entry
+    # 8,000 entries of T(f): measured 110.7 bytes per entry (212.8 scattering all columns
+    # at once)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 16) < 234
+    assert _weyl_peak_per_stress_entry(g, f, 16) < 122
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of T(f): measured 200.2 bytes per entry
+    # 83,313 entries of T(f): measured 97.6 bytes per entry (200.2 scattering all columns
+    # at once)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 24) < 220
+    assert _weyl_peak_per_stress_entry(g, f, 24) < 107
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of T(f), 45 MB: measured 196.5 bytes per entry
+    # 230,951 entries of T(f), 22 MB: measured 93.8 bytes per entry (196.5 scattering all
+    # columns at once)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 28) < 216
+    assert _weyl_peak_per_stress_entry(g, f, 28) < 103
 
 
-@pytest.mark.parametrize("N, bound", [(12, 275), (16, 235)], ids=["12", "16"])
+@pytest.mark.parametrize("N, bound", [(12, 170), (16, 142)], ids=["12", "16"])
 def test_wide_generator_peak(N, bound):
-    # g of top mode N, so J(g) has entries from every row: measured 249.9 and 213.1 bytes
-    # per entry of T(f) at N = 12 and 16
+    # g of top mode N, so J(g) has entries from every row: measured 154.4 and 128.7 bytes
+    # per entry of T(f) at N = 12 and 16 (249.9 and 213.1 scattering all columns at once)
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -84,14 +97,13 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 4.67 MB peak and left 1.53 MB of
-    # caches behind, first in its process (4.41 MB and 1.27 MB when repeated); J_n is
-    # cached once, J_{-n} being its swapped slice.  The bounds are about 9% over.
+    # From cleared caches the N = 10..18 sweep measured a 2.87 MB peak and left 1.27 MB of
+    # caches behind, first in its process (2.86 MB and 1.26 MB when repeated); J_n is
+    # cached once, J_{-n} being its swapped slice, and each basis holds its raise map but
+    # no partition tuples or sorted row keys (4.67 MB and 1.53 MB with them, and with
+    # fock.apply scattering all columns at once).  The bounds are about 9% over.
     g, f = _pair()
-    for mod in (fn, fock, states, sugawara):
-        for obj in vars(mod).values():
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
+    _clear_caches()
     tracemalloc.start()
     try:
         for N in range(10, 19, 2):
@@ -99,14 +111,23 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.1e6
-    assert held < 1.67e6
+    assert peak < 3.1e6
+    assert held < 1.38e6
+
+
+def test_clearing_the_caches_leaves_no_basis():
+    # a new cutoff grows the largest basis built below it, so a basis left behind by the
+    # clearing would make the next pass start warm
+    built = fock.basis(10), fock.basis(12)
+    _clear_caches()
+    assert fock.basis(12) is not built[1] and fock.basis(10) is not built[0]
 
 
 def test_cold_virasoro_build_peak():
     # L_{-2} at N = 24, 18,994 entries, built from the slices of J_c and the raise map with
-    # the basis and the J triples cached: measured 2.23 MB (3.18 MB as one product over
-    # all pairs and a merge); the bound is about 10% over
+    # the basis, which holds that map, and the J triples cached: measured 1.49 MB (2.23 MB
+    # building the map per L_n, 3.18 MB as one product over all pairs and a merge); the
+    # bound is about 10% over
     fock.mode_triples(1, 24)
     sugawara.virasoro_triples.cache_clear()
     tracemalloc.start()
@@ -115,14 +136,15 @@ def test_cold_virasoro_build_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.45e6
+    assert peak < 1.64e6
 
 
 def test_apply_peak_per_entry():
     # J(f), f of top mode 20, on vacuum(20): 16,532 entries over dim 2,714.  The scatter
-    # measured 0.62 MB, one complex product per entry and little else; the whole-basis
-    # gather it replaced measured 2.12 MB.
+    # measured 0.49 MB, one complex product per entry, a copy of its real or imaginary
+    # part and little else; 0.62 MB with the places of the products, and the whole-basis
+    # gather before that 2.12 MB.
     f = fn.random_real_circle(20, np.random.default_rng(1))
     J, v = fock.smear(fock.mode_triples, f, 20), fock.vacuum(20)
     assert (len(J[0]), len(v)) == (16532, 2714)
-    assert _traced_peak(lambda: fock.apply(J, v)) < 3 * 16 * len(J[0])
+    assert _traced_peak(lambda: fock.apply(J, v)) < 2 * 16 * len(J[0])
