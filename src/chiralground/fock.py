@@ -282,8 +282,10 @@ def displacement(alpha: complex, L: int) -> np.ndarray:
     Phys. Rev. 177, 1857, 1969), with the Laguerre L_k^(a) by their recurrence in k."""
     x, a = abs(alpha) ** 2, np.arange(L + 1)
     lag = np.outer(np.eye(1, L + 2), np.ones(L + 1))  # lag[k, a] = L_k^(a)(x), row -1 as k = -1
+    ks = np.arange(L)[:, None]  # the recurrence's factors, for all degrees k at once
+    c1, c2 = 2 * ks + 1 + a - x, (ks + a).astype(float)
     for k in range(L):
-        lag[k + 1] = ((2 * k + 1 + a - x) * lag[k] - (k + a) * lag[k - 1]) / (k + 1)
+        lag[k + 1] = (c1[k] * lag[k] - c2[k] * lag[k - 1]) / (k + 1)
     j, k = np.indices((L + 1, L + 1))
     lo, hi = np.minimum(j, k), np.maximum(j, k)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, L + 1)))])

@@ -1,9 +1,10 @@
 """Virasoro modes via the normal-ordered quadratic (Sugawara) construction.
 
 L_n is the finite sum over index pairs j <= k, j + k = n, of J_j J_k, built
-from the J triples of fock and its raise map; its weights, and so the algebra
-checks, are exact.  The perturbed stress tensor couples its current term with
-KAPPA_SCALE * kappa, so that its central charge is exactly 1 + kappa^2.
+from the J triples of fock and its raise map, on every column or on those with
+parts <= max_part alone; its weights, and so the algebra checks, are exact.  The
+perturbed stress tensor couples its current term with KAPPA_SCALE * kappa, so
+that its central charge is exactly 1 + kappa^2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ WEYL_SLAB = 2
 
 
 @lru_cache(maxsize=None)
-def virasoro_triples(n: int, N: int) -> fock.Op:
+def virasoro_triples(n: int, N: int, max_part: int | None = None) -> fock.Op:
     """L_n on basis(N), truncated at N, as triples ordered by (dst, src), each (src, dst) once.
 
     L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
@@ -41,29 +42,35 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     of J_c by a part c - n through the raise map fock.basis(N).up, and the at most
     |n|/2 pairs whose modes both lower or both raise run through that map from the
     lower row.  The weights are products of small integers and halves, hence exact.
+    With max_part, only the columns with parts <= max_part: J_c kills a column without a part c,
+    so the slices stop at c = max_part, and a mask drops the rest; the full triples' order holds.
     """
     counts = fock.basis(N).counts
     dim = len(counts)
     if abs(n) > N:  # no level <= N reaches another by |n|
         return fock.concat([])
+    top = N if max_part is None else min(max_part, N)
     if n == 0:  # sum_k J_{-k} J_k = sum_k k m_k: the level, on every partition but the vacuum
-        diag = np.arange(1, dim)
-        return diag, diag, np.repeat(np.arange(N + 1.0), np.diff(fock.basis(N).offsets))[1:]
-    up = fock.basis(N).up
-    # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
-    (src, mid, w), c = fock.lowering(max(1, n + 1), min(N, N + n), N)
-    dst = up[c - n, mid]
-    # J_a J_b for n > 0, J_{-a} J_{-b} for n < 0, a <= b = |n| - a: the slice of J_a, from
-    # between down to low, with between raised by b to high
-    (between, low, wa), a = fock.lowering(1, abs(n) // 2, N)
-    high = up[abs(n) - a, between]
-    on = high < dim
-    low, high, wa, a = low[on], high[on], wa[on], a[on]
-    b = abs(n) - a
-    half = np.where(a == b, 0.5, 1.0)
-    pairs = (high, low, half * wa * (b * counts[high, b])) if n > 0 else (low, high, half)
-    src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
+        src = dst = np.arange(1, dim)
+        w = np.repeat(np.arange(N + 1.0), np.diff(fock.basis(N).offsets))[1:]
+    else:
+        up = fock.basis(N).up
+        # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
+        (src, mid, w), c = fock.lowering(max(1, n + 1), min(top, N + n), N)
+        dst = up[c - n, mid]
+        # J_a J_b for n > 0, J_{-a} J_{-b} for n < 0, a <= b = |n| - a: the slice of J_a,
+        # from between down to low, with between raised by b to high
+        (between, low, wa), a = fock.lowering(1, abs(n) // 2, N)
+        high = up[abs(n) - a, between]
+        on = high < dim
+        low, high, wa, a = low[on], high[on], wa[on], a[on]
+        b = abs(n) - a
+        half = np.where(a == b, 0.5, 1.0)
+        pairs = (high, low, half * wa * (b * counts[high, b])) if n > 0 else (low, high, half)
+        src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
     on = dst < dim  # raised past level N
+    if top < N:  # or on a column with a part above top
+        on &= ~np.any(counts[:, top + 1:], axis=1)[src]
     src, dst, w = src[on], dst[on].astype(int), w[on]  # int rows, as in J_n, and no overflow below
     order = np.argsort(dst * dim + src)
     return src[order], dst[order], w[order]
@@ -150,14 +157,19 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     <= WEYL_SLAB, with W* compressed to the levels <= N, and converges as N grows.
     In the orthonormalized basis it is ||T(f) P_N W* P - P_N W* P_N X P||, with
     X = T(f) + J(f g') + the scalar: one fock.weyl of -g on the stacked columns [P | X P].
+    W* moves only the parts <= M_g, g's top mode, so P_N W* P lies on the partitions with parts
+    <= max(M_g, WEYL_SLAB), the only columns T(f) is built on; X P is read off the slab columns
+    of X, its products (1 / e[src]) w summed onto (dst, src) in op order, as fock.apply does.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     e = np.sqrt(fock.basis(N).norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
-    T = smear(virasoro_triples, f, N)
+    T = smear(lambda n, M: virasoro_triples(n, M, max(g.max_mode, WEYL_SLAB)), f, N)
     P = np.eye(len(e), fock.basis(N).offsets[min(WEYL_SLAB, N) + 1], dtype=complex)
     X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, smear(mode_triples, fgp, N))])
-    XP = e * fock.apply(X, P / e) + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
+    XP = np.zeros(P.shape, dtype=complex)
+    np.add.at(XP, (X[1], X[0]), (1 / e[X[0], 0]) * X[2])
+    XP = e * XP + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
     WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
     return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))

@@ -4,7 +4,9 @@ the array layer in chiralground.fock must reproduce; the compressed Weyl
 operator P_N exp(i J(g)) P_N as single-mode tables (expm or the exponential
 series) applied to dict vectors one mode at a time, and as the exponential of
 J(g) at a larger cutoff (expm or the eigh formula), and the Weyl adjoint
-residual on the fixed slab built on any of them; dense level
+residual on the fixed slab built on any of them, and with T(f) on every
+column; fock.displacement's table with the factors of its Laguerre recurrence
+formed at each degree; dense level
 blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
 of J_n one n at a time and of L_n one pair at a time, and the raise map from them;
@@ -245,6 +247,20 @@ def displacement_expm(alpha: complex, L: int, levels: int = 120) -> np.ndarray:
     return expm(alpha * a.T - np.conj(alpha) * a)[:L + 1, :L + 1]
 
 
+def displacement(alpha: complex, L: int) -> np.ndarray:
+    """fock.displacement with the factors of the Laguerre recurrence formed anew at each
+    degree k inside its loop, as one expression, in place of once for all k before it."""
+    x, a = abs(alpha) ** 2, np.arange(L + 1)
+    lag = np.outer(np.eye(1, L + 2), np.ones(L + 1))  # lag[k, a] = L_k^(a)(x), row -1 as k = -1
+    for k in range(L):
+        lag[k + 1] = ((2 * k + 1 + a - x) * lag[k] - (k + a) * lag[k - 1]) / (k + 1)
+    j, k = np.indices((L + 1, L + 1))
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, L + 1)))])
+    b = np.where(j >= k, complex(alpha), -np.conj(alpha))
+    return np.exp((log_fact[lo] - log_fact[hi] - x) / 2) * b ** (hi - lo) * lag[lo, hi - lo]
+
+
 def displacement_series(alpha: complex, L: int, degree: int = 80) -> np.ndarray:
     """<j|D(alpha)|k> for j, k <= L from the exponential series of alpha a^+ - conj(alpha) a
     to ``degree``, on the lowest L + degree // 2 + 1 levels of one mode, which carry every
@@ -342,6 +358,19 @@ def weyl_residual(g, f, N: int, W) -> float:
     T, P, XP = _weyl_slab_columns(g, f, N)
     WsP, WsXP = (W(g.scale(-1.0), Y, N) for Y in (P, XP))
     return float(np.linalg.norm(T(WsP) - WsXP, ord=2))
+
+
+def weyl_residual_full(g, f, N: int) -> float:
+    """sugawara.weyl_adjoint_stress_residual with T(f) on every column of basis(N) and X P as
+    fock.apply of the slab columns of X on P / e: the same sums, their zero terms kept."""
+    fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
+    e = np.sqrt(fock.basis(N).norm_sq)[:, None]
+    T = fock.smear(sugawara.virasoro_triples, f, N)
+    P = np.eye(len(e), fock.basis(N).offsets[min(sugawara.WEYL_SLAB, N) + 1], dtype=complex)
+    X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, current(fgp, N))])
+    XP = e * fock.apply(X, P / e) + fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P
+    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
+    return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))
 
 
 def virasoro_block(n: int, level: int) -> np.ndarray:

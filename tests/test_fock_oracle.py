@@ -2,14 +2,16 @@
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
-at a time; the tables of the basis, grown level by level in any order of
-cutoffs, against those built from the partition tuples; the closed-form Weyl
+at a time, and L_n on the columns with parts <= m against the full L_n
+filtered by column; the tables of the basis, grown level by level in any order
+of cutoffs, against those built from the partition tuples; the closed-form Weyl
 operator and its displacement tables against single-mode expm tables applied
 one mode at a time to dict vectors, dense expm of J(g) at a larger cutoff, the
-coherent vector and the vacuum value of the states layer; the Weyl adjoint
-residual on its fixed slab against residuals built on the dense expm, on the
-eigh formula of J(g) at a larger cutoff and on the dict oracle with each
-single-mode factor summed as its exponential series, and its mutations; the
+coherent vector and the vacuum value of the states layer, and the tables
+against the Laguerre loop of the reference; the Weyl adjoint residual on its
+fixed slab against residuals built on the dense expm, on the eigh formula of
+J(g) at a larger cutoff, on the dict oracle with each single-mode factor summed
+as its exponential series and on T(f) over every column, and its mutations; the
 identity in its exact form, with W* P taken to the levels T(f) can reach, at
 rounding; and the exactness window of the central charge against the same
 amplitude at a larger cutoff."""
@@ -97,6 +99,19 @@ def test_triples_equal_the_one_at_a_time_builds(N):
     want = [np.bincount(p, minlength=N + 1) for p in fock.basis_partitions(N)]
     assert np.array_equal(fock.basis(N).counts, np.reshape(want, (-1, N + 1)))
     assert fock.basis(N).counts.dtype == np.uint8
+
+
+@pytest.mark.parametrize("N", range(23))
+def test_restricted_triples_are_the_full_on_their_columns(N):
+    # L_n on the columns with parts <= m is the full L_n's triples filtered by column: the
+    # same values and dtypes, in the same order
+    fits = {m: ~np.any(fock.basis(N).counts[:, m + 1:], axis=1) for m in (0, 1, 2, 3, N)}
+    for n in range(-N - 2, N + 3):
+        full = sugawara.virasoro_triples(n, N)
+        for m, on in fits.items():
+            want = tuple(a[on[full[0]]] for a in full)
+            got = sugawara.virasoro_triples(n, N, m)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
 def _same(a, b) -> bool:
@@ -280,6 +295,27 @@ def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weyl_adjoint_equals_the_residual_on_every_column(seed):
+    # T(f) on the columns with parts <= max(M_g, WEYL_SLAB) and X P read off X drop only
+    # zero terms of the sums of T(f) on every column and of fock.apply on P / e
+    g, f = _sized_pair(seed, 0.5)
+    for N in range(10, 31):
+        assert sugawara.weyl_adjoint_stress_residual(g, f, N) == ref.weyl_residual_full(g, f, N)
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 3, None])
+def test_weyl_adjoint_on_every_column_for_other_generators(max_mode):
+    # the columns T(f) is built on follow g's top mode; None stands for top mode N, where
+    # they are every column
+    rng = np.random.default_rng(51)
+    for N in range(15):
+        g = fn.random_real_circle(N if max_mode is None else max_mode, rng, 0.3)
+        f = fn.random_real_circle(2, rng, 0.3)
+        r = sugawara.weyl_adjoint_stress_residual(g, f, N)
+        assert r == pytest.approx(ref.weyl_residual_full(g, f, N), rel=WEYL_REL, abs=WEYL_ABS)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_weyl_adjoint_reaches_rounding_on_the_fixed_slab(seed):
     # measured 2.9e-12, 4.3e-12 and 7.7e-16 at N = 30 on seeds 1, 2 and 3
     g, f = _sized_pair(seed, 0.5)
@@ -354,6 +390,15 @@ def test_displacement_matches_expm(size):
     for L in (0, 1, 2, 5, 20, 40):
         err = np.max(np.abs(fock.displacement(alpha, L) - ref.displacement_expm(alpha, L, 300)))
         assert err < 1e-13
+
+
+def test_displacement_is_the_reference_loop():
+    # the recurrence's factors formed once for all degrees give the loop's table bit for bit
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        alpha = rng.uniform(0.0, 10.0) * np.exp(2j * np.pi * rng.uniform())
+        L = int(rng.integers(0, 40))
+        assert np.array_equal(fock.displacement(alpha, L), ref.displacement(alpha, L))
 
 
 @pytest.mark.parametrize("max_mode", [0, 1, 2, 3, None])
@@ -448,8 +493,9 @@ def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5, 16])
 def test_virasoro_triples_need_no_product_or_merge(monkeypatch, N):
-    # every L_n is composed from slices of the J triples and the raise map; the generic
-    # product and merge stay for the brackets alone
+    # every L_n, on every column or on those with parts <= max_part, is composed from
+    # slices of the J triples and the raise map; the generic product and merge stay for
+    # the brackets alone
     def refuse(*_args, **_kwargs):
         raise AssertionError("fock.product or fock.merge called")
 
@@ -458,7 +504,8 @@ def test_virasoro_triples_need_no_product_or_merge(monkeypatch, N):
     for cached in (fock.basis, fock._modes, sugawara.virasoro_triples):
         cached.cache_clear()
     for n in range(-N - 2, N + 3):
-        sugawara.virasoro_triples(n, N)
+        for max_part in (None, 0, 1, 2, 3):
+            sugawara.virasoro_triples(n, N, max_part)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -49,37 +49,41 @@ def _weyl_peak_per_stress_entry(g, f, N):
     return _traced_peak(lambda: sugawara.weyl_adjoint_stress_residual(g, f, N)) / entries
 
 
-# The Weyl residual's peak is T(f) applied to the 4 columns of W*P: 24 bytes per entry
-# of T(f) in fock.apply, which scatters one column at a time (a complex product per entry
-# and a copy of its real or imaginary part), beside the 32 bytes of T(f)'s own triples and
-# the dense columns of the sweep.  Each bound is about 10% over the value measured at that
-# cutoff.
+# T(f) is built only on the columns the Weyl residual reads, those with parts <= max(M_g,
+# WEYL_SLAB), 1,129 of its 83,313 entries at N = 24 for these top-mode-2 pairs; so the
+# peak is the dense columns of the sweep, P, X P, [P | X P] and fock.weyl's result, and
+# T(f) applied to the 4 columns of W*P scatters little.  The peaks stay quoted per entry
+# of the full T(f), so that they compare with the earlier builds, which held it all and
+# measured 110.7, 97.6 and 93.8 bytes per entry at N = 16, 24 and 28.  Each bound is
+# about 10% over the value measured at that cutoff.
 
 def test_weyl_residual_peak():
-    # 8,000 entries of T(f): measured 110.7 bytes per entry (212.8 scattering all columns
-    # at once)
+    # 7,998 entries of the full T(f), 497 on the columns read: measured 58.3 bytes per
+    # entry of the full T(f)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 16) < 122
+    assert _weyl_peak_per_stress_entry(g, f, 16) < 64
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of T(f): measured 97.6 bytes per entry (200.2 scattering all columns
-    # at once)
+    # 83,313 entries of the full T(f), 1,129 on the columns read: measured 42.4 bytes per
+    # entry of the full T(f)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 24) < 107
+    assert _weyl_peak_per_stress_entry(g, f, 24) < 47
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of T(f), 22 MB: measured 93.8 bytes per entry (196.5 scattering all
-    # columns at once)
+    # 230,951 entries of the full T(f), 22 MB, 1,541 on the columns read: measured 38.1
+    # bytes per entry of the full T(f)
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 28) < 103
+    assert _weyl_peak_per_stress_entry(g, f, 28) < 42
 
 
 @pytest.mark.parametrize("N, bound", [(12, 170), (16, 142)], ids=["12", "16"])
 def test_wide_generator_peak(N, bound):
-    # g of top mode N, so J(g) has entries from every row: measured 154.4 and 128.7 bytes
-    # per entry of T(f) at N = 12 and 16 (249.9 and 213.1 scattering all columns at once)
+    # g of top mode N, so J(g) has entries from every row and T(f) is built on every
+    # column: measured 155.0 and 128.8 bytes per entry of T(f) at N = 12 and 16 (154.4
+    # and 128.7 with X P from fock.apply on P / e, 249.9 and 213.1 scattering all columns
+    # at once)
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -97,11 +101,13 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 2.87 MB peak and left 1.27 MB of
-    # caches behind, first in its process (2.86 MB and 1.26 MB when repeated); J_n is
-    # cached once, J_{-n} being its swapped slice, and each basis holds its raise map but
-    # no partition tuples or sorted row keys (4.67 MB and 1.53 MB with them, and with
-    # fock.apply scattering all columns at once).  The bounds are about 9% over.
+    # From cleared caches the N = 10..18 sweep measured a 1.42 MB peak and left 0.62 MB of
+    # caches behind, first in its process (1.41 MB and 0.61 MB when repeated); L_n is
+    # cached on the columns with parts <= 2 alone (2.87 MB and 1.27 MB on every column),
+    # J_n is cached once, J_{-n} being its swapped slice, and each basis holds its raise
+    # map but no partition tuples or sorted row keys (4.67 MB and 1.53 MB with them, L_n
+    # on every column and fock.apply scattering all columns at once).  The bounds are
+    # about 10% over.
     g, f = _pair()
     _clear_caches()
     tracemalloc.start()
@@ -111,8 +117,8 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.1e6
-    assert held < 1.38e6
+    assert peak < 1.56e6
+    assert held < 0.69e6
 
 
 def test_clearing_the_caches_leaves_no_basis():
