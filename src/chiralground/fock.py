@@ -8,6 +8,9 @@ blocks a = l, l - 1, ..., 1: the part a put in front of each of the last
 P[l - a, a] partitions of level l - a, in their order.  So a partition's
 position is closed form in its largest part and the position of the rest, and
 basis(N) is built a level at a time, from the largest basis built below N.
+basis(N, max_part), the partitions with parts <= R = min(max_part, N), is the Fock
+space of the modes 1..R, a tensor factor of the whole that each J_n, n <= R, acts
+on alone; its level l is the last P[l, R] rows of level l, in their order.
 It holds counts[i, j] = m_j, the number of parts j of partition i, the squared
 norm prod_j j^{m_j} m_j! and the raise map up[a, i], partition i with one more
 part a, each level's from the levels below.  A vector is a numpy array of
@@ -23,9 +26,9 @@ J_c with the raise map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator
 compressed to the levels <= N, on orthonormal columns Y, on which triples act as
 e apply(op, Y / e), e the norms.
 
-Truncation contract: mode operators never throw past the cutoff; the
-overflowing components are dropped.  exactness_window(N, *reach) gives, from
-the modes alone, the top input level whose amplitudes stay exact.
+Truncation contract: mode operators never throw past the cutoff; the components
+past level N, or with a part past R, are dropped.  exactness_window(N, *reach)
+gives, from the modes alone, the top input level whose amplitudes stay exact.
 """
 
 from __future__ import annotations
@@ -62,52 +65,60 @@ class Basis(NamedTuple):
     offsets: np.ndarray  # level l occupies [offsets[l], offsets[l + 1])
     counts: np.ndarray  # (dim, N + 1) uint8: counts[i, j] = m_j, the parts j in partition i
     norm_sq: np.ndarray  # prod_j j^{m_j} m_j!, exact where below 2^53
-    up: np.ndarray  # (N + 1, dim + 1) int32: up[a, i] = i with a part a more, or dim past N
+    up: np.ndarray  # (N + 1, dim + 1) int32: up[a, i] = i with a part a more, or dim past N or R
 
 
-_BASES = {}  # basis(N) by cutoff N; only the cutoffs asked for are kept
+_BASES = {}  # basis(N, max_part) by (N, R); only the bases asked for are kept
 _NONE = Basis(np.zeros(1, dtype=int), np.zeros((0, 0), dtype=np.uint8), np.zeros(0),
               np.zeros((0, 1), dtype=np.int32))  # the cutoff -1, which basis(0) grows from
 
 
-def basis(N: int) -> Basis:
-    """The basis of the levels <= N, grown from the largest basis built below N."""
-    if N < 0:
-        raise ValueError("cutoff must be >= 0")
-    if N not in _BASES:
-        _BASES[N] = _grow(_BASES.get(max((M for M in _BASES if M < N), default=None), _NONE), N)
-    return _BASES[N]
+def top_part(N: int, max_part: int | None = None) -> int:
+    """R = min(max_part, N), N for None: every cache keys R, so no operator is held twice."""
+    return N if max_part is None else min(max_part, N)
+
+
+def basis(N: int, max_part: int | None = None) -> Basis:
+    """The basis of the modes 1..R, R = top_part(N, max_part), at the levels <= N, grown from
+    the largest basis (M, min(R, M)) built below N; the full basis is R = N."""
+    key = N, top_part(N, max_part)
+    if key not in _BASES:
+        if min(key) < 0:
+            raise ValueError("cutoff and top part must be >= 0")
+        below = [(M, R) for M, R in _BASES if M < N and R == min(key[1], M)]
+        _BASES[key] = _grow(_BASES[max(below)] if below else _NONE, *key)
+    return _BASES[key]
 
 
 basis.cache_clear = _BASES.clear
 
 
-def _grow(old: Basis, N: int) -> Basis:
-    """basis(N), its levels <= M taken from old = basis(M), M < N, and the levels above M
-    built in turn, each from the levels below it."""
+def _grow(old: Basis, N: int, R: int) -> Basis:
+    """basis(N, R), its levels <= M taken from old = basis(M, min(R, M)), M < N, and the levels
+    above M built in turn, each from the levels below it."""
     M = len(old.offsets) - 2
-    # P[m, a], the partitions of m with parts <= a: P[m, a] = P[m, a - 1] + P[m - a, a]
-    P = [[1] * (N + 1)]
+    # P[m, a], a <= R, the partitions of m with parts <= a: P[m, a] = P[m, a - 1] + P[m - a, a]
+    P = [[1] * (R + 1)]
     for m in range(1, N + 1):
-        row = list(accumulate((P[m - a][a] for a in range(1, m + 1)), initial=0))
-        P.append(row + row[-1:] * (N - m))
+        row = list(accumulate((P[m - a][a] for a in range(1, min(m, R) + 1)), initial=0))
+        P.append(row + row[-1:] * (R - min(m, R)))
     P = np.array(P)
-    offsets = np.concatenate([[0], np.cumsum(P[:, N])])
+    offsets = np.concatenate([[0], np.cumsum(P[:, R])])
     dim = offsets[-1]
-    B = offsets[1:, None] - P  # B[m, a]: the first row of level m with parts <= a
-    # level l is the blocks a = l, l - 1, ..., 1, the part a put in front of each of the
+    B = offsets[1:, None] - P  # B[m, a], a <= R: the first row of level m with parts <= a
+    # level l is the blocks a = min(l, R), ..., 1, the part a put in front of each of the
     # last P[l - a, a] rows of level l - a; row i is first[i] in front of row prev[i], and
     # the vacuum the part 0 in front of itself
-    blocks = np.maximum(np.arange(N + 1), 1)
+    blocks = np.r_[1, np.minimum(np.arange(1, N + 1), R)]
     lvl = np.repeat(np.arange(N + 1), blocks)  # the level and the part of each block
-    part = lvl - np.arange(len(lvl)) + np.repeat(np.cumsum(blocks) - blocks, blocks)
+    part = np.minimum(lvl, R) - np.arange(len(lvl)) + np.repeat(np.cumsum(blocks) - blocks, blocks)
     size = P[lvl - part, part]
     first = np.repeat(part, size)
     prev = np.repeat(B[lvl - part, part] - np.cumsum(size) + size, size) + np.arange(dim)
-    level = np.repeat(np.arange(N + 1), P[:, N])
+    level = np.repeat(np.arange(N + 1), P[:, R])
     # multiplicities are at most N, far below 256 for any basis that fits in memory
     counts = np.zeros((dim, N + 1), dtype=np.uint8)
-    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)
+    up = np.full((N + 1, dim + 1), dim, dtype=np.int32)  # the rows a > R stay dim
     counts[:offsets[M + 1], :M + 1] = old.counts
     kept = up[:M + 1, :offsets[M + 1]]
     kept[...] = old.up[:, :-1]
@@ -116,17 +127,17 @@ def _grow(old: Basis, N: int) -> Basis:
         rows = np.arange(offsets[t], offsets[t + 1])
         counts[rows] = counts[prev[rows]]
         counts[rows, first[rows]] += 1
-        i = np.arange(offsets[t])
+        i = np.arange(offsets[max(t - R, 0)], offsets[t])  # the rows a part a <= R raises to t
         a, f = t - level[i], first[i]
         to = i - B[t - a, a] + B[t, a]  # a put in front of i, where a >= i's parts
         low = np.flatnonzero(a < f)  # else f put in front of prev[i] raised by a
-        to[low] = up[a[low], prev[low]] - B[t - f[low], f[low]] + B[t, f[low]]
+        to[low] = up[a[low], prev[i[low]]] - B[t - f[low], f[low]] + B[t, f[low]]
         up[a, i] = to
-    factor = np.ones((N + 1, N + 1))  # j^m m!, for the multiplicities m <= N / j of a part j
-    for j in range(1, N + 1):
+    factor = np.ones((R + 1, N + 1))  # j^m m!, for the multiplicities m <= N / j of a part j
+    for j in range(1, R + 1):
         factor[j, :N // j + 1] = [float(j**m * math.factorial(m)) for m in range(N // j + 1)]
     # np.prod multiplies in order of j, so the factors 1 of the parts above M leave old's alone
-    norm_sq = np.prod(factor[np.arange(N + 1), counts[offsets[M + 1]:]], axis=1)
+    norm_sq = np.prod(factor[np.arange(R + 1), counts[offsets[M + 1]:, :R + 1]], axis=1)
     return Basis(offsets, counts, np.concatenate([old.norm_sq, norm_sq]), up)
 
 
@@ -136,32 +147,34 @@ def basis_partitions(N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _modes(N: int) -> tuple:
-    """J_n for n > 0, read off the raise map: each dst of a level <= N - n from src = up[n, dst]
-    with weight n m_n(src), stacked by n; src ascends with dst, since adding a part keeps the
-    basis order.  Also where each n starts."""
-    b = basis(N)
-    ends = np.concatenate([[0, 0], np.cumsum(b.offsets[N:0:-1])])
-    n = np.repeat(np.arange(1, N + 1), b.offsets[N:0:-1])
+def _modes(N: int, R: int) -> tuple:
+    """J_n for 0 < n <= R on basis(N, R), read off the raise map: each dst of a level <= N - n
+    from src = up[n, dst] with weight n m_n(src), stacked by n; src ascends with dst, since
+    adding a part keeps the basis order.  Also where each n starts, and weights 1 for J_{-n}."""
+    b = basis(N, R)
+    ends = np.concatenate([[0, 0], np.cumsum(b.offsets[N:N - R:-1])])
+    n = np.repeat(np.arange(1, R + 1), b.offsets[N:N - R:-1])
     dst = np.arange(ends[-1]) - ends[n]
     src = b.up[n, dst].astype(int)
-    return ends, (src, dst, n * b.counts[src, n].astype(float))
+    return ends, (src, dst, n * b.counts[src, n].astype(float)), np.ones(b.offsets[N])
 
 
-def mode_triples(n: int, N: int) -> Op:
-    """J_n on basis(N), truncated at N; src ascending, dst without repeats.  J_{-n} is J_n's
-    slice swapped, with weight 1: adding a part keeps the basis order."""
-    if abs(n) > N:  # no partition of level <= N has a part |n|
+def mode_triples(n: int, N: int, max_part: int | None = None) -> Op:
+    """J_n on basis(N, max_part), truncated at N; src ascending, dst without repeats.  J_{-n} is
+    J_n's slice swapped, with weight 1: adding a part keeps the basis order."""
+    R = top_part(N, max_part)
+    if abs(n) > R:  # no partition of the basis has a part |n|
         return _EMPTY
-    ends, (src, dst, w) = _modes(N)
+    ends, (src, dst, w), ones = _modes(N, R)
     at = slice(ends[abs(n)], ends[abs(n) + 1])
-    return (src[at], dst[at], w[at]) if n > 0 else (dst[at], src[at], np.ones(at.stop - at.start))
+    return (src[at], dst[at], w[at]) if n > 0 else (dst[at], src[at], ones[:at.stop - at.start])
 
 
-def lowering(lo: int, hi: int, N: int) -> tuple:
-    """J_c for lo <= c <= hi on basis(N), one slice of the triples of _modes, and the part c
-    of each of its entries."""
-    ends, down = _modes(N)
+def lowering(lo: int, hi: int, N: int, max_part: int | None = None) -> tuple:
+    """J_c for lo <= c <= hi, c <= R, on basis(N, max_part), one slice of the triples of _modes,
+    and the part c of each of its entries."""
+    ends, down, _ = _modes(N, top_part(N, max_part))
+    lo, hi = min(lo, len(ends) - 1), min(hi, len(ends) - 2)
     return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
             np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
 
@@ -183,10 +196,10 @@ def identity(N: int, c) -> Op:
     return scaled(c, (diag, diag, np.ones(len(diag))))
 
 
-def smear(op, f: CircleFourier, N: int) -> Op:
-    """sum_n c_n op(n, N) over the modes n of f."""
-    return concat([scaled(f.coeff(n), op(n, N)) for n in range(-f.max_mode, f.max_mode + 1)
-                   if f.coeff(n) != 0])
+def smear(op, f: CircleFourier, N: int, *max_part) -> Op:
+    """sum_n c_n op(n, N, *max_part) over the modes n of f."""
+    return concat([scaled(f.coeff(n), op(n, N, *max_part))
+                   for n in range(-f.max_mode, f.max_mode + 1) if f.coeff(n) != 0])
 
 
 def columns(op: Op, top: int) -> Op:
@@ -293,23 +306,23 @@ def displacement(alpha: complex, L: int) -> np.ndarray:
     return np.exp((log_fact[lo] - log_fact[hi] - x) / 2) * b ** (hi - lo) * lag[lo, hi - lo]
 
 
-def weyl(g: CircleFourier, X: np.ndarray, N: int) -> np.ndarray:
-    """P_N exp(i J(g)) P_N X for the columns X, (dim,) or (dim, k), over the orthonormalized
-    basis(N), P_N the projection on the levels <= N of the untruncated space.
+def weyl(g: CircleFourier, X: np.ndarray, N: int, max_part: int | None = None) -> np.ndarray:
+    """P exp(i J(g)) P X for the columns X, (dim,) or (dim, k), over the orthonormalized
+    basis(N, max_part), P the projection on its span: the levels <= N of the modes 1..R.
 
     The modes of J(g) commute, so exp(i J(g)) is the product of the displacements
     D(alpha_n), alpha_n = i sqrt(n) conj c_n(g), of the multiplicities m_n, n >= 1 (J_0 = 0
     in charge zero).  Row p of X reaches the rows q that share its parts above g's top mode,
-    with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>.  A mode n > N adds the factor
+    with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>.  A mode n > R adds the factor
     exp(-|alpha_n|^2 / 2) = <0|D(alpha_n)|0>, which the exponential of the compressed J(g)
     would drop.  The nonzero rows are grouped by those parts, and each group is taken k
     rows p at a time, k the columns of X, as one weight block times those rows of X.
     ValueError for an X of another length; ArithmeticError if not finite.
     """
-    counts = basis(N).counts
+    counts = basis(N, max_part).counts
     if len(X) != len(counts):
         raise ValueError(f"X has {len(X)} rows, not the dimension {len(counts)} of cutoff {N}")
-    top = min(g.max_mode, N)
+    top = min(g.max_mode, top_part(N, max_part))
     alpha = 1j * np.sqrt(np.arange(1, g.max_mode + 1)) * np.conj(g.coeffs[1:])
     tables = [displacement(a, N // n) for n, a in enumerate(alpha[:top], 1)]
     scale = math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2))

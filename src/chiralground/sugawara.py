@@ -29,9 +29,8 @@ KAPPA_SCALE = 1.0 / math.sqrt(12.0)
 WEYL_SLAB = 2
 
 
-@lru_cache(maxsize=None)
 def virasoro_triples(n: int, N: int, max_part: int | None = None) -> fock.Op:
-    """L_n on basis(N), truncated at N, as triples ordered by (dst, src), each (src, dst) once.
+    """L_n on basis(N, max_part), truncated at N, as triples by (dst, src), each (src, dst) once.
 
     L_n = sum weight J_j J_k over k >= j, j + k = n, j and k nonzero, with
     weight 1/2 iff j = k, and J_k applied first.  Truncating J_k at N drops
@@ -39,28 +38,31 @@ def virasoro_triples(n: int, N: int, max_part: int | None = None) -> fock.Op:
     last.  L_0 is the level operator.  For n != 0 no two pairs meet at one
     (src, dst), so the triples are the entries of the pairs side by side, sorted:
     the pairs J_{c-n} J_c with c > 0 and c > n raise the middle rows of the slice
-    of J_c by a part c - n through the raise map fock.basis(N).up, and the at most
+    of J_c by a part c - n through the raise map fock.basis(N, max_part).up, and the at most
     |n|/2 pairs whose modes both lower or both raise run through that map from the
     lower row.  The weights are products of small integers and halves, hence exact.
-    With max_part, only the columns with parts <= max_part: J_c kills a column without a part c,
-    so the slices stop at c = max_part, and a mask drops the rest; the full triples' order holds.
+    With max_part, P_R L_n P_R on the modes <= R: J_c for c <= R alone, a raise past R dropped
+    as one past N is; the full triples on the rows and columns with parts <= R, in order.
     """
-    counts = fock.basis(N).counts
+    return _virasoro(n, N, fock.top_part(N, max_part))
+
+
+@lru_cache(maxsize=None)
+def _virasoro(n: int, N: int, R: int) -> fock.Op:
+    offsets, counts, _, up = fock.basis(N, R)
     dim = len(counts)
     if abs(n) > N:  # no level <= N reaches another by |n|
         return fock.concat([])
-    top = N if max_part is None else min(max_part, N)
     if n == 0:  # sum_k J_{-k} J_k = sum_k k m_k: the level, on every partition but the vacuum
         src = dst = np.arange(1, dim)
-        w = np.repeat(np.arange(N + 1.0), np.diff(fock.basis(N).offsets))[1:]
+        w = np.repeat(np.arange(N + 1.0), np.diff(offsets))[1:]
     else:
-        up = fock.basis(N).up
         # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
-        (src, mid, w), c = fock.lowering(max(1, n + 1), min(top, N + n), N)
+        (src, mid, w), c = fock.lowering(max(1, n + 1), min(N, N + n), N, R)
         dst = up[c - n, mid]
         # J_a J_b for n > 0, J_{-a} J_{-b} for n < 0, a <= b = |n| - a: the slice of J_a,
         # from between down to low, with between raised by b to high
-        (between, low, wa), a = fock.lowering(1, abs(n) // 2, N)
+        (between, low, wa), a = fock.lowering(1, abs(n) // 2, N, R)
         high = up[abs(n) - a, between]
         on = high < dim
         low, high, wa, a = low[on], high[on], wa[on], a[on]
@@ -68,12 +70,13 @@ def virasoro_triples(n: int, N: int, max_part: int | None = None) -> fock.Op:
         half = np.where(a == b, 0.5, 1.0)
         pairs = (high, low, half * wa * (b * counts[high, b])) if n > 0 else (low, high, half)
         src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
-    on = dst < dim  # raised past level N
-    if top < N:  # or on a column with a part above top
-        on &= ~np.any(counts[:, top + 1:], axis=1)[src]
+    on = dst < dim  # raised past level N or past the part R
     src, dst, w = src[on], dst[on].astype(int), w[on]  # int rows, as in J_n, and no overflow below
     order = np.argsort(dst * dim + src)
     return src[order], dst[order], w[order]
+
+
+virasoro_triples.cache_clear = _virasoro.cache_clear
 
 
 def line_derivative_repr(h: CircleFourier) -> CircleFourier:
@@ -157,19 +160,22 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     <= WEYL_SLAB, with W* compressed to the levels <= N, and converges as N grows.
     In the orthonormalized basis it is ||T(f) P_N W* P - P_N W* P_N X P||, with
     X = T(f) + J(f g') + the scalar: one fock.weyl of -g on the stacked columns [P | X P].
-    W* moves only the parts <= M_g, g's top mode, so P_N W* P lies on the partitions with parts
-    <= max(M_g, WEYL_SLAB), the only columns T(f) is built on; X P is read off the slab columns
-    of X, its products (1 / e[src]) w summed onto (dst, src) in op order, as fock.apply does.
+    W* moves only the parts <= M_g, g's top mode, so P_N W* P has parts <= max(M_g, WEYL_SLAB);
+    T(f) and J(f g') add a part <= M_f + max(M_g, 2), and W* keeps the parts above M_g, so X P
+    and W* X P too lie on basis(N, R), R = max(M_g, WEYL_SLAB) + M_f, the modes <= R: the
+    residual there is the one on basis(N) without its zero rows.  X P is read off the slab
+    columns of X, its products (1 / e[src]) w summed onto (dst, src) in op order.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
+    R = max(g.max_mode, WEYL_SLAB) + f.max_mode
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    e = np.sqrt(fock.basis(N).norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
-    T = smear(lambda n, M: virasoro_triples(n, M, max(g.max_mode, WEYL_SLAB)), f, N)
-    P = np.eye(len(e), fock.basis(N).offsets[min(WEYL_SLAB, N) + 1], dtype=complex)
-    X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, smear(mode_triples, fgp, N))])
+    e = np.sqrt(fock.basis(N, R).norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
+    T = smear(virasoro_triples, f, N, R)
+    P = np.eye(len(e), fock.basis(N, R).offsets[min(WEYL_SLAB, N) + 1], dtype=complex)
+    X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, smear(mode_triples, fgp, N, R))])
     XP = np.zeros(P.shape, dtype=complex)
     np.add.at(XP, (X[1], X[0]), (1 / e[X[0], 0]) * X[2])
     XP = e * XP + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
-    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
+    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N, R), [P.shape[1]], axis=1)
     return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))

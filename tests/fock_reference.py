@@ -11,7 +11,8 @@ blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
 of J_n one n at a time and of L_n one pair at a time, and the raise map from them;
 the tables of basis(N) from the partitions of each level, with a lookup of a
-partition by a binary search of its multiplicity row; and small helpers of the
+partition by a binary search of its multiplicity row, and those tables and any
+triples on the partitions with parts <= R, re-indexed; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
 amplitudes by partition and the smeared stress tensor T(f).
 
@@ -403,6 +404,35 @@ def basis(N: int) -> tuple:
             np.prod(factor[np.arange(N + 1), counts], axis=1), keys[order], order)
 
 
+def kept_rows(N: int, R: int) -> tuple:
+    """The rows of basis(N) whose parts are all <= R, as a mask, and the place of each among
+    them: their number for every other row and for the sentinel dim."""
+    keep = ~np.any(basis(N)[1][:, R + 1:], axis=1)
+    at = np.full(len(keep) + 1, np.count_nonzero(keep))
+    at[np.flatnonzero(keep)] = np.arange(at[-1])
+    return keep, at
+
+
+def restricted(op: fock.Op, N: int, R: int) -> fock.Op:
+    """The triples op over basis(N) on the rows and columns with parts <= R, in their order,
+    re-indexed to those rows."""
+    keep, at = kept_rows(N, R)
+    src, dst, w = op
+    on = keep[src] & keep[dst]
+    return at[src[on]], at[dst[on]], w[on]
+
+
+def restricted_basis(N: int, R: int) -> tuple:
+    """offsets, counts, norm_sq and the raise map of the partitions of basis(N) with parts <= R,
+    filtered from the tables above and re-indexed, the raise past R going to the sentinel."""
+    offsets, counts, norm_sq, *_ = basis(N)
+    keep, at = kept_rows(N, R)
+    level = np.repeat(np.arange(N + 1), np.diff(offsets))
+    return (np.concatenate([[0], np.cumsum(np.bincount(level[keep], minlength=N + 1))]),
+            counts[keep], norm_sq[keep],
+            at[raise_map(N)[:, np.append(keep, True)]].astype(np.int32))
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:  # rows as byte strings, which sort and compare
     return np.ascontiguousarray(rows, dtype=np.uint8).view(f"V{np.shape(rows)[1]}")[:, 0]
 
@@ -433,6 +463,7 @@ def mode_triples(n: int, N: int) -> fock.Op:
     return src, find(N, counts[src] - e_n), n * counts[src, n].astype(float)
 
 
+@lru_cache(maxsize=None)
 def raise_map(N: int) -> np.ndarray:
     """up[a, i], the position in basis(N) of partition i with one more part a, or dim where
     that passes level N, and dim in column dim: J_a's src scattered onto its dst."""

@@ -2,16 +2,18 @@
 on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
-at a time, and L_n on the columns with parts <= m against the full L_n
-filtered by column; the tables of the basis, grown level by level in any order
-of cutoffs, against those built from the partition tuples; the closed-form Weyl
-operator and its displacement tables against single-mode expm tables applied
-one mode at a time to dict vectors, dense expm of J(g) at a larger cutoff, the
-coherent vector and the vacuum value of the states layer, and the tables
+at a time, and J_n and L_n on the modes <= R against the full ones on the rows
+and columns with parts <= R; the tables of the basis, grown level by level in
+any order of cutoffs, and of the modes <= R, against those built from the
+partition tuples; the closed-form Weyl operator and its displacement tables
+against single-mode expm tables applied one mode at a time to dict vectors,
+dense expm of J(g) at a larger cutoff, the coherent vector and the vacuum value
+of the states layer, the full operator's rows with parts <= R, and the tables
 against the Laguerre loop of the reference; the Weyl adjoint residual on its
 fixed slab against residuals built on the dense expm, on the eigh formula of
 J(g) at a larger cutoff, on the dict oracle with each single-mode factor summed
-as its exponential series and on T(f) over every column, and its mutations; the
+as its exponential series and, matrix for matrix, on T(f) over every column of
+the full basis, and its mutations; the
 identity in its exact form, with W* P taken to the levels T(f) can reach, at
 rounding; and the exactness window of the central charge against the same
 amplitude at a larger cutoff."""
@@ -103,15 +105,14 @@ def test_triples_equal_the_one_at_a_time_builds(N):
 
 @pytest.mark.parametrize("N", range(23))
 def test_restricted_triples_are_the_full_on_their_columns(N):
-    # L_n on the columns with parts <= m is the full L_n's triples filtered by column: the
-    # same values and dtypes, in the same order
-    fits = {m: ~np.any(fock.basis(N).counts[:, m + 1:], axis=1) for m in (0, 1, 2, 3, N)}
-    for n in range(-N - 2, N + 3):
-        full = sugawara.virasoro_triples(n, N)
-        for m, on in fits.items():
-            want = tuple(a[on[full[0]]] for a in full)
-            got = sugawara.virasoro_triples(n, N, m)
-            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    # J_n and L_n on basis(N, R), the modes <= R, are the full triples on the rows and columns
+    # with parts <= R, re-indexed: the same values and dtypes, in the same order; R = N + 1
+    # is the full basis
+    for R in range(N + 2):
+        for n in range(-N - 2, N + 3):
+            for op in (fock.mode_triples, sugawara.virasoro_triples):
+                want = ref.restricted(op(n, N), N, R)
+                assert all(map(_same, op(n, N, R), want))
 
 
 def _same(a, b) -> bool:
@@ -127,6 +128,60 @@ def test_basis_equals_the_reference(N):
     assert _same(b.up, ref.raise_map(N))
     for n in range(-N - 1, N + 2):
         assert all(map(_same, fock.mode_triples(n, N), ref.mode_triples(n, N)))
+
+
+@pytest.mark.parametrize("order", ["cold", "grown", "from the full basis"])
+def test_restricted_basis_equals_the_reference(order):
+    # basis(N, R) is the reference's partitions with parts <= R, their tables filtered and
+    # re-indexed, built alone, grown from basis(M, R) or grown from the full basis(M), M <= R,
+    # beside a full basis and a basis of top part R - 1 of a cutoff in (R, N), which it must
+    # not grow from
+    rng = np.random.default_rng(2)
+    for N in range(23):
+        for R in range(N + 1):
+            fock.basis.cache_clear()
+            if order == "grown" and R < N - 1:
+                fock.basis(int(rng.integers(R + 1, N)), R)
+            elif order == "from the full basis" and N > 0:
+                fock.basis(int(rng.integers(0, min(R, N - 1) + 1)))
+            if order != "cold" and 0 < R < N - 1:
+                M = int(rng.integers(R + 1, N))
+                fock.basis(M), fock.basis(M, R - 1)
+            assert all(map(_same, fock.basis(N, R), ref.restricted_basis(N, R)))
+
+
+def test_the_modes_up_to_0_are_the_vacuum_alone():
+    # basis(N, 0) holds the vacuum alone: every J_n and L_n on it is empty, and the Weyl
+    # operator is its vacuum value exp(-sum_n n |c_n|^2 / 2); a negative top part is refused
+    g = fn.random_real_circle(3, np.random.default_rng(4), 0.3)
+    vacuum_value = math.exp(-0.5 * sum(n * abs(g.coeff(n)) ** 2 for n in range(1, 4)))
+    for N in range(8):
+        assert len(fock.basis(N, 0).norm_sq) == 1
+        for n in range(-N - 2, N + 3):
+            for op in (fock.mode_triples, sugawara.virasoro_triples):
+                assert len(op(n, N, 0)[0]) == 0
+        assert fock.weyl(g, np.ones(1), N, 0)[0] == pytest.approx(vacuum_value, rel=1e-15)
+    with pytest.raises(ValueError, match="top part must be >= 0"):
+        fock.basis(4, -1)
+
+
+@pytest.mark.parametrize("max_mode", [1, 3, 6])
+def test_restricted_weyl_is_the_full_on_its_rows(max_mode):
+    # fock.weyl on basis(N, R) is P_R W P_R, the rows of fock.weyl on basis(N) with parts
+    # <= R: the same arithmetic for M_g <= R, and the factors <0|D(alpha_n)|0>, R < n <= M_g,
+    # multiplied in another order above it
+    rng = np.random.default_rng(5)
+    g = fn.random_real_circle(max_mode, rng, 0.3)
+    for N in range(13):
+        for R in range(N + 1):
+            keep, _ = ref.kept_rows(N, R)
+            X = np.zeros((len(keep), 3), dtype=complex)
+            X[keep] = rng.normal(size=(np.count_nonzero(keep), 3))
+            got, want = fock.weyl(g, X[keep], N, R), fock.weyl(g, X, N)[keep]
+            if max_mode <= R:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) < 1e-14  # entries of size 1
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -295,12 +350,22 @@ def test_weyl_adjoint_blocks_match_the_series_for_other_generators(max_mode):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_weyl_adjoint_equals_the_residual_on_every_column(seed):
-    # T(f) on the columns with parts <= max(M_g, WEYL_SLAB) and X P read off X drop only
-    # zero terms of the sums of T(f) on every column and of fock.apply on P / e
+def test_weyl_adjoint_equals_the_residual_on_every_column(monkeypatch, seed):
+    # On basis(N, R), R = max(M_g, WEYL_SLAB) + M_f, the residual matrix is the one of T(f) on
+    # every column of basis(N) and of fock.apply on P / e on its rows with parts <= R, bit for
+    # bit, and that one is 0 on every other row.  The 2-norms then differ by the SVD's rounding
+    # alone, which sees fewer zero rows: at most 3 ulp here (0 in 36 of these 63 cutoffs).
+    norm, matrices = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda M, *a, **k: matrices.append(M) or norm(M, *a, **k))
     g, f = _sized_pair(seed, 0.5)
+    R = max(g.max_mode, sugawara.WEYL_SLAB) + f.max_mode
     for N in range(10, 31):
-        assert sugawara.weyl_adjoint_stress_residual(g, f, N) == ref.weyl_residual_full(g, f, N)
+        r, want = sugawara.weyl_adjoint_stress_residual(g, f, N), ref.weyl_residual_full(g, f, N)
+        got, full = matrices[-2:]
+        keep, _ = ref.kept_rows(N, R)
+        assert _same(got, full[keep]) and not np.any(full[~keep])
+        assert r == norm(got, ord=2)
+        assert abs(r - want) <= 4 * np.spacing(want)
 
 
 @pytest.mark.parametrize("max_mode", [0, 1, 3, None])
