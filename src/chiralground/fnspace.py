@@ -58,12 +58,6 @@ class CircleFourier:
     def max_mode(self) -> int:
         return self.coeffs.size - 1
 
-    def coeff(self, n: int) -> complex:
-        if abs(n) > self.max_mode:
-            return 0.0 + 0.0j
-        c = complex(self.coeffs[abs(n)])
-        return c.conjugate() if n < 0 else c
-
     def full(self) -> np.ndarray:
         """The two-sided spectrum c_{-M} .. c_M."""
         return np.concatenate([np.conj(self.coeffs[:0:-1]), self.coeffs])

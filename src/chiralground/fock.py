@@ -19,12 +19,15 @@ l to l - n (Kac-Raina, Bombay Lectures, lecture 2).
 J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
 amplitude basis only, so that J_n and L_n have exact integer and half weights;
-J_n, n > 0, is read off the raise map once, and J_{-n} is its slice swapped.
-apply sums the products w v[src] onto their rows by one scatter per column;
-bracket_residual composes triples by products, and L_n composes the slices of
-J_c with the raise map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator
-compressed to the levels <= N, on orthonormal columns Y, on which triples act as
-e apply(op, Y / e), e the norms.
+J_n, n > 0, is read off the raise map once, stacked by n with the part n of each
+entry cached beside it, and J_{-n} is its slice swapped.  The src of every J_n
+ascends, so J(f) on the first columns is a prefix of each J_n.  apply sums the
+products w v[src] onto their rows by one scatter per column; bracket_residual
+composes triples by products, and L_n composes the slices of J_c (lowering) with
+the raise map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to
+the levels <= N, on orthonormal columns Y, on which triples act as
+e apply(op, Y / e), e the norms; the displacement table of each mode runs only to
+the multiplicity that the nonzero rows of Y reach.
 
 Truncation contract: mode operators never throw past the cutoff; the components
 past level N, or with a part past R, are dropped.  exactness_window(N, *reach)
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -97,38 +100,42 @@ def _grow(old: Basis, N: int, R: int) -> Basis:
     """basis(N, R), its levels <= M taken from old = basis(M, min(R, M)), M < N, and the levels
     above M built in turn, each from the levels below it."""
     M = len(old.offsets) - 2
-    # P[m, a], a <= R, the partitions of m with parts <= a: P[m, a] = P[m, a - 1] + P[m - a, a]
-    P = [[1] * (R + 1)]
-    for m in range(1, N + 1):
-        row = list(accumulate((P[m - a][a] for a in range(1, min(m, R) + 1)), initial=0))
-        P.append(row + row[-1:] * (R - min(m, R)))
-    P = np.array(P)
+    # P[m, a], a <= R, the partitions of m with parts <= a: P[m, a] = P[m, a - 1] + P[m - a, a],
+    # so column a is the sums of column a - 1 down the steps of a, one cumsum over rows of a
+    # entries; the rows past N pad the column to whole rows and are dropped
+    P = np.zeros((N + R + 1, R + 1), dtype=int)
+    P[0] = 1
+    for a in range(1, R + 1):
+        m = -(-(N + 1) // a) * a
+        P[:m, a] = P[:m, a - 1].reshape(-1, a).cumsum(axis=0).ravel()
+    P = P[:N + 1]
     offsets = np.concatenate([[0], np.cumsum(P[:, R])])
     dim = offsets[-1]
     B = offsets[1:, None] - P  # B[m, a], a <= R: the first row of level m with parts <= a
     # level l is the blocks a = min(l, R), ..., 1, the part a put in front of each of the
     # last P[l - a, a] rows of level l - a; row i is first[i] in front of row prev[i], and
     # the vacuum the part 0 in front of itself
-    blocks = np.r_[1, np.minimum(np.arange(1, N + 1), R)]
+    blocks = np.minimum(np.arange(N + 1), R)
+    blocks[0] = 1
     lvl = np.repeat(np.arange(N + 1), blocks)  # the level and the part of each block
     part = np.minimum(lvl, R) - np.arange(len(lvl)) + np.repeat(np.cumsum(blocks) - blocks, blocks)
     size = P[lvl - part, part]
     first = np.repeat(part, size)
-    prev = np.repeat(B[lvl - part, part] - np.cumsum(size) + size, size) + np.arange(dim)
+    row = np.arange(dim)
+    prev = np.repeat(B[lvl - part, part] - np.cumsum(size) + size, size) + row
     level = np.repeat(np.arange(N + 1), P[:, R])
     # multiplicities are at most N, far below 256 for any basis that fits in memory
     counts = np.zeros((dim, N + 1), dtype=np.uint8)
     up = np.full((N + 1, dim + 1), dim, dtype=np.int32)  # the rows a > R stay dim
     counts[:offsets[M + 1], :M + 1] = old.counts
-    kept = up[:M + 1, :offsets[M + 1]]
-    kept[...] = old.up[:, :-1]
-    kept[kept == offsets[M + 1]] = dim  # the old sentinel
+    for a in range(1, min(R, M) + 1):  # old's raises below level M + 1; the loop makes the rest
+        up[a, :offsets[M + 1 - a]] = old.up[a, :offsets[M + 1 - a]]
     for t in range(max(M + 1, 1), N + 1):  # the rows of level t, and every raise to level t
-        rows = np.arange(offsets[t], offsets[t + 1])
-        counts[rows] = counts[prev[rows]]
-        counts[rows, first[rows]] += 1
-        i = np.arange(offsets[max(t - R, 0)], offsets[t])  # the rows a part a <= R raises to t
-        a, f = t - level[i], first[i]
+        new = slice(offsets[t], offsets[t + 1])
+        counts[new] = counts[prev[new]]
+        counts[row[new], first[new]] += 1
+        below = slice(offsets[max(t - R, 0)], offsets[t])  # the rows a part a <= R raises to t
+        i, a, f = row[below], t - level[below], first[below]
         to = i - B[t - a, a] + B[t, a]  # a put in front of i, where a >= i's parts
         low = np.flatnonzero(a < f)  # else f put in front of prev[i] raised by a
         to[low] = up[a[low], prev[i[low]]] - B[t - f[low], f[low]] + B[t, f[low]]
@@ -150,33 +157,34 @@ def basis_partitions(N: int) -> tuple:
 def _modes(N: int, R: int) -> tuple:
     """J_n for 0 < n <= R on basis(N, R), read off the raise map: each dst of a level <= N - n
     from src = up[n, dst] with weight n m_n(src), stacked by n; src ascends with dst, since
-    adding a part keeps the basis order.  Also where each n starts, and weights 1 for J_{-n}."""
+    adding a part keeps the basis order.  Also where each n starts, the part n of each stacked
+    entry, and weights 1 for J_{-n}."""
     b = basis(N, R)
     ends = np.concatenate([[0, 0], np.cumsum(b.offsets[N:N - R:-1])])
     n = np.repeat(np.arange(1, R + 1), b.offsets[N:N - R:-1])
     dst = np.arange(ends[-1]) - ends[n]
     src = b.up[n, dst].astype(int)
-    return ends, (src, dst, n * b.counts[src, n].astype(float)), np.ones(b.offsets[N])
+    return ends, (src, dst, n * b.counts[src, n].astype(float)), n, np.ones(b.offsets[N])
 
 
 def mode_triples(n: int, N: int, max_part: int | None = None) -> Op:
     """J_n on basis(N, max_part), truncated at N; src ascending, dst without repeats.  J_{-n} is
-    J_n's slice swapped, with weight 1: adding a part keeps the basis order."""
+    J_n's slice swapped, with weight 1: adding a part keeps the basis order, so its src is an
+    arange."""
     R = top_part(N, max_part)
     if abs(n) > R:  # no partition of the basis has a part |n|
         return _EMPTY
-    ends, (src, dst, w), ones = _modes(N, R)
+    ends, (src, dst, w), _, ones = _modes(N, R)
     at = slice(ends[abs(n)], ends[abs(n) + 1])
     return (src[at], dst[at], w[at]) if n > 0 else (dst[at], src[at], ones[:at.stop - at.start])
 
 
 def lowering(lo: int, hi: int, N: int, max_part: int | None = None) -> tuple:
-    """J_c for lo <= c <= hi, c <= R, on basis(N, max_part), one slice of the triples of _modes,
-    and the part c of each of its entries."""
-    ends, down, _ = _modes(N, top_part(N, max_part))
-    lo, hi = min(lo, len(ends) - 1), min(hi, len(ends) - 2)
-    return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
-            np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
+    """J_c for lo <= c <= hi, c <= R, on basis(N, max_part), and the part c of each of its
+    entries: one slice of the triples of _modes and of their cached parts."""
+    ends, down, part, _ = _modes(N, top_part(N, max_part))
+    at = slice(ends[min(lo, len(ends) - 1)], ends[min(hi, len(ends) - 2) + 1])
+    return tuple(a[at] for a in down), part[at]
 
 
 def concat(ops) -> Op:
@@ -197,9 +205,22 @@ def identity(N: int, c) -> Op:
 
 
 def smear(op, f: CircleFourier, N: int, *max_part) -> Op:
-    """sum_n c_n op(n, N, *max_part) over the modes n of f."""
-    return concat([scaled(f.coeff(n), op(n, N, *max_part))
-                   for n in range(-f.max_mode, f.max_mode + 1) if f.coeff(n) != 0])
+    """sum_n c_n op(n, N, R) over the modes n of f, R = top_part(N, *max_part)."""
+    R = top_part(N, *max_part)
+    return concat([scaled(c, op(n, N, R)) for n, c in enumerate(f.full(), -f.max_mode) if c != 0])
+
+
+def current_columns(f: CircleFourier, N: int, max_part: int | None, top: int) -> Op:
+    """columns(smear(mode_triples, f, N, max_part), top), each J_n cut to the prefix of its
+    entries with src < top: the src of every J_n ascends."""
+    R = top_part(N, max_part)
+    ops = []
+    for n, c in enumerate(f.full(), -f.max_mode):
+        if c != 0:
+            src, dst, w = mode_triples(n, N, R)
+            k = np.searchsorted(src, top)
+            ops.append((src[:k], dst[:k], c * w[:k]))
+    return concat(ops)
 
 
 def columns(op: Op, top: int) -> Op:
@@ -288,20 +309,24 @@ def heisenberg_residual(m: int, n: int, N: int) -> float:
                             identity(N, m if m + n == 0 else 0), exactness_window(N, m, n), N)
 
 
-def displacement(alpha: complex, L: int) -> np.ndarray:
-    """<j|D(alpha)|k> for j, k <= L, D(alpha) = exp(alpha a^+ - conj(alpha) a) on one mode:
-    sqrt(lo!/hi!) b^(hi - lo) e^(-|alpha|^2/2) L_lo^(hi - lo)(|alpha|^2), lo and hi the lesser
-    and greater of j and k, b = alpha for j >= k and -conj(alpha) above (Cahill and Glauber,
-    Phys. Rev. 177, 1857, 1969), with the Laguerre L_k^(a) by their recurrence in k."""
+def displacement(alpha: complex, L: int, K: int | None = None) -> np.ndarray:
+    """<j|D(alpha)|k> for j <= L and k <= K <= L (K = L by default), D(alpha) = exp(alpha a^+ -
+    conj(alpha) a) on one mode: sqrt(lo!/hi!) b^(hi - lo) e^(-|alpha|^2/2) times
+    L_lo^(hi - lo)(|alpha|^2), lo and hi the lesser and greater of j and k, b = alpha for
+    j >= k and -conj(alpha) above (Cahill and Glauber, Phys. Rev. 177, 1857, 1969), with the
+    Laguerre L_k^(a) by their recurrence in k, run only to the degree K that lo reaches; the
+    columns k <= K of the table for K = L, bit for bit."""
+    K = L if K is None else K
     x, a = abs(alpha) ** 2, np.arange(L + 1)
-    lag = np.outer(np.eye(1, L + 2), np.ones(L + 1))  # lag[k, a] = L_k^(a)(x), row -1 as k = -1
-    ks = np.arange(L)[:, None]  # the recurrence's factors, for all degrees k at once
+    lag = np.zeros((K + 2, L + 1))  # lag[k, a] = L_k^(a)(x), row -1 as k = -1
+    lag[0] = 1.0
+    ks = np.arange(K)[:, None]  # the recurrence's factors, for all degrees k at once
     c1, c2 = 2 * ks + 1 + a - x, (ks + a).astype(float)
-    for k in range(L):
+    for k in range(K):
         lag[k + 1] = (c1[k] * lag[k] - c2[k] * lag[k - 1]) / (k + 1)
-    j, k = np.indices((L + 1, L + 1))
+    j, k = a[:, None], np.arange(K + 1)  # the row j and the column k of the table
     lo, hi = np.minimum(j, k), np.maximum(j, k)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, L + 1)))])
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(a[1:]))])
     b = np.where(j >= k, complex(alpha), -np.conj(alpha))
     return np.exp((log_fact[lo] - log_fact[hi] - x) / 2) * b ** (hi - lo) * lag[lo, hi - lo]
 
@@ -313,9 +338,10 @@ def weyl(g: CircleFourier, X: np.ndarray, N: int, max_part: int | None = None) -
     The modes of J(g) commute, so exp(i J(g)) is the product of the displacements
     D(alpha_n), alpha_n = i sqrt(n) conj c_n(g), of the multiplicities m_n, n >= 1 (J_0 = 0
     in charge zero).  Row p of X reaches the rows q that share its parts above g's top mode,
-    with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>.  A mode n > R adds the factor
-    exp(-|alpha_n|^2 / 2) = <0|D(alpha_n)|0>, which the exponential of the compressed J(g)
-    would drop.  The nonzero rows are grouped by those parts, and each group is taken k
+    with weight prod_n <m_n(q)|D(alpha_n)|m_n(p)>; the table of mode n has the columns
+    m_n(p) <= K_n alone, K_n the largest m_n of the nonzero rows of X.  A mode n > R adds the
+    factor exp(-|alpha_n|^2 / 2) = <0|D(alpha_n)|0>, which the exponential of the compressed
+    J(g) would drop.  The nonzero rows are grouped by those parts, and each group is taken k
     rows p at a time, k the columns of X, as one weight block times those rows of X.
     ValueError for an X of another length; ArithmeticError if not finite.
     """
@@ -323,21 +349,24 @@ def weyl(g: CircleFourier, X: np.ndarray, N: int, max_part: int | None = None) -
     if len(X) != len(counts):
         raise ValueError(f"X has {len(X)} rows, not the dimension {len(counts)} of cutoff {N}")
     top = min(g.max_mode, top_part(N, max_part))
+    cols = X.reshape(len(X), -1)
+    k = cols.shape[1]
+    nonzero = np.flatnonzero(np.any(cols, axis=1))
+    reach = counts[nonzero, 1:top + 1].max(axis=0, initial=0).tolist()  # K_n for n <= top
     alpha = 1j * np.sqrt(np.arange(1, g.max_mode + 1)) * np.conj(g.coeffs[1:])
-    tables = [displacement(a, N // n) for n, a in enumerate(alpha[:top], 1)]
+    tables = [displacement(a, N // n, K) for n, (a, K) in enumerate(zip(alpha, reach), 1)]
     scale = math.exp(-0.5 * np.sum(np.abs(alpha[top:]) ** 2))
     # the parts exp(i J(g)) keeps, each row as one byte string
     kept = (counts * (np.arange(N + 1) > top)).view(f"V{N + 1}")[:, 0]
-    cols = X.reshape(len(X), -1)
     Y = np.zeros(cols.shape, dtype=complex)
-    nonzero = np.flatnonzero(np.any(cols != 0, axis=1))
     keys, group = np.unique(kept[nonzero], return_inverse=True)
-    ends = np.cumsum(np.bincount(group))[:-1]
-    groups = np.split(nonzero[np.argsort(group, kind="stable")], ends)
-    for key, ps in zip(keys, groups):
+    rows = nonzero[np.argsort(group, kind="stable")]  # the nonzero rows, group after group
+    size = np.bincount(group)
+    for key, lo, hi in zip(keys, np.cumsum(size) - size, np.cumsum(size)):
         q = np.flatnonzero(kept == key)
         mq = counts[q, 1:top + 1].T[:, :, None]  # m_n(q), one row per mode n
-        for p in np.split(ps, range(cols.shape[1], len(ps), cols.shape[1])):
+        for start in range(lo, hi, k):
+            p = rows[start:min(start + k, hi)]
             block = np.full((len(q), len(p)), scale, dtype=complex)
             for D, i, j in zip(tables, mq, counts[p, 1:top + 1].T):
                 block *= D[i, j]

@@ -60,6 +60,7 @@ def _virasoro(n: int, N: int, R: int) -> fock.Op:
         # J_{c-n} J_c for c > 0 and c > n: the slice of J_c, each middle row raised by c - n
         (src, mid, w), c = fock.lowering(max(1, n + 1), min(N, N + n), N, R)
         dst = up[c - n, mid]
+    if abs(n) >= 2:  # else no such pair
         # J_a J_b for n > 0, J_{-a} J_{-b} for n < 0, a <= b = |n| - a: the slice of J_a,
         # from between down to low, with between raised by b to high
         (between, low, wa), a = fock.lowering(1, abs(n) // 2, N, R)
@@ -72,7 +73,9 @@ def _virasoro(n: int, N: int, R: int) -> fock.Op:
         src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
     on = dst < dim  # raised past level N or past the part R
     src, dst, w = src[on], dst[on].astype(int), w[on]  # int rows, as in J_n, and no overflow below
-    order = np.argsort(dst * dim + src)
+    # the keys are distinct, so any sort gives this order; each c's entries ascend, a run that
+    # the stable sort merges
+    order = np.argsort(dst * dim + src, kind="stable")
     return src[order], dst[order], w[order]
 
 
@@ -163,19 +166,24 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     W* moves only the parts <= M_g, g's top mode, so P_N W* P has parts <= max(M_g, WEYL_SLAB);
     T(f) and J(f g') add a part <= M_f + max(M_g, 2), and W* keeps the parts above M_g, so X P
     and W* X P too lie on basis(N, R), R = max(M_g, WEYL_SLAB) + M_f, the modes <= R: the
-    residual there is the one on basis(N) without its zero rows.  X P is read off the slab
-    columns of X, its products (1 / e[src]) w summed onto (dst, src) in op order.
+    residual there is the one on basis(N) without its zero rows.  X P is read off the k slab
+    columns of X, those of J(f g') a prefix of each J_n's triples, its products (1 / e[src]) w
+    summed onto (dst, src) in op order.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
     R = max(g.max_mode, WEYL_SLAB) + f.max_mode
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
-    e = np.sqrt(fock.basis(N, R).norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
+    b = fock.basis(N, R)
+    e = np.sqrt(b.norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
     T = smear(virasoro_triples, f, N, R)
-    P = np.eye(len(e), fock.basis(N, R).offsets[min(WEYL_SLAB, N) + 1], dtype=complex)
-    X = fock.concat([fock.columns(op, P.shape[1]) for op in (T, smear(mode_triples, fgp, N, R))])
+    k = b.offsets[min(WEYL_SLAB, N) + 1]
+    P = np.eye(len(e), k, dtype=complex)
+    src, dst, w = fock.concat([fock.columns(T, k), fock.current_columns(fgp, N, R, k)])
+    w = (1 / e[src, 0]) * w
     XP = np.zeros(P.shape, dtype=complex)
-    np.add.at(XP, (X[1], X[0]), (1 / e[X[0], 0]) * X[2])
+    at = dst * k + src  # the flat index of (dst, src); bincount sums in op order
+    XP.real, XP.imag = (np.bincount(at, part, P.size).reshape(P.shape) for part in (w.real, w.imag))
     XP = e * XP + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
-    WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N, R), [P.shape[1]], axis=1)
-    return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))
+    Ws = fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N, R)  # [W* P | W* X P]
+    return float(np.linalg.norm(e * fock.apply(T, Ws[:, :k] / e) - Ws[:, k:], ord=2))

@@ -3,8 +3,9 @@ matrices and the per-segment integrals that chiralground.fnspace replaced by
 FFTs on the half-shifted grid, Horner evaluation and slope jumps, and the
 sampled projection of t h that it replaced by an exact division.  Each sums
 over the two-sided spectrum c_{-M} .. c_M of CircleFourier.full.  Also the
-segments of a piecewise-linear function, the scalar Cayley map and the JSON
-reader of circle functions, which only the tests use.
+segments of a piecewise-linear function, the scalar Cayley map, the JSON
+reader of circle functions and the coefficient c_n of any n, which only the
+tests use.
 """
 
 import math
@@ -12,6 +13,14 @@ import math
 import numpy as np
 
 from chiralground import fnspace as fn
+
+
+def coeff(h: fn.CircleFourier, n: int) -> complex:
+    """c_n of h for any integer n: c_{-n} = conj c_n, and 0 past its top mode."""
+    if abs(n) > h.max_mode:
+        return 0.0 + 0.0j
+    c = complex(h.coeffs[abs(n)])
+    return c.conjugate() if n < 0 else c
 
 
 def dense_eval(h: fn.CircleFourier, theta) -> np.ndarray:

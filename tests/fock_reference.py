@@ -10,7 +10,9 @@ formed at each degree; dense level
 blocks of J_n and of L_n (summed pair by pair), the dense bracket
 residual built on them, and the dense matrix of a set of triples; the triples
 of J_n one n at a time and of L_n one pair at a time, and the raise map from them;
-the tables of basis(N) from the partitions of each level, with a lookup of a
+the slices of J_c with each entry's part by np.repeat, and L_n with the pairs
+that both lower or both raise built for every n; the tables of basis(N) from
+the partitions of each level, with a lookup of a
 partition by a binary search of its multiplicity row, and those tables and any
 triples on the partitions with parts <= R, re-indexed; and small helpers of the
 array layer that only the tests use, among them a vector from and to its
@@ -126,9 +128,9 @@ def dict_virasoro_mode(n: int, v: DictVector) -> DictVector:
 def smeared(apply, f, v: DictVector) -> DictVector:
     """sum_n c_n apply(n, v) over the modes of a CircleFourier f."""
     out = DictVector(v.cutoff, {})
-    for n in range(-f.max_mode, f.max_mode + 1):
-        if f.coeff(n) != 0:
-            out = vec_add(out, vec_scale(f.coeff(n), apply(n, v)))
+    for n, c in enumerate(f.full(), -f.max_mode):
+        if c != 0:
+            out = vec_add(out, vec_scale(c, apply(n, v)))
     return out
 
 
@@ -285,7 +287,7 @@ def weyl(g, amps: dict, N: int, table=displacement_expm) -> dict:
     end above N; the other rows above N are dropped at the end."""
     out = dict(amps)
     for n in range(1, g.max_mode + 1):
-        D = table(1j * math.sqrt(n) * np.conj(g.coeff(n)), N // n)
+        D = table(1j * math.sqrt(n) * np.conj(g.coeffs[n]), N // n)
         step = {}
         for p, a in out.items():
             rest = [k for k in p if k != n]
@@ -486,6 +488,43 @@ def virasoro_triples(n: int, N: int) -> fock.Op:
     out = np.zeros(len(key), dtype=w.dtype)
     np.add.at(out, inv, w)
     return key % dim, key // dim, out
+
+
+def lowering(lo: int, hi: int, N: int, max_part: int | None = None) -> tuple:
+    """fock.lowering with the part of each entry spelled out by np.repeat over the ends of the
+    stacked J_c, c <= R, of fock._modes."""
+    ends, down, *_ = fock._modes(N, fock.top_part(N, max_part))
+    lo, hi = min(lo, len(ends) - 1), min(hi, len(ends) - 2)
+    return (tuple(a[ends[lo]:ends[hi + 1]] for a in down),
+            np.repeat(np.arange(lo, hi + 1), np.diff(ends[lo:hi + 2])))
+
+
+def virasoro_with_every_pair(n: int, N: int, max_part: int | None = None) -> fock.Op:
+    """sugawara.virasoro_triples with the pairs J_a J_b, a <= b = |n| - a, that both lower or
+    both raise taken for every n != 0, none of them for |n| < 2, and this module's lowering."""
+    R = fock.top_part(N, max_part)
+    offsets, counts, _, up = fock.basis(N, R)
+    dim = len(counts)
+    if abs(n) > N:
+        return fock.concat([])
+    if n == 0:
+        src = dst = np.arange(1, dim)
+        w = np.repeat(np.arange(N + 1.0), np.diff(offsets))[1:]
+    else:
+        (src, mid, w), c = lowering(max(1, n + 1), min(N, N + n), N, R)
+        dst = up[c - n, mid]
+        (between, low, wa), a = lowering(1, abs(n) // 2, N, R)
+        high = up[abs(n) - a, between]
+        on = high < dim
+        low, high, wa, a = low[on], high[on], wa[on], a[on]
+        b = abs(n) - a
+        half = np.where(a == b, 0.5, 1.0)
+        pairs = (high, low, half * wa * (b * counts[high, b])) if n > 0 else (low, high, half)
+        src, dst, w = (np.concatenate(x) for x in zip((src, dst, w), pairs))
+    on = dst < dim
+    src, dst, w = src[on], dst[on].astype(int), w[on]
+    order = np.argsort(dst * dim + src)
+    return src[order], dst[order], w[order]
 
 
 def from_amps(cutoff: int, amps: dict) -> np.ndarray:

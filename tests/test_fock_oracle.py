@@ -3,20 +3,23 @@ on random sparse vectors at cutoffs N <= 10 and modes n in [-12, 12], which
 covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
 at a time, and J_n and L_n on the modes <= R against the full ones on the rows
-and columns with parts <= R; the tables of the basis, grown level by level in
-any order of cutoffs, and of the modes <= R, against those built from the
-partition tuples; the closed-form Weyl operator and its displacement tables
-against single-mode expm tables applied one mode at a time to dict vectors,
-dense expm of J(g) at a larger cutoff, the coherent vector and the vacuum value
-of the states layer, the full operator's rows with parts <= R, and the tables
-against the Laguerre loop of the reference; the Weyl adjoint residual on its
-fixed slab against residuals built on the dense expm, on the eigh formula of
-J(g) at a larger cutoff, on the dict oracle with each single-mode factor summed
-as its exponential series and, matrix for matrix, on T(f) over every column of
-the full basis, and its mutations; the
-identity in its exact form, with W* P taken to the levels T(f) can reach, at
-rounding; and the exactness window of the central charge against the same
-amplitude at a larger cutoff."""
+and columns with parts <= R; the slices of J_c with their parts against the
+np.repeat form, L_n against the build that runs every pair branch, and J(f)
+on the first columns against its column mask; the tables of the basis, grown
+level by level in any order of cutoffs, and of the modes <= R, against those
+built from the partition tuples; the closed-form Weyl operator and its
+displacement tables against single-mode expm tables applied one mode at a time
+to dict vectors, dense expm of J(g) at a larger cutoff, the coherent vector and
+the vacuum value of the states layer, the full operator's rows with parts <= R,
+and the tables, whole or cut to the columns that X's rows reach, against the
+Laguerre loop of the reference; the Weyl adjoint residual on its fixed slab
+against residuals built on the dense expm, on the eigh formula of J(g) at a
+larger cutoff, on the dict oracle with each single-mode factor summed as its
+exponential series and, matrix for matrix, on T(f) over every column of the
+full basis, and its mutations, and pinned on perfbench's sweep; the identity
+in its exact form, with W* P taken to the levels T(f) can reach, at rounding;
+and the exactness window of the central charge against the same amplitude at a
+larger cutoff."""
 
 import math
 import os
@@ -25,6 +28,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import fnspace_reference as fref
 import fock_reference as ref
 import numpy as np
 import pytest
@@ -154,7 +158,7 @@ def test_the_modes_up_to_0_are_the_vacuum_alone():
     # basis(N, 0) holds the vacuum alone: every J_n and L_n on it is empty, and the Weyl
     # operator is its vacuum value exp(-sum_n n |c_n|^2 / 2); a negative top part is refused
     g = fn.random_real_circle(3, np.random.default_rng(4), 0.3)
-    vacuum_value = math.exp(-0.5 * sum(n * abs(g.coeff(n)) ** 2 for n in range(1, 4)))
+    vacuum_value = math.exp(-0.5 * sum(n * abs(g.coeffs[n]) ** 2 for n in range(1, 4)))
     for N in range(8):
         assert len(fock.basis(N, 0).norm_sq) == 1
         for n in range(-N - 2, N + 3):
@@ -466,6 +470,74 @@ def test_displacement_is_the_reference_loop():
         assert np.array_equal(fock.displacement(alpha, L), ref.displacement(alpha, L))
 
 
+def test_displacement_to_degree_K_is_the_loops_columns():
+    # the recurrence run only to the degree K that the columns k <= K reach gives the columns
+    # of the loop's whole table bit for bit, for L = N // n and every K <= L
+    rng = np.random.default_rng(57)
+    for _ in range(300):
+        alpha = rng.uniform(0.0, 10.0) * np.exp(2j * np.pi * rng.uniform())
+        L = int(rng.integers(0, 41)) // int(rng.integers(1, 5))
+        K = int(rng.integers(0, L + 1))
+        got = fock.displacement(alpha, L, K)
+        assert got.shape == (L + 1, K + 1) and _same(got, ref.displacement(alpha, L)[:, :K + 1])
+
+
+def _spy_tables(monkeypatch) -> list:
+    """The (alpha, L, K, table) of every fock.displacement call from here on."""
+    calls, build = [], fock.displacement
+
+    def spy(alpha, L, K):
+        calls.append((alpha, L, K, build(alpha, L, K)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(fock, "displacement", spy)
+    return calls
+
+
+@pytest.mark.parametrize("max_mode", [1, 2, 4])
+def test_weyl_builds_each_table_to_the_degree_its_rows_reach(monkeypatch, max_mode):
+    # the table of mode n <= top has the rows m <= N // n and the columns m <= K_n, the
+    # largest m_n of X's nonzero rows: the loop's table cut there, bit for bit
+    calls = _spy_tables(monkeypatch)
+    rng = np.random.default_rng(58)
+    for N in range(15):
+        g = fn.random_real_circle(max_mode, rng, 0.5)
+        counts = fock.basis(N).counts
+        rows = rng.choice(len(counts), min(5, len(counts)), replace=False)
+        X = np.zeros((len(counts), 2), dtype=complex)
+        X[rows] = rng.standard_normal((len(rows), 2))
+        calls.clear()
+        fock.weyl(g, X, N)
+        modes = range(1, min(max_mode, N) + 1)
+        assert [(L, K) for _, L, K, _ in calls] == [(N // n, counts[rows, n].max()) for n in modes]
+        for n, (alpha, L, K, D) in zip(modes, calls):
+            assert alpha == pytest.approx(1j * math.sqrt(n) * np.conj(g.coeffs[n]), rel=1e-15)
+            assert _same(D, ref.displacement(alpha, L)[:, :K + 1])
+
+
+def test_weyl_edge_cases(monkeypatch):
+    N = 8
+    rng = np.random.default_rng(59)
+    g = fn.random_real_circle(2, rng, 0.5)
+    parts = fock.basis_partitions(N)
+    calls = _spy_tables(monkeypatch)
+    # an all-zero X: no row reaches past m_n = 0, and the result is 0
+    for shape in ((len(parts),), (len(parts), 3)):
+        out = fock.weyl(g, np.zeros(shape), N)
+        assert out.shape == shape and out.dtype == complex and not np.any(out)
+    assert [K for _, _, K, _ in calls] == [0, 0] * 2
+    # a generator of top mode 0 is c_0 J_0 = 0 in charge zero: no table, and the identity
+    X = rng.standard_normal((len(parts), 3)) + 1j * rng.standard_normal((len(parts), 3))
+    calls.clear()
+    assert np.array_equal(fock.weyl(fn.CircleFourier([0.7]), X, N), X) and not calls
+    # nonzero rows only with parts, all above the top mode 2: one column per table, and the
+    # result is the dict oracle's
+    X[[not p or min(p) <= 2 for p in parts]] = 0.0
+    assert 0 < np.count_nonzero(X[:, 0]) < len(parts) - 1
+    assert np.max(np.abs(fock.weyl(g, X, N) - ref.weyl_columns(g, X, N))) < 1e-13
+    assert [K for _, _, K, _ in calls] == [0, 0]
+
+
 @pytest.mark.parametrize("max_mode", [0, 1, 2, 3, None])
 def test_weyl_matches_the_dict_oracle(max_mode):
     # None stands for a generator of top mode N; X has unit columns over every row
@@ -516,7 +588,7 @@ def test_weyl_of_the_vacuum_is_the_coherent_vector(max_mode):
     counts = fock.basis(N).counts.astype(int)
     want = np.full(len(counts), math.exp(-0.5 * fn.sobolev_half_sq(g)), dtype=complex)
     for n in range(1, min(max_mode, N) + 1):
-        alpha = 1j * math.sqrt(n) * np.conj(g.coeff(n))
+        alpha = 1j * math.sqrt(n) * np.conj(g.coeffs[n])
         want *= alpha ** counts[:, n] / np.sqrt(factorial(counts[:, n]))
     want[np.any(counts[:, max_mode + 1:] > 0, axis=1)] = 0.0
     assert np.max(np.abs(fock.weyl(g, fock.vacuum(N), N) - want)) < 1e-15
@@ -547,6 +619,17 @@ def test_L0_equals_its_pair_sum_block(N):
         assert np.max(np.abs(out - want), initial=0.0) < 1e-12
 
 
+@pytest.mark.parametrize("N, want", [
+    (10, 0.003054588510230954), (12, 0.0005491625572519872), (14, 8.797768741977588e-05),
+    (16, 1.2810313954577824e-05), (18, 1.7195820157785263e-06), (24, 2.8081710863456686e-09),
+    (32, 2.6923990988206537e-13)])
+def test_weyl_adjoint_sweep_residuals_are_pinned(N, want):
+    # the pair of perfbench's weyl-adjoint workload at seed 1: random_real_circle(2,
+    # default_rng(1)) twice, each at Sobolev-1/2 norm 0.5
+    g, f = _sized_pair(1, 0.5)
+    assert sugawara.weyl_adjoint_stress_residual(g, f, N) == pytest.approx(want, rel=1e-13)
+
+
 def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("numpy.linalg.eigh called")
@@ -554,6 +637,46 @@ def test_weyl_adjoint_needs_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     g, f = _sized_pair(1, 0.5)
     assert 0.0 < sugawara.weyl_adjoint_stress_residual(g, f, 12) < 1.0
+
+
+def test_lowering_is_the_repeat_form():
+    # a slice of _modes' triples and of the part of each entry, cached with them, is the
+    # np.repeat of each part over its J_c, bit for bit and dtype for dtype
+    for N in range(17):
+        for max_part in (None, 0, 1, 2, 3, 4):
+            for hi in range(N + 2):
+                for lo in range(hi + 1):
+                    (got, part), (want, want_part) = (fock.lowering(lo, hi, N, max_part),
+                                                      ref.lowering(lo, hi, N, max_part))
+                    assert all(map(_same, (*got, part), (*want, want_part)))
+
+
+@pytest.mark.parametrize("N", range(17))
+def test_virasoro_triples_skip_the_pairs_below_2(N):
+    # no pair J_a J_b, a <= b, of two lowering or two raising modes sums to |n| < 2: L_n
+    # without that branch there, and sorted stably, is the build that runs it for every
+    # n != 0, bit for bit and dtype for dtype
+    for max_part in (None, 0, 1, 2, 3, 4):
+        for n in range(-N - 2, N + 3):
+            want = ref.virasoro_with_every_pair(n, N, max_part)
+            assert all(map(_same, sugawara.virasoro_triples(n, N, max_part), want))
+
+
+def test_current_columns_are_the_smeared_current_on_the_first_columns():
+    # smear over f's spectrum read once is the sum over f's coefficients one mode at a time,
+    # and J(f) cut per mode to the prefix of its ascending src is its column mask, bit for bit
+    rng = np.random.default_rng(60)
+    for N in range(13):
+        for max_part in (None, 0, 1, 2, 4):
+            f = fn.random_real_circle(int(rng.integers(0, 6)), rng)
+            J = fock.smear(fock.mode_triples, f, N, max_part)
+            want = fock.concat([fock.scaled(fref.coeff(f, n), fock.mode_triples(n, N, max_part))
+                                for n in range(-f.max_mode, f.max_mode + 1)
+                                if fref.coeff(f, n) != 0])
+            assert all(map(_same, J, want))
+            for top in range(len(fock.basis(N, max_part).norm_sq) + 1):
+                got = fock.current_columns(f, N, max_part, top)
+                assert all(map(_same, got, fock.columns(J, top)))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5, 16])
