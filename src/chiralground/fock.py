@@ -20,8 +20,7 @@ J_n and J(f) here, and L_n and T(f) in sugawara, have one sparse form: triples
 (src, dst, w) over basis(N), column src going to w times row dst, w in the
 amplitude basis only, so that J_n and L_n have exact integer and half weights;
 J_n, n > 0, is read off the raise map once, stacked by n with the part n of each
-entry cached beside it, and J_{-n} is its slice swapped.  The src of every J_n
-ascends, so J(f) on the first columns is a prefix of each J_n.  apply sums the
+entry cached beside it, and J_{-n} is its slice swapped.  apply sums the
 products w v[src] onto their rows by one scatter per column; bracket_residual
 composes triples by products, and L_n composes the slices of J_c (lowering) with
 the raise map.  weyl gives P_N exp(i J(g)) P_N, the Weyl operator compressed to
@@ -205,22 +204,9 @@ def identity(N: int, c) -> Op:
 
 
 def smear(op, f: CircleFourier, N: int, *max_part) -> Op:
-    """sum_n c_n op(n, N, R) over the modes n of f, R = top_part(N, *max_part)."""
-    R = top_part(N, *max_part)
-    return concat([scaled(c, op(n, N, R)) for n, c in enumerate(f.full(), -f.max_mode) if c != 0])
-
-
-def current_columns(f: CircleFourier, N: int, max_part: int | None, top: int) -> Op:
-    """columns(smear(mode_triples, f, N, max_part), top), each J_n cut to the prefix of its
-    entries with src < top: the src of every J_n ascends."""
-    R = top_part(N, max_part)
-    ops = []
-    for n, c in enumerate(f.full(), -f.max_mode):
-        if c != 0:
-            src, dst, w = mode_triples(n, N, R)
-            k = np.searchsorted(src, top)
-            ops.append((src[:k], dst[:k], c * w[:k]))
-    return concat(ops)
+    """sum_n c_n op(n, N, *max_part) over the modes n of f."""
+    return concat([scaled(c, op(n, N, *max_part))
+                   for n, c in enumerate(f.full(), -f.max_mode) if c != 0])
 
 
 def columns(op: Op, top: int) -> Op:

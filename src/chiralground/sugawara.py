@@ -166,9 +166,8 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     W* moves only the parts <= M_g, g's top mode, so P_N W* P has parts <= max(M_g, WEYL_SLAB);
     T(f) and J(f g') add a part <= M_f + max(M_g, 2), and W* keeps the parts above M_g, so X P
     and W* X P too lie on basis(N, R), R = max(M_g, WEYL_SLAB) + M_f, the modes <= R: the
-    residual there is the one on basis(N) without its zero rows.  X P is read off the k slab
-    columns of X, those of J(f g') a prefix of each J_n's triples, its products (1 / e[src]) w
-    summed onto (dst, src) in op order.
+    residual there is the one on basis(N) without its zero rows.  X P is fock.apply of the k
+    slab columns of X on P / e.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
@@ -179,11 +178,7 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     T = smear(virasoro_triples, f, N, R)
     k = b.offsets[min(WEYL_SLAB, N) + 1]
     P = np.eye(len(e), k, dtype=complex)
-    src, dst, w = fock.concat([fock.columns(T, k), fock.current_columns(fgp, N, R, k)])
-    w = (1 / e[src, 0]) * w
-    XP = np.zeros(P.shape, dtype=complex)
-    at = dst * k + src  # the flat index of (dst, src); bincount sums in op order
-    XP.real, XP.imag = (np.bincount(at, part, P.size).reshape(P.shape) for part in (w.real, w.imag))
-    XP = e * XP + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
+    X = fock.columns(fock.concat([T, smear(mode_triples, fgp, N, R)]), k)
+    XP = e * fock.apply(X, P / e) + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
     Ws = fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N, R)  # [W* P | W* X P]
     return float(np.linalg.norm(e * fock.apply(T, Ws[:, :k] / e) - Ws[:, k:], ord=2))

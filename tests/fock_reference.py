@@ -364,8 +364,8 @@ def weyl_residual(g, f, N: int, W) -> float:
 
 
 def weyl_residual_full(g, f, N: int) -> float:
-    """sugawara.weyl_adjoint_stress_residual with T(f) on every column of basis(N) and X P as
-    fock.apply of the slab columns of X on P / e: the same sums, their zero terms kept."""
+    """sugawara.weyl_adjoint_stress_residual on every row and column of basis(N), not on
+    basis(N, R) alone: the same sums, X P as fock.apply of the slab columns of X on P / e."""
     fgp = fn.pointwise_product(f, fn.derivative(g), f.max_mode + g.max_mode)
     e = np.sqrt(fock.basis(N).norm_sq)[:, None]
     T = fock.smear(sugawara.virasoro_triples, f, N)

@@ -4,10 +4,10 @@ covers every n in [-N - 2, N + 2]; its triples and brackets against the dense
 level blocks kept there, and its triples against the builds one n or one pair
 at a time, and J_n and L_n on the modes <= R against the full ones on the rows
 and columns with parts <= R; the slices of J_c with their parts against the
-np.repeat form, L_n against the build that runs every pair branch, and J(f)
-on the first columns against its column mask; the tables of the basis, grown
-level by level in any order of cutoffs, and of the modes <= R, against those
-built from the partition tuples; the closed-form Weyl operator and its
+np.repeat form, L_n against the build that runs every pair branch, and smear
+against the sum over f's coefficients one mode at a time; the tables of the
+basis, grown level by level in any order of cutoffs, and of the modes <= R,
+against those built from the partition tuples; the closed-form Weyl operator and its
 displacement tables against single-mode expm tables applied one mode at a time
 to dict vectors, dense expm of J(g) at a larger cutoff, the coherent vector and
 the vacuum value of the states layer, the full operator's rows with parts <= R,
@@ -662,9 +662,9 @@ def test_virasoro_triples_skip_the_pairs_below_2(N):
             assert all(map(_same, sugawara.virasoro_triples(n, N, max_part), want))
 
 
-def test_current_columns_are_the_smeared_current_on_the_first_columns():
+def test_smear_is_the_sum_over_the_coefficients_one_mode_at_a_time():
     # smear over f's spectrum read once is the sum over f's coefficients one mode at a time,
-    # and J(f) cut per mode to the prefix of its ascending src is its column mask, bit for bit
+    # bit for bit
     rng = np.random.default_rng(60)
     for N in range(13):
         for max_part in (None, 0, 1, 2, 4):
@@ -674,9 +674,6 @@ def test_current_columns_are_the_smeared_current_on_the_first_columns():
                                 for n in range(-f.max_mode, f.max_mode + 1)
                                 if fref.coeff(f, n) != 0])
             assert all(map(_same, J, want))
-            for top in range(len(fock.basis(N, max_part).norm_sq) + 1):
-                got = fock.current_columns(f, N, max_part, top)
-                assert all(map(_same, got, fock.columns(J, top)))
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5, 16])

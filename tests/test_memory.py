@@ -67,15 +67,15 @@ def test_weyl_residual_peak():
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of the full T(f), 1,292 rows of 7,338: measured 15.05 bytes per entry
-    # of the full T(f)
+    # 83,313 entries of the full T(f), 1,292 rows of 7,338: measured 15.51 bytes per entry
+    # of the full T(f), 15.05 with J(f g') cut to the slab columns mode by mode
     g, f = _pair()
     assert _weyl_peak_per_stress_entry(g, f, 24) < 16.5
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of the full T(f), 22 MB, 2,157 rows of 18,460: measured 9.27 bytes
-    # per entry of the full T(f)
+    # 230,951 entries of the full T(f), 22 MB, 2,157 rows of 18,460: measured 9.74 bytes
+    # per entry of the full T(f), 9.27 with J(f g') cut to the slab columns mode by mode
     g, f = _pair()
     assert _weyl_peak_per_stress_entry(g, f, 28) < 10.2
 
@@ -83,9 +83,9 @@ def test_weyl_residual_peak_at_cutoff_28():
 @pytest.mark.parametrize("N, bound", [(12, 170), (16, 142)], ids=["12", "16"])
 def test_wide_generator_peak(N, bound):
     # g of top mode N, so J(g) has entries from every row and R = N + 2 is the full basis:
-    # measured 154.2 and 128.6 bytes per entry of T(f) at N = 12 and 16 (155.0 and 128.8
-    # with T(f) on the columns with parts <= max(M_g, WEYL_SLAB), 154.4 and 128.7 with
-    # X P from fock.apply on P / e, 249.9 and 213.1 scattering all columns at once)
+    # measured 152.8 and 127.9 bytes per entry of T(f) at N = 12 and 16 (153.1 and 128.0
+    # with X P scattered onto (dst, src) by hand, 155.0 and 128.8 with T(f) on the columns
+    # with parts <= max(M_g, WEYL_SLAB), 249.9 and 213.1 scattering all columns at once)
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -103,8 +103,8 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 0.97 MB peak and left 0.49 MB of
-    # caches behind, first in its process (0.96 MB and 0.48 MB when repeated): every
+    # From cleared caches the N = 10..18 sweep measured a 0.99 MB peak and left 0.52 MB of
+    # caches behind, first in its process (0.98 MB and 0.50 MB when repeated): every
     # basis, J_n and L_n is cached on the modes <= 4 alone (1.42 MB and 0.62 MB with the
     # full bases and J_n and L_n on the columns with parts <= 2, 2.87 MB and 1.27 MB with
     # L_n on every column), J_n is cached once, J_{-n} being its swapped slice, and each
