@@ -166,19 +166,24 @@ def weyl_adjoint_stress_residual(g: CircleFourier, f: CircleFourier, N: int) -> 
     W* moves only the parts <= M_g, g's top mode, so P_N W* P has parts <= max(M_g, WEYL_SLAB);
     T(f) and J(f g') add a part <= M_f + max(M_g, 2), and W* keeps the parts above M_g, so X P
     and W* X P too lie on basis(N, R), R = max(M_g, WEYL_SLAB) + M_f, the modes <= R: the
-    residual there is the one on basis(N) without its zero rows.  X P is fock.apply of the k
-    slab columns of X on P / e.
+    residual there is the one on basis(N) without its zero rows.  T(f) is kept on the columns
+    with parts <= max(M_g, WEYL_SLAB) alone, the slab's among them: W* P is 0 on every other
+    row, whose entries would add only zeros.  X P is fock.apply of the k slab columns of X on
+    P / e.
     """
     if N < 0:
         raise ValueError("cutoff must be >= 0")
-    R = max(g.max_mode, WEYL_SLAB) + f.max_mode
+    Q = max(g.max_mode, WEYL_SLAB)  # the top part of W* P
+    R = Q + f.max_mode
     fgp = pointwise_product(f, derivative(g), f.max_mode + g.max_mode)
     b = fock.basis(N, R)
     e = np.sqrt(b.norm_sq)[:, None]  # triples act on orthonormal Y as e A(Y / e)
     T = smear(virasoro_triples, f, N, R)
+    on = ~np.any(b.counts[:, Q + 1:], axis=1)[T[0]]  # T(f) on the rows W* P can reach
+    T = tuple(a[on] for a in T)
     k = b.offsets[min(WEYL_SLAB, N) + 1]
     P = np.eye(len(e), k, dtype=complex)
-    X = fock.columns(fock.concat([T, smear(mode_triples, fgp, N, R)]), k)
+    X = fock.concat([fock.columns(op, k) for op in (T, smear(mode_triples, fgp, N, R))])
     XP = e * fock.apply(X, P / e) + sigma(fgp, g) / (2.0 * SIGMA_NORM) * P
     Ws = fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N, R)  # [W* P | W* X P]
     return float(np.linalg.norm(e * fock.apply(T, Ws[:, :k] / e) - Ws[:, k:], ord=2))

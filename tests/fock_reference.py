@@ -8,7 +8,8 @@ residual on the fixed slab built on any of them, and with T(f) on every
 column; fock.displacement's table with the factors of its Laguerre recurrence
 formed at each degree; dense level
 blocks of J_n and of L_n (summed pair by pair), the dense bracket
-residual built on them, and the dense matrix of a set of triples; the triples
+residual built on them, and the dense matrix of a set of triples; verify's Sobolev-norm
+row with J(f) vac from the smeared J(f) of each draw; the triples
 of J_n one n at a time and of L_n one pair at a time, and the raise map from them;
 the slices of J_c with each entry's part by np.repeat, and L_n with the pairs
 that both lower or both raise built for every n; the tables of basis(N) from
@@ -374,6 +375,17 @@ def weyl_residual_full(g, f, N: int) -> float:
     XP = e * fock.apply(X, P / e) + fn.sigma(fgp, g) / (2.0 * fn.SIGMA_NORM) * P
     WsP, WsXP = np.split(fock.weyl(g.scale(-1.0), np.hstack([P, XP]), N), [P.shape[1]], axis=1)
     return float(np.linalg.norm(e * fock.apply(T, WsP / e) - WsXP, ord=2))
+
+
+def sobolev_norm_identity(N: int, rng) -> float:
+    """cli.sobolev_norm_identity with J(f) vac taken as fock.apply of the smeared J(f) on
+    the vacuum, one smear per draw."""
+    worst = 0.0
+    for _ in range(50):
+        f = fn.random_real_circle(int(rng.integers(1, N + 1)), rng)
+        jf = fock.apply(fock.smear(fock.mode_triples, f, N), fock.vacuum(N))
+        worst = max(worst, abs(fock.inner(jf, jf, N).real - fn.sobolev_half_sq(f)))
+    return worst
 
 
 def virasoro_block(n: int, level: int) -> np.ndarray:

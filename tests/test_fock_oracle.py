@@ -5,7 +5,8 @@ level blocks kept there, and its triples against the builds one n or one pair
 at a time, and J_n and L_n on the modes <= R against the full ones on the rows
 and columns with parts <= R; the slices of J_c with their parts against the
 np.repeat form, L_n against the build that runs every pair branch, and smear
-against the sum over f's coefficients one mode at a time; the tables of the
+against the sum over f's coefficients one mode at a time, and verify's Sobolev-norm row
+against the smear loop; the tables of the
 basis, grown level by level in any order of cutoffs, and of the modes <= R,
 against those built from the partition tuples; the closed-form Weyl operator and its
 displacement tables against single-mode expm tables applied one mode at a time
@@ -21,6 +22,7 @@ in its exact form, with W* P taken to the levels T(f) can reach, at rounding;
 and the exactness window of the central charge against the same amplitude at a
 larger cutoff."""
 
+import copy
 import math
 import os
 import subprocess
@@ -38,7 +40,7 @@ from scipy.special import factorial
 
 import chiralground
 from chiralground import fnspace as fn
-from chiralground import fock, states, sugawara
+from chiralground import cli, fock, states, sugawara
 
 SETTINGS = settings(max_examples=200, deadline=None)
 amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False,
@@ -674,6 +676,28 @@ def test_smear_is_the_sum_over_the_coefficients_one_mode_at_a_time():
                                 for n in range(-f.max_mode, f.max_mode + 1)
                                 if fref.coeff(f, n) != 0])
             assert all(map(_same, J, want))
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 16, 20])
+@pytest.mark.parametrize("seed", range(4))
+def test_sobolev_row_is_the_smear_path(monkeypatch, seed, N):
+    # verify's Sobolev-norm row takes J(f) vac as the vacuum images of the modes times f's
+    # two-sided spectrum: on the draws of run_verify, each such vector is the smeared J(f)
+    # applied to the vacuum bit for bit, and the row reads the smear loop's residual
+    drawn, vectors, rngs = [], [], []
+    draw, inner, row = cli.random_real_circle, fock.inner, cli.sobolev_norm_identity
+    monkeypatch.setattr(cli, "random_real_circle",
+                        lambda M, rng: drawn.append(draw(M, rng)) or drawn[-1])
+    monkeypatch.setattr(fock, "inner", lambda u, v, n: vectors.append(u) or inner(u, v, n))
+    monkeypatch.setattr(cli, "sobolev_norm_identity",
+                        lambda n, rng: rngs.append(copy.deepcopy(rng)) or row(n, rng))
+    rows, _ = cli.run_verify(N, seed)
+    vac = fock.vacuum(N)
+    for f, jf in zip(drawn[-50:], vectors[-50:], strict=True):  # the row's draws come last
+        want = fock.apply(fock.smear(fock.mode_triples, f, N), vac)
+        assert np.array_equal(jf.view(np.uint64), want.view(np.uint64))
+    residual = {name: r for name, _, r, *_ in rows}["sobolev_norm_identity"]
+    assert residual == ref.sobolev_norm_identity(N, rngs[0])
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5, 16])

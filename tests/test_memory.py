@@ -56,36 +56,41 @@ def _weyl_peak_per_stress_entry(g, f, N):
 # are held on those rows alone.  The peaks stay quoted per entry of the full T(f), so that
 # they compare with the earlier builds: 110.7, 97.6 and 93.8 bytes per entry at N = 16, 24
 # and 28 holding all of T(f), and 58.3, 42.4 and 38.1 with T(f) on the columns with parts
-# <= max(M_g, WEYL_SLAB) and the dense columns on every row of basis(N).  Each bound is
-# about 10% over the value measured at that cutoff.
+# <= max(M_g, WEYL_SLAB) and the dense columns on every row of basis(N).  T(f) is now cut
+# at once to its entries from the rows with parts <= max(M_g, WEYL_SLAB), the rows W* P
+# reaches, and it and J(f g') are each cut to the slab columns before they are joined.
+# Each bound is about 10% over the value measured at that cutoff.
 
 def test_weyl_residual_peak():
-    # 7,998 entries of the full T(f), 359 rows of 915: measured 40.9 bytes per entry of
-    # the full T(f)
+    # 7,998 entries of the full T(f), 359 rows of 915: measured 26.36 bytes per entry of
+    # the full T(f), 40.89 with T(f) joined to J(f g') before the cut and applied whole
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 16) < 45
+    assert _weyl_peak_per_stress_entry(g, f, 16) < 29
 
 
 def test_weyl_residual_peak_at_cutoff_24():
-    # 83,313 entries of the full T(f), 1,292 rows of 7,338: measured 15.51 bytes per entry
-    # of the full T(f), 15.05 with J(f g') cut to the slab columns mode by mode
+    # 83,313 entries of the full T(f), 1,292 rows of 7,338: measured 8.28 bytes per entry
+    # of the full T(f), 15.51 with T(f) joined to J(f g') before the cut and applied whole
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 24) < 16.5
+    assert _weyl_peak_per_stress_entry(g, f, 24) < 9.1
 
 
 def test_weyl_residual_peak_at_cutoff_28():
-    # 230,951 entries of the full T(f), 22 MB, 2,157 rows of 18,460: measured 9.74 bytes
-    # per entry of the full T(f), 9.27 with J(f g') cut to the slab columns mode by mode
+    # 230,951 entries of the full T(f), 22 MB, 2,157 rows of 18,460: measured 4.89 bytes
+    # per entry of the full T(f), 9.74 with T(f) joined to J(f g') before the cut and
+    # applied whole
     g, f = _pair()
-    assert _weyl_peak_per_stress_entry(g, f, 28) < 10.2
+    assert _weyl_peak_per_stress_entry(g, f, 28) < 5.4
 
 
 @pytest.mark.parametrize("N, bound", [(12, 170), (16, 142)], ids=["12", "16"])
 def test_wide_generator_peak(N, bound):
     # g of top mode N, so J(g) has entries from every row and R = N + 2 is the full basis:
-    # measured 152.8 and 127.9 bytes per entry of T(f) at N = 12 and 16 (153.1 and 128.0
-    # with X P scattered onto (dst, src) by hand, 155.0 and 128.8 with T(f) on the columns
-    # with parts <= max(M_g, WEYL_SLAB), 249.9 and 213.1 scattering all columns at once)
+    # measured 154.0 and 129.0 bytes per entry of T(f) at N = 12 and 16, where the cut to
+    # the rows of W* P keeps and so copies all of T(f) (152.8 and 127.9 with no such cut,
+    # 153.1 and 128.0 with X P scattered onto (dst, src) by hand, 155.0 and 128.8 with T(f)
+    # on the columns with parts <= max(M_g, WEYL_SLAB), 249.9 and 213.1 scattering all
+    # columns at once)
     rng = np.random.default_rng(1)
     g, f = (h.scale(0.5 / math.sqrt(fn.sobolev_half_sq(h)))
             for h in (fn.random_real_circle(N, rng), fn.random_real_circle(2, rng)))
@@ -103,8 +108,9 @@ def test_weyl_peak_on_the_slab():
 
 
 def test_cold_weyl_sweep_peak_and_caches():
-    # From cleared caches the N = 10..18 sweep measured a 0.99 MB peak and left 0.52 MB of
-    # caches behind, first in its process (0.98 MB and 0.50 MB when repeated): every
+    # From cleared caches the N = 10..18 sweep measured a 0.79 MB peak and left 0.51 MB of
+    # caches behind, first in its process (0.80 MB and 0.52 MB when repeated; a 0.99 MB
+    # peak with T(f) joined to J(f g') before the cut and applied whole): every
     # basis, J_n and L_n is cached on the modes <= 4 alone (1.42 MB and 0.62 MB with the
     # full bases and J_n and L_n on the columns with parts <= 2, 2.87 MB and 1.27 MB with
     # L_n on every column), J_n is cached once, J_{-n} being its swapped slice, and each
@@ -120,7 +126,7 @@ def test_cold_weyl_sweep_peak_and_caches():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.05e6
+    assert peak < 0.88e6
     assert held < 0.53e6
 
 
